@@ -26,6 +26,13 @@ type workspace struct {
 	sbuf, saux []int32
 	hkey, hval []int32
 	hused      []int32
+
+	// A parallel delta-kernel worker's share of the caller's touched
+	// list (delta.go): the vertex (vout) or edge (eout) ids whose dirty
+	// mark this worker won. Empty at rest; the capacity persists so warm
+	// rounds append without allocating.
+	vout []int32
+	eout []int64
 }
 
 func newWorkspace(n int) *workspace {

@@ -33,7 +33,9 @@ package core
 // ids to a caller-owned buffer (deduplicated through a caller-owned
 // dirty-mark array), so steady-state peeling rounds allocate nothing on
 // the sequential path (TestTipDeltaSteadyStateZeroAlloc /
-// TestWingDeltaSteadyStateZeroAlloc).
+// TestWingStateDeltaSteadyStateZeroAlloc). Parallel workers collect
+// the ids whose dirty mark they won in a per-worker share of the list,
+// held in their arena workspace and concatenated after the join.
 
 import (
 	"sync"
@@ -88,41 +90,59 @@ func TipDeltaBatch(g *graph.Bipartite, side Side, batch []int32, alive []bool, s
 		return
 	}
 
+	wss := deltaWorkers(len(batch), threads, exposed.R, a, func(i int, ws *workspace) {
+		partners := tipDeltaWedges(int(batch[i]), exposed, secondary, alive, ws)
+		acc := ws.acc
+		for _, w := range partners {
+			c := int64(acc[w])
+			acc[w] = 0
+			if b := c * (c - 1) / 2; b > 0 {
+				atomic.AddInt64(&s[w], -b)
+				if atomic.CompareAndSwapInt32(&dirty[w], 0, 1) {
+					ws.vout = append(ws.vout, w)
+				}
+			}
+		}
+		ws.touched = ws.touched[:0]
+	})
+	for _, ws := range wss {
+		*touched = append(*touched, ws.vout...)
+		ws.vout = ws.vout[:0]
+		a.put(ws)
+	}
+}
+
+// deltaWorkers runs item(i, ws) for every i in [0, n) on threads
+// goroutines that claim items from an atomic cursor, each holding its
+// own arena workspace of the given width. It returns the workspaces
+// after the workers have joined: the caller merges their per-worker
+// touched shares (vout/eout) — written without a lock, since the
+// dirty CAS already gives every id to exactly one worker — and hands
+// them back with a.put.
+func deltaWorkers(n, threads, width int, a *Arena, item func(i int, ws *workspace)) []*workspace {
+	wss := make([]*workspace, threads)
+	for t := range wss {
+		wss[t] = a.get(width)
+	}
 	var (
 		cursor atomic.Int64
 		wg     sync.WaitGroup
-		mu     sync.Mutex
 	)
-	for t := 0; t < threads; t++ {
+	for _, ws := range wss {
 		wg.Add(1)
-		go func() {
+		go func(ws *workspace) {
 			defer wg.Done()
-			ws := a.get(exposed.R)
-			defer a.put(ws)
 			for {
 				i := int(cursor.Add(1)) - 1
-				if i >= len(batch) {
-					break
+				if i >= n {
+					return
 				}
-				partners := tipDeltaWedges(int(batch[i]), exposed, secondary, alive, ws)
-				acc := ws.acc
-				for _, w := range partners {
-					c := int64(acc[w])
-					acc[w] = 0
-					if b := c * (c - 1) / 2; b > 0 {
-						atomic.AddInt64(&s[w], -b)
-						if atomic.CompareAndSwapInt32(&dirty[w], 0, 1) {
-							mu.Lock()
-							*touched = append(*touched, w)
-							mu.Unlock()
-						}
-					}
-				}
-				ws.touched = ws.touched[:0]
+				item(i, ws)
 			}
-		}()
+		}(ws)
 	}
 	wg.Wait()
+	return wss
 }
 
 // tipDeltaWedges accumulates the wedge multiplicities β_uw of peeled
@@ -146,253 +166,4 @@ func tipDeltaWedges(u int, exposed, secondary *sparse.CSR, alive []bool, ws *wor
 	}
 	ws.touched = partners
 	return partners
-}
-
-// TransposeEdgeMap returns tmap with tmap[j] equal to the flat edge id
-// in g.Adj() of the edge stored at flat position j of g.AdjT(). Built
-// in O(nnz); the wing-delta kernel uses it to resolve (w, v) edge ids
-// without per-wedge binary searches.
-func TransposeEdgeMap(g *graph.Bipartite) []int64 {
-	adj, adjT := g.Adj(), g.AdjT()
-	tmap := make([]int64, adj.NNZ())
-	next := make([]int64, adjT.R)
-	copy(next, adjT.Ptr[:adjT.R])
-	for u := 0; u < adj.R; u++ {
-		for k := adj.Ptr[u]; k < adj.Ptr[u+1]; k++ {
-			v := adj.Col[k]
-			tmap[next[v]] = k
-			next[v]++
-		}
-	}
-	return tmap
-}
-
-// WingDeltaBatch decrements sup (indexed by flat edge id of g.Adj())
-// for every surviving edge that lost butterflies when the batch of
-// edges was peeled. The caller must have, for every batch edge e:
-// alive[e] = false and inBatch[e] = true (inBatch distinguishes
-// "dying this round" from "dead in an earlier round"; the caller clears
-// it after the kernel returns). tmap is TransposeEdgeMap(g). Decrements
-// are deduplicated per destroyed butterfly via the minimum-batch-id
-// assignment rule, so the kernel is exact for batches of any size and
-// parallelizes over batch edges (threads > 1 uses atomic decrements).
-// First-touched surviving edges are appended to *touched once, using
-// dirty for deduplication as in TipDeltaBatch.
-//
-// pol selects the intersection flavor for resolving N(u) ∩ N(w): the
-// merge path walks both sorted rows; the hub path (taken for dense u
-// under HubAuto's cost model, always under HubAlways) materializes u's
-// neighbor→position map in the workspace accumulator so every partner
-// row is resolved by O(deg w) direct lookups — PR 1's dense-row-gets-a-
-// different-kernel policy applied to the delta sweep. All paths produce
-// identical decrements.
-func WingDeltaBatch(g *graph.Bipartite, batch []int64, alive, inBatch []bool, tmap, sup []int64, dirty []int32, touched *[]int64, threads int, pol HubPolicy, a *Arena) {
-	if len(batch) == 0 {
-		return
-	}
-	adj, adjT := g.Adj(), g.AdjT()
-	if threads > len(batch) {
-		threads = len(batch)
-	}
-	if threads <= 1 || len(batch) < minDeltaParallelBatch {
-		ws := a.get(adj.C)
-		for _, e := range batch {
-			wingDeltaEdge(e, adj, adjT, alive, inBatch, tmap, sup, dirty, touched, nil, pol, ws)
-		}
-		a.put(ws)
-		return
-	}
-
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-	)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := a.get(adj.C)
-			defer a.put(ws)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(batch) {
-					break
-				}
-				wingDeltaEdge(batch[i], adj, adjT, alive, inBatch, tmap, sup, dirty, touched, &mu, pol, ws)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// wingHubDeg is the minimum exposed degree at which the hub
-// (position-map) path pays for its build+clear cost under HubAuto.
-// Below it the per-partner merge's deg(u) term is too small for the
-// map's 2·deg(u) build to amortize across realistic partner counts.
-const wingHubDeg = 16
-
-// wingDeltaEdge enumerates the butterflies assigned to dying edge e and
-// decrements the supports of their surviving edges. mu == nil selects
-// the sequential (non-atomic) decrement path.
-func wingDeltaEdge(e int64, adj, adjT *sparse.CSR, alive, inBatch []bool, tmap, sup []int64, dirty []int32, touched *[]int64, mu *sync.Mutex, pol HubPolicy, ws *workspace) {
-	u := rowOfEdge(adj, e)
-	v := adj.Col[e]
-	ru := adj.Row(u)
-	baseU := adj.Ptr[u]
-	vrow := adjT.Row(int(v))
-	tbase := adjT.Ptr[int(v)]
-
-	// Hub path decision: materializing u's neighbor→position map costs
-	// 2·deg(u) (build + clear) and turns every partner intersection
-	// from a deg(u)+deg(w) merge into deg(w) direct lookups — saving
-	// ~deg(u) per partner, so it pays once u is dense (≥ wingHubDeg)
-	// and there are enough partners (≥ 3) to amortize the build.
-	//
-	// The model deliberately reads only degrees — deg(u) via len(ru),
-	// the partner count via len(vrow) — never vertex ids. Peeling runs
-	// on the graph's public (original) vertex order, but the counting
-	// core may have served the peel's initial supports from the
-	// degree-ordered relayout twin, where hubs occupy the low ids; an
-	// id-based density proxy (e.g. "small u is dense") would be wrong
-	// in one order or the other, while degrees are preserved by any
-	// relabeling. TestWingDeltaRelayoutAgreement pins this down by
-	// peeling a relayouted twin and checking delta against recount.
-	usePos := false
-	switch pol {
-	case HubAlways:
-		usePos = len(ru) > 0
-	case HubAuto:
-		usePos = len(ru) >= wingHubDeg && len(vrow) >= 3
-	}
-	acc := ws.acc
-	if usePos {
-		for k, p := range ru {
-			acc[p] = int32(k) + 1
-		}
-	}
-
-	for wi, w := range vrow {
-		if int(w) == u {
-			continue
-		}
-		// Every butterfly {u,w} × {v,·} contains edge (w,v): if it died
-		// in an earlier round all those butterflies are long destroyed;
-		// if it dies this round with a smaller id, they are assigned to
-		// it, not to e.
-		ewv := tmap[tbase+int64(wi)]
-		if !alive[ewv] && !inBatch[ewv] {
-			continue
-		}
-		if inBatch[ewv] && ewv < e {
-			continue
-		}
-		rw := adj.Row(int(w))
-		baseW := adj.Ptr[w]
-		if usePos {
-			for kw, p := range rw {
-				if p == v {
-					continue
-				}
-				pu := acc[p]
-				if pu == 0 {
-					continue
-				}
-				wingButterfly(e, ewv, baseU+int64(pu)-1, baseW+int64(kw), alive, inBatch, sup, dirty, touched, mu)
-			}
-		} else {
-			x, y := 0, 0
-			for x < len(ru) && y < len(rw) {
-				switch {
-				case ru[x] < rw[y]:
-					x++
-				case ru[x] > rw[y]:
-					y++
-				default:
-					if ru[x] != v {
-						wingButterfly(e, ewv, baseU+int64(x), baseW+int64(y), alive, inBatch, sup, dirty, touched, mu)
-					}
-					x++
-					y++
-				}
-			}
-		}
-	}
-
-	if usePos {
-		for _, p := range ru {
-			acc[p] = 0
-		}
-	}
-}
-
-// wingButterfly applies the assignment rule to one candidate butterfly
-// (dying edge e, companion edges ewv, eup, ewp) and, if the butterfly
-// is destroyed by e, decrements the support of each surviving edge.
-func wingButterfly(e, ewv, eup, ewp int64, alive, inBatch []bool, sup []int64, dirty []int32, touched *[]int64, mu *sync.Mutex) {
-	if !alive[eup] && !inBatch[eup] {
-		return // butterfly destroyed in an earlier round
-	}
-	if !alive[ewp] && !inBatch[ewp] {
-		return
-	}
-	if inBatch[eup] && eup < e {
-		return // assigned to a smaller-id batch edge
-	}
-	if inBatch[ewp] && ewp < e {
-		return
-	}
-	if mu == nil {
-		if alive[ewv] {
-			wingDecSeq(ewv, sup, dirty, touched)
-		}
-		if alive[eup] {
-			wingDecSeq(eup, sup, dirty, touched)
-		}
-		if alive[ewp] {
-			wingDecSeq(ewp, sup, dirty, touched)
-		}
-		return
-	}
-	if alive[ewv] {
-		wingDecAtomic(ewv, sup, dirty, touched, mu)
-	}
-	if alive[eup] {
-		wingDecAtomic(eup, sup, dirty, touched, mu)
-	}
-	if alive[ewp] {
-		wingDecAtomic(ewp, sup, dirty, touched, mu)
-	}
-}
-
-func wingDecSeq(f int64, sup []int64, dirty []int32, touched *[]int64) {
-	sup[f]--
-	if dirty[f] == 0 {
-		dirty[f] = 1
-		*touched = append(*touched, f)
-	}
-}
-
-func wingDecAtomic(f int64, sup []int64, dirty []int32, touched *[]int64, mu *sync.Mutex) {
-	atomic.AddInt64(&sup[f], -1)
-	if atomic.CompareAndSwapInt32(&dirty[f], 0, 1) {
-		mu.Lock()
-		*touched = append(*touched, f)
-		mu.Unlock()
-	}
-}
-
-// rowOfEdge finds the exposed row of flat edge id e by binary search on
-// the row pointer.
-func rowOfEdge(a *sparse.CSR, e int64) int {
-	lo, hi := 0, a.R
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if a.Ptr[mid+1] > e {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,61 +68,61 @@ func TestQuickTipDeltaBatchExact(t *testing.T) {
 	}
 }
 
-// WingDeltaBatch must compute exactly the difference between the edge
-// supports of the graph without the earlier-dead edges and the graph
-// additionally without the batch — the alive-masked analogue of the tip
-// test above, checked through explicit subgraph rebuilds.
-func TestQuickWingDeltaBatchExact(t *testing.T) {
+// The parallel tip path must hand back, through the per-worker touched
+// shares, every vertex it decremented exactly once, leave dirty set for
+// exactly those vertices, and produce the sequential path's counts. Run
+// it under -race: the shares are written without a lock.
+func TestQuickTipDeltaParallelTouched(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		_, g := randGraphAndDense(rng, 9)
-		nnz := int(g.NumEdges())
-		if nnz == 0 {
-			return true
-		}
-		alive := make([]bool, nnz)   // true = survives the batch
-		inBatch := make([]bool, nnz) // true = peeled by this batch
-		var batch []int64
-		for e := 0; e < nnz; e++ {
-			switch rng.Intn(4) {
-			case 0: // dead from an earlier round
-			case 1:
-				inBatch[e] = true
-				batch = append(batch, int64(e))
-			default:
-				alive[e] = true
+		g := gen.PowerLawBipartite(80, 60, 500, 0.7, 0.7, seed)
+		for _, side := range []Side{SideV1, SideV2} {
+			n := g.NumV1()
+			if side == SideV2 {
+				n = g.NumV2()
 			}
-		}
-		if len(batch) == 0 {
-			return true
-		}
-		// Supports of the pre-batch subgraph, spread onto original ids.
-		sup := make([]int64, nnz)
-		supportInto(sup, g, func(e int) bool { return alive[e] || inBatch[e] })
-		want := make([]int64, nnz)
-		supportInto(want, g, func(e int) bool { return alive[e] })
-
-		tmap := TransposeEdgeMap(g)
-		dirty := make([]int32, nnz)
-		var touched []int64
-		for _, threads := range []int{1, 3} {
-			for _, pol := range []HubPolicy{HubAuto, HubNever, HubAlways} {
-				got := append([]int64(nil), sup...)
-				touched = touched[:0]
-				WingDeltaBatch(g, batch, alive, inBatch, tmap, got, dirty, &touched, threads, pol, nil)
-				for _, f := range touched {
-					dirty[f] = 0
+			alive := make([]bool, n)
+			var batch []int32
+			for u := range alive {
+				if rng.Intn(3) == 0 {
+					batch = append(batch, int32(u))
+				} else {
+					alive[u] = true
 				}
-				for e := 0; e < nnz; e++ {
-					if alive[e] && got[e] != want[e] {
-						return false
-					}
+			}
+			if len(batch) < minDeltaParallelBatch {
+				continue
+			}
+			s := make([]int64, n)
+			VertexButterfliesMaskedInto(s, g, side, nil, 1, nil)
+			seq := append([]int64(nil), s...)
+			dirty := make([]int32, n)
+			var touched []int32
+			TipDeltaBatch(g, side, batch, alive, seq, dirty, &touched, 1, nil)
+			for _, w := range touched {
+				dirty[w] = 0
+			}
+			arena := NewArena()
+			for _, threads := range []int{2, 3, 8} {
+				got := append([]int64(nil), s...)
+				touched = touched[:0]
+				TipDeltaBatch(g, side, batch, alive, got, dirty, &touched, threads, arena)
+				if !slices.Equal(got, seq) {
+					t.Logf("seed %d side %v threads %d: counts differ from the sequential path", seed, side, threads)
+					return false
+				}
+				if !touchedExact(touched, dirty, func(w int32) bool { return got[w] != s[w] }) {
+					t.Logf("seed %d side %v threads %d: touched list or dirty marks wrong", seed, side, threads)
+					return false
+				}
+				for _, w := range touched {
+					dirty[w] = 0
 				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -187,69 +188,5 @@ func TestTipDeltaSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm tip-delta round allocated %.1f objects/op, want 0", allocs)
-	}
-}
-
-// Same claim for the wing-delta kernel, on both intersection paths.
-func TestWingDeltaSteadyStateZeroAlloc(t *testing.T) {
-	g := gen.PowerLawBipartite(500, 400, 3000, 0.7, 0.7, 12)
-	nnz := int(g.NumEdges())
-	alive := make([]bool, nnz)
-	inBatch := make([]bool, nnz)
-	var batch []int64
-	for e := 0; e < nnz; e++ {
-		if e%9 == 0 {
-			inBatch[e] = true
-			batch = append(batch, int64(e))
-		} else {
-			alive[e] = true
-		}
-	}
-	sup := make([]int64, nnz)
-	EdgeSupportParallelInto(sup, g, 1, nil)
-	tmap := TransposeEdgeMap(g)
-	dirty := make([]int32, nnz)
-	touched := make([]int64, 0, nnz)
-	arena := NewArena()
-
-	for _, pol := range []HubPolicy{HubAuto, HubAlways, HubNever} {
-		// Warm the arena workspace and the touched capacity.
-		touched = touched[:0]
-		WingDeltaBatch(g, batch, alive, inBatch, tmap, sup, dirty, &touched, 1, pol, arena)
-		for _, f := range touched {
-			dirty[f] = 0
-		}
-		allocs := testing.AllocsPerRun(20, func() {
-			touched = touched[:0]
-			WingDeltaBatch(g, batch, alive, inBatch, tmap, sup, dirty, &touched, 1, pol, arena)
-			for _, f := range touched {
-				dirty[f] = 0
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("warm wing-delta round (policy %v) allocated %.1f objects/op, want 0", pol, allocs)
-		}
-	}
-}
-
-// TransposeEdgeMap must invert the CSR/CSC correspondence exactly.
-func TestTransposeEdgeMap(t *testing.T) {
-	g := gen.PowerLawBipartite(60, 50, 400, 0.7, 0.7, 5)
-	adj, adjT := g.Adj(), g.AdjT()
-	tmap := TransposeEdgeMap(g)
-	if len(tmap) != int(adj.NNZ()) {
-		t.Fatalf("tmap length %d, want %d", len(tmap), adj.NNZ())
-	}
-	for v := 0; v < adjT.R; v++ {
-		base := adjT.Ptr[v]
-		for k, u := range adjT.Row(v) {
-			e := tmap[base+int64(k)]
-			if got := adj.Col[e]; int(got) != v {
-				t.Fatalf("tmap[%d]: edge %d has column %d, want %d", base+int64(k), e, got, v)
-			}
-			if row := rowOfEdge(adj, e); row != int(u) {
-				t.Fatalf("tmap[%d]: edge %d has row %d, want %d", base+int64(k), e, row, u)
-			}
-		}
 	}
 }
