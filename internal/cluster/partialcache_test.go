@@ -14,6 +14,7 @@ import (
 
 	"butterfly"
 	"butterfly/client"
+	"butterfly/internal/flight"
 	"butterfly/serveapi"
 )
 
@@ -82,6 +83,12 @@ func TestDeltaSyncDifferential(t *testing.T) {
 			if p > 1 && mr.Count != local.Count() {
 				t.Fatalf("%s round %d: mutate count %d, local replay %d", name, round, mr.Count, local.Count())
 			}
+			if mr.Edges != local.NumEdges() {
+				t.Fatalf("%s round %d: mutate edges %d, local replay %d", name, round, mr.Edges, local.NumEdges())
+			}
+		}
+		if p > 1 {
+			concurrentTraffic(t, rts.URL, c, name, p, local, rng)
 		}
 		// Final check plus the fast path: a repeat count on the now-
 		// unchanged graph must come from the merged pin.
@@ -108,6 +115,136 @@ func TestDeltaSyncDifferential(t *testing.T) {
 	if v := rt.partialHits.With("merged").Value(); v == 0 {
 		t.Error("no merged-pin hits recorded for repeat counts")
 	}
+	// Delta gathers reduce incrementally; full merges are left to the
+	// registrations' cold gathers and the debug scatters.
+	if v := rt.mergeSecs.With("incremental").Count(); v == 0 {
+		t.Error("no incremental reductions recorded")
+	}
+	if v := rt.mergeSecs.With("full").Count(); v == 0 {
+		t.Error("no full merges recorded")
+	}
+}
+
+// concurrentTraffic runs plain and ?debug=true counts against a
+// partitioned graph while one writer mutates it. The batches all go to
+// one partition: a gather fetches the partitions at slightly different
+// moments, and with one partition changing every state it can observe
+// is a whole prefix of the batches. Every answer must equal the local
+// replay's count at the version it reports, and every debug trace must
+// name a full merge.
+func concurrentTraffic(t *testing.T, base string, c *client.Client, name string, p int, local *butterfly.DynamicCounter, rng *rand.Rand) {
+	t.Helper()
+	ctx := context.Background()
+	cr0, _ := countRaw(t, base, name)
+	var mu sync.Mutex
+	want := map[uint64]int64{cr0.Version: cr0.Butterflies}
+	var seen []serveapi.CountResponse
+	done := make(chan struct{})
+
+	var wg sync.WaitGroup
+	read := func(debug bool) {
+		defer wg.Done()
+		url := base + "/v1/graphs/" + name + "/count"
+		if debug {
+			url += "?debug=true"
+		}
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			resp, err := http.Post(url, "application/json", bytes.NewReader([]byte("{}")))
+			if err != nil {
+				t.Errorf("count: %v", err)
+				return
+			}
+			var cr serveapi.CountResponse
+			err = json.NewDecoder(resp.Body).Decode(&cr)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("count: status %d, %v", resp.StatusCode, err)
+				return
+			}
+			if debug && !hasSpan(cr.Trace, "merge (full)") {
+				t.Errorf("debug trace has no full-merge span: %+v", cr.Trace)
+			}
+			mu.Lock()
+			seen = append(seen, cr)
+			mu.Unlock()
+		}
+	}
+	wg.Add(3)
+	go read(false)
+	go read(false)
+	go read(true)
+	var stopOnce sync.Once
+	stop := func() {
+		stopOnce.Do(func() { close(done) })
+		wg.Wait()
+	}
+	defer stop()
+
+	part := rng.Intn(p)
+	for batch := 0; batch < 12; batch++ {
+		var ins, del [][2]int
+		for len(ins)+len(del) < 6 {
+			u := rng.Intn(60)
+			if partOf(u, p) != part {
+				continue
+			}
+			e := [2]int{u, rng.Intn(50)}
+			if rng.Intn(2) == 0 {
+				ins = append(ins, e)
+			} else {
+				del = append(del, e)
+			}
+		}
+		// A shard applies a batch's inserts before its deletes.
+		for _, e := range ins {
+			local.InsertEdge(e[0], e[1])
+		}
+		for _, e := range del {
+			local.DeleteEdge(e[0], e[1])
+		}
+		mr, err := c.Mutate(ctx, name, serveapi.MutateRequest{Inserts: ins, Deletes: del})
+		if err != nil {
+			t.Fatalf("%s batch %d: mutate: %v", name, batch, err)
+		}
+		if mr.Count != local.Count() || mr.Edges != local.NumEdges() {
+			t.Fatalf("%s batch %d: mutate count %d and edges %d, local replay %d and %d", name, batch, mr.Count, mr.Edges, local.Count(), local.NumEdges())
+		}
+		mu.Lock()
+		want[mr.Version] = mr.Count
+		mu.Unlock()
+	}
+	stop()
+
+	for _, cr := range seen {
+		if w, ok := want[cr.Version]; !ok || cr.Butterflies != w {
+			t.Fatalf("%s: concurrent count %d at version %d, local replay %d (known: %v)", name, cr.Butterflies, cr.Version, w, ok)
+		}
+	}
+	if len(seen) == 0 {
+		t.Fatalf("%s: no counts completed during the mutations", name)
+	}
+	t.Logf("%s: %d counts checked across %d versions", name, len(seen), len(want))
+}
+
+// hasSpan reports whether a trace tree contains a span called name.
+func hasSpan(sp *serveapi.TraceSpan, name string) bool {
+	if sp == nil {
+		return false
+	}
+	if sp.Name == name {
+		return true
+	}
+	for i := range sp.Children {
+		if hasSpan(&sp.Children[i], name) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestMergedPinSurvivesDeadShards: once a count has pinned the merged
@@ -169,10 +306,11 @@ func TestMutateInvalidatesMergedPin(t *testing.T) {
 	}
 }
 
-// TestFlightGroupCoalesces: concurrent do() calls with the same key
-// share one execution; a different key runs separately.
+// TestFlightGroupCoalesces: concurrent Do calls on the router's gather
+// group with the same key share one execution; once the flight lands
+// the key runs afresh.
 func TestFlightGroupCoalesces(t *testing.T) {
-	var fg flightGroup
+	var fg flight.Group[gatherOutcome]
 	release := make(chan struct{})
 	started := make(chan struct{})
 	var startOnce sync.Once
@@ -189,7 +327,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 				<-started // ensure the leader's fn is already running
 			}
 			entered.Add(1)
-			out, joined := fg.do("k", func() gatherOutcome {
+			out, joined := fg.Do("k", func() gatherOutcome {
 				startOnce.Do(func() { close(started) })
 				<-release
 				calls.Add(1)
@@ -204,7 +342,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 		}(first)
 	}
 	<-started
-	// Hold the leader until every waiter has reached do(); the brief
+	// Hold the leader until every waiter has reached Do; the brief
 	// sleep covers the gap between the entered bump and the join.
 	for entered.Load() < waiters {
 		time.Sleep(time.Millisecond)
@@ -221,43 +359,9 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	}
 
 	// After the flight lands, the key is free again: a new call runs.
-	out, joined := fg.do("k", func() gatherOutcome { return gatherOutcome{count: 7} })
+	out, joined := fg.Do("k", func() gatherOutcome { return gatherOutcome{count: 7} })
 	if joined || out.count != 7 {
 		t.Errorf("post-flight do = %+v joined=%v, want fresh run of 7", out, joined)
-	}
-}
-
-// TestFlightGroupDelegatesToSharedFlight pins the PR 10 extraction:
-// flightGroup is a thin wrapper over internal/flight, so a leader
-// running under do() is visible as an in-flight key on the embedded
-// group, and its completion frees the key. Combined with
-// TestFlightGroupCoalesces (which exercises the full leader/joiner
-// protocol through the same wrapper), this proves the extraction
-// left router-side coalescing behavior unchanged.
-func TestFlightGroupDelegatesToSharedFlight(t *testing.T) {
-	var fg flightGroup
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		out, joined := fg.do("k", func() gatherOutcome {
-			close(entered)
-			<-release
-			return gatherOutcome{count: 9}
-		})
-		if joined || out.count != 9 {
-			t.Errorf("leader do = %+v joined=%v", out, joined)
-		}
-	}()
-	<-entered
-	if got := fg.g.InFlight(); got != 1 {
-		t.Errorf("InFlight during leader = %d, want 1", got)
-	}
-	close(release)
-	<-done
-	if got := fg.g.InFlight(); got != 0 {
-		t.Errorf("InFlight after completion = %d, want 0", got)
 	}
 }
 

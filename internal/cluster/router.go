@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"butterfly/internal/flight"
 	"butterfly/internal/obsv"
 	"butterfly/serveapi"
 )
@@ -118,7 +119,7 @@ type Router struct {
 
 	// flights coalesces concurrent partitioned gathers per
 	// (graph, cache generation).
-	flights flightGroup
+	flights flight.Group[gatherOutcome]
 
 	draining atomic.Bool
 
@@ -132,6 +133,7 @@ type Router struct {
 	partialHits   *obsv.CounterVec // kind: merged | delta | noop
 	partialMisses *obsv.CounterVec // reason: cold | full
 	coalesced     *obsv.CounterVec
+	mergeSecs     *obsv.HistogramVec // kind: incremental | full
 }
 
 // New builds a Router over cfg.Shards. It does not touch the network;
@@ -164,6 +166,7 @@ func New(cfg Config) (*Router, error) {
 	rt.partialHits = rt.reg.Counter("bfrouter_partial_cache_hits_total", "Partition partials served from router state: merged = no shard traffic at all, delta = changed keys only, noop = unchanged-partition revalidation.", "kind")
 	rt.partialMisses = rt.reg.Counter("bfrouter_partial_cache_misses_total", "Full partial-map transfers: cold = nothing pinned, full = shard could not serve a delta (history evicted or epoch changed).", "reason")
 	rt.coalesced = rt.reg.Counter("bfrouter_coalesced_total", "Partitioned count/estimate requests that joined another request's in-flight gather instead of starting their own.")
+	rt.mergeSecs = rt.reg.Histogram("bfrouter_merge_seconds", "Time to reduce a partitioned gather to its count: incremental = pinned count adjusted by the delta keys, full = k-way merge of whole partition maps (full frames, degraded live subsets, debug scatters).", obsv.LatencyBuckets, "kind")
 	rt.routes()
 	return rt, nil
 }

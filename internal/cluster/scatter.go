@@ -52,70 +52,60 @@ func (rt *Router) partHomes(ring *Ring, name string, p int) []string {
 	return out
 }
 
-// partialResult is one partition's gathered wedge partial map.
+// partialResult is one partition's answer to a gather.
 type partialResult struct {
-	part     int
-	shard    string
-	version  uint64
-	partials []butterfly.WedgePartial
-	kind     string // full | delta | noop — how the map was obtained
-	err      error
-	elapsed  time.Duration
+	part    int
+	shard   string
+	frame   partFrame // zero when err is set
+	err     error
+	elapsed time.Duration
 }
 
-// fetchPartial fetches one partition's partial map. With a pinned copy
-// it asks for the delta since the pinned version and applies it;
-// without one (or when the shard answered with a full frame because
-// its history was evicted) it decodes the full map.
-func (rt *Router) fetchPartial(ctx context.Context, shard, pname string, cp *cachedPartial) (version, epoch uint64, partials []butterfly.WedgePartial, kind string, err error) {
+// fetchPartial fetches one partition's frame. With a pinned copy it
+// asks for the delta since the pinned version and applies it to the
+// pin; without one, or when the shard answers with a full frame
+// because its history was evicted or its epoch changed, the decoded
+// full map becomes the partition's new base.
+func (rt *Router) fetchPartial(ctx context.Context, shard, pname string, pin *partPin) (partFrame, error) {
 	path := "/v1/internal/partial/" + url.PathEscape(pname)
-	if cp != nil {
-		path += fmt.Sprintf("?since=%d&epoch=%d", cp.version, cp.epoch)
+	if pin != nil {
+		path += fmt.Sprintf("?since=%d&epoch=%d", pin.version, pin.epoch)
 	}
 	sr, err := rt.forward(ctx, shard, http.MethodGet, path, "", 0, nil, nil)
 	if err != nil {
-		return 0, 0, nil, "", err
+		return partFrame{}, err
 	}
 	if sr.status != http.StatusOK {
-		return 0, 0, nil, "", fmt.Errorf("shard %s: status %d: %s", shard, sr.status, truncate(sr.body, 200))
+		return partFrame{}, fmt.Errorf("shard %s: status %d: %s", shard, sr.status, truncate(sr.body, 200))
 	}
-	epoch, _ = strconv.ParseUint(sr.header.Get(partialEpochHeader), 10, 64)
+	epoch, _ := strconv.ParseUint(sr.header.Get(partialEpochHeader), 10, 64)
 	if serveapi.PartialFrameKind(sr.body) == serveapi.PartialFrameDelta {
-		from, to, delta, derr := serveapi.DecodePartialDelta(sr.body)
-		if derr == nil && (cp == nil || from != cp.version) {
-			derr = fmt.Errorf("shard %s: delta frame from v%d does not match pinned copy", shard, from)
+		from, to, delta, err := serveapi.DecodePartialDelta(sr.body)
+		if err != nil {
+			return partFrame{}, err
 		}
-		var merged []butterfly.WedgePartial
-		if derr == nil {
-			merged, derr = butterfly.ApplyWedgePartialDelta(cp.partials, delta)
-		}
-		if derr != nil {
-			return 0, 0, nil, "", derr
-		}
-		kind = "delta"
-		if to == from {
-			kind = "noop"
+		if pin == nil || from != pin.version {
+			return partFrame{}, fmt.Errorf("shard %s: delta frame from v%d does not match pinned copy", shard, from)
 		}
 		if epoch == 0 {
-			epoch = cp.epoch
+			epoch = pin.epoch
 		}
-		return to, epoch, merged, kind, nil
+		return pin.advance(to, epoch, delta)
 	}
-	version, partials, err = serveapi.DecodePartial(sr.body)
+	version, partials, err := serveapi.DecodePartial(sr.body)
 	if err != nil {
-		return 0, 0, nil, "", err
+		return partFrame{}, err
 	}
-	return version, epoch, partials, "full", nil
+	return fullFrame(version, epoch, partials), nil
 }
 
-// gatherPartials fetches every partition's partial map concurrently,
-// each under its own PartialTimeout deadline, so one dead shard
-// delays the answer by at most the deadline rather than the client's
-// full patience. Partitions with a pinned copy in pc sync by delta
-// (changed keys only — usually orders of magnitude smaller than the
-// map) and successful fetches re-pin, so steady-state gathers ship
-// almost no partial data.
-func (rt *Router) gatherPartials(ctx context.Context, name string, p int, homes []string, pc *partialCache) []partialResult {
+// gatherPartials fetches every partition's frame concurrently against
+// the pins in from, each under its own PartialTimeout deadline, so one
+// dead shard delays the answer by at most the deadline rather than the
+// client's full patience. Pinned partitions sync by delta (changed keys
+// only — usually orders of magnitude smaller than the map).
+func (rt *Router) gatherPartials(ctx context.Context, name string, homes []string, from *pinSet) []partialResult {
+	p := len(homes)
 	results := make([]partialResult, p)
 	var wg sync.WaitGroup
 	for i := 0; i < p; i++ {
@@ -127,22 +117,20 @@ func (rt *Router) gatherPartials(ctx context.Context, name string, p int, homes 
 			defer cancel()
 			shard := homes[i]
 			pname := partName(name, i, p)
-			cp := pc.snapshot(i)
-			version, epoch, partials, kind, err := rt.fetchPartial(pctx, shard, pname, cp)
-			if err != nil && cp != nil && pctx.Err() == nil {
+			pin := from.part(i)
+			fr, err := rt.fetchPartial(pctx, shard, pname, pin)
+			if err != nil && pin != nil && pctx.Err() == nil {
 				// A broken delta path (stale pin, frame the pin cannot
-				// absorb) must not read as a dead shard: drop the pin
-				// and fetch cold once.
-				version, epoch, partials, kind, err = rt.fetchPartial(pctx, shard, pname, nil)
+				// absorb) must not read as a dead shard: fetch cold once.
+				fr, err = rt.fetchPartial(pctx, shard, pname, nil)
 			}
-			res := partialResult{part: i, shard: shard, kind: kind, err: err}
+			res := partialResult{part: i, shard: shard, err: err}
 			if err == nil {
-				res.version, res.partials = version, partials
-				pc.store(i, &cachedPartial{version: version, epoch: epoch, partials: partials})
+				res.frame = fr
 				switch {
-				case kind == "delta" || kind == "noop":
-					rt.partialHits.With(kind).Inc()
-				case cp == nil:
+				case fr.kind != "full":
+					rt.partialHits.With(fr.kind).Inc()
+				case pin == nil:
 					rt.partialMisses.With("cold").Inc()
 				default:
 					rt.partialMisses.With("full").Inc()
@@ -156,32 +144,45 @@ func (rt *Router) gatherPartials(ctx context.Context, name string, p int, homes 
 	return results
 }
 
-// gatherMerged answers one partitioned reduction, from the merged pin
-// when the graph is unchanged since the last all-live gather — a pure
-// metadata check, no shard traffic — and by (delta-synced) scatter-
-// gather otherwise. An all-live result re-pins the merged count under
-// the generation observed before the gather, so a racing mutation can
-// never be papered over by a stale pin.
-func (rt *Router) gatherMerged(ctx context.Context, name string, m *graphMeta, homes []string) gatherOutcome {
-	p := m.partitions
-	gen, mc, ok := m.pc.mergedSnapshot(p)
-	if ok {
-		rt.partialHits.With("merged").Inc()
-		return gatherOutcome{count: mc.count, sumVersion: mc.sumVersion, live: p, p: p, fromCache: true}
-	}
-	results := rt.gatherPartials(ctx, name, p, homes, &m.pc)
-	count, sumVersion, live := reduce(results)
-	out := gatherOutcome{count: count, sumVersion: sumVersion, live: live, p: p}
-	for _, res := range results {
-		if res.err != nil {
+// gather syncs every partition against the pin set current when it
+// starts, reduces, and installs the successor set (unless another
+// gather or a clear got there first). The reduction is incremental
+// when every partition answered by delta; debug, the ?debug=true root
+// span (nil otherwise), receives the scatter and merge spans and
+// forces the full merge.
+func (rt *Router) gather(ctx context.Context, name string, m *graphMeta, homes []string, debug *obsv.Span) gatherOutcome {
+	gen, from := m.pc.begin()
+	results := rt.gatherPartials(ctx, name, homes, from)
+	scatterSpan(debug, results)
+	out := gatherOutcome{p: len(results)}
+	frames := make([]partFrame, len(results))
+	for i, res := range results {
+		frames[i] = res.frame
+		if res.err != nil && out.firstErr == nil {
 			out.firstErr = res.err
-			break
 		}
 	}
-	if live == p {
-		m.pc.setMerged(gen, mergedCount{count: count, sumVersion: sumVersion})
-	}
+	start := time.Now()
+	next, red := from.reduce(gen, frames, debug != nil)
+	elapsed := time.Since(start)
+	rt.mergeSecs.With(red.kind).Observe(elapsed.Seconds())
+	debug.Stage("merge ("+red.kind+")", elapsed)
+	m.pc.install(from, next)
+	out.count, out.sumVersion, out.live = red.count, red.sumVersion, red.live
 	return out
+}
+
+// gatherMerged answers one partitioned reduction, from the pinned count
+// when the graph is unchanged since the last all-live gather — a pure
+// metadata check, no shard traffic — and by a delta-synced gather
+// otherwise.
+func (rt *Router) gatherMerged(ctx context.Context, name string, m *graphMeta, homes []string) gatherOutcome {
+	p := m.partitions
+	if count, sumVersion, ok := m.pc.merged(p); ok {
+		rt.partialHits.With("merged").Inc()
+		return gatherOutcome{count: count, sumVersion: sumVersion, live: p, p: p, fromCache: true}
+	}
+	return rt.gather(ctx, name, m, homes, nil)
 }
 
 func truncate(b []byte, n int) string {
@@ -191,28 +192,17 @@ func truncate(b []byte, n int) string {
 	return string(b)
 }
 
-// reduce merges the live partials and reports how many partitions
-// contributed.
-func reduce(results []partialResult) (count int64, sumVersion uint64, live int) {
-	parts := make([][]butterfly.WedgePartial, 0, len(results))
-	for _, res := range results {
-		if res.err == nil {
-			parts = append(parts, res.partials)
-			sumVersion += res.version
-			live++
-		}
-	}
-	return butterfly.MergeWedgePartials(parts...), sumVersion, live
-}
-
 // scatterSpan records the scatter-gather breakdown on a trace (shown
 // under ?debug=true).
 func scatterSpan(root *obsv.Span, results []partialResult) {
+	if root == nil {
+		return
+	}
 	sp := root.Child("scatter")
 	for _, res := range results {
 		name := fmt.Sprintf("partial[%d] %s", res.part, res.shard)
-		if res.kind != "" {
-			name += " (" + res.kind + ")"
+		if res.frame.kind != "" {
+			name += " (" + res.frame.kind + ")"
 		}
 		if res.err != nil {
 			name += " (failed)"
@@ -248,22 +238,7 @@ func (rt *Router) partitionedCount(w http.ResponseWriter, r *http.Request, name 
 	var tr *obsv.Trace
 	if debug {
 		tr = obsv.NewTrace("request")
-		gen := m.pc.generation()
-		results := rt.gatherPartials(r.Context(), name, p, homes, &m.pc)
-		scatterSpan(tr.Root(), results)
-		msp := tr.Root().Child("merge")
-		count, sumVersion, live := reduce(results)
-		msp.End()
-		out = gatherOutcome{count: count, sumVersion: sumVersion, live: live, p: p}
-		for _, res := range results {
-			if res.err != nil {
-				out.firstErr = res.err
-				break
-			}
-		}
-		if live == p {
-			m.pc.setMerged(gen, mergedCount{count: count, sumVersion: sumVersion})
-		}
+		out = rt.gather(r.Context(), name, m, homes, tr.Root())
 	} else {
 		// The gather outlives its leader's request context: a client
 		// that gives up must not fail the waiters it coalesced with.
@@ -271,7 +246,7 @@ func (rt *Router) partitionedCount(w http.ResponseWriter, r *http.Request, name 
 		gctx := context.WithoutCancel(r.Context())
 		key := fmt.Sprintf("%s|g%d", name, m.pc.generation())
 		var joined bool
-		out, joined = rt.flights.do(key, func() gatherOutcome {
+		out, joined = rt.flights.Do(key, func() gatherOutcome {
 			return rt.gatherMerged(gctx, name, m, homes)
 		})
 		if joined {
@@ -431,18 +406,20 @@ func (rt *Router) partitionedRegister(w http.ResponseWriter, r *http.Request, re
 	// pinned from the previous incarnation is garbage.
 	m.pc.clear()
 
-	results := rt.gatherPartials(r.Context(), req.Name, p, homes, &m.pc)
-	count, sumVersion, live := reduce(results)
+	out := rt.gather(r.Context(), req.Name, m, homes, nil)
+	// The pins stay for delta revalidation, but the first count still
+	// scatters: it is what reports a partition lost since registration.
+	m.pc.invalidate()
 	info := serveapi.GraphInfo{
 		Name:       req.Name,
-		Version:    sumVersion,
+		Version:    out.sumVersion,
 		NumV1:      g.NumV1(),
 		NumV2:      g.NumV2(),
 		NumEdges:   g.NumEdges(),
 		Partitions: p,
 	}
-	if live == p {
-		info.Butterflies = count
+	if out.live == p {
+		info.Butterflies = out.count
 	}
 	if info.NumV1 > 0 && info.NumV2 > 0 {
 		info.Density = float64(info.NumEdges) / (float64(info.NumV1) * float64(info.NumV2))
@@ -544,7 +521,9 @@ func (rt *Router) partitionedDrop(w http.ResponseWriter, r *http.Request, name s
 // that split the graph and applies each piece to its partition.
 // Created/Destroyed in the response sum the partition-local deltas
 // (butterflies whose both centers share a partition); Count is the
-// exact new total from a fresh scatter-gather.
+// exact new total from a fresh scatter-gather. Edges sums the mutated
+// partitions' own replies and, fetched concurrently, the infos of the
+// partitions the batch did not touch.
 func (rt *Router) partitionedMutate(w http.ResponseWriter, r *http.Request, name string, m *graphMeta, body []byte) {
 	var req serveapi.MutateRequest
 	if len(body) > 0 {
@@ -570,8 +549,11 @@ func (rt *Router) partitionedMutate(w http.ResponseWriter, r *http.Request, name
 
 	start := time.Now()
 	total := serveapi.MutateResponse{Graph: name}
+	edges := make([]int64, p)
+	var untouched []int
 	for i := 0; i < p; i++ {
 		if len(ins[i]) == 0 && len(dels[i]) == 0 {
+			untouched = append(untouched, i)
 			continue
 		}
 		preq := serveapi.MutateRequest{Inserts: ins[i], Deletes: dels[i]}
@@ -598,33 +580,42 @@ func (rt *Router) partitionedMutate(w http.ResponseWriter, r *http.Request, name
 			total.Deleted += mr.Deleted
 			total.Created += mr.Created
 			total.Destroyed += mr.Destroyed
+			edges[i] = mr.Edges
 		}
 	}
 
-	// The graph changed: start a new cache generation (dropping the
-	// merged pin, keeping per-partition pins for delta revalidation)
-	// and re-reduce. Routing through the flight group lets counts
-	// arriving during the post-mutation gather share it.
+	// The graph changed: start a new cache generation (the pinned
+	// count stops answering; the pins stay for delta revalidation) and
+	// re-reduce. Routing through the flight group lets counts arriving
+	// during the post-mutation gather share it. The untouched
+	// partitions' edge counts are fetched meanwhile.
 	m.pc.invalidate()
+	var wg sync.WaitGroup
+	for _, i := range untouched {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			path := "/v1/graphs/" + url.PathEscape(partName(name, i, p))
+			if sr, err := rt.forward(r.Context(), homes[i], http.MethodGet, path, "", 0, tenantHeaders(r), nil); err == nil && sr.status == http.StatusOK {
+				var gi serveapi.GraphInfo
+				if json.Unmarshal(sr.body, &gi) == nil {
+					edges[i] = gi.NumEdges
+				}
+			}
+		}(i)
+	}
 	gctx := context.WithoutCancel(r.Context())
-	out, _ := rt.flights.do(fmt.Sprintf("%s|g%d", name, m.pc.generation()), func() gatherOutcome {
+	out, _ := rt.flights.Do(fmt.Sprintf("%s|g%d", name, m.pc.generation()), func() gatherOutcome {
 		return rt.gatherMerged(gctx, name, m, homes)
 	})
+	wg.Wait()
 	total.Version = out.sumVersion
 	if out.live == p {
 		total.Count = out.count
 	}
-	var edges int64
-	for i := 0; i < p; i++ {
-		path := "/v1/graphs/" + url.PathEscape(partName(name, i, p))
-		if sr, err := rt.forward(r.Context(), homes[i], http.MethodGet, path, "", 0, tenantHeaders(r), nil); err == nil && sr.status == http.StatusOK {
-			var gi serveapi.GraphInfo
-			if json.Unmarshal(sr.body, &gi) == nil {
-				edges += gi.NumEdges
-			}
-		}
+	for _, e := range edges {
+		total.Edges += e
 	}
-	total.Edges = edges
 	total.ElapsedMS = time.Since(start).Milliseconds()
 	rt.writeJSON(w, http.StatusOK, &total)
 }
