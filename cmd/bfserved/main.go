@@ -225,6 +225,11 @@ func run(args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
+	// Catch the shutdown signals before announcing readiness, so a
+	// signal sent as soon as the address is known drains the server
+	// instead of killing the process.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	log.Printf("bfserved listening on %s (max-inflight=%d queue=%d cache=%d timeout=%s)",
 		ln.Addr(), *maxInflight, *queue, *cacheSize, *timeout)
 	if ready != nil {
@@ -242,8 +247,6 @@ func run(args []string, ready chan<- string) error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		log.Printf("received %v, draining (up to %s)", sig, *drainWait)

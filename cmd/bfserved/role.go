@@ -106,6 +106,11 @@ func runRouter(rc roleConfig, addr string, drainWait time.Duration, ready chan<-
 	if err != nil {
 		return err
 	}
+	// Catch the shutdown signals before announcing readiness, so a
+	// signal sent as soon as the address is known drains the server
+	// instead of killing the process.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	log.Printf("bfserved router listening on %s (shards=%d replicas=%d)",
 		ln.Addr(), len(rc.shards), rc.replicas)
 	if ready != nil {
@@ -119,8 +124,6 @@ func runRouter(rc roleConfig, addr string, drainWait time.Duration, ready chan<-
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	select {
 	case sig := <-sigCh:
 		log.Printf("received %v, draining (up to %s)", sig, drainWait)

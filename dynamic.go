@@ -24,7 +24,9 @@ func NewDynamicCounter(m, n int) (*DynamicCounter, error) {
 	return &DynamicCounter{c: dynamic.New(m, n)}, nil
 }
 
-// NewDynamicCounterFromGraph seeds a counter with g's edges.
+// NewDynamicCounterFromGraph seeds a counter with g's edges. The
+// initial count is one static count of g; g is also what Snapshot
+// returns until the first mutation.
 func NewDynamicCounterFromGraph(g *Graph) *DynamicCounter {
 	return &DynamicCounter{c: dynamic.FromGraph(g.g)}
 }
@@ -58,5 +60,11 @@ func (d *DynamicCounter) DeleteEdge(u, v int) (removed bool, destroyed int64, er
 	return removed, destroyed, nil
 }
 
-// Snapshot materializes the current state as an immutable Graph.
+// Snapshot materializes the current state as an immutable Graph by
+// patching the previous snapshot with the edits made since: an
+// O(|V| + |E|) block copy of the untouched rows plus an
+// O(touched rows · log) merge of the touched ones. Without net edits
+// since the previous snapshot it shares that snapshot's storage.
+// Earlier snapshots stay valid and unchanged. Like the mutators,
+// Snapshot is not safe concurrently with mutation.
 func (d *DynamicCounter) Snapshot() *Graph { return &Graph{g: d.c.Snapshot()} }

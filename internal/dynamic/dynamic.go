@@ -17,6 +17,7 @@ package dynamic
 import (
 	"fmt"
 
+	"butterfly/internal/core"
 	"butterfly/internal/graph"
 	"butterfly/internal/sparse"
 )
@@ -28,6 +29,13 @@ type Counter struct {
 	adjT  []map[int32]struct{} // v ∈ V2 → neighbor set in V1
 	edges int64
 	count int64
+
+	// base is the graph the last Snapshot published (the seed graph,
+	// or an empty one for New); edits holds the edges whose presence
+	// differs from base. Every successful insert or delete toggles its
+	// edge, so an insert undone by a delete leaves no edit behind.
+	base  *graph.Bipartite
+	edits map[graph.Edge]struct{}
 }
 
 // New returns an empty counter over vertex sets of size m and n.
@@ -36,8 +44,10 @@ func New(m, n int) *Counter {
 		panic(fmt.Sprintf("dynamic: negative vertex-set size %d/%d", m, n))
 	}
 	c := &Counter{
-		adj:  make([]map[int32]struct{}, m),
-		adjT: make([]map[int32]struct{}, n),
+		adj:   make([]map[int32]struct{}, m),
+		adjT:  make([]map[int32]struct{}, n),
+		base:  graph.NewBuilder(m, n).Build(),
+		edits: make(map[graph.Edge]struct{}),
 	}
 	for i := range c.adj {
 		c.adj[i] = make(map[int32]struct{})
@@ -48,19 +58,35 @@ func New(m, n int) *Counter {
 	return c
 }
 
-// FromGraph seeds a counter with an existing graph. Cost: one pass to
-// load adjacency plus one incremental insert per edge (so the initial
-// count is itself produced by the update rule — a deliberate
-// self-check; use core.Count* + manual loading when seeding giant
-// graphs).
+// FromGraph seeds a counter with an existing graph: each neighbor set
+// is loaded straight from the CSR rows, sized to its vertex's degree,
+// and the initial count comes from one static count of g by the
+// family kernel (core.CountAuto) rather than |E| incremental inserts.
+// g becomes the base the first Snapshot patches, and is what Snapshot
+// returns until the first mutation.
 func FromGraph(g *graph.Bipartite) *Counter {
-	c := New(g.NumV1(), g.NumV2())
-	for u := 0; u < g.NumV1(); u++ {
-		for _, v := range g.NeighborsOfV1(u) {
-			c.InsertEdge(u, int(v))
-		}
+	return &Counter{
+		adj:   loadSets(g.Adj()),
+		adjT:  loadSets(g.AdjT()),
+		edges: g.NumEdges(),
+		count: core.CountAuto(g),
+		base:  g,
+		edits: make(map[graph.Edge]struct{}),
 	}
-	return c
+}
+
+// loadSets returns one neighbor set per row of a.
+func loadSets(a *sparse.CSR) []map[int32]struct{} {
+	sets := make([]map[int32]struct{}, a.R)
+	for i := range sets {
+		row := a.Row(i)
+		s := make(map[int32]struct{}, len(row))
+		for _, v := range row {
+			s[v] = struct{}{}
+		}
+		sets[i] = s
+	}
+	return sets
 }
 
 // NumV1 returns |V1|.
@@ -100,6 +126,7 @@ func (c *Counter) InsertEdge(u, v int) (added bool, delta int64) {
 	c.adj[u][int32(v)] = struct{}{}
 	c.adjT[v][int32(u)] = struct{}{}
 	c.edges++
+	c.toggle(u, v)
 	delta = c.support(u, v)
 	c.count += delta
 	return true, delta
@@ -116,6 +143,7 @@ func (c *Counter) DeleteEdge(u, v int) (removed bool, delta int64) {
 	delete(c.adj[u], int32(v))
 	delete(c.adjT[v], int32(u))
 	c.edges--
+	c.toggle(u, v)
 	c.count -= delta
 	return true, delta
 }
@@ -149,18 +177,37 @@ func intersectSize(a, b map[int32]struct{}) int64 {
 	return n
 }
 
-// Snapshot materializes the current graph as an immutable Bipartite:
-// the neighbor sets are copied row by row, in map order, into a CSR
-// sized from their lengths, which graph.FromRows sorts.
-func (c *Counter) Snapshot() *graph.Bipartite {
-	a := &sparse.CSR{R: len(c.adj), C: len(c.adjT), Ptr: make([]int64, len(c.adj)+1), Col: make([]int32, 0, c.edges)}
-	for u, nbrs := range c.adj {
-		for v := range nbrs {
-			a.Col = append(a.Col, v)
-		}
-		a.Ptr[u+1] = int64(len(a.Col))
+// toggle flips (u, v)'s membership in the edit set.
+func (c *Counter) toggle(u, v int) {
+	e := graph.Edge{U: int32(u), V: int32(v)}
+	if _, ok := c.edits[e]; ok {
+		delete(c.edits, e)
+	} else {
+		c.edits[e] = struct{}{}
 	}
-	return graph.FromRows(a)
+}
+
+// Snapshot materializes the current graph as an immutable Bipartite by
+// patching the previous snapshot (graph.Bipartite.Patch) with the net
+// edits since: O(|V| + |E|) block copies plus O(k log k) for k edited
+// edges, with no map walk and no transpose. Without edits it returns
+// the previous snapshot itself, so its cached degree profile and
+// relayout twin carry over. Earlier snapshots are never written to.
+func (c *Counter) Snapshot() *graph.Bipartite {
+	if len(c.edits) == 0 {
+		return c.base
+	}
+	var ins, del []graph.Edge
+	for e := range c.edits {
+		if c.HasEdge(int(e.U), int(e.V)) {
+			ins = append(ins, e)
+		} else {
+			del = append(del, e)
+		}
+	}
+	c.base = c.base.Patch(ins, del)
+	c.edits = make(map[graph.Edge]struct{})
+	return c.base
 }
 
 // VertexDelta returns how many butterflies vertex u ∈ V1 would lose if

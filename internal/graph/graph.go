@@ -12,6 +12,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"butterfly/internal/bitvec"
 	"butterfly/internal/sparse"
@@ -80,6 +81,107 @@ func FromCSR(a *sparse.CSR) (*Bipartite, error) {
 func FromRows(a *sparse.CSR) *Bipartite {
 	adjT := sparse.Transpose(a)
 	return &Bipartite{adj: sparse.Transpose(adjT), adjT: adjT}
+}
+
+// Patch returns g with the edges of ins added and those of del
+// removed. Every edge of ins must be absent from g, every edge of del
+// present, and no edge may appear twice across the two lists; Patch
+// panics otherwise. Each orientation is patched on its own, so no
+// transpose runs: runs of untouched rows are block-copied from g and
+// each touched row is merged with its sorted edits, in
+// O(|V1| + |V2| + |E|) copying plus O(k log k) for k edits. The result
+// shares no storage with g, which stays valid; with no edits Patch
+// returns g itself, caches included.
+func (g *Bipartite) Patch(ins, del []Edge) *Bipartite {
+	if len(ins) == 0 && len(del) == 0 {
+		return g
+	}
+	return &Bipartite{adj: patchRows(g.adj, ins, del, false), adjT: patchRows(g.adjT, ins, del, true)}
+}
+
+// patchRows applies the edits to one orientation of the biadjacency:
+// rows are V1 (edge.U) for A and V2 (edge.V) for Aᵀ, per transposed.
+func patchRows(a *sparse.CSR, ins, del []Edge, transposed bool) *sparse.CSR {
+	// An edit's key is row<<33 | col<<1 | 1 for a delete, so sorting
+	// the keys groups them by row and orders each row's by column.
+	keys := make([]uint64, 0, len(ins)+len(del))
+	for i, list := range [2][]Edge{ins, del} {
+		for _, e := range list {
+			if transposed {
+				e.U, e.V = e.V, e.U
+			}
+			if e.U < 0 || int(e.U) >= a.R || e.V < 0 || int(e.V) >= a.C {
+				panic(fmt.Sprintf("graph: patch edge (%d,%d) out of range %dx%d", e.U, e.V, a.R, a.C))
+			}
+			keys = append(keys, uint64(e.U)<<33|uint64(e.V)<<1|uint64(i))
+		}
+	}
+	slices.Sort(keys)
+
+	// Between touched rows, Col runs are copied in bulk and Ptr entries
+	// shift by the running edit delta.
+	ptr := make([]int64, a.R+1)
+	col := make([]int32, a.NNZ()+int64(len(ins))-int64(len(del)))
+	var shift int64
+	next := 0 // first row not yet written
+	for k := 0; k < len(keys); {
+		r := int(keys[k] >> 33)
+		k1 := k + 1
+		for k1 < len(keys) && int(keys[k1]>>33) == r {
+			k1++
+		}
+		copy(col[a.Ptr[next]+shift:], a.Col[a.Ptr[next]:a.Ptr[r]])
+		shiftPtr(ptr[next:r+1], a.Ptr[next:r+1], shift)
+		row := a.Row(r)
+		n := mergeRow(col[ptr[r]:], row, keys[k:k1], r)
+		shift += int64(n - len(row))
+		next, k = r+1, k1
+	}
+	copy(col[a.Ptr[next]+shift:], a.Col[a.Ptr[next]:])
+	shiftPtr(ptr[next:], a.Ptr[next:], shift)
+	return &sparse.CSR{R: a.R, C: a.C, Ptr: ptr, Col: col}
+}
+
+// shiftPtr sets dst[i] = src[i] + shift.
+func shiftPtr(dst, src []int64, shift int64) {
+	if shift == 0 {
+		copy(dst, src)
+		return
+	}
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] = src[i] + shift
+	}
+}
+
+// mergeRow writes row r, sorted, with its sorted edit keys (see
+// patchRows) applied to out and returns the new row length.
+func mergeRow(out, row []int32, keys []uint64, r int) int {
+	n, i := 0, 0
+	for k, key := range keys {
+		c := int32(uint32(key >> 1))
+		if k > 0 && keys[k-1]>>1 == key>>1 {
+			panic(fmt.Sprintf("graph: patch edits edge (%d,%d) twice", r, c))
+		}
+		for i < len(row) && row[i] < c {
+			out[n] = row[i]
+			n, i = n+1, i+1
+		}
+		present := i < len(row) && row[i] == c
+		if key&1 == 0 {
+			if present {
+				panic(fmt.Sprintf("graph: patch inserts present edge (%d,%d)", r, c))
+			}
+			out[n] = c
+			n++
+		} else {
+			if !present {
+				panic(fmt.Sprintf("graph: patch deletes absent edge (%d,%d)", r, c))
+			}
+			i++
+		}
+	}
+	return n + copy(out[n:], row[i:])
 }
 
 // FromEdges builds a graph from an edge list.

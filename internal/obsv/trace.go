@@ -184,8 +184,32 @@ func (t *Trace) Stages() []StageTiming {
 	now := t.Elapsed()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]StageTiming, 0, len(t.root.children))
+	return timings(t.root.children, now)
+}
+
+// SubStages returns the direct children of every top-level stage
+// named parent, with their durations.
+func (t *Trace) SubStages(parent string) []StageTiming {
+	if t == nil {
+		return nil
+	}
+	now := t.Elapsed()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []StageTiming
 	for _, c := range t.root.children {
+		if c.name == parent {
+			out = append(out, timings(c.children, now)...)
+		}
+	}
+	return out
+}
+
+// timings lists the spans' names and durations, open ones at their
+// live duration. Caller holds t.mu.
+func timings(spans []*span, now time.Duration) []StageTiming {
+	out := make([]StageTiming, 0, len(spans))
+	for _, c := range spans {
 		d := c.dur
 		if d < 0 {
 			d = now - c.start

@@ -136,3 +136,28 @@ func TestStages(t *testing.T) {
 		t.Fatalf("admission dur = %v", st[0].Dur)
 	}
 }
+
+func TestSubStages(t *testing.T) {
+	tr := NewTrace("r")
+	m := tr.Root().Child("mutate")
+	m.Stage("wal.append", time.Millisecond)
+	m.Stage("snapshot", 2*time.Millisecond)
+	m.End()
+	k := tr.Root().Child("kernel")
+	k.Stage("core.count", time.Millisecond)
+	k.End()
+	st := tr.SubStages("mutate")
+	if len(st) != 2 || st[0].Name != "wal.append" || st[1].Name != "snapshot" {
+		t.Fatalf("sub-stages = %+v", st)
+	}
+	if st[1].Dur < 1900*time.Microsecond || st[1].Dur > 2100*time.Microsecond {
+		t.Fatalf("snapshot dur = %v", st[1].Dur)
+	}
+	if got := tr.SubStages("parse"); len(got) != 0 {
+		t.Fatalf("absent parent has sub-stages %+v", got)
+	}
+	var nilTrace *Trace
+	if nilTrace.SubStages("mutate") != nil {
+		t.Fatal("nil trace has sub-stages")
+	}
+}

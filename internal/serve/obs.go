@@ -147,14 +147,15 @@ func newObsMetrics() *obsMetrics {
 
 // observeRequest records one finished request into the histogram
 // families: route latency, response size, and one stage-seconds
-// observation per top-level span of the request's trace.
+// observation per top-level span of the request's trace and per
+// sub-stage of a mutate (wal.append, snapshot, partial.delta).
 func (m *obsMetrics) observeRequest(st *reqState, elapsed time.Duration, bytes int64) {
 	m.routeSeconds.With(st.route, st.api.String()).Observe(elapsed.Seconds())
 	m.responseBytes.With().Observe(float64(bytes))
 	if st.tenant != "" {
 		m.tenantSeconds.With(st.tenant).Observe(elapsed.Seconds())
 	}
-	for _, stg := range st.tr.Stages() {
+	for _, stg := range append(st.tr.Stages(), st.tr.SubStages("mutate")...) {
 		m.stageSeconds.With(stg.Name).Observe(stg.Dur.Seconds())
 	}
 }

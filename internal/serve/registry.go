@@ -4,13 +4,15 @@
 // The design splits each graph into a mutable authority and immutable
 // views. The authority is a DynamicCounter guarded by a per-graph
 // mutex; mutation batches stream through it edge by edge (each a local
-// wedge sweep, never a recount) and finish by materializing a fresh
-// immutable Graph that is atomically published together with a bumped
-// version number. Readers never lock: they grab the current Snapshot
-// pointer and keep counting on it even while later batches publish new
-// versions — copy-on-write snapshot isolation. The (graph, version)
-// pair also keys the result cache, so cached results can never serve a
-// stale edge set.
+// wedge sweep, never a recount) and finish by publishing the next
+// immutable Graph, together with a bumped version number. That graph
+// is a patch of the previous version: untouched rows are block-copied
+// and only the batch's rows are merged, into fresh arrays, so the
+// previous version stays intact for its readers. Readers never lock:
+// they grab the current Snapshot pointer and keep counting on it even
+// while later batches publish new versions — copy-on-write snapshot
+// isolation. The (graph, version) pair also keys the result cache, so
+// cached results can never serve a stale edge set.
 //
 // Around the registry sit the production pieces: a concurrency
 // limiter with a bounded admission queue (429 load-shedding), per-
@@ -347,9 +349,12 @@ func (r *Registry) Mutate(name string, inserts, deletes [][2]int) (MutateResult,
 	return r.MutateObserved(name, inserts, deletes, nil)
 }
 
-// MutateObserved is Mutate with an optional stage hook: when non-nil
-// and the registry is durable, stage receives "wal.append" with the
-// time spent in the write-ahead log. nil is exactly Mutate.
+// MutateObserved is Mutate with an optional stage hook: when non-nil,
+// stage receives "wal.append" with the time spent in the write-ahead
+// log (durable registries only), "snapshot" with the time to patch
+// and publish the new version, and "partial.delta" with the time to
+// record the batch's wedge-partial delta (only once the partial log is
+// active). nil is exactly Mutate.
 func (r *Registry) MutateObserved(name string, inserts, deletes [][2]int, stage func(name string, d time.Duration)) (MutateResult, error) {
 	r.mu.RLock()
 	e, ok := r.entries[name]
@@ -439,9 +444,11 @@ func (r *Registry) MutateObserved(name string, inserts, deletes [][2]int, stage 
 		}
 	}
 
-	// Copy-on-write publish: materialize the new immutable graph and
-	// swap the snapshot pointer. Readers on the old pointer are
-	// untouched; new queries (and new cache keys) see the new version.
+	// Copy-on-write publish: patch the previous version into the new
+	// immutable graph and swap the snapshot pointer. Readers on the old
+	// pointer are untouched; new queries (and new cache keys) see the
+	// new version.
+	s0 := time.Now()
 	next := &Snapshot{
 		Name:    name,
 		Version: prev.Version + 1,
@@ -449,6 +456,9 @@ func (r *Registry) MutateObserved(name string, inserts, deletes [][2]int, stage 
 		Count:   e.dyn.Count(),
 	}
 	e.snap.Store(next)
+	if stage != nil {
+		stage("snapshot", time.Since(s0))
+	}
 
 	// Record the batch's signed partial-map change, computed over just
 	// the touched centers — O(affected wedges), not O(graph). Appending
@@ -456,7 +466,11 @@ func (r *Registry) MutateObserved(name string, inserts, deletes [][2]int, stage 
 	// readers can observe; the WAL-rollback path above never reaches
 	// here, so the history never contains an unacked batch.
 	if e.plog != nil {
+		d0 := time.Now()
 		e.plog.append(next.Version, butterfly.WedgePartialDelta(prev.Graph, next.Graph, touched))
+		if stage != nil {
+			stage("partial.delta", time.Since(d0))
+		}
 	}
 
 	res.Version = next.Version
