@@ -100,7 +100,7 @@ func BenchmarkFig10(b *testing.B) {
 				g := benchDataset(b, name)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					v, err := g.CountInvariant(inv)
+					v, err := g.CountWith(CountOptions{Invariant: inv})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -151,7 +151,7 @@ func BenchmarkPartitionSideSweep(b *testing.B) {
 				})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					v, err := g.CountInvariant(fam.inv)
+					v, err := g.CountWith(CountOptions{Invariant: fam.inv})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -197,7 +197,7 @@ func BenchmarkLookAheadAblation(b *testing.B) {
 			g := benchDataset(b, "github")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v, err := g.CountInvariant(c.inv)
+				v, err := g.CountWith(CountOptions{Invariant: c.inv})
 				if err != nil {
 					b.Fatal(err)
 				}

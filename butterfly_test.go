@@ -113,7 +113,7 @@ func TestCountAllInvariantsAgree(t *testing.T) {
 	g := randGraph(t, 3, 60, 40, 0.15)
 	want := g.Count()
 	for inv := Invariant1; inv <= Invariant8; inv++ {
-		got, err := g.CountInvariant(inv)
+		got, err := g.CountWith(CountOptions{Invariant: inv})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +129,11 @@ func TestCountAllInvariantsAgree(t *testing.T) {
 func TestCountParallelAndVariants(t *testing.T) {
 	g := randGraph(t, 4, 100, 80, 0.1)
 	want := g.Count()
-	if got := g.CountParallel(4); got != want {
-		t.Fatalf("parallel: %d, want %d", got, want)
+	if got, err := g.CountWith(CountOptions{Threads: 4}); err != nil || got != want {
+		t.Fatalf("parallel: %d, %v, want %d", got, err, want)
 	}
-	if got := g.CountParallel(0); got != want {
-		t.Fatalf("parallel GOMAXPROCS: %d, want %d", got, want)
+	if got, err := g.CountWith(CountOptions{Threads: -1}); err != nil || got != want {
+		t.Fatalf("parallel GOMAXPROCS: %d, %v, want %d", got, err, want)
 	}
 	got, err := g.CountWith(CountOptions{Invariant: Invariant5, BlockSize: 32})
 	if err != nil || got != want {
@@ -473,14 +473,14 @@ func TestKTipParallelAndRounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := g.KTipParallel(k, V1, 3)
+		got, _, err := g.KTipWith(k, V1, PeelOptions{Threads: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
 			t.Fatalf("k=%d: parallel k-tip differs", k)
 		}
-		gotAuto, err := g.KTipParallel(k, V1, 0)
+		gotAuto, _, err := g.KTipWith(k, V1, PeelOptions{})
 		if err != nil || !gotAuto.Equal(want) {
 			t.Fatalf("k=%d: GOMAXPROCS k-tip differs (%v)", k, err)
 		}
@@ -490,7 +490,7 @@ func TestKTipParallelAndRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.TipNumbersRounds(V1, 4)
+	got, _, err := g.TipNumbersWith(V1, PeelOptions{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,13 +499,13 @@ func TestKTipParallelAndRounds(t *testing.T) {
 			t.Fatalf("tip number %d: rounds %d, heap %d", i, got[i], want[i])
 		}
 	}
-	if _, err := g.KTipParallel(-1, V1, 2); err == nil {
+	if _, _, err := g.KTipWith(-1, V1, PeelOptions{Threads: 2}); err == nil {
 		t.Fatal("negative k accepted")
 	}
-	if _, err := g.KTipParallel(1, Side(7), 2); err == nil {
+	if _, _, err := g.KTipWith(1, Side(7), PeelOptions{Threads: 2}); err == nil {
 		t.Fatal("bad side accepted")
 	}
-	if _, err := g.TipNumbersRounds(Side(7), 2); err == nil {
+	if _, _, err := g.TipNumbersWith(Side(7), PeelOptions{Threads: 2}); err == nil {
 		t.Fatal("bad side accepted (rounds)")
 	}
 }
@@ -595,8 +595,8 @@ func TestConcurrentReadersSafe(t *testing.T) {
 			defer wg.Done()
 			switch i % 4 {
 			case 0:
-				if got := g.CountParallel(2); got != want {
-					errs <- fmt.Errorf("parallel count %d, want %d", got, want)
+				if got, err := g.CountWith(CountOptions{Threads: 2}); err != nil || got != want {
+					errs <- fmt.Errorf("parallel count %d (%v), want %d", got, err, want)
 				}
 			case 1:
 				if _, err := g.VertexButterflies(V1); err != nil {

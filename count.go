@@ -265,14 +265,6 @@ type CountOptions struct {
 // automatically selected sequential algorithm.
 func (g *Graph) Count() int64 { return core.CountAuto(g.g) }
 
-// CountParallel counts with `threads` workers (GOMAXPROCS if ≤ 0).
-func (g *Graph) CountParallel(threads int) int64 {
-	if threads <= 0 {
-		threads = -1
-	}
-	return core.CountWith(g.g, core.Options{Threads: threads})
-}
-
 // CountWith counts with full control over algorithm selection. It is
 // equivalent to CountWithContext with context.Background().
 func (g *Graph) CountWith(opts CountOptions) (int64, error) {
@@ -381,11 +373,6 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 	default:
 		return 0, fmt.Errorf("butterfly: invalid algorithm %v", opts.Algorithm)
 	}
-}
-
-// CountInvariant counts with one specific family member, sequentially.
-func (g *Graph) CountInvariant(inv Invariant) (int64, error) {
-	return g.CountWith(CountOptions{Invariant: inv})
 }
 
 // ResolvedAgg reports the concrete aggregation mode a family count with

@@ -18,13 +18,13 @@ func ExampleGraph_Count() {
 }
 
 // All eight derived algorithms agree by construction.
-func ExampleGraph_CountInvariant() {
+func ExampleGraph_CountWith() {
 	g, err := butterfly.GenerateComplete(3, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, _ := g.CountInvariant(butterfly.Invariant1)
-	b, _ := g.CountInvariant(butterfly.Invariant7)
+	a, _ := g.CountWith(butterfly.CountOptions{Invariant: butterfly.Invariant1})
+	b, _ := g.CountWith(butterfly.CountOptions{Invariant: butterfly.Invariant7})
 	fmt.Println(a, b, a == b)
 	// Output: 18 18 true
 }

@@ -31,7 +31,7 @@ func main() {
 	var want int64
 	for inv := butterfly.Invariant1; inv <= butterfly.Invariant8; inv++ {
 		t0 := time.Now()
-		seq, err := g.CountInvariant(inv)
+		seq, err := g.CountWith(butterfly.CountOptions{Invariant: inv})
 		if err != nil {
 			log.Fatal(err)
 		}

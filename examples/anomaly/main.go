@@ -96,7 +96,7 @@ func main() {
 	// Cross-check with wing numbers: ring edges support ≥ 99
 	// butterflies purely inside the ring, so their wing number has a
 	// floor the organic graph rarely reaches.
-	wings := g.WingNumbersRounds(0)
+	wings, _ := g.WingNumbersWith(butterfly.PeelOptions{})
 	var ringMin, organicMax int64 = 1 << 62, 0
 	for _, e := range wings {
 		if ringUsers[e.U] && ringProds[e.V] {

@@ -28,7 +28,10 @@ func main() {
 	}
 	fmt.Println("author–paper graph:", g)
 
-	total := g.CountParallel(0)
+	total, err := g.CountWith(butterfly.CountOptions{Threads: -1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("butterflies (repeated-collaboration motifs): %d\n", total)
 	fmt.Printf("clustering coefficient: %.4f\n\n", g.ClusteringCoefficient())
 

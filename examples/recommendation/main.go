@@ -29,7 +29,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("user–item graph:", g)
-	fmt.Printf("total butterflies (co-purchase squares): %d\n\n", g.CountParallel(0))
+	total, err := g.CountWith(butterfly.CountOptions{Threads: -1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("total butterflies (co-purchase squares): %d\n\n", total)
 
 	// Sweep k and watch the graph contract to its dense core.
 	fmt.Println("k-wing peeling:")

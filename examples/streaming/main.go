@@ -76,7 +76,10 @@ func main() {
 
 	// Audit: the static family recounts the final window from scratch.
 	snapshot := counter.Snapshot()
-	static := snapshot.CountParallel(0)
+	static, err := snapshot.CountWith(butterfly.CountOptions{Threads: -1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\naudit: dynamic=%d static=%d ", counter.Count(), static)
 	if counter.Count() != static {
 		log.Fatal("MISMATCH — dynamic maintenance diverged")

@@ -137,9 +137,12 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type family struct {
 	name    string
 	help    string
-	kind    string // "counter" | "histogram"
+	kind    string // "counter" | "histogram" | "gauge"
 	labels  []string
 	buckets []float64 // histograms only
+	// read, when set, makes this a scrape-time family: it reports the
+	// series (label values, rendered value) instead of the series map.
+	read func(emit func(vals []string, val string))
 
 	mu     sync.Mutex
 	series map[string]*series
@@ -250,6 +253,10 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	return v
 }
 
+// labelEscaper applies the text format's label-value escapes: only
+// backslash, double quote and newline; every other byte passes through.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // labelString renders {l1="v1",l2="v2"} (empty for no labels); extra
 // appends one more pair (the histogram `le` label).
 func labelString(names, vals []string, extraName, extraVal string) string {
@@ -262,16 +269,43 @@ func labelString(names, vals []string, extraName, extraVal string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", n, vals[i])
+		b.WriteString(n)
+		b.WriteString(`="`)
+		labelEscaper.WriteString(&b, vals[i])
+		b.WriteByte('"')
 	}
 	if extraName != "" {
 		if len(names) > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", extraName, extraVal)
+		b.WriteString(extraName + `="` + extraVal + `"`)
 	}
 	b.WriteByte('}')
 	return b.String()
+}
+
+// Value is the type of a scrape-time series. Integers render as exact
+// decimals, float64 as %g.
+type Value interface {
+	int | int64 | uint64 | float64
+}
+
+// Func registers a scrape-time family of the given kind ("gauge" or
+// "counter"): its series are not stored here but read from state
+// another component already owns. WriteProm calls read once per scrape;
+// read calls emit once per series, in the order the series should
+// render. A family whose read emits nothing renders nothing, not even
+// its HELP and TYPE lines, which is how a family appears conditionally.
+func Func[T Value](r *Registry, name, help, kind string, labels []string, read func(emit func(v T, labelVals ...string))) {
+	r.add(&family{name: name, help: help, kind: kind, labels: labels,
+		read: func(emit func(vals []string, val string)) {
+			read(func(v T, vals ...string) {
+				if len(vals) != len(labels) {
+					panic(fmt.Sprintf("obsv: %s expects %d label values, got %d", name, len(labels), len(vals)))
+				}
+				emit(vals, fmt.Sprint(v))
+			})
+		}})
 }
 
 // WriteProm renders every family in the Prometheus text format.
@@ -282,6 +316,16 @@ func (r *Registry) WriteProm(w io.Writer) {
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	for _, f := range fams {
+		if f.read != nil {
+			var b strings.Builder
+			f.read(func(vals []string, val string) {
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, vals, "", ""), val)
+			})
+			if b.Len() > 0 {
+				fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s", f.name, f.help, f.name, f.kind, b.String())
+			}
+			continue
+		}
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
 		for _, s := range f.sorted() {

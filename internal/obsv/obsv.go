@@ -13,7 +13,10 @@
 //     guarded at the call site.
 //   - A Histogram is a fixed-bucket, atomics-only latency/size
 //     histogram; a Registry groups counter and histogram families and
-//     renders them in the Prometheus text exposition format.
+//     renders them in the Prometheus text exposition format. Func adds
+//     a scrape-time family, whose series are read at each scrape from
+//     state another component owns (queue depths, sizes, per-graph
+//     versions), so one Registry renders a whole /metrics page.
 //   - A SlowLog emits one JSON line per over-threshold request.
 //
 // Compute kernels (internal/core, internal/peel) do not import this

@@ -312,7 +312,7 @@ func (s *Server) handleIngestAppend(w http.ResponseWriter, r *http.Request) {
 	accepted, err := s.ingestEdges(ing, r.Body)
 	ksp.End()
 	if accepted > 0 {
-		s.obs.ingestEdges.With().Add(uint64(accepted))
+		s.obs.ingestEdges.Add(uint64(accepted))
 	}
 	if err != nil {
 		s.writeError(w, r, err)

@@ -124,14 +124,13 @@ func (c Config) withDefaults() Config {
 // admission control, deadlines, result caching and metrics. Construct
 // with New; it is an http.Handler.
 type Server struct {
-	cfg     Config
-	reg     *Registry
-	lim     *limiter
-	cache   *resultCache
-	metrics *metrics
-	obs     *obsMetrics
-	slow    *obsv.SlowLog
-	mux     *http.ServeMux
+	cfg   Config
+	reg   *Registry
+	lim   *limiter
+	cache *resultCache
+	obs   *obsMetrics
+	slow  *obsv.SlowLog
+	mux   *http.ServeMux
 	// arena pools counting workspaces across requests; the pool is
 	// concurrency-safe and sheds nothing on mismatch, so one shared
 	// arena serves every graph.
@@ -161,16 +160,15 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		reg:     NewRegistry(),
-		lim:     newQoSLimiter(cfg.MaxInFlight, cfg.MaxQueue, cfg.Tenants),
-		cache:   newResultCache(cfg.CacheEntries),
-		metrics: newMetrics(),
-		obs:     newObsMetrics(),
-		slow:    obsv.NewSlowLog(cfg.SlowQueryLog, cfg.SlowQueryThreshold),
-		arena:   butterfly.NewArena(),
-		store:   cfg.Store,
+		cfg:   cfg,
+		reg:   NewRegistry(),
+		lim:   newQoSLimiter(cfg.MaxInFlight, cfg.MaxQueue, cfg.Tenants),
+		cache: newResultCache(cfg.CacheEntries),
+		slow:  obsv.NewSlowLog(cfg.SlowQueryLog, cfg.SlowQueryThreshold),
+		arena: butterfly.NewArena(),
+		store: cfg.Store,
 	}
+	s.obs = newObsMetrics(s)
 	s.routes()
 	if s.store != nil {
 		s.reg.SetPersister(s.store)
@@ -204,7 +202,7 @@ func (s *Server) checkpointLoop() {
 		case <-s.ckptCh:
 			if s.store.ShouldCheckpoint() {
 				if _, err := s.checkpoint(); err != nil {
-					s.metrics.noteCheckpointError()
+					s.obs.checkpointErrors.Inc()
 				}
 			}
 		case <-s.stopCh:
@@ -395,11 +393,10 @@ func (s *Server) instrument(route string, api apiVer, h http.HandlerFunc) http.H
 			h(sw, r)
 		}
 		elapsed := time.Since(start)
-		s.metrics.observe(route, sw.code, elapsed)
-		s.obs.observeRequest(st, elapsed, sw.bytes)
+		s.obs.observeRequest(st, sw.code, elapsed, sw.bytes)
 		s.lim.observe(st.tenant, elapsed)
 		if s.slow.Should(elapsed) {
-			s.obs.slowQueries.With().Inc()
+			s.obs.slowQueries.Inc()
 			s.slow.Record(slowEntry{
 				TS:        start.UTC().Format(time.RFC3339Nano),
 				Route:     route,
@@ -556,7 +553,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.write(w, s)
 	s.obs.reg.WriteProm(w)
 }
 
@@ -738,7 +734,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	stats, err := s.checkpoint()
 	csp.End()
 	if err != nil {
-		s.metrics.noteCheckpointError()
+		s.obs.checkpointErrors.Inc()
 		s.writeError(w, r, fmt.Errorf("checkpoint: %w", err))
 		return
 	}
@@ -959,7 +955,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS in
 		return flightOutcome{body: body}
 	})
 	if joined {
-		s.obs.coalesced.With().Inc()
+		s.obs.coalesced.Inc()
 	}
 	if out.err != nil {
 		if errors.Is(out.err, errShed) && onShed != nil {

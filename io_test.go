@@ -218,7 +218,7 @@ func TestCountWithAlgorithmErrors(t *testing.T) {
 func TestWingRoundsAndParallelAPI(t *testing.T) {
 	g := randGraph(t, 32, 25, 20, 0.3)
 	want := g.WingNumbers()
-	got := g.WingNumbersRounds(3)
+	got, _ := g.WingNumbersWith(PeelOptions{Threads: 3})
 	if len(got) != len(want) {
 		t.Fatal("length mismatch")
 	}
@@ -227,7 +227,7 @@ func TestWingRoundsAndParallelAPI(t *testing.T) {
 			t.Fatalf("edge %d: rounds %+v, heap %+v", i, got[i], want[i])
 		}
 	}
-	gotAuto := g.WingNumbersRounds(0)
+	gotAuto, _ := g.WingNumbersWith(PeelOptions{})
 	for i := range want {
 		if gotAuto[i] != want[i] {
 			t.Fatal("GOMAXPROCS rounds differ")
@@ -239,12 +239,12 @@ func TestWingRoundsAndParallelAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parW, err := g.KWingParallel(k, 3)
+		parW, _, err := g.KWingWith(k, PeelOptions{Threads: 3})
 		if err != nil || !parW.Equal(seqW) {
 			t.Fatalf("k=%d: parallel k-wing differs (%v)", k, err)
 		}
 	}
-	if _, err := g.KWingParallel(-1, 2); err == nil {
+	if _, _, err := g.KWingWith(-1, PeelOptions{Threads: 2}); err == nil {
 		t.Fatal("negative k accepted")
 	}
 }

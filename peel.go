@@ -164,47 +164,11 @@ func (g *Graph) KWingWith(k int64, opts PeelOptions) (*Graph, PeelStats, error) 
 	return &Graph{g: sub}, PeelStats{Engine: opts.Engine, Rounds: st.Rounds}, nil
 }
 
-// KTipParallel is KTip computed by `threads` workers (GOMAXPROCS if
-// ≤ 0) on the default incremental (delta) engine; the result is
-// identical to KTip. Use KTipWith to pick the engine explicitly.
-func (g *Graph) KTipParallel(k int64, side Side, threads int) (*Graph, error) {
-	sub, _, err := g.KTipWith(k, side, PeelOptions{Threads: threads})
-	return sub, err
-}
-
-// TipNumbersRounds computes the same tip numbers as TipNumbers with
-// bulk-parallel peeling on the default incremental (delta) engine:
-// batches are peeled level by level and only the supports each batch
-// actually changes are updated, by `threads` workers. Identical
-// results; the delta engine wins whenever recomputation would dominate.
-// Use TipNumbersWith to pick the engine explicitly.
-func (g *Graph) TipNumbersRounds(side Side, threads int) ([]int64, error) {
-	tip, _, err := g.TipNumbersWith(side, PeelOptions{Threads: threads})
-	return tip, err
-}
-
 // WingNumbers returns the wing number of every edge — the largest k
 // such that the edge survives in the k-wing — as (u, v, count) tuples
 // in row-major edge order.
 func (g *Graph) WingNumbers() []EdgeCount {
 	return g.wingNumbersFrom(peel.WingDecomposition(g.g))
-}
-
-// WingNumbersRounds computes the same wing numbers as WingNumbers with
-// bulk-parallel peeling on the default incremental (delta) engine,
-// using `threads` workers (GOMAXPROCS if ≤ 0). Identical results. Use
-// WingNumbersWith to pick the engine explicitly.
-func (g *Graph) WingNumbersRounds(threads int) []EdgeCount {
-	wing, _ := g.WingNumbersWith(PeelOptions{Threads: threads})
-	return wing
-}
-
-// KWingParallel is KWing computed by `threads` workers (GOMAXPROCS if
-// ≤ 0) on the default incremental (delta) engine. Use KWingWith to
-// pick the engine explicitly.
-func (g *Graph) KWingParallel(k int64, threads int) (*Graph, error) {
-	sub, _, err := g.KWingWith(k, PeelOptions{Threads: threads})
-	return sub, err
 }
 
 // DensestSubgraph holds the result of DensestByButterflies.

@@ -163,8 +163,8 @@ func TestSoakLargeAgreement(t *testing.T) {
 	if want == 0 {
 		t.Fatal("degenerate soak workload")
 	}
-	if got := g.CountParallel(6); got != want {
-		t.Fatalf("parallel: %d, want %d", got, want)
+	if got, err := g.CountWith(CountOptions{Threads: 6}); err != nil || got != want {
+		t.Fatalf("parallel: %d, %v, want %d", got, err, want)
 	}
 	got, err := g.CountWith(CountOptions{Invariant: Invariant7, BlockSize: 512})
 	if err != nil || got != want {
