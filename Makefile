@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race bench tables verify examples cover clean smoke crash-smoke cluster-smoke bench-cluster qos-smoke
+.PHONY: all build vet fmt test race bench tables verify examples cover clean smoke crash-smoke cluster-smoke qos-smoke
 
 all: build vet test
 
@@ -70,10 +70,6 @@ crash-smoke:
 # mid-run (pinned exact + degraded scatter), WAL-replay restart, zero wrong counts.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
-
-# Router-mode vs single-node throughput comparison (writes BENCH_PR9.json).
-bench-cluster:
-	./scripts/bench_cluster.sh
 
 # Local mirror of the CI qos-smoke job: two tenants at 4:1 weights under
 # saturating load must split scheduler grants ~4:1, and a batch-lane

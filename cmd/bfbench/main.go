@@ -47,49 +47,12 @@ func run(args []string, out io.Writer) error {
 		dataDir = fs.String("data", "", "directory with real KONECT files (optional)")
 		csvDir  = fs.String("csv", "", "also write fig9/fig10/fig11 as CSV files into this directory")
 		repeat  = fs.Int("repeat", 1, "min-of-N timing per fig10/fig11 cell")
-		jsonOut = fs.String("json", "", "write machine-readable results (JSON) to this file, or - for stdout")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	names := gen.PaperDatasetNames()
-
-	if *jsonOut != "" {
-		rep, err := bench.JSONBench(names, *dataDir, *scale, []int{1, *threads}, *repeat)
-		if err != nil {
-			return err
-		}
-		if *jsonOut == "-" {
-			if err := bench.WriteJSON(out, rep); err != nil {
-				return err
-			}
-		} else {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteJSON(f, rep); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %d results to %s\n", len(rep.Results), *jsonOut)
-		}
-		// -json without an explicit -table emits only the JSON report;
-		// pass -table to combine both outputs.
-		explicitTable := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "table" {
-				explicitTable = true
-			}
-		})
-		if !explicitTable {
-			return nil
-		}
-	}
 
 	want := func(t string) bool { return *table == t || *table == "all" }
 	ran := false

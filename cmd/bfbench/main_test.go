@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -140,133 +139,5 @@ func TestRunSignificance(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "z-score") {
 		t.Fatalf("output: %q", sb.String())
-	}
-}
-
-func TestRunJSONStdout(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-json", "-", "-scale", "400", "-threads", "2"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	var rep struct {
-		Schema  string `json:"schema"`
-		Scale   int    `json:"scale"`
-		Results []struct {
-			Dataset   string  `json:"dataset"`
-			Algorithm string  `json:"algorithm"`
-			Invariant string  `json:"invariant"`
-			Threads   int     `json:"threads"`
-			NsPerOp   int64   `json:"ns_per_op"`
-			Count     int64   `json:"count"`
-			Agg       string  `json:"agg"`
-			AggUsed   string  `json:"agg_used"`
-			MaxDeg    int     `json:"max_deg"`
-			MeanDeg   float64 `json:"mean_deg"`
-			V2Width   int     `json:"v2_width"`
-			Estimate  float64 `json:"estimate"`
-			Samples   int     `json:"samples"`
-			RelErr    float64 `json:"rel_err"`
-			Speedup   float64 `json:"speedup_vs_exact"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("invalid JSON: %v in %q", err, out)
-	}
-	if rep.Schema != "bfbench/v4" || rep.Scale != 400 {
-		t.Fatalf("header wrong: %+v", rep)
-	}
-	algos := map[string]bool{}
-	// Peeling checksums must agree across engines and thread counts —
-	// the snapshot doubles as a differential test. Likewise the
-	// family/agg counts across aggregation modes.
-	peelSums := map[string]map[int64]bool{}
-	aggCounts := map[string]map[int64]bool{}
-	aggModes := map[string]map[string]bool{}
-	for _, r := range rep.Results {
-		algos[r.Algorithm] = true
-		if r.NsPerOp < 0 || r.Dataset == "" || r.Invariant == "" || r.Threads < 1 {
-			t.Fatalf("malformed result %+v", r)
-		}
-		if strings.HasPrefix(r.Algorithm, "peel-") {
-			key := r.Dataset + "|" + strings.SplitN(r.Algorithm, "/", 2)[0]
-			if peelSums[key] == nil {
-				peelSums[key] = map[int64]bool{}
-			}
-			peelSums[key][r.Count] = true
-		}
-		if r.Algorithm == "family/agg" {
-			if r.AggUsed == "" || r.AggUsed == "auto" {
-				t.Fatalf("family/agg row must name a concrete mode: %+v", r)
-			}
-			if r.Agg != "auto" && r.AggUsed != r.Agg {
-				t.Fatalf("explicit mode not honored: %+v", r)
-			}
-			if r.MaxDeg <= 0 || r.MeanDeg <= 0 || r.V2Width <= 0 {
-				t.Fatalf("family/agg row missing degree profile: %+v", r)
-			}
-			if aggCounts[r.Dataset] == nil {
-				aggCounts[r.Dataset] = map[int64]bool{}
-				aggModes[r.Dataset] = map[string]bool{}
-			}
-			aggCounts[r.Dataset][r.Count] = true
-			aggModes[r.Dataset][r.Agg] = true
-		}
-		if strings.HasPrefix(r.Algorithm, "estimate/") {
-			if r.Invariant != "fixed" && r.Invariant != "adaptive" && r.Invariant != "stream" {
-				t.Fatalf("estimate row with unknown budget label: %+v", r)
-			}
-			if r.Samples <= 0 || r.Estimate < 0 || r.Speedup <= 0 || r.RelErr < 0 {
-				t.Fatalf("malformed estimate row: %+v", r)
-			}
-		}
-	}
-	for _, want := range []string{
-		"family/seq", "family/arena", "family/parallel", "family/agg",
-		"estimate/vertices", "estimate/edges", "estimate/reservoir",
-		"peel-tip/delta", "peel-tip/recount", "peel-wing/delta", "peel-wing/recount",
-	} {
-		if !algos[want] {
-			t.Fatalf("missing algorithm %q in results", want)
-		}
-	}
-	for key, sums := range peelSums {
-		if len(sums) != 1 {
-			t.Fatalf("peel checksum disagreement for %s: %v", key, sums)
-		}
-	}
-	for ds, counts := range aggCounts {
-		if len(counts) != 1 {
-			t.Fatalf("aggregation modes disagree on %s: %v", ds, counts)
-		}
-		for _, mode := range []string{"auto", "sort", "hash", "hist", "batch"} {
-			if !aggModes[ds][mode] {
-				t.Fatalf("dataset %s missing family/agg row for mode %q", ds, mode)
-			}
-		}
-	}
-	// Plain -json must not print the text tables.
-	if strings.Contains(out, "== ") {
-		t.Fatal("-json alone still printed text tables")
-	}
-}
-
-func TestRunJSONFileWithTable(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	var sb strings.Builder
-	if err := run([]string{"-json", path, "-table", "fig9", "-scale", "400"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(data) {
-		t.Fatal("written file is not valid JSON")
-	}
-	// Explicit -table keeps the text output too.
-	if !strings.Contains(sb.String(), "Fig 9") {
-		t.Fatal("-json with explicit -table dropped the table output")
 	}
 }

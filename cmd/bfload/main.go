@@ -22,11 +22,7 @@
 // count of the same edges — the end-to-end lifecycle CI runs as a
 // smoke gate.
 //
-// Against a cluster router, -cluster lists the shard base URLs:
-// bfload scrapes each shard's /metrics before and after the run and
-// reports the per-shard request distribution plus the p99 latency
-// skew between shards — a one-command check that consistent-hash
-// placement is actually balanced. -partitions registers the graph
+// Against a cluster router, -partitions registers the graph
 // hash-partitioned across the shards (router scatter-gather counts).
 //
 // Estimate operations additionally report accuracy: because the exact
@@ -44,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
@@ -104,9 +99,6 @@ type report struct {
 	// EstimateAccuracy summarizes estimate-op answers against the known
 	// exact count (present when the mix ran estimate ops).
 	EstimateAccuracy *accuracySummary `json:"estimate_accuracy,omitempty"`
-	// Cluster reports per-shard request distribution and p99 skew,
-	// present only with -cluster (see cluster.go).
-	Cluster *clusterReport `json:"cluster,omitempty"`
 	// TenantMix echoes -tenant-mix; Tenants carries per-tenant
 	// admission and latency, present with -tenant-mix or a -replay
 	// trace naming tenants. The map key is the tenant name the client
@@ -162,7 +154,6 @@ func run(args []string, out io.Writer) error {
 		ingest     = fs.Bool("ingest", false, "stream the dataset through /v1/ingest (estimate mid-load, seal, verify) instead of registering wholesale")
 		ingestBat  = fs.Int("ingest-batch", 1000, "edges per append batch with -ingest")
 		reservoir  = fs.Int("reservoir", 0, "reservoir capacity for -ingest (0 = server default)")
-		clusterStr = fs.String("cluster", "", "comma-separated shard base URLs: scrape each shard's /metrics around the run and report per-shard request share and p99 skew (-addr should be the router)")
 		partitions = fs.Int("partitions", 0, "register -graph hash-partitioned across this many shards (router only)")
 		tenantMix  = fs.String("tenant-mix", "", "comma-separated tenant:priority:weight shares (e.g. gold:interactive:4,bulk:batch:1): issue the op mix under per-tenant QoS identities and report per-tenant admission and latency (see docs/QOS.md)")
 		recordPath = fs.String("record", "", "write one {op,tenant,priority} JSON line per request to this file, replayable with -replay")
@@ -217,32 +208,6 @@ func run(args []string, out io.Writer) error {
 	info, err := cl.GraphInfo(ctx, *graph)
 	if err != nil {
 		return fmt.Errorf("graph info: %w", err)
-	}
-
-	// Cluster mode: baseline scrape of each shard's /metrics so the
-	// post-run delta isolates this run's traffic.
-	var shardURLs []string
-	for _, s := range strings.Split(*clusterStr, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			if !strings.Contains(s, "://") {
-				s = "http://" + s
-			}
-			shardURLs = append(shardURLs, strings.TrimRight(s, "/"))
-		}
-	}
-	scrapeClient := &http.Client{Timeout: 10 * time.Second}
-	var beforeSamples map[string]shardSample
-	var beforeRouter routerSample
-	var routerScraped bool
-	if len(shardURLs) > 0 {
-		beforeSamples = scrapeAll(ctx, scrapeClient, shardURLs, out)
-		// -addr is the router in cluster mode; its /metrics carries the
-		// partitioned fast-path counters (partial cache, coalescing).
-		if rs, err := scrapeRouter(ctx, scrapeClient, base); err == nil {
-			beforeRouter, routerScraped = rs, true
-		} else {
-			fmt.Fprintf(out, "  warning: scrape router %s: %v\n", base, err)
-		}
 	}
 
 	var (
@@ -431,14 +396,6 @@ func run(args []string, out io.Writer) error {
 			rep.Tenants[name] = tr
 		}
 	}
-	if len(shardURLs) > 0 {
-		rep.Cluster = clusterSection(shardURLs, beforeSamples, scrapeAll(ctx, scrapeClient, shardURLs, out))
-		if routerScraped {
-			if rs, err := scrapeRouter(ctx, scrapeClient, base); err == nil {
-				rep.Cluster.Router = routerSection(beforeRouter, rs, int64(*n))
-			}
-		}
-	}
 	if len(relErrs) > 0 {
 		acc := &accuracySummary{Answers: len(relErrs), Exact: info.Butterflies}
 		for _, re := range relErrs {
@@ -494,24 +451,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  estimate accuracy: %d answers vs exact %d, mean rel err %.2f%%, max %.2f%%\n",
 			a.Answers, a.Exact, a.MeanRelErr*100, a.MaxRelErr*100)
 	}
-	if rep.Cluster != nil {
-		fmt.Fprintf(out, "shard distribution (share max %.1f%% min %.1f%%, p99 skew %.2fx):\n",
-			rep.Cluster.MaxShare*100, rep.Cluster.MinShare*100, rep.Cluster.P99Skew)
-		for _, l := range rep.Cluster.Shards {
-			if l.Requests < 0 {
-				fmt.Fprintf(out, "  %-28s unreachable\n", l.Shard)
-				continue
-			}
-			fmt.Fprintf(out, "  %-28s %6d req (%.1f%%), p99≈%.2f ms\n",
-				l.Shard, l.Requests, l.Share*100, l.P99MS)
-		}
-		if rs := rep.Cluster.Router; rs != nil {
-			fmt.Fprintf(out, "router partial cache: %d hits / %d misses (%.1f%% hit rate), coalesced %d (%.1f%% of requests)\n",
-				rs.PartialCacheHits, rs.PartialCacheMisses, rs.PartialCacheHitRate*100,
-				rs.Coalesced, rs.CoalescedRate*100)
-		}
-	}
-
 	if recorded != nil {
 		if err := writeTrace(*recordPath, recorded); err != nil {
 			return fmt.Errorf("write -record trace: %w", err)

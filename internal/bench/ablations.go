@@ -262,15 +262,16 @@ type PeelingPoint struct {
 // threshold k with the given worker count for the round variants.
 func PeelingComparison(g *graph.Bipartite, k int64, threads int) []PeelingPoint {
 	out := make([]PeelingPoint, 0, 6)
+	recount := peel.Options{Engine: peel.EngineRecount, Threads: threads}
 	add := func(name string, fn func()) {
 		d, _ := TimeIt(func() int64 { fn(); return 0 })
 		out = append(out, PeelingPoint{Name: name, Seconds: d.Seconds()})
 	}
 	add("ktip-iterative", func() { peel.KTipSubgraph(g, k, core.SideV1) })
 	add("ktip-lookahead", func() { peel.KTipLookAhead(g, k, core.SideV1) })
-	add("ktip-parallel", func() { peel.KTipParallel(g, k, core.SideV1, threads) })
+	add("ktip-parallel", func() { peel.KTipWith(g, k, core.SideV1, recount) })
 	add("tip-numbers-heap", func() { peel.TipDecomposition(g, core.SideV1) })
-	add("tip-numbers-rounds", func() { peel.TipDecompositionRounds(g, core.SideV1, threads) })
+	add("tip-numbers-rounds", func() { peel.TipNumbersWith(g, core.SideV1, recount) })
 	add("kwing-iterative", func() { peel.KWingSubgraph(g, k) })
 	return out
 }

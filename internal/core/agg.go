@@ -113,8 +113,8 @@ func (p AggPolicy) Mode() string {
 func (p AggPolicy) Valid() bool { return p >= AggAuto && p <= AggBatch }
 
 // Thresholds of the AggAuto chooser and the relayout gate. The values
-// were calibrated on the synthetic paper stand-ins (BENCH_PR6.json);
-// docs/PERFORMANCE.md discusses the tradeoffs.
+// were calibrated on the synthetic paper stand-ins;
+// docs/PERFORMANCE.md discusses the tradeoffs and the measurements.
 const (
 	// aggHistWidth is the widest exposed side for which the dense
 	// counter array is assumed cache-resident (256 KiB of int32 —

@@ -92,6 +92,32 @@ func TestAggCrossModeMatrix(t *testing.T) {
 	}
 }
 
+// TestAggModesAgreeOnStandIns runs the sequential auto-invariant
+// count of the five paper stand-ins at scale 10 under every
+// aggregation policy, auto included. All five give one count, and
+// ResolveAgg turns auto into a concrete mode and leaves a fixed mode
+// as it is.
+func TestAggModesAgreeOnStandIns(t *testing.T) {
+	for _, name := range gen.PaperDatasetNames() {
+		g, err := gen.ScaledPaperDataset(name, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv := AutoInvariant(g)
+		want := CountWith(g, Options{Invariant: inv, Agg: AggAuto})
+		for _, agg := range append([]AggPolicy{AggAuto}, allAggs...) {
+			opts := Options{Invariant: inv, Agg: agg}
+			used := ResolveAgg(g, opts)
+			if used == AggAuto || !used.Valid() || (agg != AggAuto && used != agg) {
+				t.Errorf("%s: ResolveAgg(%v) = %v, want a concrete mode (the requested one if fixed)", name, agg, used)
+			}
+			if got := CountWith(g, opts); got != want {
+				t.Errorf("%s agg=%v: got %d, auto gave %d", name, agg, got, want)
+			}
+		}
+	}
+}
+
 // TestQuickAggModesAgree drives the modes through random graphs with
 // the dense-matrix oracle as ground truth (same oracle the family
 // tests use).

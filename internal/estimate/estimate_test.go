@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -338,5 +339,48 @@ func TestSampleDeterministic(t *testing.T) {
 	b, _ := Sample(g, Options{Strategy: StrategyEdges, Samples: 300, Seed: 21})
 	if a != b {
 		t.Fatalf("same seed must reproduce: %+v vs %+v", a, b)
+	}
+}
+
+// TestEstimatorsOnStandIns runs the approximate tier on the five paper
+// stand-ins at scale 10: vertex and edge sampling, each at a fixed
+// budget of 1024 draws and on the adaptive stopping rule, and the
+// reservoir snapshot after streaming every edge. Each must draw
+// samples and return a finite, non-negative estimate.
+func TestEstimatorsOnStandIns(t *testing.T) {
+	for _, name := range gen.PaperDatasetNames() {
+		g, err := gen.ScaledPaperDataset(name, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(label string, est float64, samples int) {
+			t.Helper()
+			if samples <= 0 || est < 0 || math.IsNaN(est) || math.IsInf(est, 0) {
+				t.Errorf("%s %s: estimate %v from %d samples", name, label, est, samples)
+			}
+		}
+		for _, opts := range []Options{
+			{Strategy: StrategyVertices, Samples: 1024, Seed: 1},
+			{Strategy: StrategyEdges, Samples: 1024, Seed: 1},
+			{Strategy: StrategyVertices, Seed: 1},
+			{Strategy: StrategyEdges, Seed: 1},
+		} {
+			res, err := Sample(g, opts)
+			if err != nil {
+				t.Fatalf("%s %v samples=%d: %v", name, opts.Strategy, opts.Samples, err)
+			}
+			check(fmt.Sprintf("%v samples=%d", opts.Strategy, opts.Samples), res.Estimate, res.Samples)
+		}
+		r, err := NewReservoir(g.NumV1(), g.NumV2(), max(int(g.NumEdges()/4), 4096), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range streamOf(g) {
+			if err := r.Add(e[0], e[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := r.Snapshot()
+		check("reservoir", snap.Estimate, snap.ReservoirSize)
 	}
 }

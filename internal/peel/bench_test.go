@@ -24,7 +24,7 @@ func BenchmarkWingDecompositionDelta(b *testing.B) {
 	for _, threads := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, benchRounds = WingDecompositionDelta(g, threads)
+				_, benchRounds = wingDecompositionDelta(g, threads, nil)
 			}
 		})
 	}

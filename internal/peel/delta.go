@@ -30,15 +30,11 @@ import (
 // on adversarially deep ones.
 const bucketWidth = 64
 
-// TipDecompositionDelta computes the same tip numbers as
-// TipDecomposition / TipDecompositionRounds with the incremental
-// engine and reports the number of peeled batches (sub-rounds).
-func TipDecompositionDelta(g *graph.Bipartite, side core.Side, threads int) ([]int64, int) {
-	return tipDecompositionDelta(g, side, threads, nil)
-}
-
-// tipDecompositionDelta is TipDecompositionDelta with an optional
-// stage hook receiving "peel.seed" and per-batch "peel.round[i]".
+// tipDecompositionDelta computes the same tip numbers as
+// TipDecomposition / tipDecompositionRecount with the incremental
+// engine and reports the number of peeled batches (sub-rounds). The
+// optional stage hook receives "peel.seed" and per-batch
+// "peel.round[i]".
 func tipDecompositionDelta(g *graph.Bipartite, side core.Side, threads int, stage stageFunc) ([]int64, int) {
 	n := g.NumV1()
 	if side == core.SideV2 {
@@ -98,16 +94,11 @@ func tipDecompositionDelta(g *graph.Bipartite, side core.Side, threads int, stag
 	return tip, rounds
 }
 
-// KTipDelta computes the k-tip subgraph with the incremental engine:
+// kTipDelta computes the k-tip subgraph with the incremental engine:
 // instead of recomputing the butterfly vector to a fixpoint, it seeds a
 // worklist with the vertices below k and cascades exact decrements
 // until no survivor drops below the threshold. Returns the subgraph
 // (identical to KTipSubgraph) and the number of cascade rounds.
-func KTipDelta(g *graph.Bipartite, k int64, side core.Side, threads int) (*graph.Bipartite, int) {
-	return kTipDelta(g, k, side, threads, nil)
-}
-
-// kTipDelta is KTipDelta with an optional stage hook.
 func kTipDelta(g *graph.Bipartite, k int64, side core.Side, threads int, stage stageFunc) (*graph.Bipartite, int) {
 	n := g.NumV1()
 	if side == core.SideV2 {
@@ -158,18 +149,12 @@ func kTipDelta(g *graph.Bipartite, k int64, side core.Side, threads int, stage s
 	return maskSide(g, side, alive), rounds
 }
 
-// WingDecompositionDelta computes the same wing numbers as
-// WingDecomposition / WingDecompositionRounds with the incremental
+// wingDecompositionDelta computes the same wing numbers as
+// WingDecomposition / wingDecompositionRecount with the incremental
 // engine. Edge ids are flat indices into g.Adj(), as everywhere else.
 // Unlike the recount engine it never rebuilds the graph: peeled edges
 // are swap-deleted from the compacted core.WingPeelState, so each
 // batch's sweep touches only the surviving adjacency.
-func WingDecompositionDelta(g *graph.Bipartite, threads int) ([]int64, int) {
-	return wingDecompositionDelta(g, threads, nil)
-}
-
-// wingDecompositionDelta is WingDecompositionDelta with an optional
-// stage hook.
 func wingDecompositionDelta(g *graph.Bipartite, threads int, stage stageFunc) ([]int64, int) {
 	adj := g.Adj()
 	nnz := int(adj.NNZ())
@@ -231,16 +216,11 @@ func wingDecompositionDelta(g *graph.Bipartite, threads int, stage stageFunc) ([
 	return wing, rounds
 }
 
-// KWingDelta computes the k-wing subgraph with the incremental engine:
+// kWingDelta computes the k-wing subgraph with the incremental engine:
 // one support sweep, then exact cascading decrements, then a single
 // subgraph rebuild at the end (the recount engine rebuilds the whole
 // graph every round). Identical to KWingSubgraph; returns the cascade
 // round count.
-func KWingDelta(g *graph.Bipartite, k int64, threads int) (*graph.Bipartite, int) {
-	return kWingDelta(g, k, threads, nil)
-}
-
-// kWingDelta is KWingDelta with an optional stage hook.
 func kWingDelta(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*graph.Bipartite, int) {
 	adj := g.Adj()
 	nnz := int(adj.NNZ())

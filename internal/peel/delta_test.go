@@ -20,14 +20,14 @@ func TestQuickTipDeltaMatchesSequentialAndRecount(t *testing.T) {
 		_, g := randGraphAndDense(rng, 9)
 		for _, side := range []core.Side{core.SideV1, core.SideV2} {
 			want := TipDecomposition(g, side)
-			oracle := TipDecompositionRounds(g, side, 2)
+			oracle := mustTip(tipDecompositionRecount(g, side, 2, nil))
 			for i := range want {
 				if oracle[i] != want[i] {
 					return false
 				}
 			}
 			for _, threads := range []int{1, 3} {
-				got, _ := TipDecompositionDelta(g, side, threads)
+				got, _ := tipDecompositionDelta(g, side, threads, nil)
 				for i := range want {
 					if got[i] != want[i] {
 						return false
@@ -45,7 +45,7 @@ func TestQuickTipDeltaMatchesSequentialAndRecount(t *testing.T) {
 func TestTipDeltaMediumGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(300, 250, 2000, 0.7, 0.7, 3)
 	want := TipDecomposition(g, core.SideV1)
-	got, rounds := TipDecompositionDelta(g, core.SideV1, 4)
+	got, rounds := tipDecompositionDelta(g, core.SideV1, 4, nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("vertex %d: delta %d, sequential %d", i, got[i], want[i])
@@ -57,12 +57,12 @@ func TestTipDeltaMediumGraph(t *testing.T) {
 }
 
 func TestTipDeltaEmptyAndButterflyFree(t *testing.T) {
-	for _, tip := range mustTip(TipDecompositionDelta(gen.Star(5), core.SideV2, 2)) {
+	for _, tip := range mustTip(tipDecompositionDelta(gen.Star(5), core.SideV2, 2, nil)) {
 		if tip != 0 {
 			t.Fatal("star leaves should have tip 0")
 		}
 	}
-	empty, rounds := TipDecompositionDelta(gen.CompleteBipartite(0, 0), core.SideV1, 2)
+	empty, rounds := tipDecompositionDelta(gen.CompleteBipartite(0, 0), core.SideV1, 2, nil)
 	if len(empty) != 0 || rounds != 0 {
 		t.Fatal("empty graph should give empty tips in zero rounds")
 	}
@@ -75,14 +75,14 @@ func TestQuickWingDeltaMatchesSequentialAndRecount(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 8)
 		want := WingDecomposition(g)
-		oracle := WingDecompositionRounds(g, 2)
+		oracle := mustTip(wingDecompositionRecount(g, 2, nil))
 		for i := range want {
 			if oracle[i] != want[i] {
 				return false
 			}
 		}
 		for _, threads := range []int{1, 3} {
-			got, _ := WingDecompositionDelta(g, threads)
+			got, _ := wingDecompositionDelta(g, threads, nil)
 			for i := range want {
 				if got[i] != want[i] {
 					return false
@@ -99,7 +99,7 @@ func TestQuickWingDeltaMatchesSequentialAndRecount(t *testing.T) {
 func TestWingDeltaMediumGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(120, 100, 900, 0.7, 0.7, 13)
 	want := WingDecomposition(g)
-	got, rounds := WingDecompositionDelta(g, 4)
+	got, rounds := wingDecompositionDelta(g, 4, nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("edge %d: delta %d, heap %d", i, got[i], want[i])
@@ -116,7 +116,7 @@ func TestQuickKTipDeltaMatches(t *testing.T) {
 		_, g := randGraphAndDense(rng, 9)
 		for k := int64(0); k <= 3; k++ {
 			for _, side := range []core.Side{core.SideV1, core.SideV2} {
-				sub, _ := KTipDelta(g, k, side, 3)
+				sub, _ := kTipDelta(g, k, side, 3, nil)
 				if !sub.Equal(KTipSubgraph(g, k, side)) {
 					return false
 				}
@@ -134,7 +134,7 @@ func TestQuickKWingDeltaMatches(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 8)
 		for k := int64(0); k <= 3; k++ {
-			sub, _ := KWingDelta(g, k, 3)
+			sub, _ := kWingDelta(g, k, 3, nil)
 			if !sub.Equal(KWingSubgraph(g, k)) {
 				return false
 			}
@@ -278,12 +278,12 @@ func TestBucketQueueCascadeWithinLevel(t *testing.T) {
 func TestTipDeltaFewAllocsWarm(t *testing.T) {
 	g := gen.PowerLawBipartite(200, 160, 1400, 0.7, 0.7, 7)
 	// Prime any global state.
-	TipDecompositionDelta(g, core.SideV1, 1)
+	tipDecompositionDelta(g, core.SideV1, 1, nil)
 	allocs := testing.AllocsPerRun(3, func() {
-		TipDecompositionDelta(g, core.SideV1, 1)
+		tipDecompositionDelta(g, core.SideV1, 1, nil)
 	})
 	if allocs > 512 {
-		t.Fatalf("TipDecompositionDelta allocates %v times per run", allocs)
+		t.Fatalf("tipDecompositionDelta allocates %v times per run", allocs)
 	}
 }
 
@@ -297,9 +297,9 @@ func TestTipDeltaFewAllocsWarm(t *testing.T) {
 func TestWingDeltaRelayoutAgreement(t *testing.T) {
 	orig := gen.PowerLawBipartite(120, 100, 900, 0.7, 0.7, 13)
 	g, _, _ := orig.DegreeOrdered()
-	want := WingDecompositionRounds(g, 2)
+	want := mustTip(wingDecompositionRecount(g, 2, nil))
 	for _, threads := range []int{1, 4} {
-		got, _ := WingDecompositionDelta(g, threads)
+		got, _ := wingDecompositionDelta(g, threads, nil)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("threads=%d edge %d: delta %d, recount %d", threads, i, got[i], want[i])
@@ -328,9 +328,9 @@ func TestTipDeltaRelayoutAgreement(t *testing.T) {
 	orig := gen.PowerLawBipartite(300, 250, 2000, 0.7, 0.7, 3)
 	g, _, _ := orig.DegreeOrdered()
 	for _, side := range []core.Side{core.SideV1, core.SideV2} {
-		want := TipDecompositionRounds(g, side, 2)
+		want := mustTip(tipDecompositionRecount(g, side, 2, nil))
 		for _, threads := range []int{1, 4} {
-			got, _ := TipDecompositionDelta(g, side, threads)
+			got, _ := tipDecompositionDelta(g, side, threads, nil)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("side=%v threads=%d vertex %d: delta %d, recount %d", side, threads, i, got[i], want[i])

@@ -5,7 +5,7 @@ import (
 	"butterfly/internal/graph"
 )
 
-// TipDecompositionRounds computes the same tip numbers as
+// tipDecompositionRecount computes the same tip numbers as
 // TipDecomposition with round-synchronous peeling: every round removes
 // *all* vertices whose current butterfly count is at or below the
 // running level and recomputes the survivors' counts with `threads`
@@ -24,15 +24,9 @@ import (
 //
 // This is the "recount" engine: simple, internally parallel, and kept
 // as the differential-testing oracle for the incremental delta engine
-// (TipDecompositionDelta), which does asymptotically less work.
-func TipDecompositionRounds(g *graph.Bipartite, side core.Side, threads int) []int64 {
-	tip, _ := tipDecompositionRecount(g, side, threads, nil)
-	return tip
-}
-
-// tipDecompositionRecount is TipDecompositionRounds reporting the
-// number of peeling rounds, with an optional stage hook receiving
-// per-round "peel.round[i]" timings.
+// (tipDecompositionDelta), which does asymptotically less work. It
+// reports the number of peeling rounds; the optional stage hook
+// receives per-round "peel.round[i]" timings.
 func tipDecompositionRecount(g *graph.Bipartite, side core.Side, threads int, stage stageFunc) ([]int64, int) {
 	n := g.NumV1()
 	if side == core.SideV2 {
@@ -77,17 +71,10 @@ func tipDecompositionRecount(g *graph.Bipartite, side core.Side, threads int, st
 	return tip, rounds
 }
 
-// KTipParallel is KTipSubgraph with the per-iteration butterfly vector
+// kTipRecount is KTipSubgraph with the per-iteration butterfly vector
 // computed by `threads` workers. Results are identical to KTipSubgraph.
-// Like TipDecompositionRounds this is the recount engine, kept as the
-// oracle for KTipDelta.
-func KTipParallel(g *graph.Bipartite, k int64, side core.Side, threads int) *graph.Bipartite {
-	sub, _ := kTipRecount(g, k, side, threads, nil)
-	return sub
-}
-
-// kTipRecount is KTipParallel reporting the number of fixpoint rounds,
-// with an optional stage hook.
+// Like tipDecompositionRecount this is the recount engine, kept as the
+// oracle for kTipDelta. It also reports the number of fixpoint rounds.
 func kTipRecount(g *graph.Bipartite, k int64, side core.Side, threads int, stage stageFunc) (*graph.Bipartite, int) {
 	n := g.NumV1()
 	if side == core.SideV2 {

@@ -6,18 +6,12 @@ import (
 	"butterfly/internal/sparse"
 )
 
-// KWingParallel is KWingSubgraph with each iteration's support matrix
+// kWingRecount is KWingSubgraph with each iteration's support matrix
 // computed by `threads` workers; the fixpoint is identical. The rounds
 // share one value buffer and one core.Arena, so each iteration's
 // support sweep reuses the previous round's scratch. This is the
-// recount engine, kept as the oracle for KWingDelta.
-func KWingParallel(g *graph.Bipartite, k int64, threads int) *graph.Bipartite {
-	sub, _ := kWingRecount(g, k, threads, nil)
-	return sub
-}
-
-// kWingRecount is KWingParallel reporting the number of fixpoint
-// rounds, with an optional stage hook.
+// recount engine, kept as the oracle for kWingDelta. It also reports
+// the number of fixpoint rounds.
 func kWingRecount(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*graph.Bipartite, int) {
 	arena := core.NewArena()
 	valsBuf := make([]int64, g.NumEdges())
@@ -43,7 +37,7 @@ func kWingRecount(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*g
 	}
 }
 
-// WingDecompositionRounds computes the same wing numbers as
+// wingDecompositionRecount computes the same wing numbers as
 // WingDecomposition with round-synchronous peeling: every round
 // removes all edges whose current support is at or below the running
 // level, then recomputes supports of the surviving subgraph with
@@ -56,14 +50,8 @@ func kWingRecount(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*g
 //
 // This is the recount engine — every round rebuilds the surviving
 // subgraph and recomputes all supports — kept as the oracle for the
-// incremental WingDecompositionDelta.
-func WingDecompositionRounds(g *graph.Bipartite, threads int) []int64 {
-	wing, _ := wingDecompositionRecount(g, threads, nil)
-	return wing
-}
-
-// wingDecompositionRecount is WingDecompositionRounds reporting the
-// number of peeling rounds, with an optional stage hook.
+// incremental wingDecompositionDelta. It reports the number of
+// peeling rounds.
 func wingDecompositionRecount(g *graph.Bipartite, threads int, stage stageFunc) ([]int64, int) {
 	orig := g.Adj()
 	wing := make([]int64, orig.NNZ())

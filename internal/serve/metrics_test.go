@@ -146,7 +146,6 @@ var metricsInventory = []string{
 	"bfserved_legacy_requests_total counter {route}",
 	"bfserved_open_ingests gauge {}",
 	"bfserved_queue_depth gauge {}",
-	"bfserved_request_seconds histogram {}",
 	"bfserved_requests_total counter {route,code}",
 	"bfserved_response_bytes histogram {}",
 	"bfserved_route_seconds histogram {route,api}",

@@ -92,25 +92,19 @@ func debugRequested(r *http.Request) bool {
 	return false
 }
 
-// requestBuckets are the bounds of bfserved_request_seconds:
-// half-decade spacing from 1 ms to 10 s. The family predates
-// bfserved_route_seconds and keeps its buckets for existing scrapers.
-var requestBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}
-
 // obsMetrics are the server's metric families, all on one registry.
 // Route and stage label sets are bounded by construction (routes come
 // from the static endpoint table; stages are the fixed top-level span
 // names), so cardinality cannot run away.
 type obsMetrics struct {
-	reg            *obsv.Registry
-	requests       *obsv.CounterVec // {route, code}
-	requestSeconds *obsv.Histogram
-	routeSeconds   *obsv.HistogramVec // {route, api}
-	stageSeconds   *obsv.HistogramVec // {stage}
-	responseBytes  *obsv.Histogram
-	slowQueries    *obsv.Counter
-	estimates      *obsv.CounterVec // {kind}
-	ingestEdges    *obsv.Counter
+	reg           *obsv.Registry
+	requests      *obsv.CounterVec   // {route, code}
+	routeSeconds  *obsv.HistogramVec // {route, api}
+	stageSeconds  *obsv.HistogramVec // {stage}
+	responseBytes *obsv.Histogram
+	slowQueries   *obsv.Counter
+	estimates     *obsv.CounterVec // {kind}
+	ingestEdges   *obsv.Counter
 	// tenantSeconds is the per-tenant latency histogram behind the QoS
 	// layer's p99 acceptance numbers. The tenant label set is bounded:
 	// unresolvable names collapse to "default" before they get here.
@@ -134,8 +128,6 @@ func newObsMetrics(s *Server) *obsMetrics {
 		reg: reg,
 		requests: reg.Counter("bfserved_requests_total",
 			"Finished HTTP requests by route and status code.", "route", "code"),
-		requestSeconds: reg.Histogram("bfserved_request_seconds",
-			"Latency of finished HTTP requests.", requestBuckets).With(),
 		routeSeconds: reg.Histogram("bfserved_route_seconds",
 			"Latency of finished HTTP requests by route and API surface.",
 			obsv.LatencyBuckets, "route", "api"),
@@ -259,7 +251,6 @@ func newObsMetrics(s *Server) *obsMetrics {
 // partial.delta).
 func (m *obsMetrics) observeRequest(st *reqState, code int, elapsed time.Duration, bytes int64) {
 	m.requests.With(st.route, strconv.Itoa(code)).Inc()
-	m.requestSeconds.Observe(elapsed.Seconds())
 	m.routeSeconds.With(st.route, st.api.String()).Observe(elapsed.Seconds())
 	m.responseBytes.Observe(float64(bytes))
 	if st.tenant != "" {

@@ -366,8 +366,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		`bfserved_requests_total{route="count",code="200"} 2`,
-		"bfserved_request_seconds_bucket{le=\"+Inf\"}",
-		"bfserved_request_seconds_count",
+		`bfserved_route_seconds_bucket{route="count",api="v1",le="+Inf"} 2`,
+		`bfserved_route_seconds_count{route="count",api="v1"} 2`,
 		"bfserved_cache_hits_total 1",
 		"bfserved_cache_misses_total 1",
 		"bfserved_cache_hit_ratio 0.5",

@@ -111,7 +111,7 @@ fi
 
 echo "== mixed load through the router (all shards up, no 5xx allowed)"
 "$LOAD" -addr "$ROUTER" -graph solo -no-register -n 400 -c 8 \
-  -mix count=3,estimate=1 -cluster "http://$SHARD1,http://$SHARD2"
+  -mix count=3,estimate=1
 
 echo "== kill -9 shard 2 mid-run"
 "$LOAD" -addr "$ROUTER" -graph solo -no-register -n 400 -c 4 \

@@ -11,13 +11,15 @@ package serveapi
 //	uvarint snapshot version
 //	uvarint entry count
 //	entries uvarint key delta, uvarint wedge count
-//	        (key = uint64(V)<<32 | W, strictly increasing)
+//	        (key = uint64(V)<<32 | W, strictly increasing;
+//	        V, W < 2^31, count <= MaxInt64)
 //	crc32c  Castagnoli over everything above, little-endian (4 bytes)
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"butterfly"
 )
@@ -46,8 +48,21 @@ func EncodePartial(version uint64, partials []butterfly.WedgePartial) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
+// splitKey splits a wire key into its (V, W) halves. Vertex ids are
+// non-negative int32s, so a key with bit 63 or bit 31 set names no
+// vertex pair and is rejected.
+func splitKey(key uint64) (v, w int32, ok bool) {
+	if key&(1<<63|1<<31) != 0 {
+		return 0, 0, false
+	}
+	return int32(key >> 32), int32(uint32(key)), true
+}
+
 // DecodePartial parses an encoded partial map, verifying the magic
-// and the CRC32C trailer before trusting any entry.
+// and the CRC32C trailer before trusting any entry. An entry whose V
+// or W lies outside [0, 2^31) or whose count exceeds math.MaxInt64 is
+// rejected: these bytes come from another process, and a negative
+// count would silently corrupt the merged butterfly count.
 func DecodePartial(b []byte) (version uint64, partials []butterfly.WedgePartial, err error) {
 	if len(b) < 8+4 || [8]byte(b[:8]) != partialMagic {
 		return 0, nil, fmt.Errorf("serveapi: partial: bad magic or short payload (%d bytes)", len(b))
@@ -91,11 +106,14 @@ func DecodePartial(b []byte) (version uint64, partials []butterfly.WedgePartial,
 			return 0, nil, fmt.Errorf("serveapi: partial: keys not strictly increasing at entry %d", i)
 		}
 		prev = key
-		partials = append(partials, butterfly.WedgePartial{
-			V:     int32(key >> 32),
-			W:     int32(uint32(key)),
-			Count: int64(c),
-		})
+		v, w, ok := splitKey(key)
+		if !ok {
+			return 0, nil, fmt.Errorf("serveapi: partial: vertex id out of range at entry %d", i)
+		}
+		if c > math.MaxInt64 {
+			return 0, nil, fmt.Errorf("serveapi: partial: wedge count %d out of range at entry %d", c, i)
+		}
+		partials = append(partials, butterfly.WedgePartial{V: v, W: w, Count: int64(c)})
 	}
 	if len(rest) != 0 {
 		return 0, nil, fmt.Errorf("serveapi: partial: %d trailing bytes after %d entries", len(rest), count)

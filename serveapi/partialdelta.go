@@ -12,7 +12,8 @@ package serveapi
 //	uvarint to version   (>= from; == from means "unchanged")
 //	uvarint entry count
 //	entries uvarint key delta, varint signed count delta (zigzag,
-//	        nonzero; key = uint64(V)<<32 | W, strictly increasing)
+//	        nonzero; key = uint64(V)<<32 | W, strictly increasing;
+//	        V, W < 2^31)
 //	crc32c  Castagnoli over everything above, little-endian (4 bytes)
 //
 // Full and delta frames are distinguished by magic: the router sniffs
@@ -73,7 +74,8 @@ func EncodePartialDelta(from, to uint64, delta []butterfly.WedgePartial) []byte 
 
 // DecodePartialDelta parses an encoded delta frame, verifying magic
 // and CRC32C before trusting any entry. The returned delta is sorted
-// by (V, W) with nonzero signed counts.
+// by (V, W) with nonzero signed counts; an entry whose V or W lies
+// outside [0, 2^31) is rejected, as in DecodePartial.
 func DecodePartialDelta(b []byte) (from, to uint64, delta []butterfly.WedgePartial, err error) {
 	if len(b) < 8+4 || [8]byte(b[:8]) != partialDeltaMagic {
 		return 0, 0, nil, fmt.Errorf("serveapi: partial delta: bad magic or short payload (%d bytes)", len(b))
@@ -127,11 +129,11 @@ func DecodePartialDelta(b []byte) (from, to uint64, delta []butterfly.WedgeParti
 			return 0, 0, nil, fmt.Errorf("serveapi: partial delta: keys not strictly increasing at entry %d", i)
 		}
 		prev = key
-		delta = append(delta, butterfly.WedgePartial{
-			V:     int32(key >> 32),
-			W:     int32(uint32(key)),
-			Count: c,
-		})
+		v, w, ok := splitKey(key)
+		if !ok {
+			return 0, 0, nil, fmt.Errorf("serveapi: partial delta: vertex id out of range at entry %d", i)
+		}
+		delta = append(delta, butterfly.WedgePartial{V: v, W: w, Count: c})
 	}
 	if len(rest) != 0 {
 		return 0, 0, nil, fmt.Errorf("serveapi: partial delta: %d trailing bytes after %d entries", len(rest), count)

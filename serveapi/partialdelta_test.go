@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"testing"
 
 	"butterfly"
@@ -147,4 +148,29 @@ func TestPartialDeltaStructuralRejects(t *testing.T) {
 	if _, _, _, err := DecodePartialDelta(reseal(bad)); err == nil {
 		t.Error("duplicate key accepted")
 	}
+}
+
+// FuzzDecodePartialDelta checks that every frame DecodePartialDelta
+// accepts has non-negative ids, and that re-encoding the decoded delta
+// decodes to the same versions and entries. Seeds live in
+// testdata/fuzz/FuzzDecodePartialDelta.
+func FuzzDecodePartialDelta(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		from, to, delta, err := DecodePartialDelta(b)
+		if err != nil {
+			return
+		}
+		for _, p := range delta {
+			if p.V < 0 || p.W < 0 {
+				t.Fatalf("accepted out-of-range entry %+v", p)
+			}
+		}
+		from2, to2, again, err := DecodePartialDelta(EncodePartialDelta(from, to, delta))
+		if err != nil {
+			t.Fatalf("re-encoded frame rejected: %v", err)
+		}
+		if from2 != from || to2 != to || !slices.Equal(again, delta) {
+			t.Fatalf("round trip changed the frame: %d→%d %+v, want %d→%d %+v", from2, to2, again, from, to, delta)
+		}
+	})
 }
