@@ -5,11 +5,32 @@ import (
 	"runtime"
 	"testing"
 
+	"butterfly/internal/core"
 	"butterfly/internal/gen"
 )
 
 // benchRounds keeps the benchmarked call's result live.
 var benchRounds int
+
+// BenchmarkTipDecompositionDelta runs the delta engine's V1 tip
+// decomposition of the github stand-in at scale 1, sequential and on
+// every CPU. Its supports span millions of levels, so the bucket
+// queue's share shows up next to the tip kernel's in a profile:
+//
+//	go test -run '^$' -bench TipDecompositionDelta -cpuprofile cpu.out ./internal/peel
+func BenchmarkTipDecompositionDelta(b *testing.B) {
+	g, err := gen.ScaledPaperDataset("github", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, threads := range []int{1, runtime.NumCPU()} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, benchRounds = tipDecompositionDelta(g, core.SideV1, threads, nil)
+			}
+		})
+	}
+}
 
 // BenchmarkWingDecompositionDelta runs the delta engine's wing
 // decomposition of the github stand-in at scale 50, sequential and on

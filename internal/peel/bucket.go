@@ -1,139 +1,117 @@
 package peel
 
-// bucketQueue is the level-indexed bucket structure of the incremental
-// peeling engine (the Julienne/ParButterfly bucketing idea): ids keyed
-// by their current support live in an open window of `width` buckets
-// starting at `base`; ids whose key lies beyond the window sit in an
-// overflow list (`far`) and are redistributed lazily when the window
-// is exhausted. Updates are lazy — when a key decreases, the id is
-// simply re-filed at its new bucket and stale entries are skipped at
-// extraction time — so an update is O(1) and needs no decrease-key.
+import "math/bits"
+
+// bucketQueue is the priority queue of the incremental peeling engine:
+// a monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, 1990) with
+// lazy updates and batched extraction. Bucket 0 holds the ids whose
+// key is at or below last, the level being peeled; bucket i ≥ 1 holds
+// the keys whose highest bit differing from last is bit i−1, so every
+// key in bucket i is below every key in bucket i+1. Re-basing last on
+// the minimum of bucket i moves that bucket's entries into lower
+// buckets and leaves the others valid. An entry therefore moves at
+// most 64 times, and an extraction scans at most the 65 buckets plus
+// the entries it moves or discards, however many levels the butterfly
+// supports span.
 //
-// Extraction is batched: nextBatch drains the lowest non-empty bucket
-// in one call, which is exactly the round-synchronous peeling batch.
-// Keys that drop below the extraction cursor while a level is being
-// processed are clamped onto the cursor's bucket, so the cascade within
-// one level (peel → delta → more vertices at the level) replays the
-// sub-round structure of round-synchronous peeling and yields identical
-// (confluent) decomposition numbers.
+// Updates are lazy: when a key decreases, the id is filed again and
+// its old entry goes stale. An alive id's current entry is in the
+// lowest bucket holding it, so a stale entry is reached only after the
+// id was extracted, and is dropped then.
 //
-// The queue reuses every bucket slice and the overflow list across
-// windows, so a warm queue's steady state allocates only when a slice
-// outgrows its previous high-water mark.
+// nextBatch drains bucket 0 in one call, which is exactly the
+// round-synchronous peeling batch. Keys that drop to or below last
+// while a level is processed land in bucket 0 again, so the cascade
+// within one level replays the sub-rounds of round-synchronous peeling
+// and yields identical (confluent) decomposition numbers.
+//
+// Bucket slices are reused, so a warm queue allocates only when a
+// slice outgrows its previous high-water mark.
 type bucketQueue struct {
-	keys  []int64 // caller-owned current keys; mutated between calls
-	base  int64   // key of bucket 0 of the open window
-	cur   int     // lowest bucket index not yet known to be empty
-	width int
-	bkts  [][]int64
-	far   []int64 // ids beyond the window at (re)file time, lazily stale
+	keys []int64 // caller-owned current keys; mutated between calls
+	last int64   // current level; keys only fall to it, never below
+	bkts [65][]int64
 }
 
 // newBucketQueue builds a queue over the ids with alive[id] true, keyed
-// by keys[id]. The keys slice is retained: the engine updates it in
-// place and re-files changed ids with update.
-func newBucketQueue(keys []int64, alive []bool, width int) *bucketQueue {
-	if width < 1 {
-		width = 1
-	}
-	q := &bucketQueue{keys: keys, width: width, bkts: make([][]int64, width)}
-	min := int64(-1)
-	for id, k := range keys {
-		if alive[id] && (min < 0 || k < min) {
-			min = k
-		}
-	}
-	if min > 0 {
-		q.base = min
-	}
+// by keys[id] ≥ 0. The keys slice is retained: the engine updates it
+// in place and re-files changed ids with update. The first extraction
+// re-bases last from 0 onto the minimum key.
+func newBucketQueue(keys []int64, alive []bool) *bucketQueue {
+	q := &bucketQueue{keys: keys}
 	for id := range keys {
 		if alive[id] {
-			q.place(int64(id), keys[id])
+			q.update(int64(id))
 		}
 	}
 	return q
 }
 
-// place files id under key, clamping keys below the cursor onto the
-// cursor's bucket (they are due now) and spilling keys beyond the
-// window into the overflow list.
-func (q *bucketQueue) place(id, key int64) {
-	idx := key - q.base
-	if idx < int64(q.cur) {
-		idx = int64(q.cur)
+// update files id under its current key keys[id], which the caller may
+// only have decreased since the id was last filed. A key at or below
+// last is due now. Stale entries left behind are skipped at extraction.
+func (q *bucketQueue) update(id int64) {
+	i := 0
+	if k := q.keys[id]; k > q.last {
+		i = bits.Len64(uint64(k ^ q.last))
 	}
-	if idx >= int64(q.width) {
-		q.far = append(q.far, id)
-		return
-	}
-	q.bkts[idx] = append(q.bkts[idx], id)
+	q.bkts[i] = append(q.bkts[i], id)
 }
 
-// update re-files id after the caller decreased keys[id]. Stale entries
-// left behind are skipped at extraction.
-func (q *bucketQueue) update(id int64) { q.place(id, q.keys[id]) }
-
-// nextBatch appends every id of the lowest non-empty bucket to dst,
-// marks each extracted id dead in alive, and returns the batch with the
-// bucket's level. ok is false when the queue is exhausted. The same
-// bucket index is revisited on the next call, because cascading updates
-// during batch processing may re-populate it.
+// nextBatch appends every alive id of bucket 0 to dst, marks each
+// extracted id dead in alive, and returns the batch with its level.
+// When bucket 0 has no alive id it re-bases on the lowest non-empty
+// bucket first. ok is false when the queue is exhausted. Bucket 0 is
+// revisited on the next call, because cascading updates during batch
+// processing may re-populate the level.
 func (q *bucketQueue) nextBatch(dst []int64, alive []bool) ([]int64, int64, bool) {
 	for {
-		for q.cur < q.width {
-			b := q.bkts[q.cur]
-			if len(b) == 0 {
-				q.cur++
-				continue
+		b := q.bkts[0]
+		for _, id := range b {
+			if alive[id] {
+				alive[id] = false
+				dst = append(dst, id)
 			}
-			level := q.base + int64(q.cur)
-			for _, id := range b {
-				// Entries for already-extracted ids are stale dupes;
-				// live entries in this bucket are always due (keys only
-				// decrease after filing).
-				if alive[id] && q.keys[id] <= level {
-					alive[id] = false
-					dst = append(dst, id)
-				}
-			}
-			q.bkts[q.cur] = b[:0]
-			if len(dst) > 0 {
-				return dst, level, true
-			}
-			q.cur++
 		}
-		if !q.rebucket(alive) {
+		q.bkts[0] = b[:0]
+		if len(dst) > 0 {
+			return dst, q.last, true
+		}
+		if !q.advance(alive) {
 			return dst, 0, false
 		}
 	}
 }
 
-// rebucket opens a new window at the minimum surviving overflow key and
-// redistributes the overflow list into it. Returns false when nothing
-// survives (queue exhausted). Both passes compact in place, so the
-// overflow storage is reused.
-func (q *bucketQueue) rebucket(alive []bool) bool {
-	live := q.far[:0]
-	min := int64(-1)
-	for _, id := range q.far {
-		if !alive[id] {
+// advance raises last to the minimum alive key of the lowest bucket
+// that holds an alive id and redistributes that bucket's alive entries
+// into lower buckets (at least one reaches bucket 0). Buckets holding
+// only dead ids are emptied on the way. Returns false when no alive id
+// is left.
+func (q *bucketQueue) advance(alive []bool) bool {
+	for i := 1; i < len(q.bkts); i++ {
+		b := q.bkts[i]
+		if len(b) == 0 {
 			continue
 		}
-		live = append(live, id)
-		if k := q.keys[id]; min < 0 || k < min {
-			min = k
+		q.bkts[i] = b[:0]
+		found := false
+		for _, id := range b {
+			if alive[id] && (!found || q.keys[id] < q.last) {
+				q.last, found = q.keys[id], true
+			}
 		}
+		if !found {
+			continue
+		}
+		// Every key of bucket i agrees with the new last above bit i−1,
+		// so each entry lands in a bucket below i and b is not appended to.
+		for _, id := range b {
+			if alive[id] {
+				q.update(id)
+			}
+		}
+		return true
 	}
-	q.far = live
-	if len(live) == 0 {
-		return false
-	}
-	q.base = min
-	q.cur = 0
-	src := q.far
-	q.far = q.far[:0]
-	for _, id := range src {
-		q.place(id, q.keys[id]) // write index trails read index: safe
-	}
-	return true
+	return false
 }

@@ -6,8 +6,10 @@ package peel
 // Structure of every engine below:
 //
 //  1. compute the initial support vector once (parallel, arena-backed);
-//  2. file everything into a bucketQueue (or a worklist for the k-core
-//     style fixpoints, which need no levels);
+//  2. file everything into a bucketQueue, a monotone radix heap in
+//     which an entry moves at most 64 times and an extraction scans at
+//     most 65 buckets plus the entries it moves or discards (or into a
+//     worklist for the k-core style fixpoints, which need no levels);
 //  3. repeatedly extract the lowest bucket as a batch and apply
 //     core.TipDeltaBatch / core.WingStateDeltaBatch, which decrement
 //     only the supports the batch actually changed;
@@ -23,12 +25,6 @@ import (
 	"butterfly/internal/core"
 	"butterfly/internal/graph"
 )
-
-// bucketWidth is the open-window width of the delta engines' bucket
-// queues. 64 levels per window keeps redistribution rare on real
-// (shallow) peeling hierarchies while bounding the empty-bucket scans
-// on adversarially deep ones.
-const bucketWidth = 64
 
 // tipDecompositionDelta computes the same tip numbers as
 // TipDecomposition / tipDecompositionRecount with the incremental
@@ -54,7 +50,7 @@ func tipDecompositionDelta(g *graph.Bipartite, side core.Side, threads int, stag
 	for i := range alive {
 		alive[i] = true
 	}
-	q := newBucketQueue(s, alive, bucketWidth)
+	q := newBucketQueue(s, alive)
 	dirty := make([]int32, n)
 	var (
 		batch   = make([]int64, 0, 256)
@@ -175,7 +171,7 @@ func wingDecompositionDelta(g *graph.Bipartite, threads int, stage stageFunc) ([
 	}
 	inBatch := make([]bool, nnz)
 	dirty := make([]int32, nnz)
-	q := newBucketQueue(sup, alive, bucketWidth)
+	q := newBucketQueue(sup, alive)
 	var (
 		batch   = make([]int64, 0, 256)
 		touched = make([]int64, 0, 256)

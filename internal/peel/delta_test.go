@@ -198,76 +198,6 @@ func TestEngineString(t *testing.T) {
 	}
 }
 
-// bucketQueue unit tests: lazy decrease + batch extraction must drain
-// ids in nondecreasing key order with exactly-once extraction, across
-// window rebuckets.
-func TestBucketQueueDrainsInOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	n := 500
-	keys := make([]int64, n)
-	alive := make([]bool, n)
-	for i := range keys {
-		keys[i] = int64(rng.Intn(1000)) // forces rebucketing past width 8
-		alive[i] = true
-	}
-	q := newBucketQueue(keys, alive, 8)
-	seen := make([]bool, n)
-	var lastLevel int64 = -1
-	total := 0
-	var batch []int64
-	for {
-		var level int64
-		var ok bool
-		batch, level, ok = q.nextBatch(batch[:0], alive)
-		if !ok {
-			break
-		}
-		if level < lastLevel {
-			t.Fatalf("level regressed: %d after %d", level, lastLevel)
-		}
-		lastLevel = level
-		for _, id := range batch {
-			if seen[id] {
-				t.Fatalf("id %d extracted twice", id)
-			}
-			seen[id] = true
-			if keys[id] > level {
-				t.Fatalf("id %d extracted at level %d with key %d", id, level, keys[id])
-			}
-			total++
-		}
-	}
-	if total != n {
-		t.Fatalf("extracted %d of %d ids", total, n)
-	}
-}
-
-// Keys decreased between batches must be honored: an id whose key drops
-// to the current level cascades into the same level's sub-rounds.
-func TestBucketQueueCascadeWithinLevel(t *testing.T) {
-	keys := []int64{0, 5, 9}
-	alive := []bool{true, true, true}
-	q := newBucketQueue(keys, alive, 4)
-	batch, level, ok := q.nextBatch(nil, alive)
-	if !ok || level != 0 || len(batch) != 1 || batch[0] != 0 {
-		t.Fatalf("first batch: %v level %d ok %v", batch, level, ok)
-	}
-	// Peeling id 0 drops id 2's key below the cursor; it must clamp.
-	keys[2] = 0
-	q.update(2)
-	batch, level, ok = q.nextBatch(batch[:0], alive)
-	if !ok || level != 0 || len(batch) != 1 || batch[0] != 2 {
-		t.Fatalf("cascade batch: %v level %d ok %v", batch, level, ok)
-	}
-	batch, level, ok = q.nextBatch(batch[:0], alive)
-	if !ok || level != 5 || len(batch) != 1 || batch[0] != 1 {
-		t.Fatalf("final batch: %v level %d ok %v", batch, level, ok)
-	}
-	if _, _, ok = q.nextBatch(batch[:0], alive); ok {
-		t.Fatal("queue should be exhausted")
-	}
-}
-
 // The delta engines' loops reuse one arena and their scratch slices;
 // a full decomposition's allocations amortize to the initial vectors
 // and the bucket queue's growth to its high-water mark. Per-round
