@@ -324,23 +324,14 @@ var peelEngineCases = []struct {
 	{"recount-t6", PeelOptions{Engine: PeelRecount, Threads: 6}},
 }
 
-// BenchmarkTipDecomposition measures the full peeling order: the
-// sequential heap baseline and both engines. The skewed power-law
+// BenchmarkTipDecomposition measures the full peeling order on both
+// engines. The skewed power-law
 // graph gives a deep peeling hierarchy, which is where the engines
 // diverge: the recount engine pays a full support sweep per level
 // while the delta engine only pays for the butterflies destroyed.
 func BenchmarkTipDecomposition(b *testing.B) {
 	g := benchSynthetic(b, "tip-decomp", func() (*Graph, error) {
 		return GeneratePowerLaw(1500, 1200, 6000, 0.7, 0.7, 33)
-	})
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tn, err := g.TipNumbers(V1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink = int64(len(tn))
-		}
 	})
 	for _, c := range peelEngineCases {
 		b.Run(c.name, func(b *testing.B) {
@@ -355,16 +346,11 @@ func BenchmarkTipDecomposition(b *testing.B) {
 	}
 }
 
-// BenchmarkWingDecomposition measures the full edge peeling order: the
-// sequential heap baseline and both engines.
+// BenchmarkWingDecomposition measures the full edge peeling order on
+// both engines.
 func BenchmarkWingDecomposition(b *testing.B) {
 	g := benchSynthetic(b, "wing-decomp", func() (*Graph, error) {
 		return GeneratePowerLaw(1500, 1200, 6000, 0.7, 0.7, 34)
-	})
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink = int64(len(g.WingNumbers()))
-		}
 	})
 	for _, c := range peelEngineCases {
 		b.Run(c.name, func(b *testing.B) {

@@ -85,7 +85,7 @@ func TestRunDynamic(t *testing.T) {
 func TestRunDistAndPeeling(t *testing.T) {
 	for table, marker := range map[string]string{
 		"dist":    "Gini",
-		"peeling": "tip-numbers-rounds",
+		"peeling": "tip-numbers-recount",
 	} {
 		var sb strings.Builder
 		if err := run([]string{"-table", table, "-scale", "200"}, &sb); err != nil {

@@ -10,9 +10,10 @@
 //
 // Engines (-engine): "delta" (default) is the incremental wedge-delta
 // peeling engine; "recount" is the round-synchronous engine that
-// recomputes all supports every round. Both produce identical results;
-// -engine "" with -threads 1 keeps the classic sequential heap
-// algorithms for tip/wing and numbers modes.
+// recomputes all supports every round. Both produce identical results
+// at every -threads value (default 1; capped at GOMAXPROCS). In tip
+// mode, -lookahead runs the Fig 8 look-ahead k-tip algorithm instead,
+// sequentially. densest mode always runs its own sequential greedy peel.
 //
 // Examples:
 //
@@ -71,8 +72,8 @@ func run(args []string, out io.Writer) error {
 		k       = fs.Int64("k", 1, "peeling threshold")
 		side    = fs.String("side", "v1", "vertex side for tip modes: v1|v2")
 		ahead   = fs.Bool("lookahead", false, "use the Fig 8 look-ahead k-tip algorithm")
-		threads = fs.Int("threads", 1, ">1 runs the engine-based parallel variants")
-		engine  = fs.String("engine", "", "peeling engine: delta|recount (empty keeps the sequential heap path at -threads 1)")
+		threads = fs.Int("threads", 1, "peeling engine workers (capped at GOMAXPROCS)")
+		engine  = fs.String("engine", "delta", "peeling engine: delta|recount")
 		jsonOut = fs.Bool("json", false, "emit one JSON result object instead of text")
 		outPath = fs.String("out", "", "write resulting subgraph (tip/wing modes) to this KONECT file")
 	)
@@ -82,17 +83,13 @@ func run(args []string, out io.Writer) error {
 
 	var eng butterfly.PeelEngine
 	switch *engine {
-	case "", "delta":
+	case "delta":
 		eng = butterfly.PeelDelta
 	case "recount":
 		eng = butterfly.PeelRecount
 	default:
 		return fmt.Errorf("unknown -engine %q (want delta|recount)", *engine)
 	}
-	// The engine path is taken when an engine is named explicitly or the
-	// run is parallel; -threads 1 without -engine keeps the classic
-	// sequential heap algorithms.
-	useEngine := *engine != "" || *threads > 1
 	opts := butterfly.PeelOptions{Engine: eng, Threads: *threads}
 
 	g, err := loadGraph(*file, *mm, *dataset, *scale)
@@ -127,13 +124,10 @@ func run(args []string, out io.Writer) error {
 	case "tip":
 		var h *butterfly.Graph
 		var st butterfly.PeelStats
-		switch {
-		case useEngine:
-			h, st, err = g.KTipWith(*k, sd, opts)
-		case *ahead:
+		if *ahead {
 			h, err = g.KTipLookAhead(*k, sd)
-		default:
-			h, err = g.KTip(*k, sd)
+		} else {
+			h, st, err = g.KTipWith(*k, sd, opts)
 		}
 		if err != nil {
 			return err
@@ -150,13 +144,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return report(out, h, *outPath, fmt.Sprintf("%d-tip (%s side)", *k, sd), start)
 	case "wing":
-		var h *butterfly.Graph
-		var st butterfly.PeelStats
-		if useEngine {
-			h, st, err = g.KWingWith(*k, opts)
-		} else {
-			h, err = g.KWing(*k)
-		}
+		h, st, err := g.KWingWith(*k, opts)
 		if err != nil {
 			return err
 		}
@@ -172,13 +160,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return report(out, h, *outPath, fmt.Sprintf("%d-wing", *k), start)
 	case "tip-numbers":
-		var tn []int64
-		var st butterfly.PeelStats
-		if useEngine {
-			tn, st, err = g.TipNumbersWith(sd, opts)
-		} else {
-			tn, err = g.TipNumbers(sd)
-		}
+		tn, st, err := g.TipNumbersWith(sd, opts)
 		if err != nil {
 			return err
 		}
@@ -193,13 +175,7 @@ func run(args []string, out io.Writer) error {
 		histogram(out, tn)
 		return nil
 	case "wing-numbers":
-		var wn []butterfly.EdgeCount
-		var st butterfly.PeelStats
-		if useEngine {
-			wn, st = g.WingNumbersWith(opts)
-		} else {
-			wn = g.WingNumbers()
-		}
+		wn, st := g.WingNumbersWith(opts)
 		vals := make([]int64, len(wn))
 		for i, w := range wn {
 			vals[i] = w.Count

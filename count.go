@@ -416,7 +416,7 @@ type EdgeCount struct {
 // number of butterflies containing it (the matrix S_w of the paper's
 // equation (25)). The supports sum to four times the total count.
 func (g *Graph) EdgeSupports() []EdgeCount {
-	s := core.EdgeSupport(g.g)
+	s := core.EdgeSupportInto(nil, g.g, 1, nil)
 	out := make([]EdgeCount, 0, s.NNZ())
 	for u := 0; u < s.R; u++ {
 		row := s.Row(u)

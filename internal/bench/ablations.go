@@ -252,27 +252,29 @@ func BalanceTable(names []string, dataDir string, scale, threads int) ([]Balance
 	return rows, nil
 }
 
-// PeelingPoint compares sequential and round-synchronous peeling.
+// PeelingPoint is one timed peeling variant.
 type PeelingPoint struct {
 	Name    string
 	Seconds float64
 }
 
-// PeelingComparison times tip/wing extraction variants on g at
-// threshold k with the given worker count for the round variants.
+// PeelingComparison times the k-tip variants (recount engine and the
+// Fig 8 look-ahead), the tip decomposition on both engines and the
+// recount k-wing on g at threshold k, with the given worker count for
+// the engines.
 func PeelingComparison(g *graph.Bipartite, k int64, threads int) []PeelingPoint {
-	out := make([]PeelingPoint, 0, 6)
+	out := make([]PeelingPoint, 0, 5)
 	recount := peel.Options{Engine: peel.EngineRecount, Threads: threads}
+	delta := peel.Options{Engine: peel.EngineDelta, Threads: threads}
 	add := func(name string, fn func()) {
 		d, _ := TimeIt(func() int64 { fn(); return 0 })
 		out = append(out, PeelingPoint{Name: name, Seconds: d.Seconds()})
 	}
-	add("ktip-iterative", func() { peel.KTipSubgraph(g, k, core.SideV1) })
+	add("ktip-recount", func() { peel.KTipWith(g, k, core.SideV1, recount) })
 	add("ktip-lookahead", func() { peel.KTipLookAhead(g, k, core.SideV1) })
-	add("ktip-parallel", func() { peel.KTipWith(g, k, core.SideV1, recount) })
-	add("tip-numbers-heap", func() { peel.TipDecomposition(g, core.SideV1) })
-	add("tip-numbers-rounds", func() { peel.TipNumbersWith(g, core.SideV1, recount) })
-	add("kwing-iterative", func() { peel.KWingSubgraph(g, k) })
+	add("tip-numbers-delta", func() { peel.TipNumbersWith(g, core.SideV1, delta) })
+	add("tip-numbers-recount", func() { peel.TipNumbersWith(g, core.SideV1, recount) })
+	add("kwing-recount", func() { peel.KWingWith(g, k, recount) })
 	return out
 }
 

@@ -220,13 +220,15 @@ func TestDynamicThroughput(t *testing.T) {
 func TestPeelingComparison(t *testing.T) {
 	g := gen.PowerLawBipartite(200, 150, 1000, 0.7, 0.7, 10)
 	pts := PeelingComparison(g, 1, 2)
-	if len(pts) != 6 {
-		t.Fatalf("%d variants", len(pts))
-	}
 	var sb strings.Builder
 	PrintPeeling(&sb, pts)
-	if !strings.Contains(sb.String(), "ktip-lookahead") {
-		t.Fatal("peeling print incomplete")
+	for _, name := range []string{"ktip-recount", "ktip-lookahead", "tip-numbers-delta", "tip-numbers-recount", "kwing-recount"} {
+		if !strings.Contains(sb.String(), name) {
+			t.Fatalf("peeling print lacks %q: %q", name, sb.String())
+		}
+	}
+	if len(pts) != 5 {
+		t.Fatalf("%d variants", len(pts))
 	}
 }
 

@@ -33,6 +33,10 @@ type workspace struct {
 	// rounds append without allocating.
 	vout []int32
 	eout []int64
+
+	// Edge-support scratch (edge.go), lazily allocated: a V2 sweep's
+	// values in Aᵀ's flat order followed by the scatter cursor.
+	ebuf []int64
 }
 
 func newWorkspace(n int) *workspace {

@@ -42,8 +42,8 @@ func TestQuickTipDeltaBatchExact(t *testing.T) {
 			if len(batch) == 0 {
 				continue
 			}
-			s := VertexButterfliesMasked(g, side, before)
-			want := VertexButterfliesMasked(g, side, after)
+			s := vertexButterfliesMasked(g, side, before)
+			want := vertexButterfliesMasked(g, side, after)
 
 			dirty := make([]int32, n)
 			var touched []int32
@@ -146,7 +146,7 @@ func supportInto(sup []int64, g *graph.Bipartite, keep func(int) bool) {
 	}
 	sub := b.Build()
 	vals := make([]int64, sub.NumEdges())
-	EdgeSupportParallelInto(vals, sub, 1, nil)
+	EdgeSupportInto(vals, sub, 1, nil)
 	for i, e := range kept {
 		sup[e] = vals[i]
 	}

@@ -8,10 +8,13 @@ import (
 	"butterfly/internal/sparse"
 )
 
-// EdgeSupport returns the support matrix S_w of equation (25): a matrix
-// with the pattern of A whose (u, v) value is the number of butterflies
-// containing the edge (u, v). Σ of all supports is 4·ΞG (a butterfly
-// has four edges).
+// EdgeSupportInto returns the support matrix S_w of equation (25): a
+// matrix with the pattern of A whose (u, v) value is the number of
+// butterflies containing the edge (u, v). Σ of all supports is 4·ΞG (a
+// butterfly has four edges). vals (len ≥ NNZ, or nil to allocate)
+// receives the values in A's flat edge order and the result shares A's
+// pattern; scratch comes from the arena (nil allowed), so a peeling
+// loop that reuses vals and the arena allocates only the CSR header.
 //
 // Per exposed vertex u the wedge multiplicities β_uw are accumulated
 // once (equation (23)'s Σ_w |N(u)∩N(w)| term); each incident edge
@@ -20,152 +23,127 @@ import (
 // (25) executed one row at a time.
 //
 // Orientation: the sweep's work is Σ_{v∈V2} deg(v)² when exposing V1
-// and Σ_{u∈V1} deg(u)² when exposing V2, so EdgeSupport computes on
-// the cheaper side and transposes the result back into A's pattern.
-func EdgeSupport(g *graph.Bipartite) *sparse.CSR {
-	if edgeSupportOrientationCost(g) > edgeSupportOrientationCost(g.Transposed()) {
-		return sparse.Transpose(edgeSupportRange(g.Transposed(), 0, g.NumV2(), nil))
+// and Σ_{u∈V1} deg(u)² when exposing V2, so the sweep exposes the
+// cheaper side at every thread count. A V2 sweep fills arena scratch in
+// Aᵀ's flat order, which a per-column cursor then scatters back into
+// A's order.
+//
+// With threads > 1, rows are scheduled by work units — a hub row caps
+// its chunk — but stay atomic, because the per-edge gather needs the
+// row's complete β accumulator; splitting hub rows is the counting
+// kernel's job (see countParallel), not the support sweep's.
+func EdgeSupportInto(vals []int64, g *graph.Bipartite, threads int, a *Arena) *sparse.CSR {
+	adj, adjT := g.Adj(), g.AdjT()
+	nnz := adj.NNZ()
+	if vals == nil {
+		vals = make([]int64, nnz)
 	}
-	return edgeSupportRange(g, 0, g.NumV1(), nil)
+	out := &sparse.CSR{R: adj.R, C: adj.C, Ptr: adj.Ptr, Col: adj.Col, Val: vals[:nnz]}
+	if supportSweepWork(adjT) <= supportSweepWork(adj) {
+		supportSweep(out.Val, adj, adjT, threads, a)
+		return out
+	}
+	ws := a.get(0)
+	if int64(cap(ws.ebuf)) < nnz+int64(adjT.R) {
+		ws.ebuf = make([]int64, nnz+int64(adjT.R))
+	}
+	tvals, next := ws.ebuf[:nnz], ws.ebuf[nnz:nnz+int64(adjT.R)]
+	supportSweep(tvals, adjT, adj, threads, a)
+	copy(next, adjT.Ptr[:adjT.R])
+	for k, v := range adj.Col {
+		out.Val[k] = tvals[next[v]]
+		next[v]++
+	}
+	a.put(ws)
+	return out
 }
 
-// edgeSupportOrientationCost estimates the β-accumulation work of an
-// exposed-V1 sweep: Σ_{v∈V2} deg(v)².
-func edgeSupportOrientationCost(g *graph.Bipartite) int64 {
+// supportSweepWork is the β-accumulation work of a sweep whose
+// partners come from the rows of secondary: Σ over its rows of deg².
+func supportSweepWork(secondary *sparse.CSR) int64 {
 	var c int64
-	for v := 0; v < g.NumV2(); v++ {
-		d := int64(g.DegreeV2(v))
+	for y := 0; y < secondary.R; y++ {
+		d := secondary.Ptr[y+1] - secondary.Ptr[y]
 		c += d * d
 	}
 	return c
 }
 
-// EdgeSupportParallel computes the same matrix with up to `threads`
-// workers; each worker owns disjoint rows of the output.
-func EdgeSupportParallel(g *graph.Bipartite, threads int) *sparse.CSR {
-	if threads <= 1 {
-		return EdgeSupport(g)
+// supportSweep fills vals, in exposed's flat edge order, with the
+// support of every edge, on up to `threads` workers.
+func supportSweep(vals []int64, exposed, secondary *sparse.CSR, threads int, a *Arena) {
+	n := exposed.R
+	if threads > 1 {
+		units := buildSchedule(edgeWorkPerRow(exposed, secondary), false, threads, schedTuning{}, nil,
+			func(int) int { return 1 }, // rows are atomic: never split
+			nil, nil).units
+		if threads = min(threads, len(units)); threads > 1 {
+			var (
+				cursor atomic.Int64
+				wg     sync.WaitGroup
+			)
+			for t := 0; t < threads; t++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ws := a.get(n)
+					defer a.put(ws)
+					for {
+						i := int(cursor.Add(1)) - 1
+						if i >= len(units) {
+							return
+						}
+						supportRows(exposed, secondary, units[i].lo, units[i].hi, vals, ws)
+					}
+				}()
+			}
+			wg.Wait()
+			return
+		}
 	}
-	return EdgeSupportParallelInto(nil, g, threads, nil)
+	ws := a.get(n)
+	supportRows(exposed, secondary, 0, n, vals, ws)
+	a.put(ws)
 }
 
 // edgeWorkPerRow returns the modeled support work of each exposed row:
 // Σ over incident columns v of deg(v), the row-scan cost shared by the
 // β-accumulation and gather passes.
-func edgeWorkPerRow(g *graph.Bipartite) []int64 {
-	adj, adjT := g.Adj(), g.AdjT()
-	work := make([]int64, adj.R)
-	for u := 0; u < adj.R; u++ {
+func edgeWorkPerRow(exposed, secondary *sparse.CSR) []int64 {
+	work := make([]int64, exposed.R)
+	for u := range work {
 		var w int64
-		for _, v := range adj.Row(u) {
-			w += int64(adjT.RowDeg(int(v)))
+		for _, v := range exposed.Row(u) {
+			w += int64(secondary.RowDeg(int(v)))
 		}
 		work[u] = w
 	}
 	return work
 }
 
-// EdgeSupportParallelInto is the allocation-conscious form used by
-// peeling loops: vals (len ≥ NNZ, or nil to allocate) receives the
-// support values and scratch comes from the arena, so repeated rounds
-// reuse every buffer. Rows are scheduled by work units — a hub row caps
-// its chunk — but stay atomic, because the per-edge gather needs the
-// row's complete β accumulator; splitting hub rows is the counting
-// kernel's job (see countParallel), not the support sweep's.
-func EdgeSupportParallelInto(vals []int64, g *graph.Bipartite, threads int, a *Arena) *sparse.CSR {
-	adj := g.Adj()
-	if vals == nil {
-		vals = make([]int64, adj.NNZ())
-	}
-	out := &sparse.CSR{R: adj.R, C: adj.C, Ptr: adj.Ptr, Col: adj.Col, Val: vals[:adj.NNZ()]}
-	n1 := g.NumV1()
-
-	seq := func() *sparse.CSR {
-		ws := a.get(n1)
-		touched := ws.touched
-		supportRows(g, 0, n1, out.Val, ws.acc, &touched)
-		ws.touched = touched
-		a.put(ws)
-		return out
-	}
-	if threads <= 1 {
-		return seq()
-	}
-
-	work := edgeWorkPerRow(g)
-	sched := buildSchedule(work, false, threads, schedTuning{}, nil,
-		func(int) int { return 1 }, // rows are atomic: never split
-		nil, nil)
-	if threads > len(sched.units) {
-		threads = len(sched.units)
-	}
-	if threads <= 1 {
-		return seq()
-	}
-
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	nUnits := len(sched.units)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := a.get(n1)
-			defer a.put(ws)
-			touched := ws.touched
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= nUnits {
-					break
-				}
-				u := &sched.units[i]
-				supportRows(g, u.lo, u.hi, out.Val, ws.acc, &touched)
-			}
-			ws.touched = touched
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// edgeSupportRange computes supports for rows [lo, hi); vals may be nil
-// to allocate the full output.
-func edgeSupportRange(g *graph.Bipartite, lo, hi int, vals []int64) *sparse.CSR {
-	adj := g.Adj()
-	if vals == nil {
-		vals = make([]int64, adj.NNZ())
-	}
-	acc := make([]int32, g.NumV1())
-	touched := make([]int32, 0, 1024)
-	supportRows(g, lo, hi, vals, acc, &touched)
-	return &sparse.CSR{R: adj.R, C: adj.C, Ptr: adj.Ptr, Col: adj.Col, Val: vals}
-}
-
-// supportRows fills support values for exposed rows [lo, hi) of A.
-func supportRows(g *graph.Bipartite, lo, hi int, vals []int64, acc []int32, touched *[]int32) {
-	adj, adjT := g.Adj(), g.AdjT()
+// supportRows fills support values for exposed rows [lo, hi).
+func supportRows(exposed, secondary *sparse.CSR, lo, hi int, vals []int64, ws *workspace) {
+	acc, touched := ws.acc, ws.touched
 	for u := lo; u < hi; u++ {
 		u32 := int32(u)
-		urow := adj.Row(u)
+		urow := exposed.Row(u)
 		// β_uw for every partner w sharing a neighbor with u.
 		for _, v := range urow {
-			for _, w := range adjT.Row(int(v)) {
+			for _, w := range secondary.Row(int(v)) {
 				if w == u32 {
 					continue
 				}
 				if acc[w] == 0 {
-					*touched = append(*touched, w)
+					touched = append(touched, w)
 				}
 				acc[w]++
 			}
 		}
 		// Gather per incident edge: support(u,v) = Σ_{w∈N(v),w≠u}(β_uw−1).
-		base := adj.Ptr[u]
+		base := exposed.Ptr[u]
 		for k, v := range urow {
 			var s int64
-			for _, w := range adjT.Row(int(v)) {
+			for _, w := range secondary.Row(int(v)) {
 				if w == u32 {
 					continue
 				}
@@ -173,11 +151,12 @@ func supportRows(g *graph.Bipartite, lo, hi int, vals []int64, acc []int32, touc
 			}
 			vals[base+int64(k)] = s
 		}
-		for _, w := range *touched {
+		for _, w := range touched {
 			acc[w] = 0
 		}
-		*touched = (*touched)[:0]
+		touched = touched[:0]
 	}
+	ws.touched = touched
 }
 
 // EdgeSupportSpGEMM computes the support matrix by executing equation

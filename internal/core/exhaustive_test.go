@@ -89,7 +89,7 @@ func TestExhaustivePerVertexAndEdge3x3(t *testing.T) {
 		if vs != 2*total {
 			t.Fatalf("graph %v: Σ vertex counts %d, want %d", d.Data, vs, 2*total)
 		}
-		if got := sparse.SumAll(EdgeSupport(g)); got != 4*total {
+		if got := sparse.SumAll(edgeSupport(g)); got != 4*total {
 			t.Fatalf("graph %v: Σ supports %d, want %d", d.Data, got, 4*total)
 		}
 	})

@@ -201,7 +201,7 @@ func TestVertexButterfliesIntoMatchesSequential(t *testing.T) {
 			active[i] = rng.Intn(4) > 0
 		}
 		wantFull := VertexButterflies(g, side)
-		wantMasked := VertexButterfliesMasked(g, side, active)
+		wantMasked := vertexButterfliesMasked(g, side, active)
 		s := make([]int64, n)
 		for _, threads := range []int{1, 2, 4, 8} {
 			VertexButterfliesMaskedInto(s, g, side, nil, threads, arena)
@@ -220,19 +220,33 @@ func TestVertexButterfliesIntoMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestEdgeSupportParallelIntoMatches(t *testing.T) {
-	g := gen.PowerLawBipartite(600, 450, 4000, 0.8, 0.75, 21)
-	want := EdgeSupport(g)
+// cheaperSidePair returns g oriented so that the support sweep's
+// cheaper side is V1, and its transpose, whose cheaper side is V2.
+func cheaperSidePair(t testing.TB, g *graph.Bipartite) [2]*graph.Bipartite {
+	t.Helper()
+	v1, v2 := supportSweepWork(g.AdjT()), supportSweepWork(g.Adj())
+	switch {
+	case v1 < v2:
+		return [2]*graph.Bipartite{g, g.Transposed()}
+	case v1 > v2:
+		return [2]*graph.Bipartite{g.Transposed(), g}
+	}
+	t.Fatal("both orientations cost the same; pick an asymmetric graph")
+	return [2]*graph.Bipartite{}
+}
+
+// EdgeSupportInto equals the linear-algebra cross-check on both
+// orientations, sequential and parallel, with one vals buffer and one
+// arena reused across every call.
+func TestEdgeSupportIntoMatchesSpGEMM(t *testing.T) {
 	arena := NewArena()
-	vals := make([]int64, g.NumEdges())
-	for _, threads := range []int{1, 2, 4, 8} {
-		got := EdgeSupportParallelInto(vals, g, threads, arena)
-		if got.NNZ() != want.NNZ() {
-			t.Fatalf("threads=%d: nnz %d, want %d", threads, got.NNZ(), want.NNZ())
-		}
-		for e := range want.Val {
-			if got.Val[e] != want.Val[e] {
-				t.Fatalf("threads=%d edge %d: %d, want %d", threads, e, got.Val[e], want.Val[e])
+	for i, g := range cheaperSidePair(t, gen.PowerLawBipartite(600, 450, 4000, 0.8, 0.75, 21)) {
+		want := EdgeSupportSpGEMM(g)
+		vals := make([]int64, g.NumEdges())
+		for _, threads := range []int{1, 3, 1} {
+			got := EdgeSupportInto(vals, g, threads, arena)
+			if !got.Equal(want) {
+				t.Fatalf("cheaper side V%d threads=%d: supports differ from SpGEMM", i+1, threads)
 			}
 		}
 	}

@@ -55,7 +55,7 @@ func VertexButterflies(g *graph.Bipartite, side Side) []int64 {
 func VertexButterfliesParallel(g *graph.Bipartite, side Side, threads int) []int64 {
 	exposed, _ := vertexOrient(g, side)
 	s := make([]int64, exposed.R)
-	vertexButterfliesInto(s, g, side, nil, threads, nil)
+	VertexButterfliesMaskedInto(s, g, side, nil, threads, nil)
 	return s
 }
 
@@ -177,11 +177,14 @@ func vertexWork(exposed, secondary *sparse.CSR, active []bool) ([]int64, func(k,
 	}
 }
 
-// vertexButterfliesInto fills s (len = side size) with per-vertex
-// butterfly counts, optionally masked to active vertices, with up to
-// `threads` workers and scratch from a (nil allowed). s is zeroed
-// first, so one buffer can serve every round of a peeling loop.
-func vertexButterfliesInto(s []int64, g *graph.Bipartite, side Side, active []bool, threads int, a *Arena) {
+// VertexButterfliesMaskedInto fills s (len = side size) with per-vertex
+// butterfly counts for the chosen side, counting only butterflies whose
+// two exposed-side vertices are both active; entries of inactive
+// vertices are zero, and active may be nil for an unmasked count. It
+// runs on up to `threads` workers with scratch from a (nil allowed).
+// s is zeroed first, so one buffer and one arena serve every round of a
+// peeling loop without allocating (see TestTipRoundsArenaZeroAlloc).
+func VertexButterfliesMaskedInto(s []int64, g *graph.Bipartite, side Side, active []bool, threads int, a *Arena) {
 	exposed, secondary := vertexOrient(g, side)
 	n := exposed.R
 	if len(s) != n {
@@ -270,37 +273,4 @@ func vertexButterfliesInto(s []int64, g *graph.Bipartite, side Side, active []bo
 		}
 		a.put(ws)
 	}
-}
-
-// VertexButterfliesMasked computes per-vertex butterfly counts for the
-// chosen side counting only butterflies whose two exposed-side vertices
-// are both active. Entries of inactive vertices are zero.
-func VertexButterfliesMasked(g *graph.Bipartite, side Side, active []bool) []int64 {
-	exposed, secondary := vertexOrient(g, side)
-	if len(active) != exposed.R {
-		panic("core: active mask length mismatch")
-	}
-	s := make([]int64, exposed.R)
-	ws := newWorkspace(exposed.R)
-	vertexHalfInto(s, exposed, secondary, active, ws)
-	return s
-}
-
-// VertexButterfliesMaskedParallel is VertexButterfliesMasked with up to
-// `threads` workers on the work-weighted schedule; results are
-// identical to the sequential version.
-func VertexButterfliesMaskedParallel(g *graph.Bipartite, side Side, active []bool, threads int) []int64 {
-	exposed, _ := vertexOrient(g, side)
-	s := make([]int64, exposed.R)
-	vertexButterfliesInto(s, g, side, active, threads, nil)
-	return s
-}
-
-// VertexButterfliesMaskedInto is the allocation-conscious form used by
-// peeling loops: the caller supplies the output buffer and an arena,
-// so repeated rounds over the same graph allocate nothing (see
-// TestTipRoundsArenaZeroAlloc). s must have the side's length; active
-// may be nil for an unmasked count.
-func VertexButterfliesMaskedInto(s []int64, g *graph.Bipartite, side Side, active []bool, threads int, a *Arena) {
-	vertexButterfliesInto(s, g, side, active, threads, a)
 }

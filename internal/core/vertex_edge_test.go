@@ -98,7 +98,7 @@ func TestQuickVertexButterfliesMaskedMatchesInduced(t *testing.T) {
 			}
 		}
 		want := dense.SpecVertexButterflies(masked)
-		got := VertexButterfliesMasked(g, SideV1, active)
+		got := vertexButterfliesMasked(g, SideV1, active)
 		for i := range want {
 			if got[i] != want[i] {
 				return false
@@ -118,7 +118,20 @@ func TestVertexButterfliesMaskedLengthPanics(t *testing.T) {
 			t.Fatal("bad mask length did not panic")
 		}
 	}()
-	VertexButterfliesMasked(g, SideV1, make([]bool, 2))
+	VertexButterfliesMaskedInto(make([]int64, 3), g, SideV1, make([]bool, 2), 1, nil)
+}
+
+// vertexButterfliesMasked is the one-thread masked per-vertex count
+// into a fresh buffer.
+func vertexButterfliesMasked(g *graph.Bipartite, side Side, active []bool) []int64 {
+	s := make([]int64, len(active))
+	VertexButterfliesMaskedInto(s, g, side, active, 1, nil)
+	return s
+}
+
+// edgeSupport is the one-thread support sweep into a fresh buffer.
+func edgeSupport(g *graph.Bipartite) *sparse.CSR {
+	return EdgeSupportInto(nil, g, 1, nil)
 }
 
 func TestSideString(t *testing.T) {
@@ -132,7 +145,7 @@ func TestQuickEdgeSupportMatchesSpec(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d, g := randGraphAndDense(rng, 12)
 		want := dense.SpecEdgeSupport(d)
-		got := EdgeSupport(g)
+		got := edgeSupport(g)
 		return sparse.ToDense(got).Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -144,8 +157,8 @@ func TestQuickEdgeSupportParallelMatches(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 15)
-		want := EdgeSupport(g)
-		got := EdgeSupportParallel(g, 4)
+		want := edgeSupport(g)
+		got := EdgeSupportInto(nil, g, 4, nil)
 		return got.Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -153,17 +166,10 @@ func TestQuickEdgeSupportParallelMatches(t *testing.T) {
 	}
 }
 
-func TestEdgeSupportParallelSingleThreadDelegates(t *testing.T) {
-	g := gen.CompleteBipartite(3, 4)
-	if !EdgeSupportParallel(g, 1).Equal(EdgeSupport(g)) {
-		t.Fatal("threads=1 differs")
-	}
-}
-
 func TestCountFromEdgeSupport(t *testing.T) {
 	g := gen.BicliqueChain(3, 3, 3)
 	want := CountAuto(g)
-	if got := CountFromEdgeSupport(EdgeSupport(g)); got != want {
+	if got := CountFromEdgeSupport(edgeSupport(g)); got != want {
 		t.Fatalf("CountFromEdgeSupport = %d, want %d", got, want)
 	}
 }
@@ -183,7 +189,7 @@ func TestEdgeSupportCompleteBipartite(t *testing.T) {
 	a, b := 4, 5
 	g := gen.CompleteBipartite(a, b)
 	want := int64((a - 1) * (b - 1))
-	s := EdgeSupport(g)
+	s := edgeSupport(g)
 	for u := 0; u < a; u++ {
 		for v := 0; v < b; v++ {
 			if got := s.At(u, v); got != want {
@@ -195,18 +201,18 @@ func TestEdgeSupportCompleteBipartite(t *testing.T) {
 
 // Orientation selection must be invisible: strongly asymmetric graphs
 // in both directions produce supports identical to the spec and to the
-// parallel (non-reoriented) path.
+// parallel sweep.
 func TestEdgeSupportOrientationInvisible(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dims := range [][2]int{{40, 5}, {5, 40}, {20, 20}} {
 		d := randDense(rng, dims[0], dims[1], 0.4)
 		g := graphOf(t, d)
-		got := EdgeSupport(g)
+		got := edgeSupport(g)
 		if !sparse.ToDense(got).Equal(dense.SpecEdgeSupport(d)) {
 			t.Fatalf("dims %v: support differs from spec", dims)
 		}
-		if !got.Equal(EdgeSupportParallel(g, 3)) {
-			t.Fatalf("dims %v: oriented differs from parallel", dims)
+		if !got.Equal(EdgeSupportInto(nil, g, 3, nil)) {
+			t.Fatalf("dims %v: sequential differs from parallel", dims)
 		}
 		// Flat-order alignment with Adj (wing peeling depends on it).
 		adj := g.Adj()
@@ -221,6 +227,35 @@ func TestEdgeSupportOrientationInvisible(t *testing.T) {
 	}
 }
 
+// TestEdgeSupportOrientationOnStandIns sweeps each of the five paper
+// stand-ins at scale 10 from both sides: the V2 sweep, mapped back to
+// A's flat order, equals the V1 sweep edge for edge, and EdgeSupportInto
+// returns the same values whichever side it picks.
+func TestEdgeSupportOrientationOnStandIns(t *testing.T) {
+	for _, name := range gen.PaperDatasetNames() {
+		g, err := gen.ScaledPaperDataset(name, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adj, adjT := g.Adj(), g.AdjT()
+		fromV1 := make([]int64, adj.NNZ())
+		fromV2 := make([]int64, adj.NNZ())
+		supportSweep(fromV1, adj, adjT, 2, nil)
+		supportSweep(fromV2, adjT, adj, 2, nil)
+		for j, e := range transposeEdgeMap(g) {
+			if fromV2[j] != fromV1[e] {
+				t.Fatalf("%s edge %d: V2 sweep %d, V1 sweep %d", name, e, fromV2[j], fromV1[e])
+			}
+		}
+		got := EdgeSupportInto(nil, g, 1, nil)
+		for e := range fromV1 {
+			if got.Val[e] != fromV1[e] {
+				t.Fatalf("%s edge %d: EdgeSupportInto %d, V1 sweep %d", name, e, got.Val[e], fromV1[e])
+			}
+		}
+	}
+}
+
 func TestQuickEdgeSupportSpGEMMMatchesSpec(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -230,7 +265,7 @@ func TestQuickEdgeSupportSpGEMMMatchesSpec(t *testing.T) {
 			return false
 		}
 		// Flat alignment with the sweep implementation.
-		return got.Equal(EdgeSupport(g))
+		return got.Equal(edgeSupport(g))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -239,7 +274,7 @@ func TestQuickEdgeSupportSpGEMMMatchesSpec(t *testing.T) {
 
 func TestEdgeSupportSpGEMMMedium(t *testing.T) {
 	g := gen.PowerLawBipartite(400, 300, 2500, 0.7, 0.7, 13)
-	if !EdgeSupportSpGEMM(g).Equal(EdgeSupport(g)) {
+	if !EdgeSupportSpGEMM(g).Equal(edgeSupport(g)) {
 		t.Fatal("SpGEMM support differs from sweep support")
 	}
 }
@@ -250,18 +285,12 @@ func TestVertexButterfliesMaskedParallelDirect(t *testing.T) {
 	for i := range active {
 		active[i] = i%3 != 0
 	}
-	want := VertexButterfliesMasked(g, SideV1, active)
-	got := VertexButterfliesMaskedParallel(g, SideV1, active, 4)
+	want := vertexButterfliesMasked(g, SideV1, active)
+	got := make([]int64, g.NumV1())
+	VertexButterfliesMaskedInto(got, g, SideV1, active, 4, nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("vertex %d: %d, want %d", i, got[i], want[i])
-		}
-	}
-	// threads ≤ 1 delegates.
-	got = VertexButterfliesMaskedParallel(g, SideV1, active, 1)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatal("delegation differs")
 		}
 	}
 	// V2 side path.
@@ -270,7 +299,8 @@ func TestVertexButterfliesMaskedParallelDirect(t *testing.T) {
 		activeV2[i] = true
 	}
 	wantV2 := VertexButterflies(g, SideV2)
-	gotV2 := VertexButterfliesMaskedParallel(g, SideV2, activeV2, 3)
+	gotV2 := make([]int64, g.NumV2())
+	VertexButterfliesMaskedInto(gotV2, g, SideV2, activeV2, 3, nil)
 	for i := range wantV2 {
 		if gotV2[i] != wantV2[i] {
 			t.Fatal("V2 masked parallel differs from unmasked")
@@ -285,7 +315,7 @@ func TestVertexButterfliesMaskedParallelPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	VertexButterfliesMaskedParallel(g, SideV1, make([]bool, 2), 4)
+	VertexButterfliesMaskedInto(make([]int64, 3), g, SideV1, make([]bool, 2), 4, nil)
 }
 
 func TestCaterpillarsClosedForms(t *testing.T) {

@@ -289,7 +289,7 @@ func TestWingStateDeltaSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}
 	sup := make([]int64, nnz)
-	EdgeSupportParallelInto(sup, g, 1, nil)
+	EdgeSupportInto(sup, g, 1, nil)
 	dirty := make([]int32, nnz)
 	touched := make([]int64, 0, nnz)
 	arena := NewArena()

@@ -17,9 +17,8 @@ package peel
 //
 // Total work is O(initial count + Σ butterfly-side deltas) instead of
 // the recount engine's O(levels × wedges of the surviving subgraph).
-// Peeling is confluent, so the results equal the recount and heap
-// engines' bit for bit (asserted by the differential tests in
-// delta_test.go).
+// Peeling is confluent, so the results equal the recount engine's bit
+// for bit (asserted by the differential tests in delta_test.go).
 
 import (
 	"butterfly/internal/core"
@@ -27,8 +26,7 @@ import (
 )
 
 // tipDecompositionDelta computes the same tip numbers as
-// TipDecomposition / tipDecompositionRecount with the incremental
-// engine and reports the number of peeled batches (sub-rounds). The
+// tipDecompositionRecount with the incremental engine and reports the number of peeled batches (sub-rounds). The
 // optional stage hook receives "peel.seed" and per-batch
 // "peel.round[i]".
 func tipDecompositionDelta(g *graph.Bipartite, side core.Side, threads int, stage stageFunc) ([]int64, int) {
@@ -94,7 +92,7 @@ func tipDecompositionDelta(g *graph.Bipartite, side core.Side, threads int, stag
 // instead of recomputing the butterfly vector to a fixpoint, it seeds a
 // worklist with the vertices below k and cascades exact decrements
 // until no survivor drops below the threshold. Returns the subgraph
-// (identical to KTipSubgraph) and the number of cascade rounds.
+// (identical to kTipRecount's) and the number of cascade rounds.
 func kTipDelta(g *graph.Bipartite, k int64, side core.Side, threads int, stage stageFunc) (*graph.Bipartite, int) {
 	n := g.NumV1()
 	if side == core.SideV2 {
@@ -146,8 +144,7 @@ func kTipDelta(g *graph.Bipartite, k int64, side core.Side, threads int, stage s
 }
 
 // wingDecompositionDelta computes the same wing numbers as
-// WingDecomposition / wingDecompositionRecount with the incremental
-// engine. Edge ids are flat indices into g.Adj(), as everywhere else.
+// wingDecompositionRecount with the incremental engine. Edge ids are flat indices into g.Adj(), as everywhere else.
 // Unlike the recount engine it never rebuilds the graph: peeled edges
 // are swap-deleted from the compacted core.WingPeelState, so each
 // batch's sweep touches only the surviving adjacency.
@@ -161,7 +158,7 @@ func wingDecompositionDelta(g *graph.Bipartite, threads int, stage stageFunc) ([
 	arena := core.NewArena()
 	sup := make([]int64, nnz)
 	t0 := stageNow(stage)
-	core.EdgeSupportParallelInto(sup, g, threads, arena)
+	core.EdgeSupportInto(sup, g, threads, arena)
 	emitStage(stage, "peel.seed", t0)
 	state := core.NewWingPeelState(g)
 
@@ -215,7 +212,7 @@ func wingDecompositionDelta(g *graph.Bipartite, threads int, stage stageFunc) ([
 // kWingDelta computes the k-wing subgraph with the incremental engine:
 // one support sweep, then exact cascading decrements, then a single
 // subgraph rebuild at the end (the recount engine rebuilds the whole
-// graph every round). Identical to KWingSubgraph; returns the cascade
+// graph every round). Identical to kWingRecount's; returns the cascade
 // round count.
 func kWingDelta(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*graph.Bipartite, int) {
 	adj := g.Adj()
@@ -226,7 +223,7 @@ func kWingDelta(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*gra
 	arena := core.NewArena()
 	sup := make([]int64, nnz)
 	t0 := stageNow(stage)
-	core.EdgeSupportParallelInto(sup, g, threads, arena)
+	core.EdgeSupportInto(sup, g, threads, arena)
 	emitStage(stage, "peel.seed", t0)
 	state := core.NewWingPeelState(g)
 

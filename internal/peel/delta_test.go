@@ -2,6 +2,7 @@ package peel
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -10,22 +11,16 @@ import (
 )
 
 // The incremental delta engine must produce the same tip numbers as the
-// heap-ordered sequential decomposition and the recount engine
-// (confluence) on random graphs, on both sides, sequential and
-// parallel. This is the tentpole differential test; it also runs under
-// -race in CI, which exercises the atomic paths of the delta kernels.
+// sequential recount engine (confluence) on random graphs, on both
+// sides, sequential and parallel. This is the tentpole differential
+// test; it also runs under -race in CI, which exercises the atomic
+// paths of the delta kernels.
 func TestQuickTipDeltaMatchesSequentialAndRecount(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 9)
 		for _, side := range []core.Side{core.SideV1, core.SideV2} {
-			want := TipDecomposition(g, side)
-			oracle := mustTip(tipDecompositionRecount(g, side, 2, nil))
-			for i := range want {
-				if oracle[i] != want[i] {
-					return false
-				}
-			}
+			want := tipNumbers(g, side)
 			for _, threads := range []int{1, 3} {
 				got, _ := tipDecompositionDelta(g, side, threads, nil)
 				for i := range want {
@@ -44,11 +39,11 @@ func TestQuickTipDeltaMatchesSequentialAndRecount(t *testing.T) {
 
 func TestTipDeltaMediumGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(300, 250, 2000, 0.7, 0.7, 3)
-	want := TipDecomposition(g, core.SideV1)
+	want := tipNumbers(g, core.SideV1)
 	got, rounds := tipDecompositionDelta(g, core.SideV1, 4, nil)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("vertex %d: delta %d, sequential %d", i, got[i], want[i])
+			t.Fatalf("vertex %d: delta %d, recount %d", i, got[i], want[i])
 		}
 	}
 	if rounds < 1 {
@@ -74,13 +69,7 @@ func TestQuickWingDeltaMatchesSequentialAndRecount(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 8)
-		want := WingDecomposition(g)
-		oracle := mustTip(wingDecompositionRecount(g, 2, nil))
-		for i := range want {
-			if oracle[i] != want[i] {
-				return false
-			}
-		}
+		want := wingNumbers(g)
 		for _, threads := range []int{1, 3} {
 			got, _ := wingDecompositionDelta(g, threads, nil)
 			for i := range want {
@@ -98,11 +87,11 @@ func TestQuickWingDeltaMatchesSequentialAndRecount(t *testing.T) {
 
 func TestWingDeltaMediumGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(120, 100, 900, 0.7, 0.7, 13)
-	want := WingDecomposition(g)
+	want := wingNumbers(g)
 	got, rounds := wingDecompositionDelta(g, 4, nil)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("edge %d: delta %d, heap %d", i, got[i], want[i])
+			t.Fatalf("edge %d: delta %d, recount %d", i, got[i], want[i])
 		}
 	}
 	if rounds < 1 {
@@ -117,7 +106,7 @@ func TestQuickKTipDeltaMatches(t *testing.T) {
 		for k := int64(0); k <= 3; k++ {
 			for _, side := range []core.Side{core.SideV1, core.SideV2} {
 				sub, _ := kTipDelta(g, k, side, 3, nil)
-				if !sub.Equal(KTipSubgraph(g, k, side)) {
+				if !sub.Equal(kTip(g, k, side)) {
 					return false
 				}
 			}
@@ -135,7 +124,7 @@ func TestQuickKWingDeltaMatches(t *testing.T) {
 		_, g := randGraphAndDense(rng, 8)
 		for k := int64(0); k <= 3; k++ {
 			sub, _ := kWingDelta(g, k, 3, nil)
-			if !sub.Equal(KWingSubgraph(g, k)) {
+			if !sub.Equal(kWing(g, k)) {
 				return false
 			}
 		}
@@ -146,12 +135,12 @@ func TestQuickKWingDeltaMatches(t *testing.T) {
 	}
 }
 
-// The engine dispatch layer must agree across engines and report the
-// engine-appropriate round counts.
+// The engine dispatch layer must agree with the sequential recount
+// engine on both engines and report positive round counts.
 func TestEngineDispatchAgrees(t *testing.T) {
 	g := gen.PowerLawBipartite(150, 120, 1100, 0.7, 0.7, 29)
 	for _, side := range []core.Side{core.SideV1, core.SideV2} {
-		want := TipDecomposition(g, side)
+		want := tipNumbers(g, side)
 		for _, eng := range []Engine{EngineDelta, EngineRecount} {
 			tip, st := TipNumbersWith(g, side, Options{Engine: eng, Threads: 2})
 			for i := range want {
@@ -164,7 +153,7 @@ func TestEngineDispatchAgrees(t *testing.T) {
 			}
 		}
 	}
-	wantWing := WingDecomposition(g)
+	wantWing := wingNumbers(g)
 	for _, eng := range []Engine{EngineDelta, EngineRecount} {
 		wing, st := WingNumbersWith(g, Options{Engine: eng, Threads: 2})
 		for i := range wantWing {
@@ -177,8 +166,8 @@ func TestEngineDispatchAgrees(t *testing.T) {
 		}
 	}
 	for _, k := range []int64{0, 1, 2, 5} {
-		wantTip := KTipSubgraph(g, k, core.SideV1)
-		wantKW := KWingSubgraph(g, k)
+		wantTip := kTip(g, k, core.SideV1)
+		wantKW := kWing(g, k)
 		for _, eng := range []Engine{EngineDelta, EngineRecount} {
 			sub, _ := KTipWith(g, k, core.SideV1, Options{Engine: eng, Threads: 2})
 			if !sub.Equal(wantTip) {
@@ -188,6 +177,31 @@ func TestEngineDispatchAgrees(t *testing.T) {
 			if !sub.Equal(wantKW) {
 				t.Fatalf("engine %v k=%d: k-wing mismatch", eng, k)
 			}
+		}
+	}
+}
+
+// A caller-set thread count must not size peel memory: every worker
+// holds a side-wide accumulator, so KTipWith and KWingWith at 4096
+// threads allocate no more than twice what they allocate at GOMAXPROCS.
+func TestThreadsClampBoundsPeelMemory(t *testing.T) {
+	g := gen.PowerLawBipartite(3000, 2500, 15000, 0.7, 0.7, 5)
+	allocated := func(run func(Options), threads int) uint64 {
+		run(Options{Threads: threads})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run(Options{Threads: threads})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for name, run := range map[string]func(Options){
+		"KTipWith":  func(o Options) { KTipWith(g, 5, core.SideV1, o) },
+		"KWingWith": func(o Options) { KWingWith(g, 5, o) },
+	} {
+		base := allocated(run, runtime.GOMAXPROCS(0))
+		wide := allocated(run, 4096)
+		if wide > 2*base {
+			t.Errorf("%s: %d B at 4096 threads, %d B at GOMAXPROCS", name, wide, base)
 		}
 	}
 }
@@ -238,7 +252,7 @@ func TestWingDeltaRelayoutAgreement(t *testing.T) {
 	}
 	// The wing numbers must also be a relabeling of the original's: the
 	// multiset of edge wing numbers is invariant under vertex renumbering.
-	a, b := WingDecomposition(orig), WingDecomposition(g)
+	a, b := wingNumbers(orig), want
 	var sa, sb int64
 	for _, x := range a {
 		sa += x

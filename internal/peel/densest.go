@@ -26,9 +26,9 @@ type DensestResult struct {
 // density objective gives the usual constant-factor guarantee; on a
 // planted biclique it recovers the block exactly (tested).
 func DensestByButterflies(g *graph.Bipartite, side core.Side) DensestResult {
-	exposed, secondary := g.Adj(), g.AdjT()
+	exposed := g.Adj()
 	if side == core.SideV2 {
-		exposed, secondary = g.AdjT(), g.Adj()
+		exposed = g.AdjT()
 	}
 	n := exposed.R
 
@@ -45,7 +45,9 @@ func DensestByButterflies(g *graph.Bipartite, side core.Side) DensestResult {
 		return res
 	}
 
-	s := core.VertexButterfliesMasked(g, side, active)
+	arena := core.NewArena()
+	s := make([]int64, n)
+	core.VertexButterfliesMaskedInto(s, g, side, active, 1, arena)
 	var total int64
 	for _, v := range s {
 		total += v
@@ -63,7 +65,8 @@ func DensestByButterflies(g *graph.Bipartite, side core.Side) DensestResult {
 		best = 0
 	}
 
-	acc := make([]int32, n)
+	dirty := make([]int32, n)
+	batch := make([]int32, 1)
 	touched := make([]int32, 0, 1024)
 	step := 0
 	for {
@@ -72,36 +75,22 @@ func DensestByButterflies(g *graph.Bipartite, side core.Side) DensestResult {
 			break
 		}
 		u := int(id)
+		removed[u] = true
 		if !active[u] {
-			removed[u] = true
 			continue
 		}
-		// Remove u: subtract its pair contributions.
-		removed[u] = true
+		// Remove u: its still-active partners lose their pair terms.
 		active[u] = false
 		order = append(order, int32(u))
 		total -= s[u]
 		activeCount--
 		step++
 
-		u32 := int32(u)
-		for _, y := range exposed.Row(u) {
-			for _, w := range secondary.Row(int(y)) {
-				if w == u32 || !active[w] {
-					continue
-				}
-				if acc[w] == 0 {
-					touched = append(touched, w)
-				}
-				acc[w]++
-			}
-		}
+		batch[0] = int32(u)
+		core.TipDeltaBatch(g, side, batch, active, s, dirty, &touched, 1, arena)
 		for _, w := range touched {
-			c := int64(acc[w])
-			loss := c * (c - 1) / 2
-			s[w] -= loss
+			dirty[w] = 0
 			h.push(s[w], int64(w))
-			acc[w] = 0
 		}
 		touched = touched[:0]
 

@@ -2,6 +2,7 @@ package peel
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -103,5 +104,51 @@ func TestDensestSideV2MatchesTranspose(t *testing.T) {
 	b := DensestByButterflies(g.Transposed(), core.SideV1)
 	if a.Butterflies != b.Butterflies || a.Vertices != b.Vertices {
 		t.Fatalf("V2 result %+v != transposed V1 result %+v", a, b)
+	}
+}
+
+// TestDensestGolden pins the greedy peel's result on seeded graphs, on
+// both sides: the kept vertices and their butterflies. The expected
+// values were produced by the heap peel that walked each removed
+// vertex's wedges itself, so a change to the removal path that alters
+// the greedy order shows here.
+func TestDensestGolden(t *testing.T) {
+	powerLaw := func(m, n int, e int64, seed int64) *graph.Bipartite {
+		return gen.PowerLawBipartite(m, n, e, 0.7, 0.7, seed)
+	}
+	random := func(seed int64) *graph.Bipartite {
+		_, g := randGraphAndDense(rand.New(rand.NewSource(seed)), 14)
+		return g
+	}
+	for _, c := range []struct {
+		name        string
+		g           *graph.Bipartite
+		side        core.Side
+		keep        []int
+		butterflies int64
+	}{
+		{"powerlaw-13", powerLaw(120, 100, 900, 13), core.SideV1, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 13, 16, 17}, 3231},
+		{"powerlaw-13", powerLaw(120, 100, 900, 13), core.SideV2, []int{0, 1, 2, 3, 4, 6}, 1818},
+		{"powerlaw-3", powerLaw(300, 250, 2000, 3), core.SideV1, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, 3591},
+		{"powerlaw-3", powerLaw(300, 250, 2000, 3), core.SideV2, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 10}, 4123},
+		{"powerlaw-7", powerLaw(200, 160, 1400, 7), core.SideV1, []int{0, 1, 2, 3, 4}, 1901},
+		{"powerlaw-7", powerLaw(200, 160, 1400, 7), core.SideV2, []int{0, 1, 2, 3, 4, 5, 7}, 2220},
+		{"random-1", random(1), core.SideV1, []int{0, 1, 2, 3, 4, 7, 9, 10, 11, 12, 13}, 655},
+		{"random-1", random(1), core.SideV2, []int{0, 1, 2, 3, 4, 6, 7, 8, 9}, 719},
+		{"random-3", random(3), core.SideV1, []int{0, 1, 3, 4, 5, 6, 7, 9, 10}, 95},
+		{"random-3", random(3), core.SideV2, []int{0, 1, 2, 3}, 102},
+		{"random-4", random(4), core.SideV2, []int{1, 2, 7}, 3},
+	} {
+		res := DensestByButterflies(c.g, c.side)
+		var keep []int
+		for i, k := range res.KeepSide {
+			if k {
+				keep = append(keep, i)
+			}
+		}
+		if !reflect.DeepEqual(keep, c.keep) || res.Butterflies != c.butterflies {
+			t.Errorf("%s side %v: keep %v with %d butterflies, want %v with %d",
+				c.name, c.side, keep, res.Butterflies, c.keep, c.butterflies)
+		}
 	}
 }

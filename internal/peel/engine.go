@@ -44,7 +44,8 @@ func (e Engine) String() string {
 type Options struct {
 	// Engine selects delta (zero value) or recount execution.
 	Engine Engine
-	// Threads is the worker count; ≤ 0 means one per CPU.
+	// Threads is the worker count; ≤ 0 means one per CPU, and it is
+	// capped at GOMAXPROCS.
 	Threads int
 	// Stage, when non-nil, receives named sub-stage timings:
 	// "peel.seed" for the initial butterfly/support sweep and
@@ -91,9 +92,12 @@ type Stats struct {
 	Rounds int
 }
 
+// threads resolves the worker count: ≤ 0 means one per CPU, and a
+// larger request is clamped to GOMAXPROCS, because every worker holds
+// a side-wide accumulator and extra workers cannot run in parallel.
 func (o Options) threads() int {
-	if o.Threads <= 0 {
-		return runtime.GOMAXPROCS(0)
+	if p := runtime.GOMAXPROCS(0); o.Threads <= 0 || o.Threads > p {
+		return p
 	}
 	return o.Threads
 }

@@ -2,7 +2,10 @@
 // subgraph extraction via the iterative mask formulation (equations
 // (19)–(22) and (25)–(27)), the look-ahead fused variant of Fig 8, and
 // full tip/wing decompositions (the peeling orders of Sariyüce & Pinar
-// [11]) via lazy-deletion min-heaps.
+// [11]). Every answer has one production path and one oracle: the
+// incremental delta engine and the round-synchronous recount engine
+// (engine.go). The lazy-deletion min-heap in this file orders the
+// one-vertex-at-a-time greedy peel of DensestByButterflies.
 package peel
 
 import "container/heap"
@@ -10,8 +13,8 @@ import "container/heap"
 // lazyMin is a min-heap of (key, id) pairs with lazy invalidation: when
 // an id's key decreases, the new pair is pushed and stale pairs are
 // skipped at pop time by comparing against the caller's current key
-// array. This is the standard peeling queue — simpler than a decrease-
-// key heap and with the same asymptotics for our workloads.
+// array — simpler than a decrease-key heap and with the same
+// asymptotics for a greedy peel.
 type lazyMin struct {
 	keys []int64 // entry i = key, entry i+1 = id (flattened pairs)
 }

@@ -30,9 +30,30 @@ func randGraphAndDense(rng *rand.Rand, maxSide int) (*dense.Matrix, *graph.Bipar
 	return d, g
 }
 
+// The recount engine on one thread is the tests' oracle path (its
+// k-subgraphs are checked against the dense spec below); these helpers
+// drop its round counts.
+func kTip(g *graph.Bipartite, k int64, side core.Side) *graph.Bipartite {
+	sub, _ := kTipRecount(g, k, side, 1, nil)
+	return sub
+}
+
+func kWing(g *graph.Bipartite, k int64) *graph.Bipartite {
+	sub, _ := kWingRecount(g, k, 1, nil)
+	return sub
+}
+
+func tipNumbers(g *graph.Bipartite, side core.Side) []int64 {
+	return mustTip(tipDecompositionRecount(g, side, 1, nil))
+}
+
+func wingNumbers(g *graph.Bipartite) []int64 {
+	return mustTip(wingDecompositionRecount(g, 1, nil))
+}
+
 func TestKTipZeroKeepsGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(50, 40, 200, 0.7, 0.7, 1)
-	if !KTipSubgraph(g, 0, core.SideV1).Equal(g) {
+	if !kTip(g, 0, core.SideV1).Equal(g) {
 		t.Fatal("0-tip should keep the whole graph")
 	}
 }
@@ -40,10 +61,10 @@ func TestKTipZeroKeepsGraph(t *testing.T) {
 func TestKTipCompleteBipartite(t *testing.T) {
 	g := gen.CompleteBipartite(4, 4)
 	s := core.VertexButterflies(g, core.SideV1)[0]
-	if !KTipSubgraph(g, s, core.SideV1).Equal(g) {
+	if !kTip(g, s, core.SideV1).Equal(g) {
 		t.Fatal("s-tip of K(4,4) should be the whole graph")
 	}
-	empty := KTipSubgraph(g, s+1, core.SideV1)
+	empty := kTip(g, s+1, core.SideV1)
 	if empty.NumEdges() != 0 {
 		t.Fatalf("(s+1)-tip should be empty, has %d edges", empty.NumEdges())
 	}
@@ -55,7 +76,7 @@ func TestQuickKTipMatchesSpec(t *testing.T) {
 		d, g := randGraphAndDense(rng, 8)
 		for k := int64(0); k <= 4; k++ {
 			want := dense.SpecKTip(d, k)
-			got := sparse.ToDense(KTipSubgraph(g, k, core.SideV1).Adj())
+			got := sparse.ToDense(kTip(g, k, core.SideV1).Adj())
 			if !got.Equal(want) {
 				return false
 			}
@@ -73,7 +94,7 @@ func TestQuickKTipLookAheadAgrees(t *testing.T) {
 		_, g := randGraphAndDense(rng, 10)
 		for k := int64(0); k <= 4; k++ {
 			for _, side := range []core.Side{core.SideV1, core.SideV2} {
-				if !KTipLookAhead(g, k, side).Equal(KTipSubgraph(g, k, side)) {
+				if !KTipLookAhead(g, k, side).Equal(kTip(g, k, side)) {
 					return false
 				}
 			}
@@ -89,8 +110,8 @@ func TestKTipSideV2MatchesTransposedV1(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	_, g := randGraphAndDense(rng, 9)
 	for k := int64(0); k <= 3; k++ {
-		a := KTipSubgraph(g, k, core.SideV2)
-		b := KTipSubgraph(g.Transposed(), k, core.SideV1).Transposed()
+		a := kTip(g, k, core.SideV2)
+		b := kTip(g.Transposed(), k, core.SideV1).Transposed()
 		if !a.Equal(b) {
 			t.Fatalf("k=%d: V2-side tip differs from transposed V1-side tip", k)
 		}
@@ -104,7 +125,7 @@ func TestQuickKTipDefiningProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 10)
 		for k := int64(1); k <= 3; k++ {
-			h := KTipSubgraph(g, k, core.SideV1)
+			h := kTip(g, k, core.SideV1)
 			s := core.VertexButterflies(h, core.SideV1)
 			for u := 0; u < h.NumV1(); u++ {
 				if h.DegreeV1(u) > 0 && s[u] < k {
@@ -121,18 +142,18 @@ func TestQuickKTipDefiningProperty(t *testing.T) {
 
 func TestKWingZeroKeepsGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(50, 40, 200, 0.7, 0.7, 2)
-	if !KWingSubgraph(g, 0).Equal(g) {
+	if !kWing(g, 0).Equal(g) {
 		t.Fatal("0-wing should keep the whole graph")
 	}
 }
 
 func TestKWingCompleteBipartite(t *testing.T) {
 	g := gen.CompleteBipartite(3, 5)
-	s := core.EdgeSupport(g).Val[0]
-	if !KWingSubgraph(g, s).Equal(g) {
+	s := core.EdgeSupportInto(nil, g, 1, nil).Val[0]
+	if !kWing(g, s).Equal(g) {
 		t.Fatal("s-wing of complete graph should be whole graph")
 	}
-	if KWingSubgraph(g, s+1).NumEdges() != 0 {
+	if kWing(g, s+1).NumEdges() != 0 {
 		t.Fatal("(s+1)-wing should be empty")
 	}
 }
@@ -143,7 +164,7 @@ func TestQuickKWingMatchesSpec(t *testing.T) {
 		d, g := randGraphAndDense(rng, 8)
 		for k := int64(0); k <= 4; k++ {
 			want := dense.SpecKWing(d, k)
-			got := sparse.ToDense(KWingSubgraph(g, k).Adj())
+			got := sparse.ToDense(kWing(g, k).Adj())
 			if !got.Equal(want) {
 				return false
 			}
@@ -161,8 +182,8 @@ func TestQuickKWingDefiningProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 9)
 		for k := int64(1); k <= 3; k++ {
-			h := KWingSubgraph(g, k)
-			sup := core.EdgeSupport(h)
+			h := kWing(g, k)
+			sup := core.EdgeSupportInto(nil, h, 1, nil)
 			for _, v := range sup.Val {
 				if v < k {
 					return false
@@ -176,30 +197,31 @@ func TestQuickKWingDefiningProperty(t *testing.T) {
 	}
 }
 
-// Tip numbers are exactly the thresholds at which vertices drop out of
-// k-tips.
+// Both engines' tip numbers are exactly the thresholds at which
+// vertices drop out of k-tips, for every k.
 func TestQuickTipDecompositionConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 8)
-		tip := TipDecomposition(g, core.SideV1)
-		maxTip := int64(0)
-		for _, v := range tip {
-			if v > maxTip {
-				maxTip = v
-			}
-		}
-		for k := int64(0); k <= maxTip+1; k++ {
-			keep := bitvec.New(g.NumV1())
-			for u, tn := range tip {
-				if tn >= k {
-					keep.Set(u)
+		for _, tip := range [][]int64{tipNumbers(g, core.SideV1), mustTip(tipDecompositionDelta(g, core.SideV1, 1, nil))} {
+			maxTip := int64(0)
+			for _, v := range tip {
+				if v > maxTip {
+					maxTip = v
 				}
 			}
-			want := KTipSubgraph(g, k, core.SideV1)
-			got := g.InducedSubgraph(keep, nil)
-			if !got.Equal(want) {
-				return false
+			for k := int64(0); k <= maxTip+1; k++ {
+				keep := bitvec.New(g.NumV1())
+				for u, tn := range tip {
+					if tn >= k {
+						keep.Set(u)
+					}
+				}
+				want := kTip(g, k, core.SideV1)
+				got := g.InducedSubgraph(keep, nil)
+				if !got.Equal(want) {
+					return false
+				}
 			}
 		}
 		return true
@@ -209,31 +231,32 @@ func TestQuickTipDecompositionConsistent(t *testing.T) {
 	}
 }
 
-// Wing numbers are exactly the thresholds at which edges drop out of
-// k-wings.
+// Both engines' wing numbers are exactly the thresholds at which edges
+// drop out of k-wings, for every k.
 func TestQuickWingDecompositionConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 7)
-		wing := WingDecomposition(g)
-		maxWing := int64(0)
-		for _, v := range wing {
-			if v > maxWing {
-				maxWing = v
-			}
-		}
 		adj := g.Adj()
-		for k := int64(0); k <= maxWing+1; k++ {
-			kept := sparse.PatternOf(sparse.Select(adj, func(i int, j int32, _ int64) bool {
-				e, ok := edgeID(adj, i, j)
-				return ok && wing[e] >= k
-			}))
-			got, err := graph.FromCSR(kept)
-			if err != nil {
-				return false
+		for _, wing := range [][]int64{wingNumbers(g), mustTip(wingDecompositionDelta(g, 1, nil))} {
+			maxWing := int64(0)
+			for _, v := range wing {
+				if v > maxWing {
+					maxWing = v
+				}
 			}
-			if !got.Equal(KWingSubgraph(g, k)) {
-				return false
+			for k := int64(0); k <= maxWing+1; k++ {
+				kept := sparse.PatternOf(sparse.Select(adj, func(i int, j int32, _ int64) bool {
+					e, ok := edgeID(adj, i, j)
+					return ok && wing[e] >= k
+				}))
+				got, err := graph.FromCSR(kept)
+				if err != nil {
+					return false
+				}
+				if !got.Equal(kWing(g, k)) {
+					return false
+				}
 			}
 		}
 		return true
@@ -246,7 +269,7 @@ func TestQuickWingDecompositionConsistent(t *testing.T) {
 func TestTipDecompositionCompleteBipartite(t *testing.T) {
 	g := gen.CompleteBipartite(4, 5)
 	s := core.VertexButterflies(g, core.SideV1)[0]
-	for u, tn := range TipDecomposition(g, core.SideV1) {
+	for u, tn := range tipNumbers(g, core.SideV1) {
 		if tn != s {
 			t.Fatalf("tip number of u%d = %d, want %d (uniform graph)", u, tn, s)
 		}
@@ -255,8 +278,8 @@ func TestTipDecompositionCompleteBipartite(t *testing.T) {
 
 func TestWingDecompositionCompleteBipartite(t *testing.T) {
 	g := gen.CompleteBipartite(4, 4)
-	s := core.EdgeSupport(g).Val[0]
-	for e, wn := range WingDecomposition(g) {
+	s := core.EdgeSupportInto(nil, g, 1, nil).Val[0]
+	for e, wn := range wingNumbers(g) {
 		if wn != s {
 			t.Fatalf("wing number of edge %d = %d, want %d", e, wn, s)
 		}
@@ -265,28 +288,14 @@ func TestWingDecompositionCompleteBipartite(t *testing.T) {
 
 func TestWingDecompositionButterflyFree(t *testing.T) {
 	g := gen.Star(6)
-	for _, wn := range WingDecomposition(g) {
+	for _, wn := range wingNumbers(g) {
 		if wn != 0 {
 			t.Fatal("star edges must have wing number 0")
 		}
 	}
-	tip := TipDecomposition(g, core.SideV1)
+	tip := tipNumbers(g, core.SideV1)
 	if tip[0] != 0 {
 		t.Fatal("star hub must have tip number 0")
-	}
-}
-
-func TestWingNumbersByEdge(t *testing.T) {
-	g := gen.CompleteBipartite(2, 2)
-	wing := WingDecomposition(g)
-	byEdge := WingNumbersByEdge(g, wing)
-	if len(byEdge) != 4 {
-		t.Fatalf("map has %d edges, want 4", len(byEdge))
-	}
-	for e, wn := range byEdge {
-		if wn != 1 {
-			t.Fatalf("edge %+v wing = %d, want 1", e, wn)
-		}
 	}
 }
 
@@ -295,11 +304,11 @@ func TestQuickPeelingMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 9)
-		prevTip := KTipSubgraph(g, 0, core.SideV1)
-		prevWing := KWingSubgraph(g, 0)
+		prevTip := kTip(g, 0, core.SideV1)
+		prevWing := kWing(g, 0)
 		for k := int64(1); k <= 3; k++ {
-			curTip := KTipSubgraph(g, k, core.SideV1)
-			curWing := KWingSubgraph(g, k)
+			curTip := kTip(g, k, core.SideV1)
+			curWing := kWing(g, k)
 			if curTip.NumEdges() > prevTip.NumEdges() || curWing.NumEdges() > prevWing.NumEdges() {
 				return false
 			}
@@ -315,24 +324,11 @@ func TestQuickPeelingMonotone(t *testing.T) {
 func TestEdgeHelpers(t *testing.T) {
 	g := gen.CompleteBipartite(3, 3)
 	adj := g.Adj()
-	if row := edgeRowOf(adj, 4); row != 1 {
-		t.Fatalf("edgeRowOf(4) = %d, want 1", row)
-	}
 	id, ok := edgeID(adj, 2, 1)
 	if !ok || id != adj.Ptr[2]+1 {
 		t.Fatalf("edgeID(2,1) = %d,%v", id, ok)
 	}
 	if _, ok := edgeID(adj, 2, 5); ok {
 		t.Fatal("edgeID found a non-edge")
-	}
-	count := 0
-	forEachCommonNeighbor(adj, 0, 1, func(p int32, eup, ewp int64) {
-		if adj.Col[eup] != p || adj.Col[ewp] != p {
-			t.Fatal("edge ids do not match neighbor")
-		}
-		count++
-	})
-	if count != 3 {
-		t.Fatalf("common neighbors = %d, want 3", count)
 	}
 }

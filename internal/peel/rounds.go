@@ -5,28 +5,24 @@ import (
 	"butterfly/internal/graph"
 )
 
-// tipDecompositionRecount computes the same tip numbers as
-// TipDecomposition with round-synchronous peeling: every round removes
-// *all* vertices whose current butterfly count is at or below the
-// running level and recomputes the survivors' counts with `threads`
-// workers. This is the bulk-parallel peeling structure of ParButterfly
-// [12]; peeling is confluent, so the resulting tip numbers are
-// identical to the heap-ordered sequential ones (asserted by tests).
+// tipDecompositionRecount computes the tip number of every vertex on
+// the given side — the largest k such that the vertex survives in the
+// k-tip; isolated or butterfly-free vertices get 0 — with
+// round-synchronous peeling: every round removes *all* vertices whose
+// current butterfly count is at or below the running level and
+// recomputes the survivors' counts with `threads` workers. This is the
+// bulk-parallel peeling structure of ParButterfly [12]; peeling is
+// confluent, so the tip numbers equal the delta engine's bit for bit
+// (asserted by tests).
 //
-// Trade-off versus TipDecomposition: each round recomputes counts in
-// O(wedges of the surviving subgraph) but rounds are internally
-// parallel; the heap version does minimal incremental work but is
-// inherently sequential. Graphs with few peeling levels (most
-// real-world bipartite networks) favor rounds.
-//
-// All rounds share one output buffer and one core.Arena, so the loop's
-// steady state allocates nothing (see TestTipRoundsArenaZeroAlloc).
-//
-// This is the "recount" engine: simple, internally parallel, and kept
-// as the differential-testing oracle for the incremental delta engine
-// (tipDecompositionDelta), which does asymptotically less work. It
-// reports the number of peeling rounds; the optional stage hook
-// receives per-round "peel.round[i]" timings.
+// Each round costs O(wedges of the surviving subgraph), so total work
+// is O(levels × wedges), but the structure is trivial: this is the
+// "recount" engine, kept as the differential-testing oracle for the
+// incremental delta engine (tipDecompositionDelta). All rounds share
+// one output buffer and one core.Arena, so the loop's steady state
+// allocates nothing (see TestTipRoundsArenaZeroAlloc). It reports the
+// number of peeling rounds; the optional stage hook receives per-round
+// "peel.round[i]" timings.
 func tipDecompositionRecount(g *graph.Bipartite, side core.Side, threads int, stage stageFunc) ([]int64, int) {
 	n := g.NumV1()
 	if side == core.SideV2 {
@@ -71,10 +67,16 @@ func tipDecompositionRecount(g *graph.Bipartite, side core.Side, threads int, st
 	return tip, rounds
 }
 
-// kTipRecount is KTipSubgraph with the per-iteration butterfly vector
-// computed by `threads` workers. Results are identical to KTipSubgraph.
-// Like tipDecompositionRecount this is the recount engine, kept as the
-// oracle for kTipDelta. It also reports the number of fixpoint rounds.
+// kTipRecount returns the k-tip of g with respect to the given side:
+// the maximal subgraph in which every (non-isolated) vertex of that
+// side participates in at least k butterflies. It executes the paper's
+// iterative formulation (19)–(22): compute the per-vertex butterfly
+// vector s on `threads` workers, mask out vertices with s < k, and
+// repeat until a fixpoint. Removed vertices keep their ids but lose
+// all edges (the paper's mask-application semantics). This is the
+// recount engine's k-tip, checked against dense.SpecKTip and kept as
+// the oracle for kTipDelta. It also reports the number of fixpoint
+// rounds.
 func kTipRecount(g *graph.Bipartite, k int64, side core.Side, threads int, stage stageFunc) (*graph.Bipartite, int) {
 	n := g.NumV1()
 	if side == core.SideV2 {

@@ -9,15 +9,15 @@ import (
 	"butterfly/internal/gen"
 )
 
-// Round-synchronous peeling must produce the same tip numbers as the
-// heap-ordered sequential decomposition (confluence).
+// Round-synchronous peeling on several workers must produce the same
+// tip numbers as on one.
 func TestQuickTipRoundsMatchSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 9)
 		for _, side := range []core.Side{core.SideV1, core.SideV2} {
-			want := TipDecomposition(g, side)
-			for _, threads := range []int{1, 3} {
+			want := tipNumbers(g, side)
+			for _, threads := range []int{2, 3} {
 				got := mustTip(tipDecompositionRecount(g, side, threads, nil))
 				for i := range want {
 					if got[i] != want[i] {
@@ -35,11 +35,11 @@ func TestQuickTipRoundsMatchSequential(t *testing.T) {
 
 func TestTipRoundsMediumGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(300, 250, 2000, 0.7, 0.7, 3)
-	want := TipDecomposition(g, core.SideV1)
+	want := tipNumbers(g, core.SideV1)
 	got := mustTip(tipDecompositionRecount(g, core.SideV1, 4, nil))
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("vertex %d: rounds %d, sequential %d", i, got[i], want[i])
+			t.Fatalf("vertex %d: 4 workers %d, sequential %d", i, got[i], want[i])
 		}
 	}
 }
@@ -62,7 +62,7 @@ func TestQuickKTipParallelMatches(t *testing.T) {
 		_, g := randGraphAndDense(rng, 9)
 		for k := int64(0); k <= 3; k++ {
 			for _, side := range []core.Side{core.SideV1, core.SideV2} {
-				if sub, _ := kTipRecount(g, k, side, 4, nil); !sub.Equal(KTipSubgraph(g, k, side)) {
+				if sub, _ := kTipRecount(g, k, side, 4, nil); !sub.Equal(kTip(g, k, side)) {
 					return false
 				}
 			}
@@ -82,8 +82,10 @@ func TestQuickMaskedParallelMatchesMasked(t *testing.T) {
 		for i := range active {
 			active[i] = rng.Intn(4) > 0
 		}
-		want := core.VertexButterfliesMasked(g, core.SideV1, active)
-		got := core.VertexButterfliesMaskedParallel(g, core.SideV1, active, 3)
+		want := make([]int64, g.NumV1())
+		got := make([]int64, g.NumV1())
+		core.VertexButterfliesMaskedInto(want, g, core.SideV1, active, 1, nil)
+		core.VertexButterfliesMaskedInto(got, g, core.SideV1, active, 3, nil)
 		for i := range want {
 			if got[i] != want[i] {
 				return false
@@ -100,8 +102,8 @@ func TestQuickWingRoundsMatchSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 8)
-		want := WingDecomposition(g)
-		for _, threads := range []int{1, 3} {
+		want := wingNumbers(g)
+		for _, threads := range []int{2, 3} {
 			got := mustTip(wingDecompositionRecount(g, threads, nil))
 			for i := range want {
 				if got[i] != want[i] {
@@ -118,11 +120,11 @@ func TestQuickWingRoundsMatchSequential(t *testing.T) {
 
 func TestWingRoundsMediumGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(120, 100, 900, 0.7, 0.7, 13)
-	want := WingDecomposition(g)
+	want := wingNumbers(g)
 	got := mustTip(wingDecompositionRecount(g, 4, nil))
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("edge %d: rounds %d, heap %d", i, got[i], want[i])
+			t.Fatalf("edge %d: 4 workers %d, sequential %d", i, got[i], want[i])
 		}
 	}
 }
@@ -132,7 +134,7 @@ func TestQuickKWingParallelMatches(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 8)
 		for k := int64(0); k <= 3; k++ {
-			if sub, _ := kWingRecount(g, k, 3, nil); !sub.Equal(KWingSubgraph(g, k)) {
+			if sub, _ := kWingRecount(g, k, 3, nil); !sub.Equal(kWing(g, k)) {
 				return false
 			}
 		}

@@ -6,39 +6,7 @@ import (
 	"butterfly/internal/graph"
 )
 
-// KTipSubgraph returns the k-tip of g with respect to the given side:
-// the maximal subgraph in which every (non-isolated) vertex of that
-// side participates in at least k butterflies. It executes the paper's
-// iterative formulation (19)–(22): compute the per-vertex butterfly
-// vector s, mask out vertices with s < k, and repeat until a fixpoint.
-// Removed vertices keep their ids but lose all edges (the paper's
-// mask-application semantics).
-func KTipSubgraph(g *graph.Bipartite, k int64, side core.Side) *graph.Bipartite {
-	n := g.NumV1()
-	if side == core.SideV2 {
-		n = g.NumV2()
-	}
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	for {
-		s := core.VertexButterfliesMasked(g, side, active)
-		changed := false
-		for u := range active {
-			if active[u] && s[u] < k {
-				active[u] = false
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return maskSide(g, side, active)
-}
-
-// KTipLookAhead computes the same k-tip with the fused look-ahead
+// KTipLookAhead computes the k-tip with the fused look-ahead
 // algorithm of Fig 8 (KTIP_UNB_VAR1): while sweeping the exposed side,
 // each vertex's butterfly count σ_u is completed in place (earlier
 // vertices credited it; the sweep adds its pairs with later active
@@ -46,7 +14,7 @@ func KTipSubgraph(g *graph.Bipartite, k int64, side core.Side) *graph.Bipartite 
 // so later iterations of the same sweep already skip peeled vertices.
 // Sweeps repeat until none removes a vertex. Peeling is confluent —
 // removal order does not change the maximal fixpoint — so the result
-// equals KTipSubgraph's (asserted by tests).
+// equals the recount engine's k-tip, kTipRecount (asserted by tests).
 func KTipLookAhead(g *graph.Bipartite, k int64, side core.Side) *graph.Bipartite {
 	exposed, secondary := g.Adj(), g.AdjT()
 	if side == core.SideV2 {
@@ -119,69 +87,4 @@ func maskSide(g *graph.Bipartite, side core.Side, active []bool) *graph.Bipartit
 		return g.InducedSubgraph(keep, nil)
 	}
 	return g.InducedSubgraph(nil, keep)
-}
-
-// TipDecomposition returns the tip number of every vertex on the given
-// side: the largest k such that the vertex survives in the k-tip.
-// Isolated or butterfly-free vertices get 0.
-//
-// It peels vertices in non-decreasing butterfly-count order with a
-// lazy min-heap. When vertex u is peeled only the pairs {u, w} lose
-// butterflies, and their loss is exactly C(β_uw, 2) in the current
-// subgraph, so the update is one wedge-accumulation sweep from u.
-func TipDecomposition(g *graph.Bipartite, side core.Side) []int64 {
-	exposed, secondary := g.Adj(), g.AdjT()
-	if side == core.SideV2 {
-		exposed, secondary = g.AdjT(), g.Adj()
-	}
-	n := exposed.R
-
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
-	}
-	s := core.VertexButterfliesMasked(g, side, active)
-	tip := make([]int64, n)
-	removed := make([]bool, n)
-	h := newLazyMin(s)
-
-	acc := make([]int32, n)
-	touched := make([]int32, 0, 1024)
-	var level int64
-	for {
-		key, id, ok := h.popCurrent(s, removed)
-		if !ok {
-			break
-		}
-		u := int(id)
-		if key > level {
-			level = key
-		}
-		tip[u] = level
-		removed[u] = true
-		active[u] = false
-
-		// Subtract the peeled vertex's pair contributions from its
-		// still-active partners.
-		u32 := int32(u)
-		for _, y := range exposed.Row(u) {
-			for _, w := range secondary.Row(int(y)) {
-				if w == u32 || !active[w] {
-					continue
-				}
-				if acc[w] == 0 {
-					touched = append(touched, w)
-				}
-				acc[w]++
-			}
-		}
-		for _, w := range touched {
-			c := int64(acc[w])
-			s[w] -= c * (c - 1) / 2
-			h.push(s[w], int64(w))
-			acc[w] = 0
-		}
-		touched = touched[:0]
-	}
-	return tip
 }

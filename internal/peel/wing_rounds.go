@@ -1,17 +1,23 @@
 package peel
 
 import (
+	"sort"
+
 	"butterfly/internal/core"
 	"butterfly/internal/graph"
 	"butterfly/internal/sparse"
 )
 
-// kWingRecount is KWingSubgraph with each iteration's support matrix
-// computed by `threads` workers; the fixpoint is identical. The rounds
-// share one value buffer and one core.Arena, so each iteration's
-// support sweep reuses the previous round's scratch. This is the
-// recount engine, kept as the oracle for kWingDelta. It also reports
-// the number of fixpoint rounds.
+// kWingRecount returns the k-wing of g: the maximal subgraph in which
+// every remaining edge is contained in at least k butterflies. It runs
+// the paper's iterative formulation (25)–(27): compute the support
+// matrix S_w on `threads` workers, keep edges with support ≥ k (the
+// mask M of (26) applied as the Hadamard product (27)), and repeat to a
+// fixpoint. The rounds share one value buffer and one core.Arena, so
+// each iteration's support sweep reuses the previous round's scratch.
+// This is the recount engine's k-wing, checked against dense.SpecKWing
+// and kept as the oracle for kWingDelta. It also reports the number of
+// fixpoint rounds.
 func kWingRecount(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*graph.Bipartite, int) {
 	arena := core.NewArena()
 	valsBuf := make([]int64, g.NumEdges())
@@ -20,7 +26,7 @@ func kWingRecount(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*g
 	for {
 		rt := stageNow(stage)
 		rounds++
-		sw := core.EdgeSupportParallelInto(valsBuf, cur, threads, arena)
+		sw := core.EdgeSupportInto(valsBuf, cur, threads, arena)
 		kept := sparse.PatternOf(sparse.Select(sw, func(_ int, _ int32, v int64) bool {
 			return v >= k
 		}))
@@ -37,16 +43,15 @@ func kWingRecount(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*g
 	}
 }
 
-// wingDecompositionRecount computes the same wing numbers as
-// WingDecomposition with round-synchronous peeling: every round
-// removes all edges whose current support is at or below the running
-// level, then recomputes supports of the surviving subgraph with
-// `threads` workers. Confluence makes the result identical to the
-// heap-ordered sequential peeling (asserted by tests).
-//
-// Edge identities are flat indices into g.Adj(); removed edges keep
-// their original ids across rounds via an explicit id map, so the
-// output lines up with WingDecomposition's.
+// wingDecompositionRecount computes the wing number of every edge of
+// g — the largest k such that the edge survives in the k-wing — in the
+// flat CSR edge order of g.Adj() (edge id = Ptr[u] + offset), with
+// round-synchronous peeling: every round removes all edges whose
+// current support is at or below the running level, then recomputes
+// supports of the surviving subgraph with `threads` workers.
+// Confluence makes the result identical to the delta engine's
+// (asserted by tests). Removed edges keep their original ids across
+// rounds via an explicit id map.
 //
 // This is the recount engine — every round rebuilds the surviving
 // subgraph and recomputes all supports — kept as the oracle for the
@@ -71,7 +76,7 @@ func wingDecompositionRecount(g *graph.Bipartite, threads int, stage stageFunc) 
 	for cur.NumEdges() > 0 {
 		rt := stageNow(stage)
 		rounds++
-		sup := core.EdgeSupportParallelInto(valsBuf, cur, threads, arena)
+		sup := core.EdgeSupportInto(valsBuf, cur, threads, arena)
 		min := int64(-1)
 		for _, v := range sup.Val {
 			if min < 0 || v < min {
@@ -112,4 +117,14 @@ func wingDecompositionRecount(g *graph.Bipartite, threads int, stage stageFunc) 
 		emitRound(stage, rounds-1, rt)
 	}
 	return wing, rounds
+}
+
+// edgeID returns the flat edge index of (u, v), if present.
+func edgeID(a *sparse.CSR, u int, v int32) (int64, bool) {
+	row := a.Row(u)
+	k := sort.Search(len(row), func(i int) bool { return row[i] >= v })
+	if k < len(row) && row[k] == v {
+		return a.Ptr[u] + int64(k), true
+	}
+	return 0, false
 }

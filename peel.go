@@ -11,7 +11,7 @@ import (
 // maximal subgraph in which every non-isolated vertex of that side
 // participates in at least k butterflies. Vertex ids are preserved;
 // peeled vertices become isolated (the paper's masking semantics,
-// equations (19)–(22)).
+// equations (19)–(22)), computed by the recount engine on one thread.
 func (g *Graph) KTip(k int64, side Side) (*Graph, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("butterfly: negative k %d", k)
@@ -20,7 +20,8 @@ func (g *Graph) KTip(k int64, side Side) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{g: peel.KTipSubgraph(g.g, k, s)}, nil
+	sub, _ := peel.KTipWith(g.g, k, s, peel.Options{Engine: peel.EngineRecount, Threads: 1})
+	return &Graph{g: sub}, nil
 }
 
 // KTipLookAhead computes the same k-tip with the paper's fused
@@ -41,23 +42,26 @@ func (g *Graph) KTipLookAhead(k int64, side Side) (*Graph, error) {
 
 // KWing returns the k-wing subgraph: the maximal subgraph in which
 // every remaining edge lies in at least k butterflies (equations
-// (25)–(27)).
+// (25)–(27)), computed by the recount engine on one thread.
 func (g *Graph) KWing(k int64) (*Graph, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("butterfly: negative k %d", k)
 	}
-	return &Graph{g: peel.KWingSubgraph(g.g, k)}, nil
+	sub, _ := peel.KWingWith(g.g, k, peel.Options{Engine: peel.EngineRecount, Threads: 1})
+	return &Graph{g: sub}, nil
 }
 
 // TipNumbers returns, for every vertex of the chosen side, the largest
 // k such that the vertex survives in the k-tip (its "tip number").
-// Computed with a single peeling pass rather than one KTip call per k.
+// Computed by the delta engine on one thread, a single peeling pass
+// rather than one KTip call per k.
 func (g *Graph) TipNumbers(side Side) ([]int64, error) {
 	s, err := side.internal()
 	if err != nil {
 		return nil, err
 	}
-	return peel.TipDecomposition(g.g, s), nil
+	tip, _ := peel.TipNumbersWith(g.g, s, peel.Options{Threads: 1})
+	return tip, nil
 }
 
 // PeelEngine selects the execution strategy of the parallel peeling
@@ -95,7 +99,8 @@ func (e PeelEngine) String() string {
 type PeelOptions struct {
 	// Engine selects the delta (zero value) or recount execution.
 	Engine PeelEngine
-	// Threads is the worker count; ≤ 0 means one per CPU.
+	// Threads is the worker count; ≤ 0 means one per CPU, and it is
+	// capped at GOMAXPROCS.
 	Threads int
 	// Stage, when non-nil, receives named sub-stage timings:
 	// "peel.seed" for the initial butterfly/support sweep and
@@ -166,9 +171,10 @@ func (g *Graph) KWingWith(k int64, opts PeelOptions) (*Graph, PeelStats, error) 
 
 // WingNumbers returns the wing number of every edge — the largest k
 // such that the edge survives in the k-wing — as (u, v, count) tuples
-// in row-major edge order.
+// in row-major edge order. Computed by the delta engine on one thread.
 func (g *Graph) WingNumbers() []EdgeCount {
-	return g.wingNumbersFrom(peel.WingDecomposition(g.g))
+	wing, _ := peel.WingNumbersWith(g.g, peel.Options{Threads: 1})
+	return g.wingNumbersFrom(wing)
 }
 
 // DensestSubgraph holds the result of DensestByButterflies.
