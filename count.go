@@ -402,7 +402,13 @@ func (g *Graph) VertexButterflies(side Side) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.VertexButterflies(g.g, s), nil
+	n := g.g.NumV1()
+	if s == core.SideV2 {
+		n = g.g.NumV2()
+	}
+	out := make([]int64, n)
+	core.VertexButterfliesMaskedInto(out, g.g, s, nil, 1, nil)
+	return out, nil
 }
 
 // EdgeCount pairs an edge with a butterfly count (its support or wing

@@ -27,10 +27,17 @@ type workspace struct {
 	hkey, hval []int32
 	hused      []int32
 
-	// A parallel delta-kernel worker's share of the caller's touched
-	// list (delta.go): the vertex (vout) or edge (eout) ids whose dirty
-	// mark this worker won. Empty at rest; the capacity persists so warm
-	// rounds append without allocating.
+	// A parallel worker's private partial vector: per-vertex counts of
+	// the seed sweep (vertex.go), or the vertex- or edge-indexed
+	// decrements of a delta round (delta.go, wingstate.go), added into
+	// the shared vector after the join. All-zero at rest; the merge
+	// re-zeroes it.
+	part []int64
+
+	// A parallel delta worker's first touches: the vertex (vout) or
+	// edge (eout) ids whose partial entry it made nonzero, which the
+	// merge visits. Empty at rest; the capacity persists so warm rounds
+	// append without allocating.
 	vout []int32
 	eout []int64
 
@@ -56,6 +63,15 @@ func (ws *workspace) ensure(n int) {
 		ws.touched = make([]int32, 0, n)
 	}
 	ws.touched = ws.touched[:0]
+}
+
+// partial returns the workspace's partial vector with n entries,
+// growing it on first use; like the accumulator it is all-zero at rest.
+func (ws *workspace) partial(n int) []int64 {
+	if len(ws.part) < n {
+		ws.part = make([]int64, n)
+	}
+	return ws.part[:n]
 }
 
 // bitset returns the workspace's scratch bitset resized (and fully

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"butterfly/internal/gen"
+	"butterfly/internal/graph"
 )
 
 func TestArenaNilIsUsable(t *testing.T) {
@@ -68,24 +70,30 @@ func TestWorkspaceBitsetReuse(t *testing.T) {
 }
 
 // The peeling hot loop — repeated masked per-vertex counts into a
-// caller-owned buffer with a warm arena — must allocate nothing.
+// caller-owned buffer with a warm arena — must allocate nothing, on a
+// graph whose V1 seed takes the same-side sweep and on one whose V1
+// seed takes the cross sweep. One thread runs no scheduling pass.
 func TestTipRoundsArenaZeroAlloc(t *testing.T) {
-	g := gen.PowerLawBipartite(800, 600, 4000, 0.7, 0.7, 8)
-	n := g.NumV1()
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = i%5 != 0
-	}
-	s := make([]int64, n)
-	arena := NewArena()
-	// Warm the arena and the touched-list capacity.
-	VertexButterfliesMaskedInto(s, g, SideV1, active, 1, arena)
-
-	allocs := testing.AllocsPerRun(20, func() {
+	for i, g := range cheaperSidePair(t, gen.PowerLawBipartite(800, 200, 4000, 0.7, 0.7, 8)) {
+		if cross := seedCross(vertexOrient(g, SideV1)); cross != (i == 1) {
+			t.Fatalf("graph %d: cross sweep %v; want the pair to take the same-side sweep, then the cross sweep", i, cross)
+		}
+		n := g.NumV1()
+		active := make([]bool, n)
+		for u := range active {
+			active[u] = u%5 != 0
+		}
+		s := make([]int64, n)
+		arena := NewArena()
+		// Warm the arena and the touched-list capacity.
 		VertexButterfliesMaskedInto(s, g, SideV1, active, 1, arena)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm masked count allocated %.1f objects/op, want 0", allocs)
+
+		allocs := testing.AllocsPerRun(20, func() {
+			VertexButterfliesMaskedInto(s, g, SideV1, active, 1, arena)
+		})
+		if allocs != 0 {
+			t.Fatalf("graph %d: warm masked count allocated %.1f objects/op, want 0", i, allocs)
+		}
 	}
 }
 
@@ -154,4 +162,111 @@ func BenchmarkTipRoundsArena(b *testing.B) {
 			sinkBench = s[0]
 		}
 	})
+}
+
+// peelTips runs a tip decomposition of side with the delta kernel: the
+// seed, then rounds that peel every alive vertex at or below the
+// running level, all on `threads` workers and one arena.
+func peelTips(g *graph.Bipartite, side Side, threads int, a *Arena) {
+	exposed, _ := vertexOrient(g, side)
+	n := exposed.R
+	s := make([]int64, n)
+	VertexButterfliesMaskedInto(s, g, side, nil, threads, a)
+	alive := make([]bool, n)
+	for u := range alive {
+		alive[u] = true
+	}
+	dirty := make([]int32, n)
+	var batch, touched []int32
+	var level int64
+	for left := n; left > 0; left -= len(batch) {
+		low := int64(-1)
+		for u, ok := range alive {
+			if ok && (low < 0 || s[u] < low) {
+				low = s[u]
+			}
+		}
+		level = max(level, low)
+		batch = batch[:0]
+		for u, ok := range alive {
+			if ok && s[u] <= level {
+				alive[u] = false
+				batch = append(batch, int32(u))
+			}
+		}
+		touched = touched[:0]
+		TipDeltaBatch(g, side, batch, alive, s, dirty, &touched, threads, a)
+		for _, w := range touched {
+			dirty[w] = 0
+		}
+	}
+}
+
+// peelWings is peelTips for edges, with the wing delta kernel.
+func peelWings(g *graph.Bipartite, threads int, a *Arena) {
+	nnz := int(g.NumEdges())
+	sup := make([]int64, nnz)
+	EdgeSupportInto(sup, g, threads, a)
+	state := NewWingPeelState(g)
+	alive := make([]bool, nnz)
+	for e := range alive {
+		alive[e] = true
+	}
+	inBatch := make([]bool, nnz)
+	dirty := make([]int32, nnz)
+	var batch, touched []int64
+	var level int64
+	for left := nnz; left > 0; left -= len(batch) {
+		low := int64(-1)
+		for e, ok := range alive {
+			if ok && (low < 0 || sup[e] < low) {
+				low = sup[e]
+			}
+		}
+		level = max(level, low)
+		batch = batch[:0]
+		for e, ok := range alive {
+			if ok && sup[e] <= level {
+				alive[e] = false
+				inBatch[e] = true
+				batch = append(batch, int64(e))
+			}
+		}
+		touched = touched[:0]
+		WingStateDeltaBatch(state, batch, alive, inBatch, sup, dirty, &touched, threads, a)
+		for _, e := range batch {
+			inBatch[e] = false
+			state.RemoveEdge(e)
+		}
+		for _, f := range touched {
+			dirty[f] = 0
+		}
+	}
+}
+
+// Every workspace goes back to the arena at rest after a parallel tip
+// and a parallel wing decomposition: its partial vector, which the seed
+// and every delta round wrote through, is all-zero again, and its
+// accumulator and touched shares are empty.
+func TestArenaPartialsZeroAfterPeeling(t *testing.T) {
+	g := gen.PowerLawBipartite(300, 200, 2000, 0.8, 0.7, 5)
+	arena := NewArena()
+	peelTips(g, SideV1, 3, arena)
+	peelTips(g, SideV2, 3, arena)
+	peelWings(g, 3, arena)
+	var used int
+	for _, ws := range arena.free {
+		if len(ws.part) > 0 {
+			used++
+		}
+		if slices.ContainsFunc(ws.part, func(c int64) bool { return c != 0 }) {
+			t.Fatal("a pooled workspace holds a nonzero partial vector")
+		}
+		if slices.ContainsFunc(ws.acc, func(c int32) bool { return c != 0 }) || len(ws.touched) > 0 || len(ws.vout) > 0 || len(ws.eout) > 0 {
+			t.Fatal("a pooled workspace is not at rest")
+		}
+	}
+	if used < 2 {
+		t.Fatalf("%d pooled workspaces carry a partial vector; want the parallel paths to have run", used)
+	}
 }

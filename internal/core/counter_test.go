@@ -99,7 +99,7 @@ func TestQuickVertexButterfliesSpGEMMMatchesSweep(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 12)
 		for _, side := range []Side{SideV1, SideV2} {
-			want := VertexButterflies(g, side)
+			want := vertexButterflies(g, side)
 			got := VertexButterfliesSpGEMM(g, side)
 			for i := range want {
 				if got[i] != want[i] {
@@ -116,7 +116,7 @@ func TestQuickVertexButterfliesSpGEMMMatchesSweep(t *testing.T) {
 
 func TestVertexButterfliesSpGEMMMedium(t *testing.T) {
 	g := gen.PowerLawBipartite(500, 400, 3000, 0.7, 0.7, 18)
-	want := VertexButterflies(g, SideV1)
+	want := vertexButterflies(g, SideV1)
 	got := VertexButterfliesSpGEMM(g, SideV1)
 	for i := range want {
 		if got[i] != want[i] {

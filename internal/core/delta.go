@@ -27,20 +27,26 @@ package core
 //     butterfly is "assigned" to its minimum-id batch edge: the sweep
 //     from batch edge e skips any butterfly that also contains a batch
 //     edge with a smaller flat id. The rule is order-free, so workers
-//     can process batch edges concurrently with atomic decrements.
+//     can process batch edges concurrently.
 //
 // Both kernels draw scratch from a core.Arena and append first-touched
 // ids to a caller-owned buffer (deduplicated through a caller-owned
 // dirty-mark array), so steady-state peeling rounds allocate nothing on
 // the sequential path (TestTipDeltaSteadyStateZeroAlloc /
-// TestWingStateDeltaSteadyStateZeroAlloc). Parallel workers collect
-// the ids whose dirty mark they won in a per-worker share of the list,
-// held in their arena workspace and concatenated after the join.
+// TestWingStateDeltaSteadyStateZeroAlloc).
+//
+// Parallel rounds share nothing writable while they run: each worker
+// subtracts into the private partial vector of its arena workspace
+// (vertex- or edge-indexed, zero at rest) and records the ids it
+// touches first in its own share (vout/eout). After the join one merge
+// (mergePartials) adds the partials into the shared vector, re-zeroes
+// them and deduplicates the touched ids through dirty, so the inner
+// loops carry no atomic operation and no two workers contend for a
+// cache line of counts. A worker's partial vector costs 8 B per vertex
+// (tip) or per edge (wing); the engines clamp threads to GOMAXPROCS,
+// which bounds the total.
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"butterfly/internal/graph"
 	"butterfly/internal/sparse"
 )
@@ -58,18 +64,20 @@ const minDeltaParallelBatch = 8
 // dirty (an all-zero int32 array of the side's length) for
 // deduplication; the caller must clear the marks of the returned ids
 // before the next round. With threads > 1 the batch is processed by
-// worker goroutines using atomic decrements; results are identical to
-// the sequential path (the decrement multiset is the same).
+// worker goroutines that subtract into private partial vectors, merged
+// into s after the join; results are identical to the sequential path
+// (the decrement multiset is the same).
 func TipDeltaBatch(g *graph.Bipartite, side Side, batch []int32, alive []bool, s []int64, dirty []int32, touched *[]int32, threads int, a *Arena) {
 	if len(batch) == 0 {
 		return
 	}
 	exposed, secondary := vertexOrient(g, side)
+	n := exposed.R
 	if threads > len(batch) {
 		threads = len(batch)
 	}
 	if threads <= 1 || len(batch) < minDeltaParallelBatch {
-		ws := a.get(exposed.R)
+		ws := a.get(n)
 		for _, u := range batch {
 			partners := tipDeltaWedges(int(u), exposed, secondary, alive, ws)
 			acc := ws.acc
@@ -90,59 +98,41 @@ func TipDeltaBatch(g *graph.Bipartite, side Side, batch []int32, alive []bool, s
 		return
 	}
 
-	wss := deltaWorkers(len(batch), threads, exposed.R, a, func(i int, ws *workspace) {
+	wss := runWorkers(len(batch), threads, n, a, func(i int, ws *workspace) {
 		partners := tipDeltaWedges(int(batch[i]), exposed, secondary, alive, ws)
-		acc := ws.acc
+		acc, part := ws.acc, ws.partial(n)
 		for _, w := range partners {
 			c := int64(acc[w])
 			acc[w] = 0
 			if b := c * (c - 1) / 2; b > 0 {
-				atomic.AddInt64(&s[w], -b)
-				if atomic.CompareAndSwapInt32(&dirty[w], 0, 1) {
+				if part[w] == 0 {
 					ws.vout = append(ws.vout, w)
 				}
+				part[w] -= b
 			}
 		}
 		ws.touched = ws.touched[:0]
 	})
 	for _, ws := range wss {
-		*touched = append(*touched, ws.vout...)
+		mergePartials(s, ws.part, ws.vout, dirty, touched)
 		ws.vout = ws.vout[:0]
 		a.put(ws)
 	}
 }
 
-// deltaWorkers runs item(i, ws) for every i in [0, n) on threads
-// goroutines that claim items from an atomic cursor, each holding its
-// own arena workspace of the given width. It returns the workspaces
-// after the workers have joined: the caller merges their per-worker
-// touched shares (vout/eout) — written without a lock, since the
-// dirty CAS already gives every id to exactly one worker — and hands
-// them back with a.put.
-func deltaWorkers(n, threads, width int, a *Arena, item func(i int, ws *workspace)) []*workspace {
-	wss := make([]*workspace, threads)
-	for t := range wss {
-		wss[t] = a.get(width)
+// mergePartials adds one worker's partial decrements at ids — the ids
+// it touched first — into vals and re-zeroes them, appending each id
+// whose dirty mark is still clear to *touched. Called once per worker
+// after the join, so the marks need no atomics.
+func mergePartials[T int32 | int64](vals, part []int64, ids []T, dirty []int32, touched *[]T) {
+	for _, id := range ids {
+		vals[id] += part[id]
+		part[id] = 0
+		if dirty[id] == 0 {
+			dirty[id] = 1
+			*touched = append(*touched, id)
+		}
 	}
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	for _, ws := range wss {
-		wg.Add(1)
-		go func(ws *workspace) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				item(i, ws)
-			}
-		}(ws)
-	}
-	wg.Wait()
-	return wss
 }
 
 // tipDeltaWedges accumulates the wedge multiplicities β_uw of peeled

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"butterfly/internal/graph"
 	"butterfly/internal/sparse"
 )
@@ -39,7 +36,7 @@ func EdgeSupportInto(vals []int64, g *graph.Bipartite, threads int, a *Arena) *s
 		vals = make([]int64, nnz)
 	}
 	out := &sparse.CSR{R: adj.R, C: adj.C, Ptr: adj.Ptr, Col: adj.Col, Val: vals[:nnz]}
-	if supportSweepWork(adjT) <= supportSweepWork(adj) {
+	if degSquares(adjT) <= degSquares(adj) {
 		supportSweep(out.Val, adj, adjT, threads, a)
 		return out
 	}
@@ -58,12 +55,12 @@ func EdgeSupportInto(vals []int64, g *graph.Bipartite, threads int, a *Arena) *s
 	return out
 }
 
-// supportSweepWork is the β-accumulation work of a sweep whose
-// partners come from the rows of secondary: Σ over its rows of deg².
-func supportSweepWork(secondary *sparse.CSR) int64 {
+// degSquares returns Σ over the rows of m of deg². A sweep that
+// accumulates β through the rows of m does that many wedge steps.
+func degSquares(m *sparse.CSR) int64 {
 	var c int64
-	for y := 0; y < secondary.R; y++ {
-		d := secondary.Ptr[y+1] - secondary.Ptr[y]
+	for r := 0; r < m.R; r++ {
+		d := m.Ptr[r+1] - m.Ptr[r]
 		c += d * d
 	}
 	return c
@@ -74,30 +71,13 @@ func supportSweepWork(secondary *sparse.CSR) int64 {
 func supportSweep(vals []int64, exposed, secondary *sparse.CSR, threads int, a *Arena) {
 	n := exposed.R
 	if threads > 1 {
-		units := buildSchedule(edgeWorkPerRow(exposed, secondary), false, threads, schedTuning{}, nil,
-			func(int) int { return 1 }, // rows are atomic: never split
-			nil, nil).units
-		if threads = min(threads, len(units)); threads > 1 {
-			var (
-				cursor atomic.Int64
-				wg     sync.WaitGroup
-			)
-			for t := 0; t < threads; t++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					ws := a.get(n)
-					defer a.put(ws)
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= len(units) {
-							return
-						}
-						supportRows(exposed, secondary, units[i].lo, units[i].hi, vals, ws)
-					}
-				}()
+		wss := rowWorkers(edgeWorkPerRow(exposed, secondary), threads, n, a, func(lo, hi int, ws *workspace) {
+			supportRows(exposed, secondary, lo, hi, vals, ws)
+		})
+		if wss != nil {
+			for _, ws := range wss {
+				a.put(ws)
 			}
-			wg.Wait()
 			return
 		}
 	}

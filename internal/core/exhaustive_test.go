@@ -83,7 +83,7 @@ func TestExhaustivePerVertexAndEdge3x3(t *testing.T) {
 	enumerateGraphs(3, 3, func(d *dense.Matrix, g *graph.Bipartite) {
 		total := bruteCount(d)
 		var vs int64
-		for _, v := range VertexButterflies(g, SideV1) {
+		for _, v := range vertexButterflies(g, SideV1) {
 			vs += v
 		}
 		if vs != 2*total {

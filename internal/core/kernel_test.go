@@ -185,8 +185,8 @@ func TestArenaSharedAcrossCounts(t *testing.T) {
 }
 
 // The per-vertex kernels must agree across threads, masks and the
-// work-weighted schedule (hub splitting included via the power-law
-// skew at default tuning on a larger graph).
+// work-weighted schedule of whole rows, on a skewed power-law graph
+// whose heavy rows cap their chunks.
 func TestVertexButterfliesIntoMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := gen.PowerLawBipartite(700, 500, 5000, 0.8, 0.7, 13)
@@ -200,7 +200,7 @@ func TestVertexButterfliesIntoMatchesSequential(t *testing.T) {
 		for i := range active {
 			active[i] = rng.Intn(4) > 0
 		}
-		wantFull := VertexButterflies(g, side)
+		wantFull := vertexButterflies(g, side)
 		wantMasked := vertexButterfliesMasked(g, side, active)
 		s := make([]int64, n)
 		for _, threads := range []int{1, 2, 4, 8} {
@@ -224,7 +224,7 @@ func TestVertexButterfliesIntoMatchesSequential(t *testing.T) {
 // cheaper side is V1, and its transpose, whose cheaper side is V2.
 func cheaperSidePair(t testing.TB, g *graph.Bipartite) [2]*graph.Bipartite {
 	t.Helper()
-	v1, v2 := supportSweepWork(g.AdjT()), supportSweepWork(g.Adj())
+	v1, v2 := degSquares(g.AdjT()), degSquares(g.Adj())
 	switch {
 	case v1 < v2:
 		return [2]*graph.Bipartite{g, g.Transposed()}

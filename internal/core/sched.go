@@ -2,6 +2,8 @@ package core
 
 import (
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"butterfly/internal/sparse"
 )
@@ -137,50 +139,6 @@ func workPerExposed(exposed, secondary *sparse.CSR, above bool) []int64 {
 		}
 	}
 	return work
-}
-
-// workFullExposed is the unrestricted variant (both directions,
-// excluding the vertex itself) used by the per-vertex kernels.
-func workFullExposed(exposed, secondary *sparse.CSR) []int64 {
-	work := make([]int64, exposed.R)
-	for y := 0; y < secondary.R; y++ {
-		row := secondary.Row(y)
-		d := int64(len(row) - 1)
-		if d <= 0 {
-			continue
-		}
-		for _, z := range row {
-			work[z] += d
-		}
-	}
-	return work
-}
-
-// workFullExposedMasked is workFullExposed restricted to active
-// vertices. It also returns the per-secondary-row active membership
-// counts, which the hub splitter reuses as per-neighbor segment work.
-func workFullExposedMasked(exposed, secondary *sparse.CSR, active []bool) ([]int64, []int32) {
-	work := make([]int64, exposed.R)
-	rowAct := make([]int32, secondary.R)
-	for y := 0; y < secondary.R; y++ {
-		row := secondary.Row(y)
-		var a int32
-		for _, z := range row {
-			if active[z] {
-				a++
-			}
-		}
-		rowAct[y] = a
-		if a <= 1 {
-			continue
-		}
-		for _, z := range row {
-			if active[z] {
-				work[z] += int64(a - 1)
-			}
-		}
-	}
-	return work, rowAct
 }
 
 // restrictedSegWork returns a closure computing the restricted wedge
@@ -377,6 +335,56 @@ func (s *schedule) simulate(threads int) []int64 {
 		loads[min] += u.work
 	}
 	return loads
+}
+
+// runWorkers runs item(i, ws) for every i in [0, n) on threads
+// goroutines that claim items from an atomic cursor, each holding its
+// own arena workspace of the given width. It returns the workspaces
+// after the workers have joined: the caller merges what the workers
+// left in them (partial vectors, touched shares) and hands them back
+// with a.put.
+func runWorkers(n, threads, width int, a *Arena, item func(i int, ws *workspace)) []*workspace {
+	wss := make([]*workspace, threads)
+	for t := range wss {
+		wss[t] = a.get(width)
+	}
+	var (
+		cursor atomic.Int64
+		wg     sync.WaitGroup
+	)
+	for _, ws := range wss {
+		wg.Add(1)
+		go func(ws *workspace) {
+			defer wg.Done()
+			for {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				item(i, ws)
+			}
+		}(ws)
+	}
+	wg.Wait()
+	return wss
+}
+
+// rowWorkers cuts a traversal of len(work) rows into work-weighted
+// chunks of whole rows — a row is never split, so a heavy row caps its
+// chunk — and runs body(lo, hi, ws) over the chunks with runWorkers. It
+// returns the workers' workspaces, or nil, having run nothing, when the
+// schedule has fewer than two chunks: the caller then sweeps every row
+// itself.
+func rowWorkers(work []int64, threads, width int, a *Arena, body func(lo, hi int, ws *workspace)) []*workspace {
+	units := buildSchedule(work, false, threads, schedTuning{}, nil,
+		func(int) int { return 1 }, // rows are atomic: never split
+		nil, nil).units
+	if threads = min(threads, len(units)); threads <= 1 {
+		return nil
+	}
+	return runWorkers(len(units), threads, width, a, func(i int, ws *workspace) {
+		body(units[i].lo, units[i].hi, ws)
+	})
 }
 
 // orient returns the exposed and secondary adjacency for an invariant:

@@ -44,27 +44,6 @@ func TestQuickWorkPerExposedMatchesSearchReference(t *testing.T) {
 	}
 }
 
-func TestWorkFullExposedMatchesMaskedAllActive(t *testing.T) {
-	g := gen.PowerLawBipartite(300, 250, 2000, 0.7, 0.7, 11)
-	exposed, secondary := g.Adj(), g.AdjT()
-	active := make([]bool, exposed.R)
-	for i := range active {
-		active[i] = true
-	}
-	full := workFullExposed(exposed, secondary)
-	masked, rowAct := workFullExposedMasked(exposed, secondary, active)
-	for k := range full {
-		if full[k] != masked[k] {
-			t.Fatalf("vertex %d: full %d, masked(all) %d", k, full[k], masked[k])
-		}
-	}
-	for y := 0; y < secondary.R; y++ {
-		if int(rowAct[y]) != secondary.RowDeg(y) {
-			t.Fatalf("row %d active count %d, deg %d", y, rowAct[y], secondary.RowDeg(y))
-		}
-	}
-}
-
 // Every schedule must cover each traversal index exactly once: spilled
 // hubs through the union of their segments, everything else through
 // chunks. Work must be conserved exactly.

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"butterfly/internal/graph"
 	"butterfly/internal/sparse"
 )
@@ -33,39 +30,115 @@ func vertexOrient(g *graph.Bipartite, side Side) (exposed, secondary *sparse.CSR
 	return g.Adj(), g.AdjT()
 }
 
-// VertexButterflies returns the number of butterflies each vertex of
-// the chosen side participates in — the vector s of equation (19)
-// (with the ½ per-vertex coefficient; see the erratum note on
-// dense.SpecVertexButterflies). Σ of the result is 2·ΞG.
+// seedSweep selects how VertexButterfliesMaskedInto enumerates wedges.
+// Production code always passes seedCheaper; tests force one sweep.
+type seedSweep int
+
+const (
+	seedCheaper   seedSweep = iota
+	seedSameSide            // walk the requested side's rows: Σ_{y∈secondary} deg(y)²/2 wedge steps
+	seedCrossSide           // walk the other side's rows: Σ_{u∈exposed} deg(u)² wedge steps
+)
+
+// seedCross reports whether the cross-side sweep does less wedge work
+// than the same-side half sweep for the requested (exposed) side.
+func seedCross(exposed, secondary *sparse.CSR) bool {
+	return degSquares(exposed) < degSquares(secondary)/2
+}
+
+// VertexButterfliesMaskedInto fills s (len = side size) with the number
+// of butterflies each vertex of the chosen side participates in — the
+// vector s of equation (19), with the ½ per-vertex coefficient (see the
+// erratum note on dense.SpecVertexButterflies); Σ of an unmasked result
+// is 2·ΞG. Only butterflies whose two side vertices are both active
+// count; entries of inactive vertices are zero, and active may be nil
+// for an unmasked count. It runs on up to `threads` workers with scratch
+// from a (nil allowed). s is zeroed first, so one buffer and one arena
+// serve every round of a peeling loop, and the one-thread path allocates
+// nothing (see TestTipRoundsArenaZeroAlloc).
 //
-// The computation exposes each vertex u once and accumulates wedge
-// multiplicities β against partners w < u, crediting C(β, 2) to both
-// endpoints, so each pair is touched exactly once.
-func VertexButterflies(g *graph.Bipartite, side Side) []int64 {
+// Two sweeps compute the vector; it takes the one with less wedge work
+// at every thread count:
+//
+//   - same side: expose each active vertex u, accumulate the wedge
+//     multiplicities β_uw against active partners w < u, and credit
+//     C(β_uw, 2) to both endpoints — Σ_{y∈secondary} deg(y)²/2 steps;
+//   - cross side: for each vertex y of the other side, accumulate
+//     β_{yy′} — the active vertices adjacent to both y and y′ — against
+//     every y′ < y, then credit each active u ∈ N(y) with
+//     Σ_{y′∈N(u), y′<y} (β_{yy′} − 1), one per butterfly {u, w} × {y′, y}
+//     — Σ_{u∈exposed} deg(u)² steps.
+//
+// The cross sweep is taken exactly when Σ_{u∈exposed} deg(u)² is below
+// Σ_{y∈secondary} deg(y)²/2. With threads > 1, workers take
+// work-weighted chunks of whole rows of the swept side and add into a
+// private partial vector held in their arena workspace, which is summed
+// into s after the join.
+func VertexButterfliesMaskedInto(s []int64, g *graph.Bipartite, side Side, active []bool, threads int, a *Arena) {
+	vertexButterfliesInto(s, g, side, active, threads, a, seedCheaper)
+}
+
+// vertexButterfliesInto is VertexButterfliesMaskedInto with the sweep
+// exposed for tests.
+func vertexButterfliesInto(s []int64, g *graph.Bipartite, side Side, active []bool, threads int, a *Arena, sweep seedSweep) {
 	exposed, secondary := vertexOrient(g, side)
-	s := make([]int64, exposed.R)
-	ws := newWorkspace(exposed.R)
-	vertexHalfInto(s, exposed, secondary, nil, ws)
-	return s
-}
-
-// VertexButterfliesParallel computes the same vector with up to
-// `threads` workers on the work-weighted schedule; results are
-// identical to the sequential version.
-func VertexButterfliesParallel(g *graph.Bipartite, side Side, threads int) []int64 {
-	exposed, _ := vertexOrient(g, side)
-	s := make([]int64, exposed.R)
-	VertexButterfliesMaskedInto(s, g, side, nil, threads, nil)
-	return s
-}
-
-// vertexHalfInto is the sequential half kernel: expose each (active)
-// vertex u, accumulate β against partners w < u, credit C(β, 2) to both
-// endpoints. Adds into s, which must be zeroed by the caller.
-func vertexHalfInto(s []int64, exposed, secondary *sparse.CSR, active []bool, ws *workspace) {
 	n := exposed.R
+	if len(s) != n {
+		panic("core: vertex output length mismatch")
+	}
+	if active != nil && len(active) != n {
+		panic("core: active mask length mismatch")
+	}
+	clear(s)
+	cross := sweep == seedCrossSide || sweep == seedCheaper && seedCross(exposed, secondary)
+	rows, partners := exposed, secondary
+	if cross {
+		rows, partners = secondary, exposed
+	}
+	if threads > 1 {
+		// A row's work is its β steps below it plus its own length.
+		work := workPerExposed(rows, partners, false)
+		for r := range work {
+			work[r] += int64(rows.RowDeg(r))
+		}
+		wss := rowWorkers(work, threads, rows.R, a, func(lo, hi int, ws *workspace) {
+			vertexRows(ws.partial(n), exposed, secondary, active, lo, hi, cross, ws)
+		})
+		if wss != nil {
+			for _, ws := range wss {
+				// A worker that claimed no chunk may hold no vector.
+				part := ws.part[:min(n, len(ws.part))]
+				for u, c := range part {
+					s[u] += c
+				}
+				clear(part)
+				a.put(ws)
+			}
+			return
+		}
+	}
+	ws := a.get(rows.R)
+	vertexRows(s, exposed, secondary, active, 0, rows.R, cross, ws)
+	a.put(ws)
+}
+
+// vertexRows adds into out the per-vertex counts contributed by rows
+// [lo, hi) of the swept side: exposed rows for the same-side sweep,
+// secondary rows for the cross sweep.
+func vertexRows(out []int64, exposed, secondary *sparse.CSR, active []bool, lo, hi int, cross bool, ws *workspace) {
+	if cross {
+		vertexCrossRows(out, exposed, secondary, active, lo, hi, ws)
+	} else {
+		vertexHalfRows(out, exposed, secondary, active, lo, hi, ws)
+	}
+}
+
+// vertexHalfRows is the same-side sweep over exposed rows [lo, hi):
+// each active u accumulates β against active partners w < u and credits
+// C(β, 2) to both endpoints.
+func vertexHalfRows(out []int64, exposed, secondary *sparse.CSR, active []bool, lo, hi int, ws *workspace) {
 	acc, touched := ws.acc, ws.touched
-	for u := 0; u < n; u++ {
+	for u := lo; u < hi; u++ {
 		if active != nil && !active[u] {
 			continue
 		}
@@ -87,8 +160,8 @@ func vertexHalfInto(s []int64, exposed, secondary *sparse.CSR, active []bool, ws
 		for _, w := range touched {
 			c := int64(acc[w])
 			b := c * (c - 1) / 2
-			s[u] += b
-			s[w] += b
+			out[u] += b
+			out[w] += b
 			acc[w] = 0
 		}
 		touched = touched[:0]
@@ -96,181 +169,54 @@ func vertexHalfInto(s []int64, exposed, secondary *sparse.CSR, active []bool, ws
 	ws.touched = touched
 }
 
-// vertexFullOne computes s[u] with the full (both-direction) partner
-// enumeration — the race-free per-vertex unit of the parallel kernel.
-func vertexFullOne(u int, exposed, secondary *sparse.CSR, active []bool, ws *workspace) int64 {
+// vertexCrossRows is the cross-side sweep over secondary rows [lo, hi):
+// each y accumulates β_{yy′} through its active neighbors against every
+// y′ < y, then credits each active neighbor u with
+// Σ_{y′∈N(u), y′<y} (β_{yy′} − 1). Every pair {y′, y} is handled at its
+// larger end, so each butterfly reaches each of its two exposed
+// vertices exactly once.
+func vertexCrossRows(out []int64, exposed, secondary *sparse.CSR, active []bool, lo, hi int, ws *workspace) {
 	acc, touched := ws.acc, ws.touched
-	u32 := int32(u)
-	for _, y := range exposed.Row(u) {
-		for _, w := range secondary.Row(int(y)) {
-			if w == u32 {
+	for y := lo; y < hi; y++ {
+		us := secondary.Row(y)
+		if len(us) < 2 {
+			continue
+		}
+		y32 := int32(y)
+		for _, u := range us {
+			if active != nil && !active[u] {
 				continue
 			}
-			if active != nil && !active[w] {
-				continue
-			}
-			if acc[w] == 0 {
-				touched = append(touched, w)
-			}
-			acc[w]++
-		}
-	}
-	var su int64
-	for _, w := range touched {
-		c := int64(acc[w])
-		su += c * (c - 1) / 2
-		acc[w] = 0
-	}
-	ws.touched = touched[:0]
-	return su
-}
-
-// vertexSegPairs runs the full partner enumeration for neighbor-list
-// segment [ylo, yhi) of hub u and exports the partial wedge counts for
-// the reduction phase.
-func vertexSegPairs(u, ylo, yhi int, exposed, secondary *sparse.CSR, active []bool, ws *workspace) []hubPair {
-	acc, touched := ws.acc, ws.touched
-	u32 := int32(u)
-	for _, y := range exposed.Row(u)[ylo:yhi] {
-		for _, w := range secondary.Row(int(y)) {
-			if w == u32 {
-				continue
-			}
-			if active != nil && !active[w] {
-				continue
-			}
-			if acc[w] == 0 {
-				touched = append(touched, w)
-			}
-			acc[w]++
-		}
-	}
-	out := make([]hubPair, len(touched))
-	for i, w := range touched {
-		out[i] = hubPair{z: w, c: acc[w]}
-		acc[w] = 0
-	}
-	ws.touched = touched[:0]
-	return out
-}
-
-// vertexWork returns the per-vertex work vector of the full kernel and
-// the per-neighbor segment-work closure used to split hubs.
-func vertexWork(exposed, secondary *sparse.CSR, active []bool) ([]int64, func(k, yi int) int64) {
-	if active == nil {
-		work := workFullExposed(exposed, secondary)
-		return work, func(k, yi int) int64 {
-			d := secondary.RowDeg(int(exposed.Row(k)[yi]))
-			if d <= 1 {
-				return 0
-			}
-			return int64(d - 1)
-		}
-	}
-	work, rowAct := workFullExposedMasked(exposed, secondary, active)
-	return work, func(k, yi int) int64 {
-		a := rowAct[exposed.Row(k)[yi]]
-		if a <= 1 {
-			return 0
-		}
-		return int64(a - 1)
-	}
-}
-
-// VertexButterfliesMaskedInto fills s (len = side size) with per-vertex
-// butterfly counts for the chosen side, counting only butterflies whose
-// two exposed-side vertices are both active; entries of inactive
-// vertices are zero, and active may be nil for an unmasked count. It
-// runs on up to `threads` workers with scratch from a (nil allowed).
-// s is zeroed first, so one buffer and one arena serve every round of a
-// peeling loop without allocating (see TestTipRoundsArenaZeroAlloc).
-func VertexButterfliesMaskedInto(s []int64, g *graph.Bipartite, side Side, active []bool, threads int, a *Arena) {
-	exposed, secondary := vertexOrient(g, side)
-	n := exposed.R
-	if len(s) != n {
-		panic("core: vertex output length mismatch")
-	}
-	if active != nil && len(active) != n {
-		panic("core: active mask length mismatch")
-	}
-	for i := range s {
-		s[i] = 0
-	}
-	if threads <= 1 {
-		// The half kernel does 2× less wedge work than the parallel
-		// full kernel and allocates nothing beyond the workspace.
-		ws := a.get(n)
-		vertexHalfInto(s, exposed, secondary, active, ws)
-		a.put(ws)
-		return
-	}
-
-	work, segW := vertexWork(exposed, secondary, active)
-	sched := buildSchedule(work, false, threads, schedTuning{}, segW, exposed.RowDeg, nil, nil)
-	if threads > len(sched.units) {
-		threads = len(sched.units)
-	}
-	if threads <= 1 {
-		ws := a.get(n)
-		vertexHalfInto(s, exposed, secondary, active, ws)
-		a.put(ws)
-		return
-	}
-
-	parts := make([][][]hubPair, len(sched.spills))
-	for i, sp := range sched.spills {
-		parts[i] = make([][]hubPair, sp.segs)
-	}
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	nUnits := len(sched.units)
-	for t := 0; t < threads; t++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := a.get(n)
-			defer a.put(ws)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= nUnits {
+			for _, z := range exposed.Row(int(u)) {
+				if z >= y32 {
 					break
 				}
-				u := &sched.units[i]
-				switch u.kind {
-				case unitChunk:
-					for v := u.lo; v < u.hi; v++ {
-						if active != nil && !active[v] {
-							continue
-						}
-						s[v] = vertexFullOne(v, exposed, secondary, active, ws)
-					}
-				case unitYSeg:
-					parts[u.spill][u.seg] = vertexSegPairs(u.hub, u.lo, u.hi, exposed, secondary, active, ws)
+				if acc[z] == 0 {
+					touched = append(touched, z)
 				}
+				acc[z]++
 			}
-		}()
-	}
-	wg.Wait()
-
-	// Reduce split hubs: merge the partial wedge counts and apply the
-	// butterfly formula; each hub is written by exactly one reducer.
-	if len(sched.spills) > 0 {
-		ws := a.get(n)
-		for i, sp := range sched.spills {
-			acc, touched := ws.acc, ws.touched
-			for _, seg := range parts[i] {
-				for _, p := range seg {
-					if acc[p.z] == 0 {
-						touched = append(touched, p.z)
-					}
-					acc[p.z] += p.c
-				}
-			}
-			s[sp.k] = flush(acc, &touched)
-			ws.touched = touched
 		}
-		a.put(ws)
+		if len(touched) == 0 {
+			continue
+		}
+		for _, u := range us {
+			if active != nil && !active[u] {
+				continue
+			}
+			var c int64
+			for _, z := range exposed.Row(int(u)) {
+				if z >= y32 {
+					break
+				}
+				c += int64(acc[z]) - 1
+			}
+			out[u] += c
+		}
+		for _, z := range touched {
+			acc[z] = 0
+		}
+		touched = touched[:0]
 	}
+	ws.touched = touched
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,14 +17,14 @@ func TestQuickVertexButterfliesMatchSpec(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d, g := randGraphAndDense(rng, 12)
 		wantV1 := dense.SpecVertexButterflies(d)
-		gotV1 := VertexButterflies(g, SideV1)
+		gotV1 := vertexButterflies(g, SideV1)
 		for i := range wantV1 {
 			if gotV1[i] != wantV1[i] {
 				return false
 			}
 		}
 		wantV2 := dense.SpecVertexButterfliesV2(d)
-		gotV2 := VertexButterflies(g, SideV2)
+		gotV2 := vertexButterflies(g, SideV2)
 		for i := range wantV2 {
 			if gotV2[i] != wantV2[i] {
 				return false
@@ -41,7 +42,7 @@ func TestVertexButterfliesSumIsTwiceCount(t *testing.T) {
 	want := 2 * CountAuto(g)
 	for _, side := range []Side{SideV1, SideV2} {
 		var sum int64
-		for _, v := range VertexButterflies(g, side) {
+		for _, v := range vertexButterflies(g, side) {
 			sum += v
 		}
 		if sum != want {
@@ -55,8 +56,9 @@ func TestQuickVertexButterfliesParallelMatches(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 15)
 		for _, side := range []Side{SideV1, SideV2} {
-			want := VertexButterflies(g, side)
-			got := VertexButterfliesParallel(g, side, 4)
+			want := vertexButterflies(g, side)
+			got := make([]int64, len(want))
+			VertexButterfliesMaskedInto(got, g, side, nil, 4, nil)
 			for i := range want {
 				if got[i] != want[i] {
 					return false
@@ -70,13 +72,113 @@ func TestQuickVertexButterfliesParallelMatches(t *testing.T) {
 	}
 }
 
+// Thread counts below two take the one-thread path: on K(4,4) every
+// vertex is in C(3,1)·C(4,2) = 18 butterflies, and every borrowed
+// workspace goes back to the arena.
 func TestVertexButterfliesParallelSingleThreadDelegates(t *testing.T) {
 	g := gen.CompleteBipartite(4, 4)
-	want := VertexButterflies(g, SideV1)
-	got := VertexButterfliesParallel(g, SideV1, 1)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatal("threads=1 differs from sequential")
+	arena := NewArena()
+	s := make([]int64, g.NumV1())
+	for _, threads := range []int{-1, 0, 1} {
+		VertexButterfliesMaskedInto(s, g, SideV1, nil, threads, arena)
+		for u, c := range s {
+			if c != 18 {
+				t.Fatalf("threads=%d vertex %d: %d butterflies, want 18", threads, u, c)
+			}
+		}
+		if arena.Size() != 1 {
+			t.Fatalf("threads=%d: arena holds %d workspaces, want 1", threads, arena.Size())
+		}
+	}
+}
+
+// specVertexMasked is the dense spec's per-vertex vector of the side
+// on the graph where inactive side vertices (nil: none) lose their
+// edges.
+func specVertexMasked(d *dense.Matrix, side Side, active []bool) []int64 {
+	m := d.Clone()
+	if side == SideV2 {
+		m = m.Transpose()
+	}
+	for i, a := range active {
+		if !a {
+			for j := 0; j < m.Cols; j++ {
+				m.Set(i, j, 0)
+			}
+		}
+	}
+	return dense.SpecVertexButterflies(m)
+}
+
+// Both seed sweeps and the chooser equal the dense spec on random
+// graphs: both sides, with and without a mask, on one and three
+// threads, with one output buffer and one arena reused across every
+// call. Graphs reach 40 vertices a side, so the three-thread calls
+// split into several chunks and merge partial vectors; CI runs this
+// under -race.
+func TestQuickVertexSeedSweepsMatchSpec(t *testing.T) {
+	arena := NewArena()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		d, g := randGraphAndDense(rng, 40)
+		for _, side := range []Side{SideV1, SideV2} {
+			n := g.NumV1()
+			if side == SideV2 {
+				n = g.NumV2()
+			}
+			active := make([]bool, n)
+			for i := range active {
+				active[i] = rng.Intn(3) > 0
+			}
+			s := make([]int64, n)
+			for _, mask := range [][]bool{nil, active} {
+				want := specVertexMasked(d, side, mask)
+				for _, sweep := range []seedSweep{seedCheaper, seedSameSide, seedCrossSide} {
+					for _, threads := range []int{1, 3} {
+						vertexButterfliesInto(s, g, side, mask, threads, arena, sweep)
+						if !slices.Equal(s, want) {
+							t.Logf("seed %d side %v masked %v sweep %d threads %d: %v, want %v",
+								seed, side, mask != nil, sweep, threads, s, want)
+							return false
+						}
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVertexSeedOrientationOnStandIns runs both seed sweeps on each of
+// the five paper stand-ins at scale 10, both sides: they agree vertex
+// for vertex. Record-labels' V1 seed takes the cross sweep, which walks
+// V2's rows at a twentieth of the wedge work.
+func TestVertexSeedOrientationOnStandIns(t *testing.T) {
+	arena := NewArena()
+	for _, name := range gen.PaperDatasetNames() {
+		g, err := gen.ScaledPaperDataset(name, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, side := range []Side{SideV1, SideV2} {
+			n := g.NumV1()
+			if side == SideV2 {
+				n = g.NumV2()
+			}
+			same, cross := make([]int64, n), make([]int64, n)
+			vertexButterfliesInto(same, g, side, nil, 2, arena, seedSameSide)
+			vertexButterfliesInto(cross, g, side, nil, 2, arena, seedCrossSide)
+			for u := range same {
+				if same[u] != cross[u] {
+					t.Fatalf("%s %v vertex %d: same-side sweep %d, cross sweep %d", name, side, u, same[u], cross[u])
+				}
+			}
+		}
+		if name == "record-labels" && !seedCross(vertexOrient(g, SideV1)) {
+			t.Fatalf("record-labels V1 takes the same-side sweep, want the cross sweep")
 		}
 	}
 }
@@ -119,6 +221,18 @@ func TestVertexButterfliesMaskedLengthPanics(t *testing.T) {
 		}
 	}()
 	VertexButterfliesMaskedInto(make([]int64, 3), g, SideV1, make([]bool, 2), 1, nil)
+}
+
+// vertexButterflies is the one-thread unmasked per-vertex count into a
+// fresh buffer.
+func vertexButterflies(g *graph.Bipartite, side Side) []int64 {
+	n := g.NumV1()
+	if side == SideV2 {
+		n = g.NumV2()
+	}
+	s := make([]int64, n)
+	VertexButterfliesMaskedInto(s, g, side, nil, 1, nil)
+	return s
 }
 
 // vertexButterfliesMasked is the one-thread masked per-vertex count
@@ -298,7 +412,7 @@ func TestVertexButterfliesMaskedParallelDirect(t *testing.T) {
 	for i := range activeV2 {
 		activeV2[i] = true
 	}
-	wantV2 := VertexButterflies(g, SideV2)
+	wantV2 := vertexButterflies(g, SideV2)
 	gotV2 := make([]int64, g.NumV2())
 	VertexButterfliesMaskedInto(gotV2, g, SideV2, activeV2, 3, nil)
 	for i := range wantV2 {

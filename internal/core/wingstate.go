@@ -32,11 +32,7 @@ package core
 // WingStateDeltaBatch only read them — and RemoveEdge is called by the
 // engine between rounds, after the batch kernel returned.
 
-import (
-	"sync/atomic"
-
-	"butterfly/internal/graph"
-)
+import "butterfly/internal/graph"
 
 // compactRows is one adjacency direction kept compacted to the present
 // edges: segment x is col/eid[start[x] : start[x]+n[x]].
@@ -205,9 +201,10 @@ func (s *WingPeelState) fromU(u, v int32) bool {
 // to guard decrements. Decrements are deduplicated per destroyed
 // butterfly via the minimum-batch-id assignment rule, so the kernel is
 // exact for batches of any size and parallelizes over batch edges
-// (threads > 1 uses atomic decrements). First-touched surviving edges
-// are appended to *touched once, using dirty for deduplication as in
-// TipDeltaBatch.
+// (threads > 1: workers subtract into private edge-indexed partial
+// vectors, merged into sup after the join, as in TipDeltaBatch).
+// First-touched surviving edges are appended to *touched once, using
+// dirty for deduplication as in TipDeltaBatch.
 func WingStateDeltaBatch(s *WingPeelState, batch []int64, alive, inBatch []bool, sup []int64, dirty []int32, touched *[]int64, threads int, a *Arena) {
 	wingStateDeltaBatch(s, batch, alive, inBatch, sup, dirty, touched, threads, a, sweepCheaper)
 }
@@ -231,12 +228,13 @@ func wingStateDeltaBatch(s *WingPeelState, batch []int64, alive, inBatch []bool,
 		return
 	}
 
-	wss := deltaWorkers(len(batch), threads, s.width(), a, func(i int, ws *workspace) {
-		k := wingKernel{s: s, inBatch: inBatch, alive: alive, sup: sup, dirty: dirty, out: &ws.eout, par: true, dir: dir, acc: ws.acc}
+	nnz := len(sup)
+	wss := runWorkers(len(batch), threads, s.width(), a, func(i int, ws *workspace) {
+		k := wingKernel{s: s, inBatch: inBatch, alive: alive, sup: ws.partial(nnz), out: &ws.eout, par: true, dir: dir, acc: ws.acc}
 		k.edge(batch[i])
 	})
 	for _, ws := range wss {
-		*touched = append(*touched, ws.eout...)
+		mergePartials(sup, ws.part, ws.eout, dirty, touched)
 		ws.eout = ws.eout[:0]
 		a.put(ws)
 	}
@@ -246,10 +244,10 @@ func wingStateDeltaBatch(s *WingPeelState, batch []int64, alive, inBatch []bool,
 type wingKernel struct {
 	s              *WingPeelState
 	inBatch, alive []bool
-	sup            []int64
-	dirty          []int32
+	sup            []int64  // the shared supports, or a worker's partial vector when par
+	dirty          []int32  // sequential path only
 	out            *[]int64 // receives first-touched edge ids
-	par            bool     // atomic decrements: other workers run concurrently
+	par            bool     // other workers run concurrently: sup is private
 	dir            sweepDir
 	acc            []int32 // workspace position map, all-zero at rest
 }
@@ -313,21 +311,24 @@ func (k *wingKernel) sweep(e int64, x, y int32, near, far *compactRows) {
 }
 
 // dec subtracts one destroyed butterfly from edge f's support if f
-// survives the round, recording f on its first decrement.
+// survives the round, recording f on its first decrement: through the
+// dirty mark on the sequential path, and on a parallel worker when its
+// partial entry leaves zero (mergePartials deduplicates across
+// workers).
 func (k *wingKernel) dec(f int64) {
 	if !k.alive[f] {
 		return
 	}
-	if !k.par {
-		k.sup[f]--
-		if k.dirty[f] == 0 {
-			k.dirty[f] = 1
+	if k.par {
+		if k.sup[f] == 0 {
 			*k.out = append(*k.out, f)
 		}
+		k.sup[f]--
 		return
 	}
-	atomic.AddInt64(&k.sup[f], -1)
-	if atomic.CompareAndSwapInt32(&k.dirty[f], 0, 1) {
+	k.sup[f]--
+	if k.dirty[f] == 0 {
+		k.dirty[f] = 1
 		*k.out = append(*k.out, f)
 	}
 }

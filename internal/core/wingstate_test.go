@@ -251,6 +251,73 @@ func TestQuickWingStateDeltaParallelTouched(t *testing.T) {
 	}
 }
 
+// On K(20,20) every peeled vertex or edge destroys butterflies of the
+// same survivors, so at threads 3 every worker's partial vector hits
+// the same ids and the merge must add them all: both delta kernels must
+// equal the one-thread recount of the surviving graph, and hand back
+// each changed id once. CI runs this under -race.
+func TestDeltaPartialsMergeOnCompleteBipartite(t *testing.T) {
+	g := gen.CompleteBipartite(20, 20)
+	arena := NewArena()
+
+	// Tip: peel V1 vertices 0–9; each of 10–19 loses 10·C(20, 2).
+	alive := make([]bool, g.NumV1())
+	var batch []int32
+	for u := range alive {
+		if u < 10 {
+			batch = append(batch, int32(u))
+		} else {
+			alive[u] = true
+		}
+	}
+	s := vertexButterflies(g, SideV1)
+	before := slices.Clone(s)
+	want := vertexButterfliesMasked(g, SideV1, alive)
+	dirty := make([]int32, len(s))
+	var touched []int32
+	TipDeltaBatch(g, SideV1, batch, alive, s, dirty, &touched, 3, arena)
+	for u, ok := range alive {
+		if ok && s[u] != want[u] {
+			t.Fatalf("tip: vertex %d has %d butterflies, recount %d", u, s[u], want[u])
+		}
+	}
+	if !touchedExact(touched, dirty, func(w int32) bool { return s[w] != before[w] }) {
+		t.Fatal("tip: touched list or dirty marks wrong")
+	}
+
+	// Wing: peel every edge of V1 vertices 0–9.
+	nnz := int(g.NumEdges())
+	state := NewWingPeelState(g)
+	aliveE, inBatch := make([]bool, nnz), make([]bool, nnz)
+	var batchE []int64
+	for e := 0; e < nnz; e++ {
+		if state.edgeU[e] < 10 {
+			inBatch[e] = true
+			batchE = append(batchE, int64(e))
+		} else {
+			aliveE[e] = true
+		}
+	}
+	sup := EdgeSupportInto(nil, g, 1, nil).Val
+	supBefore := slices.Clone(sup)
+	wantE := make([]int64, nnz)
+	supportInto(wantE, g, func(e int) bool { return aliveE[e] })
+	dirtyE := make([]int32, nnz)
+	var touchedE []int64
+	WingStateDeltaBatch(state, batchE, aliveE, inBatch, sup, dirtyE, &touchedE, 3, arena)
+	for e, ok := range aliveE {
+		if ok && sup[e] != wantE[e] {
+			t.Fatalf("wing: edge %d has support %d, recount %d", e, sup[e], wantE[e])
+		}
+	}
+	if !touchedExact(touchedE, dirtyE, func(f int64) bool { return sup[f] != supBefore[f] }) {
+		t.Fatal("wing: touched list or dirty marks wrong")
+	}
+	if arena.Size() < 3 {
+		t.Fatalf("arena holds %d workspaces; want the three-worker paths to have run", arena.Size())
+	}
+}
+
 // touchedExact reports whether touched lists exactly the ids for which
 // changed holds, each once, and dirty is set for exactly those ids.
 func touchedExact[T int32 | int64](touched []T, dirty []int32, changed func(T) bool) bool {

@@ -33,12 +33,13 @@ func BenchmarkTipDecompositionDelta(b *testing.B) {
 }
 
 // BenchmarkWingDecompositionDelta runs the delta engine's wing
-// decomposition of the github stand-in at scale 50, sequential and on
-// every CPU, so the wing kernel can be profiled on its own:
+// decomposition of the github stand-in at scale 1, sequential and on
+// every CPU, so the wing kernel and its parallel rounds can be
+// profiled on their own:
 //
 //	go test -run '^$' -bench WingDecompositionDelta -cpuprofile cpu.out ./internal/peel
 func BenchmarkWingDecompositionDelta(b *testing.B) {
-	g, err := gen.ScaledPaperDataset("github", 50)
+	g, err := gen.ScaledPaperDataset("github", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,5 +49,29 @@ func BenchmarkWingDecompositionDelta(b *testing.B) {
 				_, benchRounds = wingDecompositionDelta(g, threads, nil)
 			}
 		})
+	}
+}
+
+// BenchmarkVertexSeed times the per-vertex seed of a V1 tip
+// decomposition — core.VertexButterfliesMaskedInto with a warm arena —
+// on record-labels (whose cheaper sweep walks V2's rows) and github at
+// scale 1, sequential and on every CPU:
+//
+//	go test -run '^$' -bench VertexSeed ./internal/peel
+func BenchmarkVertexSeed(b *testing.B) {
+	for _, name := range []string{"record-labels", "github"} {
+		g, err := gen.ScaledPaperDataset(name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := make([]int64, g.NumV1())
+		arena := core.NewArena()
+		for _, threads := range []int{1, runtime.NumCPU()} {
+			b.Run(fmt.Sprintf("%s/threads=%d", name, threads), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					core.VertexButterfliesMaskedInto(s, g, core.SideV1, nil, threads, arena)
+				}
+			})
+		}
 	}
 }

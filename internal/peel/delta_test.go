@@ -3,18 +3,20 @@ package peel
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"butterfly/internal/core"
 	"butterfly/internal/gen"
+	"butterfly/internal/graph"
 )
 
 // The incremental delta engine must produce the same tip numbers as the
 // sequential recount engine (confluence) on random graphs, on both
 // sides, sequential and parallel. This is the tentpole differential
-// test; it also runs under -race in CI, which exercises the atomic
-// paths of the delta kernels.
+// test; it also runs under -race in CI, which exercises the
+// partial-vector merges of the parallel delta kernels.
 func TestQuickTipDeltaMatchesSequentialAndRecount(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -202,6 +204,39 @@ func TestThreadsClampBoundsPeelMemory(t *testing.T) {
 		wide := allocated(run, 4096)
 		if wide > 2*base {
 			t.Errorf("%s: %d B at 4096 threads, %d B at GOMAXPROCS", name, wide, base)
+		}
+	}
+}
+
+// On K(20,20), and on K(20,20) with ten more V1 vertices joined to its
+// first ten V2 vertices (which peel first, in batches that destroy
+// butterflies of the same survivors), every worker's partial vector
+// hits the same ids. Both engines at threads 3 must equal the
+// one-thread recount engine there, for tips of either side and wings.
+// CI runs this under -race.
+func TestEnginesMergeOnCompleteBipartite(t *testing.T) {
+	b := graph.NewBuilder(30, 20)
+	for u := 0; u < 30; u++ {
+		for v := 0; v < 20; v++ {
+			if u < 20 || v < 10 {
+				b.AddEdge(u, v)
+			}
+		}
+	}
+	for _, g := range []*graph.Bipartite{gen.CompleteBipartite(20, 20), b.Build()} {
+		for _, side := range []core.Side{core.SideV1, core.SideV2} {
+			want := tipNumbers(g, side)
+			delta, _ := tipDecompositionDelta(g, side, 3, nil)
+			recount, _ := tipDecompositionRecount(g, side, 3, nil)
+			if !slices.Equal(delta, want) || !slices.Equal(recount, want) {
+				t.Fatalf("%d×%d %v tips: delta %v, recount %v, want %v", g.NumV1(), g.NumV2(), side, delta, recount, want)
+			}
+		}
+		want := wingNumbers(g)
+		delta, _ := wingDecompositionDelta(g, 3, nil)
+		recount, _ := wingDecompositionRecount(g, 3, nil)
+		if !slices.Equal(delta, want) || !slices.Equal(recount, want) {
+			t.Fatalf("%d×%d wings: delta and recount at threads 3 differ from the one-thread recount", g.NumV1(), g.NumV2())
 		}
 	}
 }
