@@ -43,6 +43,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"butterfly/internal/graph"
@@ -410,12 +411,8 @@ func (kn *kern) contribBatch(k int) int64 {
 	buf := ws.sbuf[:0]
 	acc, touched := ws.acc, ws.touched
 	drain := func() {
-		for _, z := range buf {
-			if acc[z] == 0 {
-				touched = append(touched, z)
-			}
-			acc[z]++
-		}
+		// The gathered ids are already restricted: no bound stops it.
+		touched = accumulate(acc, touched, buf, math.MaxInt32, false)
 		buf = buf[:0]
 	}
 	k32 := int32(k)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"butterfly/internal/dense"
 	"butterfly/internal/gen"
 	"butterfly/internal/graph"
 )
@@ -69,24 +70,20 @@ func TestAggCrossModeMatrix(t *testing.T) {
 	hubs := []HubPolicy{HubAuto, HubNever, HubAlways}
 	threads := []int{1, 4}
 	for name, g := range adversarialGraphs() {
-		want := countSeq(g, AutoInvariant(g))
+		want := CountSpGEMM(g)
 		for _, inv := range []Invariant{Inv2, Inv5} {
-			ref := countSeq(g, inv)
 			for _, agg := range allAggs {
 				for _, hub := range hubs {
 					for _, th := range threads {
 						got := CountWith(g, Options{
 							Invariant: inv, Threads: th, Hub: hub, Agg: agg,
 						})
-						if got != ref {
+						if got != want {
 							t.Errorf("%s inv=%v agg=%v hub=%v threads=%d: got %d, want %d",
-								name, inv, agg, hub, th, got, ref)
+								name, inv, agg, hub, th, got, want)
 						}
 					}
 				}
-			}
-			if ref != want {
-				t.Errorf("%s: invariant %v disagrees with auto member: %d vs %d", name, inv, ref, want)
 			}
 		}
 	}
@@ -124,9 +121,9 @@ func TestAggModesAgreeOnStandIns(t *testing.T) {
 func TestQuickAggModesAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		_, g := randGraphAndDense(rng, 12)
+		d, g := randGraphAndDense(rng, 12)
 		inv := Invariants()[rng.Intn(NumInvariants)]
-		want := countSeq(g, inv)
+		want := dense.SpecCount(d)
 		for _, agg := range allAggs {
 			if CountWith(g, Options{Invariant: inv, Agg: agg}) != want {
 				return false
@@ -148,7 +145,7 @@ func TestQuickAggModesAgree(t *testing.T) {
 // the second round).
 func TestAggArenaReuse(t *testing.T) {
 	g := gen.PowerLawBipartite(80, 60, 600, 0.8, 0.8, 5)
-	want := countSeq(g, Inv2)
+	want := CountSpGEMM(g)
 	a := NewArena()
 	for round := 0; round < 3; round++ {
 		for _, agg := range allAggs {
@@ -277,9 +274,10 @@ func TestRelayoutCountInvariance(t *testing.T) {
 	if len(p1) != g.NumV1() || len(p2) != g.NumV2() {
 		t.Fatalf("permutation lengths %d/%d", len(p1), len(p2))
 	}
+	want := CountSpGEMM(g)
 	for _, inv := range Invariants() {
-		if a, b := countSeq(g, inv), countSeq(h, inv); a != b {
-			t.Fatalf("%v: original %d, relayouted %d", inv, a, b)
+		if got := Count(h, inv); got != want {
+			t.Fatalf("%v: relayouted %d, original %d", inv, got, want)
 		}
 	}
 	// The twin is cached: a second call returns the same object.

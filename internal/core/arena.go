@@ -9,8 +9,8 @@ import (
 // workspace bundles the per-worker scratch state of every kernel in this
 // package: a wedge accumulator, its touched list, and a bitset used by
 // the hybrid intersection kernel. The invariant at rest — maintained by
-// every kernel — is that acc is all-zero and touched is empty, so a
-// recycled workspace needs no clearing pass.
+// every kernel — is that acc is all-zero, touched is empty and bits is
+// all-clear, so a recycled workspace needs no clearing pass.
 type workspace struct {
 	acc     []int32
 	touched []int32

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -77,6 +78,59 @@ func TestCountContextDeadline(t *testing.T) {
 		}
 		if c != 0 {
 			t.Fatalf("cancelled CountContext leaked partial count %d", c)
+		}
+	}
+}
+
+// A count cancelled mid-sweep on a shared arena hands back every
+// workspace it borrowed, each at rest: the next count on that arena is
+// exact, and allocation-free when sequential.
+func TestCountContextCancelledLeavesArenaAtRest(t *testing.T) {
+	g := cancelTestGraph(t)
+	want := CountSpGEMM(g)
+	for _, threads := range []int{1, 4} {
+		arena := NewArena()
+		opts := Options{Invariant: Inv2, Threads: threads, Arena: arena}
+		if threads == 1 {
+			opts.Hub = HubNever // the arena-only path that allocates nothing
+		}
+		full := time.Duration(1 << 62)
+		for i := 0; i < 3; i++ {
+			t0 := time.Now()
+			if got := CountWith(g, opts); got != want {
+				t.Fatalf("threads=%d: warm count %d, want %d", threads, got, want)
+			}
+			full = min(full, time.Since(t0))
+		}
+		borrowed := arena.Size()
+		interrupted := false
+		for _, frac := range []time.Duration{16, 8, 4, 2} {
+			ctx, cancel := context.WithCancel(context.Background())
+			timer := time.AfterFunc(full/frac, cancel)
+			_, err := CountContext(ctx, g, opts)
+			timer.Stop()
+			cancel()
+			interrupted = interrupted || err != nil
+			if n := arena.Size(); n != borrowed {
+				t.Fatalf("threads=%d: arena holds %d workspaces after a cancelled count, want %d", threads, n, borrowed)
+			}
+			for _, ws := range arena.free {
+				if slices.ContainsFunc(ws.acc, func(c int32) bool { return c != 0 }) || len(ws.touched) > 0 ||
+					(ws.bits != nil && ws.bits.Any()) {
+					t.Fatalf("threads=%d: a pooled workspace is not at rest after a cancelled count", threads)
+				}
+			}
+			if got := CountWith(g, opts); got != want {
+				t.Fatalf("threads=%d: count after a cancelled one = %d, want %d", threads, got, want)
+			}
+			if threads == 1 {
+				if allocs := testing.AllocsPerRun(1, func() { CountWith(g, opts) }); allocs != 0 {
+					t.Fatalf("count after a cancelled one allocated %.1f objects, want 0", allocs)
+				}
+			}
+		}
+		if !interrupted {
+			t.Fatalf("threads=%d: no count was cancelled before it finished (full count %v)", threads, full)
 		}
 	}
 }

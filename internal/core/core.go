@@ -141,10 +141,6 @@ type Options struct {
 	// BlockSize > 1 exposes BlockSize vertices per iteration (the
 	// blocked variants); 0 or 1 is the unblocked algorithm of Fig 6/7.
 	BlockSize int
-	// Order optionally relabels vertices before counting (degree
-	// ordering is the paper's future-work optimization; the count is
-	// invariant under relabeling).
-	Order graph.Order
 	// Hub selects the hybrid intersection kernel policy: HubAuto (the
 	// zero value) chooses per vertex from a cost model, HubNever forces
 	// the sparse path, HubAlways forces the bitset path. Every policy
@@ -169,13 +165,13 @@ type Options struct {
 	// footgun without the error return that CountContext pairs it with.
 	stop *atomic.Bool
 
-	// Stage, when non-nil, receives coarse stage timings: "core.order"
-	// for the optional relabeling pass, "core.relayout" for the
-	// automatic degree-ordered relayout (first count on a graph only —
-	// the twin is cached afterwards), "core.count" for the count
-	// itself, and "core.agg.<mode>" re-attributing the same count
-	// duration to the resolved aggregation mode (an attribution label,
-	// not an extra phase — its duration equals core.count's). The hook
+	// Stage, when non-nil, receives coarse stage timings:
+	// "core.relayout" for the automatic degree-ordered relayout (first
+	// count on a graph only — the twin is cached afterwards),
+	// "core.count" for the count itself, and "core.agg.<mode>"
+	// re-attributing the same count duration to the resolved
+	// aggregation mode (an attribution label, not an extra phase — its
+	// duration equals core.count's). The hook
 	// fires a handful of times per count — never inside the wedge
 	// loops — so a nil hook costs one predictable branch and an
 	// installed hook costs a few time.Now calls, keeping disabled
@@ -216,21 +212,12 @@ func CountWith(g *graph.Bipartite, opts Options) int64 {
 		panic("core: invalid invariant " + inv.String())
 	}
 	agg := ResolveAgg(g, opts)
-	if opts.Order != graph.OrderNatural {
-		if opts.Stage != nil {
-			t0 := time.Now()
-			g, _, _ = g.Relabel(opts.Order)
-			opts.Stage("core.order", time.Since(t0))
-		} else {
-			g, _, _ = g.Relabel(opts.Order)
-		}
-	} else if shouldRelayout(g.Profile()) {
+	if shouldRelayout(g.Profile()) {
 		// Count on the cached degree-ordered twin: the scalar count is
 		// invariant under relabeling, so the relayout never leaks into
 		// results — it only concentrates the kernels' memory traffic
-		// (see graph.DegreeOrdered). Explicit Order requests above take
-		// precedence; per-vertex and per-edge kernels do their own
-		// orientation and never come through here.
+		// (see graph.DegreeOrdered). Per-vertex and per-edge kernels do
+		// their own orientation and never come through here.
 		if opts.Stage != nil {
 			t0 := time.Now()
 			g, _, _ = g.DegreeOrdered()
@@ -248,15 +235,10 @@ func CountWith(g *graph.Bipartite, opts Options) int64 {
 		t0 = time.Now()
 	}
 	var c int64
-	switch {
-	case threads > 1:
-		c = countParallel(g, inv, threads, opts.Hub, agg, opts.Arena, opts.stop)
-	case opts.BlockSize > 1:
+	if threads <= 1 && opts.BlockSize > 1 {
 		c = countBlocked(g, inv, opts.BlockSize, opts.stop)
-	case opts.Hub == HubNever && opts.Arena == nil && opts.stop == nil && agg == AggHist:
-		c = countSeq(g, inv)
-	default:
-		c = countSeqHub(g, inv, opts.Hub, agg, opts.Arena, opts.stop)
+	} else {
+		c = countKernel(g, inv, threads, opts.Hub, agg, opts.Arena, schedTuning{}, opts.stop)
 	}
 	if opts.Stage != nil {
 		d := time.Since(t0)

@@ -28,7 +28,7 @@ import (
 // With threads > 1, rows are scheduled by work units — a hub row caps
 // its chunk — but stay atomic, because the per-edge gather needs the
 // row's complete β accumulator; splitting hub rows is the counting
-// kernel's job (see countParallel), not the support sweep's.
+// kernel's job (see countKernel), not the support sweep's.
 func EdgeSupportInto(vals []int64, g *graph.Bipartite, threads int, a *Arena) *sparse.CSR {
 	adj, adjT := g.Adj(), g.AdjT()
 	nnz := adj.NNZ()

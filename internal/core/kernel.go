@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"sort"
+
 	"butterfly/internal/bitvec"
 	"butterfly/internal/sparse"
 )
@@ -94,14 +97,16 @@ func hubBitsDegThreshold(nSec int) int {
 }
 
 // newKernShared analyses the oriented traversal once. work may be nil,
-// in which case it is computed here when the policy needs it.
-func newKernShared(exposed, secondary *sparse.CSR, above bool, pol HubPolicy, agg AggPolicy, work []int64) *kernShared {
+// in which case it is computed here when the policy needs it. The
+// state is returned by value so a sequential count keeps it off the
+// heap.
+func newKernShared(exposed, secondary *sparse.CSR, above bool, pol HubPolicy, agg AggPolicy, work []int64) kernShared {
 	if agg == AggAuto {
 		// Callers resolve the policy up front (ResolveAgg); default to
 		// the classic path if one forgets.
 		agg = AggHist
 	}
-	ks := &kernShared{exposed: exposed, secondary: secondary, above: above, agg: agg, work: work}
+	ks := kernShared{exposed: exposed, secondary: secondary, above: above, agg: agg, work: work}
 	nExp, nSec := exposed.R, secondary.R
 	if pol == HubNever || nExp == 0 || nSec == 0 {
 		return ks
@@ -199,25 +204,21 @@ func (ks *kernShared) bitsSplitFunc() func(k int) (int, int, bool) {
 }
 
 // kern is one worker's view of a run: the shared state plus a private
-// workspace checked out of an arena.
+// workspace checked out of an arena by the caller, who also returns it.
 type kern struct {
 	*kernShared
 	ws *workspace
-	a  *Arena
 }
 
-// worker checks a workspace out of a (nil allowed) and prepares it for
-// this run.
-func (ks *kernShared) worker(a *Arena) *kern {
-	ws := a.get(ks.exposed.R)
-	if ks.anyBits {
+// worker binds ws to this run. The scratch bitset is all-clear at rest
+// (contribBitsRange clears what it sets), so it is only resized when
+// its width differs from this run's.
+func (ks *kernShared) worker(ws *workspace) kern {
+	if ks.anyBits && (ws.bits == nil || ws.bits.Len() != ks.secondary.R) {
 		ws.bitset(ks.secondary.R)
 	}
-	return &kern{kernShared: ks, ws: ws, a: a}
+	return kern{kernShared: ks, ws: ws}
 }
-
-// release returns the workspace to the arena.
-func (kn *kern) release() { kn.a.put(kn.ws) }
 
 // contrib returns exposed vertex k's butterfly contribution
 // Σ_z C(β_z, 2) over its restricted partner range, dispatching between
@@ -241,31 +242,64 @@ func (kn *kern) contrib(k int) int64 {
 // contribSparse is the classic restricted wedge-accumulator path.
 func (kn *kern) contribSparse(k int) int64 {
 	acc, touched := kn.ws.acc, kn.ws.touched
-	k32 := int32(k)
 	for _, y := range kn.exposed.Row(k) {
-		prow := kn.secondary.Row(int(y))
-		if kn.above {
-			for _, z := range prow[searchInt32(prow, k32+1):] {
-				if acc[z] == 0 {
-					touched = append(touched, z)
-				}
-				acc[z]++
-			}
-		} else {
-			for _, z := range prow {
-				if z >= k32 {
-					break
-				}
-				if acc[z] == 0 {
-					touched = append(touched, z)
-				}
-				acc[z]++
-			}
-		}
+		touched = accumulate(acc, touched, kn.secondary.Row(int(y)), int32(k), kn.above)
 	}
 	t := flush(acc, &touched)
 	kn.ws.touched = touched
 	return t
+}
+
+// accumulate is the restricted wedge accumulation of update (18), the
+// one loop every histogram path runs: each partner z in the sorted row
+// prow with z > k (above) or z < k (below) gets acc[z]++, and a z seen
+// for the first time is appended to touched. Below k the scan stops at
+// the first partner ≥ k; above k one search skips to the first partner
+// > k. It returns the grown touched list.
+func accumulate(acc, touched, prow []int32, k int32, above bool) []int32 {
+	end := k
+	if above {
+		prow = prow[searchInt32(prow, k+1):]
+		end = math.MaxInt32
+	}
+	for _, z := range prow {
+		if z >= end {
+			break
+		}
+		if acc[z] == 0 {
+			touched = append(touched, z)
+		}
+		acc[z]++
+	}
+	return touched
+}
+
+// flush sums C(acc[z], 2) over the touched list and resets it.
+func flush(acc []int32, touched *[]int32) int64 {
+	var t int64
+	for _, z := range *touched {
+		c := int64(acc[z])
+		t += c * (c - 1) / 2
+		acc[z] = 0
+	}
+	*touched = (*touched)[:0]
+	return t
+}
+
+// searchInt32 returns the first index in the sorted slice s whose value
+// is ≥ x.
+func searchInt32(s []int32, x int32) int {
+	// Small rows dominate; a linear scan beats binary search below a
+	// threshold and falls back to sort.Search above it.
+	if len(s) <= 16 {
+		for i, v := range s {
+			if v >= x {
+				return i
+			}
+		}
+		return len(s)
+	}
+	return sort.Search(len(s), func(i int) bool { return s[i] >= x })
 }
 
 // contribBits is the bitset path over k's full restricted range.
@@ -318,27 +352,8 @@ func (kn *kern) contribBitsRange(k, zlo, zhi int) int64 {
 // by reducePairs before the butterfly formula is applied.
 func (kn *kern) segPairs(k, ylo, yhi int) []hubPair {
 	acc, touched := kn.ws.acc, kn.ws.touched
-	k32 := int32(k)
 	for _, y := range kn.exposed.Row(k)[ylo:yhi] {
-		prow := kn.secondary.Row(int(y))
-		if kn.above {
-			for _, z := range prow[searchInt32(prow, k32+1):] {
-				if acc[z] == 0 {
-					touched = append(touched, z)
-				}
-				acc[z]++
-			}
-		} else {
-			for _, z := range prow {
-				if z >= k32 {
-					break
-				}
-				if acc[z] == 0 {
-					touched = append(touched, z)
-				}
-				acc[z]++
-			}
-		}
+		touched = accumulate(acc, touched, kn.secondary.Row(int(y)), int32(k), kn.above)
 	}
 	out := make([]hubPair, len(touched))
 	for i, z := range touched {

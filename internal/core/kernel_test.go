@@ -134,7 +134,7 @@ func TestQuickForcedSpillExactness(t *testing.T) {
 		for _, inv := range Invariants() {
 			for _, pol := range allPolicies {
 				for _, threads := range []int{2, 4, 8} {
-					if countParallelTuned(g, inv, threads, pol, AggHist, nil, tun, nil) != want {
+					if countKernel(g, inv, threads, pol, AggHist, nil, tun, nil) != want {
 						return false
 					}
 				}
@@ -150,11 +150,11 @@ func TestQuickForcedSpillExactness(t *testing.T) {
 func TestForcedSpillPowerLaw(t *testing.T) {
 	g := gen.PowerLawBipartite(900, 700, 6000, 0.85, 0.75, 9)
 	tun := schedTuning{minWork: 1, spillDiv: 4}
+	want := CountSpGEMM(g)
 	for _, inv := range Invariants() {
-		want := Count(g, inv)
 		for _, pol := range allPolicies {
 			for _, threads := range []int{2, 4, 8} {
-				if got := countParallelTuned(g, inv, threads, pol, AggHist, nil, tun, nil); got != want {
+				if got := countKernel(g, inv, threads, pol, AggHist, nil, tun, nil); got != want {
 					t.Fatalf("%v %v threads=%d: %d, want %d", inv, pol, threads, got, want)
 				}
 			}

@@ -30,37 +30,11 @@ type PairCount struct {
 // the same wedge work as a sequential count, plus the materialized
 // map.
 func WedgePartials(g *graph.Bipartite) []PairCount {
-	var wedges int64
-	for u := 0; u < g.NumV1(); u++ {
-		d := int64(g.DegreeV1(u))
-		wedges += d * (d - 1) / 2
-	}
-	keys := make([]uint64, 0, wedges)
-	for u := 0; u < g.NumV1(); u++ {
-		row := g.NeighborsOfV1(u)
-		for i, v := range row {
-			for _, w := range row[i+1:] {
-				// CSR rows are sorted, so v < w and the key orders
-				// pairs lexicographically.
-				keys = append(keys, uint64(v)<<32|uint64(uint32(w)))
-			}
+	return pairCounts(g, func(visit func(u int)) {
+		for u := 0; u < g.NumV1(); u++ {
+			visit(u)
 		}
-	}
-	slices.Sort(keys)
-	out := make([]PairCount, 0, len(keys)/2+1)
-	for i := 0; i < len(keys); {
-		j := i + 1
-		for j < len(keys) && keys[j] == keys[i] {
-			j++
-		}
-		out = append(out, PairCount{
-			V: int32(keys[i] >> 32),
-			W: int32(uint32(keys[i])),
-			C: int64(j - i),
-		})
-		i = j
-	}
-	return out
+	})
 }
 
 // WedgePartialsOf returns the wedge partial restricted to the given
@@ -72,27 +46,41 @@ func WedgePartials(g *graph.Bipartite) []PairCount {
 // instead of O(wedges).
 func WedgePartialsOf(g *graph.Bipartite, centers []int) []PairCount {
 	seen := make(map[int]struct{}, len(centers))
-	var wedges int64
 	for _, u := range centers {
-		if u < 0 || u >= g.NumV1() {
-			continue
+		if u >= 0 && u < g.NumV1() {
+			seen[u] = struct{}{}
 		}
-		if _, dup := seen[u]; dup {
-			continue
+	}
+	return pairCounts(g, func(visit func(u int)) {
+		for u := range seen {
+			visit(u)
 		}
-		seen[u] = struct{}{}
+	})
+}
+
+// pairCounts is the body of both partial builders: it packs every
+// wedge (v—u—w) of each center u that centers visits as the key
+// v<<32 | w, sorts the keys and run-length counts them. centers is
+// called twice — once to size the key buffer, once to fill it — and
+// must visit the same set both times.
+func pairCounts(g *graph.Bipartite, centers func(visit func(u int))) []PairCount {
+	var wedges int64
+	centers(func(u int) {
 		d := int64(g.DegreeV1(u))
 		wedges += d * (d - 1) / 2
-	}
+	})
 	keys := make([]uint64, 0, wedges)
-	for u := range seen {
-		row := g.NeighborsOfV1(u)
+	centers(func(u int) {
+		row, ks := g.NeighborsOfV1(u), keys
 		for i, v := range row {
 			for _, w := range row[i+1:] {
-				keys = append(keys, uint64(v)<<32|uint64(uint32(w)))
+				// CSR rows are sorted, so v < w and the key orders
+				// pairs lexicographically.
+				ks = append(ks, uint64(v)<<32|uint64(uint32(w)))
 			}
 		}
-	}
+		keys = ks
+	})
 	slices.Sort(keys)
 	out := make([]PairCount, 0, len(keys)/2+1)
 	for i := 0; i < len(keys); {
@@ -118,10 +106,24 @@ func pairKey(p PairCount) uint64 { return uint64(p.V)<<32 | uint64(uint32(p.W)) 
 // compaction for a `?since=` reply spanning several versions) and to
 // compute a diff: SumPartialDeltas(after, negate(before)).
 func SumPartialDeltas(parts ...[]PairCount) []PairCount {
-	idx := make([]int, len(parts))
 	var out []PairCount
+	mergePairs(parts, func(key uint64, c int64) {
+		if c != 0 {
+			out = append(out, PairCount{V: int32(key >> 32), W: int32(uint32(key)), C: c})
+		}
+	})
+	return out
+}
+
+// mergePairs is the k-way merge over sorted partials behind
+// SumPartialDeltas and CountFromPartials: it calls emit once per
+// distinct pair key, in ascending key order, with the key's count
+// summed over every partial that holds it.
+func mergePairs(parts [][]PairCount, emit func(key uint64, c int64)) {
+	idx := make([]int, len(parts))
 	for {
-		minKey := uint64(1)<<63 | uint64(1)<<62
+		// Find the minimum live key across all partials.
+		minKey := uint64(1)<<63 | uint64(1)<<62 // sentinel above any packed pair
 		live := false
 		for p, part := range parts {
 			if idx[p] < len(part) {
@@ -131,7 +133,7 @@ func SumPartialDeltas(parts ...[]PairCount) []PairCount {
 			}
 		}
 		if !live {
-			return out
+			return
 		}
 		var c int64
 		for p, part := range parts {
@@ -140,9 +142,7 @@ func SumPartialDeltas(parts ...[]PairCount) []PairCount {
 				idx[p]++
 			}
 		}
-		if c != 0 {
-			out = append(out, PairCount{V: int32(minKey >> 32), W: int32(uint32(minKey)), C: c})
-		}
+		emit(minKey, c)
 	}
 }
 
@@ -191,33 +191,9 @@ func (e *NegativePartialError) Error() string {
 // count. Passing a single partial computes the count of that graph
 // alone.
 func CountFromPartials(parts ...[]PairCount) int64 {
-	idx := make([]int, len(parts))
 	var total int64
-	for {
-		// Find the minimum live key across all partials.
-		minKey := uint64(1)<<63 | uint64(1)<<62 // sentinel above any packed pair
-		live := false
-		for p, part := range parts {
-			if idx[p] < len(part) {
-				k := uint64(part[idx[p]].V)<<32 | uint64(uint32(part[idx[p]].W))
-				if !live || k < minKey {
-					minKey, live = k, true
-				}
-			}
-		}
-		if !live {
-			return total
-		}
-		var beta int64
-		for p, part := range parts {
-			if idx[p] < len(part) {
-				e := part[idx[p]]
-				if uint64(e.V)<<32|uint64(uint32(e.W)) == minKey {
-					beta += e.C
-					idx[p]++
-				}
-			}
-		}
+	mergePairs(parts, func(_ uint64, beta int64) {
 		total += beta * (beta - 1) / 2
-	}
+	})
+	return total
 }

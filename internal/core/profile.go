@@ -23,7 +23,7 @@ func WorkPerVertex(g *graph.Bipartite, inv Invariant) []int64 {
 // guided decreasing chunks plus neighbor-list segments of any hub above
 // the spill budget (see buildSchedule) — and each unit goes to the
 // currently least-loaded of `threads` workers, the steady-state
-// behaviour of the dynamic unit cursor in countParallel. It returns
+// behaviour of the dynamic unit cursor in countKernel. It returns
 // the per-worker wedge-step totals; max/mean of the result is the
 // load-imbalance factor, 1.0 being perfect.
 //

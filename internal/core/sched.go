@@ -34,9 +34,11 @@ import (
 //     range, whose per-candidate contributions are additive and need no
 //     reduction.
 //
-// Workers still claim units dynamically with an atomic cursor, so the
-// schedule degrades gracefully under OS noise; WorkBalance simulates
-// the steady state deterministically for single-CPU CI environments.
+// The count driver (countKernel) runs both phases — the units, then
+// the split-hub reductions — on runWorkers, whose workers claim items
+// dynamically from an atomic cursor, so the schedule degrades
+// gracefully under OS noise; WorkBalance simulates the steady state
+// deterministically for single-CPU CI environments.
 
 // Unit kinds.
 const (

@@ -19,10 +19,11 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 )
 
 // castagnoli is the CRC32C table shared by the snapshot codec and the
@@ -56,17 +57,7 @@ func (e *encoder) pairs(edges [][2]int) {
 // edge instead of 8–16. Used for full edge sets (snapshots, register
 // records), where only the set matters.
 func (e *encoder) sortedPairs(edges [][2]int) {
-	if !pairsSorted(edges) {
-		cp := make([][2]int, len(edges))
-		copy(cp, edges)
-		sort.Slice(cp, func(i, j int) bool {
-			if cp[i][0] != cp[j][0] {
-				return cp[i][0] < cp[j][0]
-			}
-			return cp[i][1] < cp[j][1]
-		})
-		edges = cp
-	}
+	edges = sortPairs(edges)
 	e.uvarint(uint64(len(edges)))
 	prevU, prevV := 0, 0
 	for _, p := range edges {
@@ -82,14 +73,24 @@ func (e *encoder) sortedPairs(edges [][2]int) {
 	}
 }
 
-func pairsSorted(edges [][2]int) bool {
+// sortPairs returns edges sorted row-major: edges itself when it is
+// already in order, else a sorted copy.
+func sortPairs(edges [][2]int) [][2]int {
 	for i := 1; i < len(edges); i++ {
-		if edges[i-1][0] > edges[i][0] ||
-			(edges[i-1][0] == edges[i][0] && edges[i-1][1] >= edges[i][1]) {
-			return false
+		if pairLess(edges[i], edges[i-1]) {
+			cp := slices.Clone(edges)
+			slices.SortFunc(cp, func(a, b [2]int) int {
+				return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+			})
+			return cp
 		}
 	}
-	return true
+	return edges
+}
+
+// pairLess orders edges row-major: by u, then by v.
+func pairLess(a, b [2]int) bool {
+	return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1])
 }
 
 // decoder consumes a varint-packed payload with sticky error state, so

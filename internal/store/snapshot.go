@@ -127,19 +127,19 @@ func WriteSnapshot(w io.Writer, sd *SnapshotData) error {
 		return err
 	}
 
-	for off := 0; off < len(sd.Edges) || off == 0; off += snapEdgeChunk {
-		end := off + snapEdgeChunk
-		if end > len(sd.Edges) {
-			end = len(sd.Edges)
-		}
+	// Sort the whole list before chunking, so the sections concatenate
+	// to one sorted list as ReadSnapshot requires.
+	edges := sortPairs(sd.Edges)
+	for off := 0; off < len(edges) || off == 0; off += snapEdgeChunk {
+		end := min(off+snapEdgeChunk, len(edges))
 		var e encoder
 		// Chunks are delta-coded independently so a bad chunk does not
 		// poison its neighbors' decoding (detection is per-section).
-		e.sortedPairs(sd.Edges[off:end])
+		e.sortedPairs(edges[off:end])
 		if err := writeSection(w, secEdges, e.buf); err != nil {
 			return err
 		}
-		if len(sd.Edges) == 0 {
+		if len(edges) == 0 {
 			break
 		}
 	}
@@ -174,7 +174,8 @@ func ReadSnapshot(r io.Reader) (*SnapshotData, error) {
 	sd.M = d.intv()
 	sd.N = d.intv()
 	numEdges := d.intv()
-	sd.Count = int64(d.uvarint())
+	count := d.uvarint()
+	sd.Count = int64(count)
 	if d.err != nil {
 		return nil, fmt.Errorf("store: snapshot header: %w", d.err)
 	}
@@ -184,8 +185,13 @@ func ReadSnapshot(r io.Reader) (*SnapshotData, error) {
 	if sd.Name == "" || sd.Version == 0 {
 		return nil, fmt.Errorf("store: snapshot header missing name or version")
 	}
+	if sd.Count < 0 {
+		return nil, fmt.Errorf("store: snapshot count %d overflows int64", count)
+	}
 
-	sd.Edges = make([][2]int, 0, numEdges)
+	// numEdges is only a claim until the edge sections deliver it:
+	// preallocate at most one chunk and let append grow the rest.
+	sd.Edges = make([][2]int, 0, min(numEdges, snapEdgeChunk))
 	for {
 		kind, payload, err := readSection(br)
 		if err != nil {
@@ -201,7 +207,15 @@ func ReadSnapshot(r io.Reader) (*SnapshotData, error) {
 			if d.remaining() != 0 {
 				return nil, fmt.Errorf("store: snapshot edge section has %d trailing bytes", d.remaining())
 			}
-			sd.Edges = append(sd.Edges, chunk...)
+			// Writers emit one row-major sorted edge list; an edge that
+			// steps back — across sections, or after a delta that
+			// overflowed int — is corrupt.
+			for _, e := range chunk {
+				if i := len(sd.Edges); i > 0 && pairLess(e, sd.Edges[i-1]) {
+					return nil, fmt.Errorf("store: snapshot edges out of order at edge %d", i)
+				}
+				sd.Edges = append(sd.Edges, e)
+			}
 		case secEnd:
 			if len(sd.Edges) != numEdges {
 				return nil, fmt.Errorf("store: snapshot holds %d edges, header promised %d", len(sd.Edges), numEdges)

@@ -202,3 +202,55 @@ func TestSnapshotRejectsWrongVersionMagic(t *testing.T) {
 		t.Fatalf("future version accepted or wrong error: %v", err)
 	}
 }
+
+// hugeEdgeCountSnapshot is a 41-byte, checksum-valid snapshot whose
+// header promises 2⁶² edges and whose end section follows at once.
+func hugeEdgeCountSnapshot() []byte {
+	var h encoder
+	h.str("g")
+	h.uvarint(1)       // version
+	h.uvarint(1)       // m
+	h.uvarint(1)       // n
+	h.uvarint(1 << 62) // numEdges
+	h.uvarint(0)       // count
+	var buf bytes.Buffer
+	buf.Write(snapMagic[:])
+	writeSection(&buf, secHeader, h.buf)
+	writeSection(&buf, secEnd, nil)
+	return buf.Bytes()
+}
+
+// The header's edge count is a claim, not an allocation size: a
+// snapshot that promises 2⁶² edges is rejected with an error.
+func TestSnapshotHugeEdgeCountRejected(t *testing.T) {
+	b := hugeEdgeCountSnapshot()
+	if len(b) != 41 {
+		t.Fatalf("repro is %d bytes, want 41", len(b))
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(b)); err == nil {
+		t.Fatal("snapshot promising 2^62 edges accepted")
+	}
+}
+
+// FuzzReadSnapshot: the reader never panics on arbitrary bytes, and
+// any snapshot it accepts re-encodes through WriteSnapshot to an equal
+// SnapshotData.
+func FuzzReadSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sd, err := ReadSnapshot(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, sd); err != nil {
+			t.Fatalf("accepted snapshot does not re-encode: %v", err)
+		}
+		again, err := ReadSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, sd) {
+			t.Fatalf("round trip changed the snapshot:\n got %+v\nwant %+v", again, sd)
+		}
+	})
+}
