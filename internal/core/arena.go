@@ -28,18 +28,16 @@ type workspace struct {
 	hused      []int32
 
 	// A parallel worker's private partial vector: per-vertex counts of
-	// the seed sweep (vertex.go), or the vertex- or edge-indexed
-	// decrements of a delta round (delta.go, wingstate.go), added into
-	// the shared vector after the join. All-zero at rest; the merge
-	// re-zeroes it.
+	// the seed sweep (vertex.go), or the per-vertex decrements of a tip
+	// delta round (delta.go), added into the shared vector after the
+	// join. All-zero at rest; the merge re-zeroes it.
 	part []int64
 
-	// A parallel delta worker's first touches: the vertex (vout) or
-	// edge (eout) ids whose partial entry it made nonzero, which the
-	// merge visits. Empty at rest; the capacity persists so warm rounds
-	// append without allocating.
+	// A parallel tip delta worker's first touches: the vertex ids whose
+	// partial entry it made nonzero, which the merge visits. Empty at
+	// rest; the capacity persists so warm rounds append without
+	// allocating.
 	vout []int32
-	eout []int64
 
 	// Edge-support scratch (edge.go), lazily allocated: a V2 sweep's
 	// values in Aᵀ's flat order followed by the scatter cursor.

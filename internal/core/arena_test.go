@@ -202,17 +202,16 @@ func peelTips(g *graph.Bipartite, side Side, threads int, a *Arena) {
 	}
 }
 
-// peelWings is peelTips for edges, with the wing delta kernel.
+// peelWings is peelTips for edges, on the bloom index.
 func peelWings(g *graph.Bipartite, threads int, a *Arena) {
 	nnz := int(g.NumEdges())
+	x := NewBloomIndex(g, threads, a)
 	sup := make([]int64, nnz)
-	EdgeSupportInto(sup, g, threads, a)
-	state := NewWingPeelState(g)
+	x.SupportsInto(sup)
 	alive := make([]bool, nnz)
 	for e := range alive {
 		alive[e] = true
 	}
-	inBatch := make([]bool, nnz)
 	dirty := make([]int32, nnz)
 	var batch, touched []int64
 	var level int64
@@ -228,16 +227,11 @@ func peelWings(g *graph.Bipartite, threads int, a *Arena) {
 		for e, ok := range alive {
 			if ok && sup[e] <= level {
 				alive[e] = false
-				inBatch[e] = true
 				batch = append(batch, int64(e))
 			}
 		}
 		touched = touched[:0]
-		WingStateDeltaBatch(state, batch, alive, inBatch, sup, dirty, &touched, threads, a)
-		for _, e := range batch {
-			inBatch[e] = false
-			state.RemoveEdge(e)
-		}
+		x.PeelRound(batch, alive, sup, dirty, &touched)
 		for _, f := range touched {
 			dirty[f] = 0
 		}
@@ -245,9 +239,10 @@ func peelWings(g *graph.Bipartite, threads int, a *Arena) {
 }
 
 // Every workspace goes back to the arena at rest after a parallel tip
-// and a parallel wing decomposition: its partial vector, which the seed
-// and every delta round wrote through, is all-zero again, and its
-// accumulator and touched shares are empty.
+// decomposition and a wing decomposition on an index built by three
+// workers: its partial vector, which the seed and every tip delta round
+// wrote through, is all-zero again, and its accumulator and touched
+// shares are empty.
 func TestArenaPartialsZeroAfterPeeling(t *testing.T) {
 	g := gen.PowerLawBipartite(300, 200, 2000, 0.8, 0.7, 5)
 	arena := NewArena()
@@ -262,7 +257,7 @@ func TestArenaPartialsZeroAfterPeeling(t *testing.T) {
 		if slices.ContainsFunc(ws.part, func(c int64) bool { return c != 0 }) {
 			t.Fatal("a pooled workspace holds a nonzero partial vector")
 		}
-		if slices.ContainsFunc(ws.acc, func(c int32) bool { return c != 0 }) || len(ws.touched) > 0 || len(ws.vout) > 0 || len(ws.eout) > 0 {
+		if slices.ContainsFunc(ws.acc, func(c int32) bool { return c != 0 }) || len(ws.touched) > 0 || len(ws.vout) > 0 {
 			t.Fatal("a pooled workspace is not at rest")
 		}
 	}

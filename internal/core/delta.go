@@ -1,50 +1,38 @@
 package core
 
-// Wedge-delta kernels for incremental peeling (ParButterfly-style
-// bucketed decomposition; Shi & Shun [12], Wang et al. [13]).
+// The tip wedge-delta kernel for incremental peeling (ParButterfly-
+// style bucketed decomposition; Shi & Shun [12], Wang et al. [13]). The
+// wing engines peel on the bloom index instead (bloom.go).
 //
 // Round-synchronous peeling recomputes every surviving support from
 // scratch each round — O(wedges of the surviving subgraph) per level.
-// The kernels here invert that: given the batch peeled this round, they
-// compute the exact support *decrements* of the affected neighbors only,
-// so total decomposition cost is proportional to the butterflies
+// The kernel here inverts that: given the batch peeled this round, it
+// computes the exact butterfly *decrements* of the affected neighbors
+// only, so total decomposition cost is proportional to the butterflies
 // destroyed rather than levels × wedges.
 //
 // Exactness (asserted by the quick-check suites in delta_test.go and
-// internal/peel):
+// internal/peel): removing an exposed-side batch B never changes the
+// wedge multiplicity β_uw between two surviving exposed vertices (only
+// exposed vertices leave; every secondary vertex and surviving edge
+// stays). A survivor w therefore loses exactly Σ_{u∈B} C(β_uw, 2)
+// butterflies — the pair terms it shared with the batch — and nothing
+// else.
 //
-//   - Tip: removing an exposed-side batch B never changes the wedge
-//     multiplicity β_uw between two surviving exposed vertices (only
-//     exposed vertices leave; every secondary vertex and surviving edge
-//     stays). A survivor w therefore loses exactly
-//     Σ_{u∈B} C(β_uw, 2) butterflies — the pair terms it shared with
-//     the batch — and nothing else.
-//   - Wing: a butterfly {u,w} × {v,p} is destroyed by the batch iff at
-//     least one of its four edges is in the batch and none was dead
-//     before the batch. Each destroyed butterfly decrements the support
-//     of each of its surviving edges by exactly 1. To count every
-//     destroyed butterfly exactly once under parallel execution, the
-//     butterfly is "assigned" to its minimum-id batch edge: the sweep
-//     from batch edge e skips any butterfly that also contains a batch
-//     edge with a smaller flat id. The rule is order-free, so workers
-//     can process batch edges concurrently.
-//
-// Both kernels draw scratch from a core.Arena and append first-touched
+// The kernel draws scratch from a core.Arena and appends first-touched
 // ids to a caller-owned buffer (deduplicated through a caller-owned
 // dirty-mark array), so steady-state peeling rounds allocate nothing on
-// the sequential path (TestTipDeltaSteadyStateZeroAlloc /
-// TestWingStateDeltaSteadyStateZeroAlloc).
+// the sequential path (TestTipDeltaSteadyStateZeroAlloc).
 //
 // Parallel rounds share nothing writable while they run: each worker
-// subtracts into the private partial vector of its arena workspace
-// (vertex- or edge-indexed, zero at rest) and records the ids it
-// touches first in its own share (vout/eout). After the join one merge
-// (mergePartials) adds the partials into the shared vector, re-zeroes
-// them and deduplicates the touched ids through dirty, so the inner
-// loops carry no atomic operation and no two workers contend for a
-// cache line of counts. A worker's partial vector costs 8 B per vertex
-// (tip) or per edge (wing); the engines clamp threads to GOMAXPROCS,
-// which bounds the total.
+// subtracts into the private per-vertex partial vector of its arena
+// workspace (zero at rest) and records the ids it touches first in its
+// own share (vout). After the join one merge (mergePartials) adds the
+// partials into the shared vector, re-zeroes them and deduplicates the
+// touched ids through dirty, so the inner loops carry no atomic
+// operation and no two workers contend for a cache line of counts. A
+// worker's partial vector costs 8 B per vertex; the engines clamp
+// threads to GOMAXPROCS, which bounds the total.
 
 import (
 	"butterfly/internal/graph"
@@ -124,7 +112,7 @@ func TipDeltaBatch(g *graph.Bipartite, side Side, batch []int32, alive []bool, s
 // it touched first — into vals and re-zeroes them, appending each id
 // whose dirty mark is still clear to *touched. Called once per worker
 // after the join, so the marks need no atomics.
-func mergePartials[T int32 | int64](vals, part []int64, ids []T, dirty []int32, touched *[]T) {
+func mergePartials(vals, part []int64, ids []int32, dirty []int32, touched *[]int32) {
 	for _, id := range ids {
 		vals[id] += part[id]
 		part[id] = 0

@@ -33,22 +33,31 @@ func BenchmarkTipDecompositionDelta(b *testing.B) {
 }
 
 // BenchmarkWingDecompositionDelta runs the delta engine's wing
-// decomposition of the github stand-in at scale 1, sequential and on
-// every CPU, so the wing kernel and its parallel rounds can be
-// profiled on their own:
+// decomposition of each of the five stand-ins at scale 1, sequential
+// and on every CPU, so the bloom index build and its rounds can be
+// profiled on their own. Each result also reports the stand-in's index
+// size — blooms, wedges and bytes — from one build outside the timed
+// loop:
 //
 //	go test -run '^$' -bench WingDecompositionDelta -cpuprofile cpu.out ./internal/peel
 func BenchmarkWingDecompositionDelta(b *testing.B) {
-	g, err := gen.ScaledPaperDataset("github", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, threads := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, benchRounds = wingDecompositionDelta(g, threads, nil)
-			}
-		})
+	for _, name := range gen.PaperDatasetNames() {
+		g, err := gen.ScaledPaperDataset(name, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x := core.NewBloomIndex(g, 1, nil)
+		blooms, wedges, bytes := float64(x.Blooms()), float64(x.Wedges()), float64(x.Bytes())
+		for _, threads := range []int{1, runtime.NumCPU()} {
+			b.Run(fmt.Sprintf("%s/threads=%d", name, threads), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					_, benchRounds = wingDecompositionDelta(g, threads, nil)
+				}
+				b.ReportMetric(blooms, "blooms")
+				b.ReportMetric(wedges, "wedges")
+				b.ReportMetric(bytes, "index-B")
+			})
+		}
 	}
 }
 

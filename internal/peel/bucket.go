@@ -14,10 +14,13 @@ import "math/bits"
 // the entries it moves or discards, however many levels the butterfly
 // supports span.
 //
-// Updates are lazy: when a key decreases, the id is filed again and
-// its old entry goes stale. An alive id's current entry is in the
-// lowest bucket holding it, so a stale entry is reached only after the
-// id was extracted, and is dropped then.
+// Updates are lazy: when a key decreases into a lower bucket, the id
+// is filed again and its old entry goes stale. An alive id's current
+// entry is in the lowest bucket holding it, so a stale entry is reached
+// only after the id was extracted, and is dropped then. A decrease that
+// leaves the id in the bucket of its current entry files nothing, so an
+// id is filed at most once per bucket it descends through: the buckets
+// hold O(65 · ids) entries however many times the keys change.
 //
 // nextBatch drains bucket 0 in one call, which is exactly the
 // round-synchronous peeling batch. Keys that drop to or below last
@@ -30,15 +33,22 @@ import "math/bits"
 type bucketQueue struct {
 	keys []int64 // caller-owned current keys; mutated between calls
 	last int64   // current level; keys only fall to it, never below
+	at   []uint8 // bucket of each id's current entry; unfiled ids hold unfiled
 	bkts [65][]int64
 }
+
+// unfiled marks an id that has no entry in the queue yet.
+const unfiled = 255
 
 // newBucketQueue builds a queue over the ids with alive[id] true, keyed
 // by keys[id] ≥ 0. The keys slice is retained: the engine updates it
 // in place and re-files changed ids with update. The first extraction
 // re-bases last from 0 onto the minimum key.
 func newBucketQueue(keys []int64, alive []bool) *bucketQueue {
-	q := &bucketQueue{keys: keys}
+	q := &bucketQueue{keys: keys, at: make([]uint8, len(keys))}
+	for id := range q.at {
+		q.at[id] = unfiled
+	}
 	for id := range keys {
 		if alive[id] {
 			q.update(int64(id))
@@ -49,12 +59,18 @@ func newBucketQueue(keys []int64, alive []bool) *bucketQueue {
 
 // update files id under its current key keys[id], which the caller may
 // only have decreased since the id was last filed. A key at or below
-// last is due now. Stale entries left behind are skipped at extraction.
+// last is due now. An id whose current entry already sits in the right
+// bucket is left there; stale entries left behind are skipped at
+// extraction.
 func (q *bucketQueue) update(id int64) {
 	i := 0
 	if k := q.keys[id]; k > q.last {
 		i = bits.Len64(uint64(k ^ q.last))
 	}
+	if q.at[id] == uint8(i) {
+		return
+	}
+	q.at[id] = uint8(i)
 	q.bkts[i] = append(q.bkts[i], id)
 }
 

@@ -78,6 +78,43 @@ func TestBucketQueueCascadeWithinLevel(t *testing.T) {
 	}
 }
 
+// Decreases that keep an id in the bucket of its current entry file
+// nothing: a thousand single-step decreases of every key leave at most
+// one entry per id and bucket, and the queue still drains in order.
+func TestBucketQueueFilesOncePerBucket(t *testing.T) {
+	n := 200
+	keys := make([]int64, n)
+	alive := make([]bool, n)
+	for i := range keys {
+		keys[i] = 1<<20 + int64(i)
+		alive[i] = true
+	}
+	q := newBucketQueue(keys, alive)
+	for step := 0; step < 1000; step++ {
+		for id := range keys {
+			keys[id]--
+			q.update(int64(id))
+		}
+	}
+	entries := 0
+	for _, b := range q.bkts {
+		entries += len(b)
+	}
+	if entries > 2*n {
+		t.Fatalf("%d queue entries for %d ids after 1000 decreases each", entries, n)
+	}
+	var batch []int64
+	var prev int64 = -1
+	for total := 0; total < n; total += len(batch) {
+		var level int64
+		var ok bool
+		if batch, level, ok = q.nextBatch(batch[:0], alive); !ok || level < prev {
+			t.Fatalf("after %d ids: ok %v, level %d after %d", total, ok, level, prev)
+		}
+		prev = level
+	}
+}
+
 // keyDrop lowers keys[id] to key (never raising it) and re-files id.
 type keyDrop struct {
 	id  int

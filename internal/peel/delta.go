@@ -1,28 +1,35 @@
 package peel
 
 // The incremental (delta) peeling engine: bucketed tip/wing
-// decomposition driven by the wedge-delta kernels of internal/core.
+// decomposition driven by exact support decrements from internal/core.
 //
 // Structure of every engine below:
 //
-//  1. compute the initial support vector once (parallel, arena-backed);
+//  1. compute the initial support vector once, in the "peel.seed"
+//     stage: the per-vertex sweep for tips; for wings, the
+//     core.BloomIndex build (parallel, arena-backed), whose blooms
+//     yield every edge's support;
 //  2. file everything into a bucketQueue, a monotone radix heap in
 //     which an entry moves at most 64 times and an extraction scans at
 //     most 65 buckets plus the entries it moves or discards (or into a
 //     worklist for the k-core style fixpoints, which need no levels);
 //  3. repeatedly extract the lowest bucket as a batch and apply
-//     core.TipDeltaBatch / core.WingStateDeltaBatch, which decrement
-//     only the supports the batch actually changed;
+//     core.TipDeltaBatch (tips) or BloomIndex.PeelRound (wings, one
+//     thread, closed-form per damaged bloom), which decrement only the
+//     supports the batch actually changed;
 //  4. re-file the touched survivors and continue.
 //
 // Total work is O(initial count + Σ butterfly-side deltas) instead of
 // the recount engine's O(levels × wedges of the surviving subgraph).
+// Decrements are exact, so the wing engines never clamp a support;
+// the tip engine still clamps at zero.
 // Peeling is confluent, so the results equal the recount engine's bit
 // for bit (asserted by the differential tests in delta_test.go).
 
 import (
 	"butterfly/internal/core"
 	"butterfly/internal/graph"
+	"butterfly/internal/sparse"
 )
 
 // tipDecompositionDelta computes the same tip numbers as
@@ -144,29 +151,32 @@ func kTipDelta(g *graph.Bipartite, k int64, side core.Side, threads int, stage s
 }
 
 // wingDecompositionDelta computes the same wing numbers as
-// wingDecompositionRecount with the incremental engine. Edge ids are flat indices into g.Adj(), as everywhere else.
-// Unlike the recount engine it never rebuilds the graph: peeled edges
-// are swap-deleted from the compacted core.WingPeelState, so each
-// batch's sweep touches only the surviving adjacency.
+// wingDecompositionRecount with the incremental engine. Edge ids are
+// flat indices into g.Adj(), as everywhere else. It never rebuilds the
+// graph: each batch updates only the blooms of the core.BloomIndex that
+// its edges damage, in closed form.
 func wingDecompositionDelta(g *graph.Bipartite, threads int, stage stageFunc) ([]int64, int) {
-	adj := g.Adj()
-	nnz := int(adj.NNZ())
+	return wingPeel(g, threads, stage, nil)
+}
+
+// wingPeel is wingDecompositionDelta with a hook that, when non-nil,
+// sees the index, liveness and supports after every round.
+func wingPeel(g *graph.Bipartite, threads int, stage stageFunc, after func(x *core.BloomIndex, alive []bool, sup []int64)) ([]int64, int) {
+	nnz := int(g.NumEdges())
 	wing := make([]int64, nnz)
 	if nnz == 0 {
 		return wing, 0
 	}
-	arena := core.NewArena()
 	sup := make([]int64, nnz)
 	t0 := stageNow(stage)
-	core.EdgeSupportInto(sup, g, threads, arena)
+	index := core.NewBloomIndex(g, threads, nil)
+	index.SupportsInto(sup)
 	emitStage(stage, "peel.seed", t0)
-	state := core.NewWingPeelState(g)
 
 	alive := make([]bool, nnz)
 	for i := range alive {
 		alive[i] = true
 	}
-	inBatch := make([]bool, nnz)
 	dirty := make([]int32, nnz)
 	q := newBucketQueue(sup, alive)
 	var (
@@ -189,20 +199,15 @@ func wingDecompositionDelta(g *graph.Bipartite, threads int, stage stageFunc) ([
 		}
 		for _, e := range batch {
 			wing[e] = level
-			inBatch[e] = true
 		}
 		touched = touched[:0]
-		core.WingStateDeltaBatch(state, batch, alive, inBatch, sup, dirty, &touched, threads, arena)
-		for _, e := range batch {
-			inBatch[e] = false
-			state.RemoveEdge(e)
-		}
+		index.PeelRound(batch, alive, sup, dirty, &touched)
 		for _, f := range touched {
 			dirty[f] = 0
-			if sup[f] < 0 {
-				sup[f] = 0
-			}
 			q.update(f)
+		}
+		if after != nil {
+			after(index, alive, sup)
 		}
 		emitRound(stage, rounds-1, rt)
 	}
@@ -210,28 +215,25 @@ func wingDecompositionDelta(g *graph.Bipartite, threads int, stage stageFunc) ([
 }
 
 // kWingDelta computes the k-wing subgraph with the incremental engine:
-// one support sweep, then exact cascading decrements, then a single
+// one index build, then exact cascading decrements, then a single
 // subgraph rebuild at the end (the recount engine rebuilds the whole
 // graph every round). Identical to kWingRecount's; returns the cascade
 // round count.
 func kWingDelta(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*graph.Bipartite, int) {
-	adj := g.Adj()
-	nnz := int(adj.NNZ())
+	nnz := int(g.NumEdges())
 	if nnz == 0 || k <= 0 {
 		return g, 0
 	}
-	arena := core.NewArena()
 	sup := make([]int64, nnz)
 	t0 := stageNow(stage)
-	core.EdgeSupportInto(sup, g, threads, arena)
+	index := core.NewBloomIndex(g, threads, nil)
+	index.SupportsInto(sup)
 	emitStage(stage, "peel.seed", t0)
-	state := core.NewWingPeelState(g)
 
 	alive := make([]bool, nnz)
 	for i := range alive {
 		alive[i] = true
 	}
-	inBatch := make([]bool, nnz)
 	dirty := make([]int32, nnz)
 	var (
 		cur     = make([]int64, 0, 256)
@@ -242,7 +244,6 @@ func kWingDelta(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*gra
 	for e := 0; e < nnz; e++ {
 		if sup[e] < k {
 			alive[e] = false
-			inBatch[e] = true
 			cur = append(cur, int64(e))
 		}
 	}
@@ -250,17 +251,12 @@ func kWingDelta(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*gra
 		rt := stageNow(stage)
 		rounds++
 		touched = touched[:0]
-		core.WingStateDeltaBatch(state, cur, alive, inBatch, sup, dirty, &touched, threads, arena)
-		for _, e := range cur {
-			inBatch[e] = false
-			state.RemoveEdge(e)
-		}
+		index.PeelRound(cur, alive, sup, dirty, &touched)
 		next = next[:0]
 		for _, f := range touched {
 			dirty[f] = 0
 			if alive[f] && sup[f] < k {
 				alive[f] = false
-				inBatch[f] = true
 				next = append(next, f)
 			}
 		}
@@ -272,6 +268,8 @@ func kWingDelta(g *graph.Bipartite, k int64, threads int, stage stageFunc) (*gra
 
 // graphFromAliveEdges rebuilds a bipartite graph keeping only the edges
 // whose flat id is still alive, preserving dimensions and vertex ids.
+// The kept edges are copied row by row into an exactly sized CSR, so
+// rows stay sorted and no edge list is sorted again.
 func graphFromAliveEdges(g *graph.Bipartite, alive []bool) *graph.Bipartite {
 	adj := g.Adj()
 	var kept int64
@@ -283,14 +281,19 @@ func graphFromAliveEdges(g *graph.Bipartite, alive []bool) *graph.Bipartite {
 	if kept == adj.NNZ() {
 		return g
 	}
-	b := graph.NewBuilder(adj.R, adj.C)
+	out := &sparse.CSR{R: adj.R, C: adj.C, Ptr: make([]int64, adj.R+1), Col: make([]int32, 0, kept)}
 	for u := 0; u < adj.R; u++ {
 		base := adj.Ptr[u]
 		for kk, v := range adj.Row(u) {
 			if alive[base+int64(kk)] {
-				b.AddEdge(u, int(v))
+				out.Col = append(out.Col, v)
 			}
 		}
+		out.Ptr[u+1] = int64(len(out.Col))
 	}
-	return b.Build()
+	h, err := graph.FromCSR(out)
+	if err != nil {
+		panic("peel: internal error rebuilding k-wing graph: " + err.Error())
+	}
+	return h
 }

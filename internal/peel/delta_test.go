@@ -1,6 +1,7 @@
 package peel
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -98,6 +99,106 @@ func TestWingDeltaMediumGraph(t *testing.T) {
 	}
 	if rounds < 1 {
 		t.Fatalf("expected at least one peeled batch, got %d", rounds)
+	}
+}
+
+// checkWingRound checks the wing engine's state after a round: no
+// surviving support is negative, and the surviving supports add up to
+// four times the butterflies left in the index, Σ_B C(k_B, 2) — each
+// butterfly has four edges. Closed-form decrements are exact, so any
+// over- or under-decrement breaks the sum.
+func checkWingRound(x *core.BloomIndex, alive []bool, sup []int64) error {
+	var sum int64
+	for e, ok := range alive {
+		if !ok {
+			continue
+		}
+		if sup[e] < 0 {
+			return fmt.Errorf("surviving edge %d has support %d", e, sup[e])
+		}
+		sum += sup[e]
+	}
+	if want := 4 * x.Butterflies(); sum != want {
+		return fmt.Errorf("surviving supports add up to %d, want 4·Σ C(k, 2) = %d", sum, want)
+	}
+	return nil
+}
+
+// wingRoundsChecked runs the wing engine with checkWingRound after
+// every round and returns the first violation with its round.
+func wingRoundsChecked(g *graph.Bipartite, threads int) error {
+	var err error
+	rounds := 0
+	wingPeel(g, threads, nil, func(x *core.BloomIndex, alive []bool, sup []int64) {
+		rounds++
+		if err == nil {
+			if e := checkWingRound(x, alive, sup); e != nil {
+				err = fmt.Errorf("round %d: %w", rounds, e)
+			}
+		}
+	})
+	return err
+}
+
+// The round invariant holds after every round of the wing engine on
+// random graphs, at one and three threads.
+func TestQuickWingRoundInvariant(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		_, g := randGraphAndDense(rng, 10)
+		for _, threads := range []int{1, 3} {
+			if err := wingRoundsChecked(g, threads); err != nil {
+				t.Logf("seed %d threads %d: %v", seed, threads, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The same invariant on the five paper stand-ins at scale 10.
+func TestWingRoundInvariantOnStandIns(t *testing.T) {
+	for _, name := range gen.PaperDatasetNames() {
+		g, err := gen.ScaledPaperDataset(name, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wingRoundsChecked(g, 2); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// An injected extra decrement of one surviving support must fail the
+// round check, whether it leaves the support positive (the sum breaks)
+// or drives it negative.
+func TestWingRoundCheckCatchesExtraDecrement(t *testing.T) {
+	g := gen.PowerLawBipartite(120, 100, 900, 0.7, 0.7, 13)
+	for _, from := range []string{"positive", "zero"} {
+		var caught, injected bool
+		wingPeel(g, 1, nil, func(x *core.BloomIndex, alive []bool, sup []int64) {
+			if injected {
+				return
+			}
+			if err := checkWingRound(x, alive, sup); err != nil {
+				t.Fatalf("clean round failed the check: %v", err)
+			}
+			for e, ok := range alive {
+				if ok && (sup[e] == 0) == (from == "zero") {
+					sup[e]--
+					injected = true
+					caught = checkWingRound(x, alive, sup) != nil
+					sup[e]++
+					return
+				}
+			}
+		})
+		if !injected || !caught {
+			t.Fatalf("decrement from %s support: injected %v, caught %v", from, injected, caught)
+		}
 	}
 }
 

@@ -42,13 +42,20 @@ func (e Engine) String() string {
 
 // Options configures an engine-dispatched peeling run.
 type Options struct {
-	// Engine selects delta (zero value) or recount execution.
+	// Engine selects delta (zero value) or recount execution. A delta
+	// wing run holds a core.BloomIndex, whose memory follows the
+	// priority-obeying wedges, not the edges: 16 B per stored wedge
+	// plus at most 8 B per wedge of bloom records and 8 B per edge.
+	// The wedges number at most the smaller Σ deg² of the two sides,
+	// n²(n − 1)/2 on K_{n,n} (about 218 MB at n = 300). The recount
+	// engine keeps O(|E|) state.
 	Engine Engine
 	// Threads is the worker count; ≤ 0 means one per CPU, and it is
 	// capped at GOMAXPROCS.
 	Threads int
 	// Stage, when non-nil, receives named sub-stage timings:
-	// "peel.seed" for the initial butterfly/support sweep and
+	// "peel.seed" for the initial butterfly/support sweep — on a delta
+	// wing run, the core.BloomIndex build that yields the supports — and
 	// "peel.round[i]" for every peeled batch (delta) or recompute
 	// round (recount). The hook fires once per round, never inside the
 	// wedge kernels, so a nil hook costs one predictable branch per

@@ -348,7 +348,8 @@ const degradeSamples = 256
 
 // execPeel runs a k-tip or k-wing peel and summarizes the surviving
 // subgraph. The kernel span, when present, receives the peeling
-// engine's sub-stages ("peel.seed", "peel.round[i]") as children.
+// engine's sub-stages ("peel.seed", "peel.round[i]") as children; on a
+// k-wing peel, "peel.seed" covers the bloom index build.
 func (s *Server) execPeel(ctx context.Context, sl *slot, snap *Snapshot, req *serveapi.PeelRequest, ksp *obsv.Span) (*serveapi.PeelResponse, error) {
 	if req.K < 0 {
 		return nil, badReqf("k must be ≥ 0, got %d", req.K)

@@ -97,13 +97,20 @@ func (e PeelEngine) String() string {
 // kernels only apply to scalar whole-graph counts. This is the same
 // reason hub-split segments always aggregate through the histogram.
 type PeelOptions struct {
-	// Engine selects the delta (zero value) or recount execution.
+	// Engine selects the delta (zero value) or recount execution. A
+	// delta k-wing or wing-number run holds a bloom index whose memory
+	// follows the priority-obeying wedges, not the edges: 16 B per
+	// stored wedge plus at most 8 B per wedge of bloom records and 8 B
+	// per edge. The wedges number at most the smaller Σ deg² of the two
+	// sides, n²(n − 1)/2 on K_{n,n} (about 218 MB at n = 300). The
+	// recount engine keeps O(|E|) state.
 	Engine PeelEngine
 	// Threads is the worker count; ≤ 0 means one per CPU, and it is
 	// capped at GOMAXPROCS.
 	Threads int
 	// Stage, when non-nil, receives named sub-stage timings:
-	// "peel.seed" for the initial butterfly/support sweep and
+	// "peel.seed" for the initial butterfly/support sweep — on a delta
+	// wing run, the bloom index build that yields the supports — and
 	// "peel.round[i]" for every peeled batch or recompute round. The
 	// hook fires once per round — never inside the wedge kernels — so
 	// a nil hook costs one predictable branch per round. The serving
