@@ -523,3 +523,46 @@ func TestTenantRoundTripThroughRouter(t *testing.T) {
 		t.Errorf("unknown tenant echoed %q, want default", got)
 	}
 }
+
+// TestPartitionedBodiesValidated: the router checks a partitioned
+// count or estimate body with the shard's parse functions, so a
+// malformed one answers 400 as it does on a single node, and a valid
+// one still gathers.
+func TestPartitionedBodiesValidated(t *testing.T) {
+	shards := spawnShards(t, 2)
+	_, rts := newRouter(t, urlsOf(shards), Config{})
+	c := client.New(rts.URL)
+	g := mustGen(t)(butterfly.GenerateGnm(30, 20, 150, 3))
+	registerInline(t, c, "pv", g, 2)
+
+	for _, tc := range []struct{ path, body string }{
+		{"/count", `{"agg":"bogus"}`},
+		{"/count", `{"invariant":99}`},
+		{"/count", `{"bogus":1}`},
+		{"/count", `{} {}`},
+		{"/count?degrade=guess", `{}`},
+		{"/estimate", `{"strategy":"guess"}`},
+		{"/estimate", `{"strategy":"sparsify","p":2}`},
+		{"/estimate", `{"samples":-1}`},
+	} {
+		resp, err := http.Post(rts.URL+"/v1/graphs/pv"+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env serveapi.ErrorEnvelope
+		_ = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != serveapi.CodeInvalidArgument {
+			t.Errorf("%s %s: status %d code %q, want 400 %s", tc.path, tc.body, resp.StatusCode, env.Error.Code, serveapi.CodeInvalidArgument)
+		}
+	}
+
+	ctx := context.Background()
+	cr, err := c.Count(ctx, "pv", serveapi.CountRequest{})
+	if err != nil || cr.Butterflies != g.Count() {
+		t.Fatalf("valid partitioned count = %+v, %v; want %d", cr, err, g.Count())
+	}
+	if _, err := c.Estimate(ctx, "pv", serveapi.EstimateRequest{Strategy: "edges"}); err != nil {
+		t.Fatalf("valid partitioned estimate: %v", err)
+	}
+}

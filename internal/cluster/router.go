@@ -18,6 +18,7 @@ import (
 
 	"butterfly/internal/flight"
 	"butterfly/internal/obsv"
+	"butterfly/internal/serve"
 	"butterfly/serveapi"
 )
 
@@ -231,8 +232,8 @@ func (rt *Router) routes() {
 		{"POST /v1/graphs", "graphs.register", rt.handleRegister},
 		{"GET /v1/graphs/{name}", "graphs.info", rt.handleInfo},
 		{"DELETE /v1/graphs/{name}", "graphs.drop", rt.handleDrop},
-		{"POST /v1/graphs/{name}/count", "count", rt.handleCount},
-		{"POST /v1/graphs/{name}/estimate", "estimate", rt.handleEstimate},
+		{"POST /v1/graphs/{name}/count", "count", rt.handleGather(serve.ParseCount, "/count", false)},
+		{"POST /v1/graphs/{name}/estimate", "estimate", rt.handleGather(serve.ParseEstimate, "/estimate", true)},
 		{"POST /v1/graphs/{name}/mutate", "mutate", rt.handleMutate},
 		{"POST /v1/graphs/{name}/vertex-counts", "vertex-counts", rt.handleReadProxy("/vertex-counts")},
 		{"POST /v1/graphs/{name}/edge-supports", "edge-supports", rt.handleReadProxy("/edge-supports")},
@@ -709,32 +710,29 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 	relay(w, sr, shard)
 }
 
-func (rt *Router) handleCount(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	body, err := readBody(r)
-	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
-		return
+// handleGather serves count and estimate. A partitioned graph is
+// answered by scatter-gather once parse, the shard's own parse
+// function, accepts the body, so a malformed request fails as it would
+// on a single node. Any other graph is proxied to a replica, which
+// parses the body itself.
+func (rt *Router) handleGather(parse func(io.Reader, url.Values) (serve.Query, error), subpath string, asEstimate bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name := r.PathValue("name")
+		body, err := readBody(r)
+		if err != nil {
+			rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
+			return
+		}
+		if m := rt.metaOf(name); m != nil && m.partitions >= 2 {
+			if _, err := parse(bytes.NewReader(body), r.URL.Query()); err != nil {
+				rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
+				return
+			}
+			rt.partitionedCount(w, r, name, m, asEstimate)
+			return
+		}
+		rt.proxyRead(w, r, name, subpath, body)
 	}
-	if m := rt.metaOf(name); m != nil && m.partitions >= 2 {
-		rt.partitionedCount(w, r, name, m, false)
-		return
-	}
-	rt.proxyRead(w, r, name, "/count", body)
-}
-
-func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	body, err := readBody(r)
-	if err != nil {
-		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
-		return
-	}
-	if m := rt.metaOf(name); m != nil && m.partitions >= 2 {
-		rt.partitionedCount(w, r, name, m, true)
-		return
-	}
-	rt.proxyRead(w, r, name, "/estimate", body)
 }
 
 // handleIngestOpen routes a streaming ingest to the name's primary.

@@ -239,7 +239,7 @@ func (s *Server) handleIngestOpen(w http.ResponseWriter, r *http.Request) {
 	root := stateOf(r).root()
 	psp := root.Child("parse")
 	var req serveapi.IngestRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return

@@ -248,7 +248,7 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	root := stateOf(r).root()
 	psp := root.Child("parse")
 	var req serveapi.AdoptRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"fmt"
+	"io"
+	"net/url"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -96,57 +98,34 @@ func countOptions(req *serveapi.CountRequest) (butterfly.CountOptions, error) {
 }
 
 // Cache keys. A key captures everything that can change the response
-// body and nothing else. The exact count is invariant across all
-// algorithms, invariants, hub policies, orders and thread counts —
-// that equivalence is the paper's core result and is what makes the
-// shared count key sound: a count served from cache is identical to a
-// count computed by any family member. Performance knobs therefore
-// never fragment the cache — with one exception: the response reports
-// the wedge-aggregation mode that ran (CountResponse.Agg), so requests
-// naming different modes produce different bodies and must key
-// separately (keyCountFor). The default "auto" spelling shares one
-// entry; which concrete mode auto resolves to is deterministic per
-// graph, so that entry is stable too.
-const (
-	keyCount = "count|agg=auto"
-	keyEdges = "edge-supports"
-)
+// body and nothing else, and it is built from parsed values, so that
+// equivalent spellings of one request share one entry. The exact count
+// is invariant across all algorithms, invariants, hub policies, orders
+// and thread counts — that equivalence is the paper's core result and
+// is what makes the shared count key sound: a count served from cache
+// is identical to a count computed by any family member. Performance
+// knobs therefore never fragment the cache — with one exception: the
+// response reports the wedge-aggregation mode that ran
+// (CountResponse.Agg), so requests naming different modes produce
+// different bodies and must key separately (keyCountFor). The default
+// "auto" spelling shares one entry; which concrete mode auto resolves
+// to is deterministic per graph, so that entry is stable too.
+const keyCount = "count|agg=auto"
 
-// keyCountFor returns the count-result cache key for a request:
+// keyCountFor returns the count-result cache key for parsed options:
 // keyCount for a family count with the default aggregation, a
 // mode-suffixed variant for explicit modes, and a shared baseline key
 // for the non-family algorithms (whose responses carry no agg field,
 // so they cannot share a body with family counts — but do share one
 // with each other).
-func keyCountFor(req *serveapi.CountRequest) string {
-	switch req.Algorithm {
-	case "", "family":
-	default:
+func keyCountFor(opts butterfly.CountOptions) string {
+	switch {
+	case opts.Algorithm != butterfly.AlgorithmFamily:
 		return "count|baseline"
-	}
-	if req.Agg == "" || req.Agg == "auto" {
+	case opts.Agg == butterfly.AggAuto:
 		return keyCount
 	}
-	return "count|agg=" + req.Agg
-}
-
-func keyVertex(side butterfly.Side, top int) string {
-	return fmt.Sprintf("vertex|%v|top=%d", side, top)
-}
-
-func keyEstimate(req *serveapi.EstimateRequest) string {
-	return fmt.Sprintf("estimate|%s|samples=%d|p=%g|seed=%d|tre=%g|max=%d",
-		req.Strategy, req.Samples, req.P, req.Seed, req.TargetRelErr, req.MaxSamples)
-}
-
-// keyPeel includes the engine: the subgraph summary is identical
-// across engines (confluence), but the response also reports the
-// engine and its round count, which legitimately differ.
-func keyPeel(mode string, k int64, side butterfly.Side, engine butterfly.PeelEngine) string {
-	if mode == "wing" {
-		return fmt.Sprintf("peel|wing|k=%d|%v", k, engine)
-	}
-	return fmt.Sprintf("peel|tip|k=%d|%v|%v", k, side, engine)
+	return "count|agg=" + opts.Agg.String()
 }
 
 // parsePeelEngine maps the wire spelling to a PeelEngine.
@@ -161,15 +140,196 @@ func parsePeelEngine(s string) (butterfly.PeelEngine, error) {
 	}
 }
 
+// parseTop resolves a request's top: 0 asks for the default 100, and
+// every negative value asks for all, which is kept as -1 so that the
+// spellings of "all" share one cache entry.
+func parseTop(top int) int {
+	switch {
+	case top == 0:
+		return 100
+	case top < 0:
+		return -1
+	}
+	return top
+}
+
+// A Query is one query request, decoded and validated by its kind's
+// parse function. It holds everything serveQuery needs, so nothing
+// after parsing reads the body again, and a malformed request answers
+// 400 before it spends a quota token or an execution slot.
+type Query struct {
+	tenant, priority string // the body's tenancy fields (applyTenant)
+	timeoutMS        int
+	// key is the cache key of the answer on one graph version.
+	key string
+	// degrade answers a shed request with degradedEstimate instead of
+	// 429 (?degrade=estimate on /count).
+	degrade bool
+	// live answers a graph still streaming through /v1/ingest from its
+	// reservoir (estimate only).
+	live bool
+	// run is the kernel over the parsed options.
+	run func(s *Server, ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error)
+}
+
+// parseFunc is the shape of the five parse functions: the request body
+// and the URL query parameters in, a Query or a badRequestError out.
+type parseFunc func(body io.Reader, params url.Values) (Query, error)
+
+// ParseCount parses a count request. ?degrade=estimate opts into the
+// approximate tier under overload: a shed request answers 200 with a
+// sampling estimate (Degraded set, X-Degraded header) instead of a
+// bare 429.
+func ParseCount(body io.Reader, params url.Values) (Query, error) {
+	var req serveapi.CountRequest
+	if err := decodeBody(body, &req); err != nil {
+		return Query{}, err
+	}
+	opts, err := countOptions(&req)
+	if err != nil {
+		return Query{}, err
+	}
+	q := Query{tenant: req.Tenant, priority: req.Priority, timeoutMS: req.TimeoutMillis, key: keyCountFor(opts)}
+	switch d := params.Get("degrade"); d {
+	case "":
+	case "estimate":
+		q.degrade = true
+	default:
+		return Query{}, badReqf("unknown degrade mode %q (want estimate)", d)
+	}
+	q.run = func(s *Server, ctx context.Context, _ *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
+		return s.execCount(ctx, snap, opts, ksp)
+	}
+	return q, nil
+}
+
+func parseVertexCounts(body io.Reader, _ url.Values) (Query, error) {
+	var req serveapi.VertexCountsRequest
+	if err := decodeBody(body, &req); err != nil {
+		return Query{}, err
+	}
+	side, err := parseSide(req.Side)
+	if err != nil {
+		return Query{}, err
+	}
+	top := parseTop(req.Top)
+	return Query{
+		tenant: req.Tenant, priority: req.Priority, timeoutMS: req.TimeoutMillis,
+		key: fmt.Sprintf("vertex|%v|top=%d", side, top),
+		run: func(s *Server, ctx context.Context, sl *slot, snap *Snapshot, _ *obsv.Span) (any, error) {
+			return s.execVertexCounts(ctx, sl, snap, side, top)
+		},
+	}, nil
+}
+
+func parseEdgeSupports(body io.Reader, _ url.Values) (Query, error) {
+	var req serveapi.EdgeSupportsRequest
+	if err := decodeBody(body, &req); err != nil {
+		return Query{}, err
+	}
+	top := parseTop(req.Top)
+	return Query{
+		tenant: req.Tenant, priority: req.Priority, timeoutMS: req.TimeoutMillis,
+		key: fmt.Sprintf("edge-supports|top=%d", top),
+		run: func(s *Server, ctx context.Context, sl *slot, snap *Snapshot, _ *obsv.Span) (any, error) {
+			return s.execEdgeSupports(ctx, sl, snap, top)
+		},
+	}, nil
+}
+
+// ParseEstimate parses an estimate request. Each estimator reads only
+// its own options — sparsify reads P, the samplers read Samples,
+// TargetRelErr and MaxSamples — so the parsed options keep only those,
+// and the cache key does not split on options that change nothing.
+func ParseEstimate(body io.Reader, _ url.Values) (Query, error) {
+	var req serveapi.EstimateRequest
+	if err := decodeBody(body, &req); err != nil {
+		return Query{}, err
+	}
+	strategy := req.Strategy
+	if strategy == "" || strategy == "auto" {
+		// Edge sampling is usually the lowest-variance choice on skewed
+		// graphs, and every sample is O(deg) — a safe default.
+		strategy = "edges"
+	}
+	opts := butterfly.EstimateOptions{Seed: req.Seed}
+	switch strategy {
+	case "vertices":
+		opts.Strategy = butterfly.SampleVertices
+	case "edges":
+		opts.Strategy = butterfly.SampleEdges
+	case "sparsify":
+		opts.Strategy = butterfly.SampleSparsify
+	default:
+		return Query{}, badReqf("unknown strategy %q (want auto|vertices|edges|sparsify)", req.Strategy)
+	}
+	switch {
+	case req.Samples < 0:
+		return Query{}, badReqf("samples must be ≥ 0, got %d", req.Samples)
+	case req.TargetRelErr < 0:
+		return Query{}, badReqf("target_rel_err must be ≥ 0, got %g", req.TargetRelErr)
+	case req.MaxSamples < 0:
+		return Query{}, badReqf("max_samples must be ≥ 0, got %d", req.MaxSamples)
+	}
+	if opts.Strategy == butterfly.SampleSparsify {
+		if req.P <= 0 || req.P > 1 {
+			return Query{}, badReqf("p must be in (0,1] for sparsify, got %g", req.P)
+		}
+		opts.P = req.P
+	} else {
+		opts.Samples, opts.TargetRelErr, opts.MaxSamples = req.Samples, req.TargetRelErr, req.MaxSamples
+	}
+	return Query{
+		tenant: req.Tenant, priority: req.Priority, timeoutMS: req.TimeoutMillis, live: true,
+		key: fmt.Sprintf("estimate|%s|samples=%d|p=%g|seed=%d|tre=%g|max=%d",
+			strategy, opts.Samples, opts.P, opts.Seed, opts.TargetRelErr, opts.MaxSamples),
+		run: func(s *Server, ctx context.Context, sl *slot, snap *Snapshot, _ *obsv.Span) (any, error) {
+			return s.execEstimate(ctx, sl, snap, strategy, opts)
+		},
+	}, nil
+}
+
+// parsePeel parses a peel request. The key includes the engine: the
+// subgraph summary is identical across engines (confluence), but the
+// response also reports the engine and its round count, which
+// legitimately differ. A k-wing peel has no side.
+func parsePeel(body io.Reader, _ url.Values) (Query, error) {
+	var req serveapi.PeelRequest
+	if err := decodeBody(body, &req); err != nil {
+		return Query{}, err
+	}
+	side, err := parseSide(req.Side)
+	if err != nil {
+		return Query{}, err
+	}
+	if req.Mode != "tip" && req.Mode != "wing" {
+		return Query{}, badReqf("unknown mode %q (want tip|wing)", req.Mode)
+	}
+	if req.K < 0 {
+		return Query{}, badReqf("k must be ≥ 0, got %d", req.K)
+	}
+	engine, err := parsePeelEngine(req.Engine)
+	if err != nil {
+		return Query{}, err
+	}
+	key := fmt.Sprintf("peel|tip|k=%d|%v|%v", req.K, side, engine)
+	if req.Mode == "wing" {
+		key = fmt.Sprintf("peel|wing|k=%d|%v", req.K, engine)
+	}
+	opts := butterfly.PeelOptions{Engine: engine, Threads: req.Threads}
+	return Query{
+		tenant: req.Tenant, priority: req.Priority, timeoutMS: req.TimeoutMillis, key: key,
+		run: func(s *Server, ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
+			return s.execPeel(ctx, sl, snap, req.Mode, req.K, side, opts, ksp)
+		},
+	}, nil
+}
+
 // execCount runs an exact count on the snapshot with true cooperative
 // cancellation (the ctx is threaded into the core counting loops).
 // The kernel span, when present, receives the counting core's named
 // sub-stages ("core.order", "core.count", …) as children.
-func (s *Server) execCount(ctx context.Context, snap *Snapshot, req *serveapi.CountRequest, ksp *obsv.Span) (*serveapi.CountResponse, error) {
-	opts, err := countOptions(req)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) execCount(ctx context.Context, snap *Snapshot, opts butterfly.CountOptions, ksp *obsv.Span) (*serveapi.CountResponse, error) {
 	opts.Arena = s.arena
 	opts.Stage = ksp.Hook()
 	c, err := snap.Graph.CountWithContext(ctx, opts)
@@ -187,8 +347,8 @@ func (s *Server) execCount(ctx context.Context, snap *Snapshot, req *serveapi.Co
 }
 
 // execVertexCounts computes per-vertex butterfly counts and keeps the
-// top-K. Runs under runAbandon (no checkpoints inside the vector
-// kernel yet).
+// top-K (all when top < 0). Runs under runAbandon (no checkpoints
+// inside the vector kernel yet).
 func (s *Server) execVertexCounts(ctx context.Context, sl *slot, snap *Snapshot, side butterfly.Side, top int) (*serveapi.VertexCountsResponse, error) {
 	counts, err := runAbandon(ctx, sl, func() ([]int64, error) {
 		return snap.Graph.VertexButterflies(side)
@@ -260,45 +420,9 @@ func (s *Server) execEdgeSupports(ctx context.Context, sl *slot, snap *Snapshot,
 // seed, hence cacheable). Samples == 0 with a sampling strategy means
 // adaptive sizing: draws accumulate until the 95% CI half-width is
 // below the target relative error or MaxSamples is hit.
-func (s *Server) execEstimate(ctx context.Context, sl *slot, snap *Snapshot, req *serveapi.EstimateRequest) (*serveapi.EstimateResponse, error) {
-	opts := butterfly.EstimateOptions{
-		Samples:      req.Samples,
-		P:            req.P,
-		Seed:         req.Seed,
-		TargetRelErr: req.TargetRelErr,
-		MaxSamples:   req.MaxSamples,
-	}
-	strategy := req.Strategy
-	if strategy == "" || strategy == "auto" {
-		// Edge sampling is usually the lowest-variance choice on skewed
-		// graphs, and every sample is O(deg) — a safe default.
-		strategy = "edges"
-	}
-	switch strategy {
-	case "vertices":
-		opts.Strategy = butterfly.SampleVertices
-	case "edges":
-		opts.Strategy = butterfly.SampleEdges
-	case "sparsify":
-		opts.Strategy = butterfly.SampleSparsify
-	default:
-		return nil, badReqf("unknown strategy %q (want auto|vertices|edges|sparsify)", req.Strategy)
-	}
-	if req.Samples < 0 {
-		return nil, badReqf("samples must be ≥ 0, got %d", req.Samples)
-	}
-	if req.TargetRelErr < 0 {
-		return nil, badReqf("target_rel_err must be ≥ 0, got %g", req.TargetRelErr)
-	}
-	if req.MaxSamples < 0 {
-		return nil, badReqf("max_samples must be ≥ 0, got %d", req.MaxSamples)
-	}
+func (s *Server) execEstimate(ctx context.Context, sl *slot, snap *Snapshot, strategy string, opts butterfly.EstimateOptions) (*serveapi.EstimateResponse, error) {
 	res, err := runAbandon(ctx, sl, func() (butterfly.EstimateResult, error) {
-		res, err := snap.Graph.EstimateWithCI(opts)
-		if err != nil {
-			return res, badRequestError{err.Error()}
-		}
-		return res, nil
+		return snap.Graph.EstimateWithCI(opts)
 	})
 	if err != nil {
 		return nil, err
@@ -350,38 +474,18 @@ const degradeSamples = 256
 // subgraph. The kernel span, when present, receives the peeling
 // engine's sub-stages ("peel.seed", "peel.round[i]") as children; on a
 // k-wing peel, "peel.seed" covers the bloom index build.
-func (s *Server) execPeel(ctx context.Context, sl *slot, snap *Snapshot, req *serveapi.PeelRequest, ksp *obsv.Span) (*serveapi.PeelResponse, error) {
-	if req.K < 0 {
-		return nil, badReqf("k must be ≥ 0, got %d", req.K)
-	}
-	side, err := parseSide(req.Side)
-	if err != nil {
-		return nil, err
-	}
-	var mode string
-	switch req.Mode {
-	case "tip":
-		mode = "tip"
-	case "wing":
-		mode = "wing"
-	default:
-		return nil, badReqf("unknown mode %q (want tip|wing)", req.Mode)
-	}
-	engine, err := parsePeelEngine(req.Engine)
-	if err != nil {
-		return nil, err
-	}
-	opts := butterfly.PeelOptions{Engine: engine, Threads: req.Threads, Stage: ksp.Hook()}
+func (s *Server) execPeel(ctx context.Context, sl *slot, snap *Snapshot, mode string, k int64, side butterfly.Side, opts butterfly.PeelOptions, ksp *obsv.Span) (*serveapi.PeelResponse, error) {
+	opts.Stage = ksp.Hook()
 	type peeled struct {
 		sub   *butterfly.Graph
 		stats butterfly.PeelStats
 	}
 	r, err := runAbandon(ctx, sl, func() (peeled, error) {
 		if mode == "wing" {
-			sub, st, err := snap.Graph.KWingWith(req.K, opts)
+			sub, st, err := snap.Graph.KWingWith(k, opts)
 			return peeled{sub, st}, err
 		}
-		sub, st, err := snap.Graph.KTipWith(req.K, side, opts)
+		sub, st, err := snap.Graph.KTipWith(k, side, opts)
 		return peeled{sub, st}, err
 	})
 	if err != nil {
@@ -389,8 +493,8 @@ func (s *Server) execPeel(ctx context.Context, sl *slot, snap *Snapshot, req *se
 	}
 	return &serveapi.PeelResponse{
 		ResultMeta: serveapi.ResultMeta{Graph: snap.Name, Version: snap.Version},
-		Mode:       mode, K: req.K,
-		Engine: engine.String(), Rounds: r.stats.Rounds,
+		Mode:       mode, K: k,
+		Engine: opts.Engine.String(), Rounds: r.stats.Rounds,
 		EdgesRemaining: r.sub.NumEdges(), Butterflies: r.sub.Count(),
 	}, nil
 }

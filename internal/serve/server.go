@@ -269,11 +269,11 @@ func (s *Server) routes() {
 		{"POST", "/graphs", "graphs.register", s.handleRegister},
 		{"GET", "/graphs/{name}", "graphs.info", s.handleGraphInfo},
 		{"DELETE", "/graphs/{name}", "graphs.drop", s.handleDrop},
-		{"POST", "/graphs/{name}/count", "count", s.handleCount},
-		{"POST", "/graphs/{name}/vertex-counts", "vertex-counts", s.handleVertexCounts},
-		{"POST", "/graphs/{name}/edge-supports", "edge-supports", s.handleEdgeSupports},
-		{"POST", "/graphs/{name}/estimate", "estimate", s.handleEstimate},
-		{"POST", "/graphs/{name}/peel", "peel", s.handlePeel},
+		{"POST", "/graphs/{name}/count", "count", s.handleQuery(ParseCount)},
+		{"POST", "/graphs/{name}/vertex-counts", "vertex-counts", s.handleQuery(parseVertexCounts)},
+		{"POST", "/graphs/{name}/edge-supports", "edge-supports", s.handleQuery(parseEdgeSupports)},
+		{"POST", "/graphs/{name}/estimate", "estimate", s.handleQuery(ParseEstimate)},
+		{"POST", "/graphs/{name}/peel", "peel", s.handleQuery(parsePeel)},
 		{"POST", "/graphs/{name}/mutate", "mutate", s.handleMutate},
 		{"POST", "/admin/checkpoint", "admin.checkpoint", s.handleCheckpoint},
 		{"POST", "/ingest", "ingest.open", s.handleIngestOpen},
@@ -516,17 +516,21 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	sp.End()
 }
 
-// decodeBody strictly decodes a JSON request body into v. An empty
-// body is allowed and leaves v at its zero value, so `curl -X POST`
-// without a body runs the default query.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+// decodeBody strictly decodes a JSON request body into v: unknown
+// fields and anything after the first JSON value are rejected. An
+// empty body is allowed and leaves v at its zero value, so `curl -X
+// POST` without a body runs the default query.
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(io.LimitReader(body, 16<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
 		return badReqf("invalid request body: %v", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return badReqf("invalid request body: data after the JSON value")
 	}
 	return nil
 }
@@ -674,7 +678,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	root := stateOf(r).root()
 	psp := root.Child("parse")
 	var req serveapi.RegisterRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return
@@ -751,7 +755,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	psp := root.Child("parse")
 	var req serveapi.MutateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		psp.End()
 		s.writeError(w, r, err)
 		return
@@ -809,8 +813,8 @@ type flightOutcome struct {
 	err  error
 }
 
-// serveQuery is the shared skeleton of every cached, admission-
-// controlled, deadline-bounded query endpoint:
+// serveQuery answers a parsed query; it is the shared skeleton of
+// every cached, admission-controlled, deadline-bounded query endpoint:
 //
 //  1. resolve the graph snapshot (404);
 //  2. check the result cache under (name, version, key) — hits skip
@@ -820,12 +824,12 @@ type flightOutcome struct {
 //     quota_exhausted with the bucket's refill horizon when empty);
 //  4. coalesce with any identical in-flight query: one leader acquires
 //     an execution slot (429 overloaded when its tenant's queue is
-//     full, 504 when the deadline expires while queued), runs exec
-//     under the deadline, renders and caches; followers wait and
-//     observe the leader's exact bytes (X-Cache: coalesced). Step 3
-//     runs before the coalescing point, so a thundering herd shares
-//     one kernel execution but every request pays its own tenant's
-//     quota;
+//     full, 504 when the deadline expires while queued), runs the
+//     kernel under the deadline (execute), renders and caches;
+//     followers wait and observe the leader's exact bytes (X-Cache:
+//     coalesced). Step 3 runs before the coalescing point, so a
+//     thundering herd shares one kernel execution but every request
+//     pays its own tenant's quota;
 //  5. reply. Cache status is reported in the X-Cache header so bodies
 //     stay byte-identical between hit, miss and coalesced.
 //
@@ -850,13 +854,14 @@ type flightOutcome struct {
 // describe its own execution and be neither served from nor stored
 // into shared state.
 //
-// onShed, when non-nil, is the degrade-to-estimate fallback: instead
-// of answering 429 when the admission queue is full, the request is
-// answered inline — outside any execution slot — with whatever cheap
-// approximation onShed produces (marked by the X-Degraded header and
-// never cached). The fallback must be orders of magnitude cheaper than
-// the exact query, since it deliberately bypasses admission control.
-func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS int, key string, onShed func(snap *Snapshot) (any, error), exec func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error)) {
+// q.degrade selects the degrade-to-estimate fallback: instead of
+// answering 429 when the admission queue is full, the request is
+// answered inline — outside any execution slot — with
+// degradedEstimate's cheap approximation (marked by the X-Degraded
+// header and never cached). The fallback must be orders of magnitude
+// cheaper than the exact query, since it deliberately bypasses
+// admission control.
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q Query) {
 	st := stateOf(r)
 	root := st.root()
 
@@ -872,7 +877,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS in
 		return
 	}
 	echoTenant(w, st)
-	cacheKey := fmt.Sprintf("%s|%s|v%d|%s", st.api, snap.Name, snap.Version, key)
+	cacheKey := fmt.Sprintf("%s|%s|v%d|%s", st.api, snap.Name, snap.Version, q.key)
 	if !st.debug {
 		csp := root.Child("cache")
 		body, ok := s.cache.get(cacheKey)
@@ -900,52 +905,21 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS in
 	}
 
 	if st.debug {
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(timeoutMS))
-		defer cancel()
-		qsp := root.Child("admission")
-		err = s.lim.acquireSlot(ctx, st.tenant, st.lane)
-		qsp.End()
-		if err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-		sl := &slot{lim: s.lim}
-		defer sl.release()
-		start := time.Now()
-		ksp := root.Child("kernel")
-		s.compute(ctx)
-		resp, err := exec(ctx, sl, snap, ksp)
-		ksp.End()
-		if err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-		setElapsed(resp, time.Since(start).Milliseconds())
 		// Debug responses carry their span tree and are never cached.
+		resp, err := s.execute(r.Context(), st, snap, q)
+		if err != nil {
+			s.writeError(w, r, err)
+			return
+		}
 		s.writeOK(w, r, http.StatusOK, resp)
 		return
 	}
 
 	out, joined := s.flights.Do(cacheKey, func() flightOutcome {
-		ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), s.timeout(timeoutMS))
-		defer cancel()
-		qsp := root.Child("admission")
-		err := s.lim.acquireSlot(ctx, st.tenant, st.lane)
-		qsp.End()
+		resp, err := s.execute(context.WithoutCancel(r.Context()), st, snap, q)
 		if err != nil {
 			return flightOutcome{err: err}
 		}
-		sl := &slot{lim: s.lim}
-		defer sl.release()
-		start := time.Now()
-		ksp := root.Child("kernel")
-		s.compute(ctx)
-		resp, err := exec(ctx, sl, snap, ksp)
-		ksp.End()
-		if err != nil {
-			return flightOutcome{err: err}
-		}
-		setElapsed(resp, time.Since(start).Milliseconds())
 		body, err := json.Marshal(resp)
 		if err != nil {
 			return flightOutcome{err: err}
@@ -958,9 +932,9 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS in
 		s.obs.coalesced.Inc()
 	}
 	if out.err != nil {
-		if errors.Is(out.err, errShed) && onShed != nil {
+		if errors.Is(out.err, errShed) && q.degrade {
 			dsp := root.Child("degrade")
-			resp, derr := onShed(snap)
+			resp, derr := s.degradedEstimate(snap)
 			dsp.End()
 			if derr == nil {
 				s.obs.estimates.With("degraded").Inc()
@@ -983,6 +957,33 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, timeoutMS in
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(out.body)
 	wsp.End()
+}
+
+// execute runs a parsed query's kernel under the query's deadline in
+// an execution slot and stamps its compute time: the one place where a
+// query computes, for debug and coalesced requests alike.
+func (s *Server) execute(ctx context.Context, st *reqState, snap *Snapshot, q Query) (any, error) {
+	ctx, cancel := context.WithTimeout(ctx, s.timeout(q.timeoutMS))
+	defer cancel()
+	root := st.root()
+	qsp := root.Child("admission")
+	err := s.lim.acquireSlot(ctx, st.tenant, st.lane)
+	qsp.End()
+	if err != nil {
+		return nil, err
+	}
+	sl := &slot{lim: s.lim}
+	defer sl.release()
+	start := time.Now()
+	ksp := root.Child("kernel")
+	s.compute(ctx)
+	resp, err := q.run(s, ctx, sl, snap, ksp)
+	ksp.End()
+	if err != nil {
+		return nil, err
+	}
+	setElapsed(resp, time.Since(start).Milliseconds())
+	return resp, nil
 }
 
 // echoTenant reports the resolved tenant and priority back to the
@@ -1031,7 +1032,7 @@ func (s *Server) handleTenantsGet(w http.ResponseWriter, r *http.Request) {
 // under the new weights; nothing in flight is disturbed.
 func (s *Server) handleTenantsSet(w http.ResponseWriter, r *http.Request) {
 	var cfg TenantsConfig
-	if err := decodeBody(r, &cfg); err != nil {
+	if err := decodeBody(r.Body, &cfg); err != nil {
 		s.writeError(w, r, err)
 		return
 	}
@@ -1060,174 +1061,46 @@ func setElapsed(resp any, ms int64) {
 	}
 }
 
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	psp := stateOf(r).root().Child("parse")
-	var req serveapi.CountRequest
-	if err := decodeBody(r, &req); err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	if err := s.applyTenant(r, req.Tenant, req.Priority); err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	if _, err := countOptions(&req); err != nil { // validate before admission
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	// ?degrade=estimate opts into the approximate tier under overload:
-	// a shed request answers 200 with a sampling estimate (Degraded
-	// set, X-Degraded header) instead of a bare 429.
-	var onShed func(snap *Snapshot) (any, error)
-	switch r.URL.Query().Get("degrade") {
-	case "":
-	case "estimate":
-		onShed = s.degradedEstimate
-	default:
-		psp.End()
-		s.writeError(w, r, badReqf("unknown degrade mode %q (want estimate)", r.URL.Query().Get("degrade")))
-		return
-	}
-	psp.End()
-	s.serveQuery(w, r, req.TimeoutMillis, keyCountFor(&req), onShed, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
-		return s.execCount(ctx, snap, &req, ksp)
-	})
-}
-
-func (s *Server) handleVertexCounts(w http.ResponseWriter, r *http.Request) {
-	psp := stateOf(r).root().Child("parse")
-	var req serveapi.VertexCountsRequest
-	if err := decodeBody(r, &req); err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	if err := s.applyTenant(r, req.Tenant, req.Priority); err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	side, err := parseSide(req.Side)
-	if err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	top := req.Top
-	if top == 0 {
-		top = 100
-	}
-	psp.End()
-	s.serveQuery(w, r, req.TimeoutMillis, keyVertex(side, top), nil, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
-		return s.execVertexCounts(ctx, sl, snap, side, top)
-	})
-}
-
-func (s *Server) handleEdgeSupports(w http.ResponseWriter, r *http.Request) {
-	psp := stateOf(r).root().Child("parse")
-	var req serveapi.EdgeSupportsRequest
-	if err := decodeBody(r, &req); err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	if err := s.applyTenant(r, req.Tenant, req.Priority); err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	top := req.Top
-	if top == 0 {
-		top = 100
-	}
-	psp.End()
-	s.serveQuery(w, r, req.TimeoutMillis, fmt.Sprintf("%s|top=%d", keyEdges, top), nil, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
-		return s.execEdgeSupports(ctx, sl, snap, top)
-	})
-}
-
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	root := stateOf(r).root()
-	psp := root.Child("parse")
-	var req serveapi.EstimateRequest
-	if err := decodeBody(r, &req); err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	if err := s.applyTenant(r, req.Tenant, req.Priority); err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	psp.End()
-	// A graph still streaming through /v1/ingest answers from the live
-	// reservoir: O(1), uncached, and deliberately outside admission
-	// control — the approximate tier must answer even when the exact
-	// tier is saturated (that is its job).
-	if ing, ok := s.reg.Ingest(r.PathValue("name")); ok {
-		rsp := root.Child("reservoir")
-		st := ing.status()
-		rsp.End()
-		s.obs.estimates.With("reservoir").Inc()
-		resp := &serveapi.EstimateResponse{
-			ResultMeta:    serveapi.ResultMeta{Graph: st.Graph},
-			State:         "loading",
-			Strategy:      "reservoir",
-			Estimate:      st.Estimate,
-			StdErr:        st.StdErr,
-			CI95:          st.CI95,
-			EdgesSeen:     st.EdgesSeen,
-			ReservoirSize: st.ReservoirSize,
+// handleQuery serves one query kind. parse decodes and validates the
+// body inside the parse span, so a malformed request answers 400
+// before it costs a quota token or an execution slot; the body's
+// tenancy fields are applied next, and serveQuery answers. A graph
+// still streaming through /v1/ingest answers a live query from its
+// reservoir: O(1), uncached, and deliberately outside admission
+// control — the approximate tier must answer even when the exact tier
+// is saturated (that is its job).
+func (s *Server) handleQuery(parse parseFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		root := stateOf(r).root()
+		psp := root.Child("parse")
+		q, err := parse(r.Body, r.URL.Query())
+		if err == nil {
+			err = s.applyTenant(r, q.tenant, q.priority)
 		}
-		s.writeOK(w, r, http.StatusOK, resp)
-		return
-	}
-	s.serveQuery(w, r, req.TimeoutMillis, keyEstimate(&req), nil, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
-		return s.execEstimate(ctx, sl, snap, &req)
-	})
-}
-
-func (s *Server) handlePeel(w http.ResponseWriter, r *http.Request) {
-	psp := stateOf(r).root().Child("parse")
-	var req serveapi.PeelRequest
-	if err := decodeBody(r, &req); err != nil {
 		psp.End()
-		s.writeError(w, r, err)
-		return
+		if err != nil {
+			s.writeError(w, r, err)
+			return
+		}
+		if q.live {
+			if ing, ok := s.reg.Ingest(r.PathValue("name")); ok {
+				rsp := root.Child("reservoir")
+				st := ing.status()
+				rsp.End()
+				s.obs.estimates.With("reservoir").Inc()
+				s.writeOK(w, r, http.StatusOK, &serveapi.EstimateResponse{
+					ResultMeta:    serveapi.ResultMeta{Graph: st.Graph},
+					State:         "loading",
+					Strategy:      "reservoir",
+					Estimate:      st.Estimate,
+					StdErr:        st.StdErr,
+					CI95:          st.CI95,
+					EdgesSeen:     st.EdgesSeen,
+					ReservoirSize: st.ReservoirSize,
+				})
+				return
+			}
+		}
+		s.serveQuery(w, r, q)
 	}
-	if err := s.applyTenant(r, req.Tenant, req.Priority); err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	side, err := parseSide(req.Side)
-	if err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	if req.Mode != "tip" && req.Mode != "wing" {
-		psp.End()
-		s.writeError(w, r, badReqf("unknown mode %q (want tip|wing)", req.Mode))
-		return
-	}
-	if req.K < 0 {
-		psp.End()
-		s.writeError(w, r, badReqf("k must be ≥ 0, got %d", req.K))
-		return
-	}
-	engine, err := parsePeelEngine(req.Engine)
-	if err != nil {
-		psp.End()
-		s.writeError(w, r, err)
-		return
-	}
-	psp.End()
-	s.serveQuery(w, r, req.TimeoutMillis, keyPeel(req.Mode, req.K, side, engine), nil, func(ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error) {
-		return s.execPeel(ctx, sl, snap, &req, ksp)
-	})
 }
