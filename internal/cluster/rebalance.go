@@ -8,63 +8,54 @@ package cluster
 // join/leave needs no recount and no quiesce.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
 	"sort"
-	"sync"
 	"time"
 
+	"butterfly/internal/serve"
 	"butterfly/serveapi"
 )
 
-// inventory maps shard-resident graph name → the shards holding it.
-// Unreachable shards are reported in errs and simply contribute no
-// holdings (their graphs stay where they are).
-func (rt *Router) inventory(ctx context.Context, shards []string) (map[string][]string, []string) {
-	type out struct {
-		shard string
-		names []string
-		err   error
-	}
-	outs := make([]out, len(shards))
-	var wg sync.WaitGroup
-	for i, shard := range shards {
-		wg.Add(1)
-		go func(i int, shard string) {
-			defer wg.Done()
-			sr, err := rt.forward(ctx, shard, http.MethodGet, "/v1/graphs", "", 0, nil, nil)
-			if err == nil && sr.status != http.StatusOK {
-				err = fmt.Errorf("status %d", sr.status)
-			}
-			var gl serveapi.GraphList
-			if err == nil {
-				err = json.Unmarshal(sr.body, &gl)
-			}
-			o := out{shard: shard, err: err}
-			for _, gi := range gl.Graphs {
-				if gi.State == "" { // loading ingests are not movable
-					o.names = append(o.names, gi.Name)
-				}
-			}
-			outs[i] = o
-		}(i, shard)
-	}
-	wg.Wait()
-	held := map[string][]string{}
+// inventory lists every shard's graphs with one concurrent GET
+// /v1/graphs scatter, in shard order. Unreachable shards are reported
+// in errs and list nothing (their graphs stay where they are).
+func (rt *Router) inventory(ctx context.Context, shards []string, hdr http.Header) ([][]serveapi.GraphInfo, []string) {
+	outs := fanOut(len(shards), func(i int) reply {
+		sr, err := rt.call(ctx, shards[i], http.MethodGet, "/v1/graphs", hdr, nil)
+		return reply{sr, err}
+	})
+	lists := make([][]serveapi.GraphInfo, len(shards))
 	var errs []string
-	for _, o := range outs {
-		if o.err != nil {
-			errs = append(errs, fmt.Sprintf("list %s: %v", o.shard, o.err))
-			continue
+	for i, o := range outs {
+		var gl serveapi.GraphList
+		if o.err == nil {
+			o.err = json.Unmarshal(o.sr.body, &gl)
 		}
-		for _, n := range o.names {
-			held[n] = append(held[n], o.shard)
+		if o.err != nil {
+			errs = append(errs, fmt.Sprintf("list %s: %v", shards[i], o.err))
+		}
+		lists[i] = gl.Graphs
+	}
+	return lists, errs
+}
+
+// holdings maps each movable shard-resident graph name to the shards
+// holding it; loading ingests are not movable.
+func holdings(shards []string, lists [][]serveapi.GraphInfo) map[string][]string {
+	held := map[string][]string{}
+	for i, list := range lists {
+		for _, gi := range list {
+			if gi.State == "" {
+				held[gi.Name] = append(held[gi.Name], shards[i])
+			}
 		}
 	}
-	return held, errs
+	return held
 }
 
 // Refresh rebuilds the router's graph metadata from the shards: every
@@ -73,8 +64,9 @@ func (rt *Router) inventory(ctx context.Context, shards []string) (map[string][]
 // restart (the routing state is derivable, not durable) — bfserved
 // does on startup.
 func (rt *Router) Refresh(ctx context.Context) error {
-	ring := rt.currentRing()
-	held, errs := rt.inventory(ctx, ring.Nodes())
+	nodes := rt.currentRing().Nodes()
+	lists, errs := rt.inventory(ctx, nodes, nil)
+	held := holdings(nodes, lists)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for name := range held {
@@ -122,12 +114,9 @@ func (rt *Router) desiredPlacement(ring *Ring, name string) []string {
 // (the destination recounts and WAL-logs it), report the move.
 func (rt *Router) moveGraph(ctx context.Context, name, src, dst string) (serveapi.MovedGraph, error) {
 	mv := serveapi.MovedGraph{Graph: name, From: src, To: dst}
-	sr, err := rt.forward(ctx, src, http.MethodGet, "/v1/internal/export/"+url.PathEscape(name), "", 0, nil, nil)
-	if err == nil && sr.status != http.StatusOK {
-		err = fmt.Errorf("export: status %d: %s", sr.status, truncate(sr.body, 200))
-	}
+	sr, err := rt.call(ctx, src, http.MethodGet, "/v1/internal/export/"+url.PathEscape(name), nil, nil)
 	if err != nil {
-		return mv, err
+		return mv, fmt.Errorf("export: %w", err)
 	}
 	var exp serveapi.ExportResponse
 	if err := json.Unmarshal(sr.body, &exp); err != nil {
@@ -139,12 +128,8 @@ func (rt *Router) moveGraph(ctx context.Context, name, src, dst string) (serveap
 		Replace: true,
 	}
 	body, _ := json.Marshal(&adopt)
-	sr, err = rt.forward(ctx, dst, http.MethodPost, "/v1/internal/adopt", "application/json", 0, nil, body)
-	if err == nil && sr.status/100 != 2 {
-		err = fmt.Errorf("adopt: status %d: %s", sr.status, truncate(sr.body, 200))
-	}
-	if err != nil {
-		return mv, err
+	if _, err := rt.call(ctx, dst, http.MethodPost, "/v1/internal/adopt", nil, body); err != nil {
+		return mv, fmt.Errorf("adopt: %w", err)
 	}
 	mv.Version = exp.Version
 	mv.Edges = int64(len(exp.Edges))
@@ -160,8 +145,8 @@ func (rt *Router) moveGraph(ctx context.Context, name, src, dst string) (serveap
 func (rt *Router) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	var req serveapi.RebalanceRequest
 	body, err := readBody(r)
-	if err == nil && len(body) > 0 {
-		err = json.Unmarshal(body, &req)
+	if err == nil {
+		err = serve.DecodeBody(bytes.NewReader(body), &req)
 	}
 	if err != nil {
 		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
@@ -193,7 +178,8 @@ func (rt *Router) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		all = append(all, s)
 	}
 	sort.Strings(all)
-	held, errs := rt.inventory(r.Context(), all)
+	lists, errs := rt.inventory(r.Context(), all, nil)
+	held := holdings(all, lists)
 
 	resp := serveapi.RebalanceResponse{Shards: newRing.Len(), Moved: []serveapi.MovedGraph{}, Errors: errs}
 	names := make([]string, 0, len(held))
@@ -244,11 +230,7 @@ func (rt *Router) handleRebalance(w http.ResponseWriter, r *http.Request) {
 			if wanted(src) {
 				continue
 			}
-			sr, err := rt.forward(r.Context(), src, http.MethodDelete, "/v1/graphs/"+url.PathEscape(name), "", 0, nil, nil)
-			if err == nil && sr.status/100 != 2 && sr.status != http.StatusNotFound {
-				err = fmt.Errorf("status %d", sr.status)
-			}
-			if err != nil {
+			if _, err := rt.call(r.Context(), src, http.MethodDelete, "/v1/graphs/"+url.PathEscape(name), nil, nil, http.StatusNotFound); err != nil {
 				resp.Errors = append(resp.Errors, fmt.Sprintf("delete %s on %s: %v", name, src, err))
 			}
 		}

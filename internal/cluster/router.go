@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -367,6 +368,55 @@ func (rt *Router) forward(ctx context.Context, shard, method, pathQuery string, 
 	return nil, fmt.Errorf("shard %s unreachable: %w", shard, lastErr)
 }
 
+// statusError is a shard answer whose status the caller does not
+// accept; it carries the answer for relay.
+type statusError struct {
+	shard string
+	sr    *shardResp
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("shard %s: status %d: %s", e.shard, e.sr.status, truncate(e.sr.body, 200))
+}
+
+// call forwards one request to one shard (JSON when it has a body) and
+// checks the answer: the error is forward's transport error, or a
+// *statusError unless the status is 2xx or one of also.
+func (rt *Router) call(ctx context.Context, shard, method, pathQuery string, hdr http.Header, body []byte, also ...int) (*shardResp, error) {
+	contentType := ""
+	if body != nil {
+		contentType = "application/json"
+	}
+	sr, err := rt.forward(ctx, shard, method, pathQuery, contentType, 0, hdr, body)
+	if err == nil && sr.status/100 != 2 && !slices.Contains(also, sr.status) {
+		err = &statusError{shard: shard, sr: sr}
+	}
+	return sr, err
+}
+
+// reply is one call's outcome, as a fan-out collects it.
+type reply struct {
+	sr  *shardResp
+	err error
+}
+
+// fanOut runs call(i) for every i in [0, n) concurrently and returns
+// the results in index order. Every call that reaches more than one
+// shard or partition goes through it.
+func fanOut[R any](n int, call func(i int) R) []R {
+	out := make([]R, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			out[i] = call(i)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
 // tenantHeaders extracts the QoS identity a client attached to its
 // request, for relay to the shard that will charge and schedule it.
 func tenantHeaders(r *http.Request) http.Header {
@@ -395,6 +445,17 @@ func relay(w http.ResponseWriter, sr *shardResp, shard string) {
 	w.Header().Set("X-Bf-Shard", shard)
 	w.WriteHeader(sr.status)
 	_, _ = w.Write(sr.body)
+}
+
+// writeFailure answers with a failed call: a shard's answer is relayed
+// verbatim, and a shard that did not answer is 503 with msg.
+func (rt *Router) writeFailure(w http.ResponseWriter, err error, msg string) {
+	var se *statusError
+	if errors.As(err, &se) {
+		relay(w, se.sr, se.shard)
+		return
+	}
+	rt.writeErr(w, http.StatusServiceUnavailable, serveapi.CodeUnavailable, msg, 1000)
 }
 
 // readBody drains the client request body for replay against shards.
@@ -543,69 +604,33 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rt.reg.WriteProm(w)
 }
 
-// handleList scatters GET /graphs to every shard and merges: replica
-// copies collapse to one entry (keeping the newest version seen), and
-// partition graphs collapse to one logical entry whose Version and
-// NumEdges sum over the partitions. A collapsed entry's Butterflies
-// sums the partition-local counts, which counts only butterflies
-// whose both wedge centers fell in the same partition — a documented
-// lower bound; POST /count is the exact answer.
+// handleList merges every shard's listing (one inventory scatter):
+// replica copies collapse to one entry (keeping the newest version
+// seen), and partition graphs fold into one logical entry (foldParts).
+// A folded entry's Butterflies sums the partition-local counts, which
+// counts only butterflies whose both wedge centers fell in the same
+// partition — a documented lower bound; POST /count is the exact
+// answer.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	ring := rt.currentRing()
-	type listOut struct {
-		shard string
-		list  serveapi.GraphList
-		err   error
-	}
-	nodes := ring.Nodes()
-	outs := make([]listOut, len(nodes))
-	var wg sync.WaitGroup
-	for i, shard := range nodes {
-		wg.Add(1)
-		go func(i int, shard string) {
-			defer wg.Done()
-			sr, err := rt.forward(r.Context(), shard, http.MethodGet, "/v1/graphs", "", 0, tenantHeaders(r), nil)
-			if err != nil {
-				outs[i] = listOut{shard: shard, err: err}
-				return
-			}
-			var gl serveapi.GraphList
-			if err := json.Unmarshal(sr.body, &gl); err != nil {
-				outs[i] = listOut{shard: shard, err: err}
-				return
-			}
-			outs[i] = listOut{shard: shard, list: gl}
-		}(i, shard)
-	}
-	wg.Wait()
-
-	merged := map[string]*serveapi.GraphInfo{}
-	for _, o := range outs {
-		for _, gi := range o.list.Graphs {
-			if base, _, p, ok := splitPartName(gi.Name); ok {
-				e := merged[base]
-				if e == nil {
-					e = &serveapi.GraphInfo{Name: base, NumV1: gi.NumV1, NumV2: gi.NumV2, Partitions: p, State: gi.State}
-					merged[base] = e
-				}
-				e.Version += gi.Version
-				e.NumEdges += gi.NumEdges
-				e.Butterflies += gi.Butterflies
-				continue
-			}
-			e := merged[gi.Name]
-			if e == nil || gi.Version > e.Version {
-				gi := gi
-				merged[gi.Name] = &gi
+	lists, _ := rt.inventory(r.Context(), rt.currentRing().Nodes(), tenantHeaders(r))
+	plain := map[string]serveapi.GraphInfo{}
+	parts := map[string][]serveapi.GraphInfo{}
+	for _, list := range lists {
+		for _, gi := range list {
+			if base, _, _, ok := splitPartName(gi.Name); ok {
+				parts[base] = append(parts[base], gi)
+			} else if e, seen := plain[gi.Name]; !seen || gi.Version > e.Version {
+				plain[gi.Name] = gi
 			}
 		}
 	}
-	out := serveapi.GraphList{Graphs: make([]serveapi.GraphInfo, 0, len(merged))}
-	for _, e := range merged {
-		if e.NumV1 > 0 && e.NumV2 > 0 {
-			e.Density = float64(e.NumEdges) / (float64(e.NumV1) * float64(e.NumV2))
-		}
-		out.Graphs = append(out.Graphs, *e)
+	out := serveapi.GraphList{Graphs: make([]serveapi.GraphInfo, 0, len(plain)+len(parts))}
+	for _, gi := range plain {
+		out.Graphs = append(out.Graphs, gi)
+	}
+	for base, ps := range parts {
+		_, _, p, _ := splitPartName(ps[0].Name)
+		out.Graphs = append(out.Graphs, foldParts(base, p, ps))
 	}
 	slices.SortFunc(out.Graphs, func(a, b serveapi.GraphInfo) int { return strings.Compare(a.Name, b.Name) })
 	rt.writeJSON(w, http.StatusOK, &out)
@@ -638,18 +663,14 @@ func (rt *Router) handleDrop(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
+	var req serveapi.RegisterRequest
 	body, err := readBody(r)
+	if err == nil {
+		err = serve.DecodeBody(bytes.NewReader(body), &req)
+	}
 	if err != nil {
 		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
 		return
-	}
-	var req serveapi.RegisterRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument,
-				fmt.Sprintf("invalid request body: %v", err), 0)
-			return
-		}
 	}
 	if req.Name == "" {
 		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, "name is required", 0)
@@ -712,9 +733,9 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 // handleGather serves count and estimate. A partitioned graph is
 // answered by scatter-gather once parse, the shard's own parse
-// function, accepts the body, so a malformed request fails as it would
-// on a single node. Any other graph is proxied to a replica, which
-// parses the body itself.
+// function, and the shard's priority check accept the body, so a
+// malformed request fails as it would on a single node. Any other
+// graph is proxied to a replica, which parses the body itself.
 func (rt *Router) handleGather(parse func(io.Reader, url.Values) (serve.Query, error), subpath string, asEstimate bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
@@ -724,7 +745,11 @@ func (rt *Router) handleGather(parse func(io.Reader, url.Values) (serve.Query, e
 			return
 		}
 		if m := rt.metaOf(name); m != nil && m.partitions >= 2 {
-			if _, err := parse(bytes.NewReader(body), r.URL.Query()); err != nil {
+			q, err := parse(bytes.NewReader(body), r.URL.Query())
+			if err == nil {
+				err = serve.CheckPriority(q.Priority())
+			}
+			if err != nil {
 				rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
 				return
 			}
@@ -740,18 +765,14 @@ func (rt *Router) handleGather(parse func(io.Reader, url.Values) (serve.Query, e
 // cannot be replicated by request replay, so the graph replicates (if
 // at all) only after seal, via rebalance.
 func (rt *Router) handleIngestOpen(w http.ResponseWriter, r *http.Request) {
+	var req serveapi.IngestRequest
 	body, err := readBody(r)
+	if err == nil {
+		err = serve.DecodeBody(bytes.NewReader(body), &req)
+	}
 	if err != nil {
 		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
 		return
-	}
-	var req serveapi.IngestRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument,
-				fmt.Sprintf("invalid request body: %v", err), 0)
-			return
-		}
 	}
 	if req.Name == "" {
 		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, "name is required", 0)
@@ -789,54 +810,26 @@ func (rt *Router) ingestForward(w http.ResponseWriter, r *http.Request, name, pa
 }
 
 // handleCheckpoint fans the checkpoint to every shard and sums the
-// per-shard stats.
+// per-shard stats; the first shard in ring order that fails answers.
 func (rt *Router) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	nodes := rt.currentRing().Nodes()
-	var mu sync.Mutex
-	total := serveapi.CheckpointResponse{}
-	var firstErr *shardResp
-	var errShard string
-	var wg sync.WaitGroup
 	start := time.Now()
-	for _, shard := range nodes {
-		wg.Add(1)
-		go func(shard string) {
-			defer wg.Done()
-			sr, err := rt.forward(r.Context(), shard, http.MethodPost, "/v1/admin/checkpoint", "", 0, tenantHeaders(r), nil)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = &shardResp{status: http.StatusServiceUnavailable,
-						body: []byte(err.Error()), header: http.Header{}}
-					errShard = shard
-				}
-				return
-			}
-			if sr.status/100 != 2 {
-				if firstErr == nil {
-					firstErr = sr
-					errShard = shard
-				}
-				return
-			}
-			var cp serveapi.CheckpointResponse
-			if json.Unmarshal(sr.body, &cp) == nil {
-				total.Graphs += cp.Graphs
-				total.WALBytesBefore += cp.WALBytesBefore
-				total.WALBytesAfter += cp.WALBytesAfter
-			}
-		}(shard)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		if firstErr.header.Get("Content-Type") != "" {
-			relay(w, firstErr, errShard)
+	outs := fanOut(len(nodes), func(i int) reply {
+		sr, err := rt.call(r.Context(), nodes[i], http.MethodPost, "/v1/admin/checkpoint", tenantHeaders(r), nil)
+		return reply{sr, err}
+	})
+	total := serveapi.CheckpointResponse{}
+	for i, o := range outs {
+		if o.err != nil {
+			rt.writeFailure(w, o.err, fmt.Sprintf("checkpoint on %s failed: %v", nodes[i], o.err))
 			return
 		}
-		rt.writeErr(w, http.StatusServiceUnavailable, serveapi.CodeUnavailable,
-			fmt.Sprintf("checkpoint on %s failed: %s", errShard, firstErr.body), 1000)
-		return
+		var cp serveapi.CheckpointResponse
+		if json.Unmarshal(o.sr.body, &cp) == nil {
+			total.Graphs += cp.Graphs
+			total.WALBytesBefore += cp.WALBytesBefore
+			total.WALBytesAfter += cp.WALBytesAfter
+		}
 	}
 	total.ElapsedMS = time.Since(start).Milliseconds()
 	rt.writeJSON(w, http.StatusOK, &total)

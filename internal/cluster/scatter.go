@@ -17,17 +17,19 @@ package cluster
 // estimator, marked Degraded with the X-Degraded header.
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
-	"sync"
 	"time"
 
-	"butterfly"
 	"butterfly/internal/obsv"
+	"butterfly/internal/serve"
 	"butterfly/serveapi"
 )
 
@@ -71,12 +73,9 @@ func (rt *Router) fetchPartial(ctx context.Context, shard, pname string, pin *pa
 	if pin != nil {
 		path += fmt.Sprintf("?since=%d&epoch=%d", pin.version, pin.epoch)
 	}
-	sr, err := rt.forward(ctx, shard, http.MethodGet, path, "", 0, nil, nil)
+	sr, err := rt.call(ctx, shard, http.MethodGet, path, nil, nil)
 	if err != nil {
 		return partFrame{}, err
-	}
-	if sr.status != http.StatusOK {
-		return partFrame{}, fmt.Errorf("shard %s: status %d: %s", shard, sr.status, truncate(sr.body, 200))
 	}
 	epoch, _ := strconv.ParseUint(sr.header.Get(partialEpochHeader), 10, 64)
 	if serveapi.PartialFrameKind(sr.body) == serveapi.PartialFrameDelta {
@@ -106,42 +105,34 @@ func (rt *Router) fetchPartial(ctx context.Context, shard, pname string, pin *pa
 // only — usually orders of magnitude smaller than the map).
 func (rt *Router) gatherPartials(ctx context.Context, name string, homes []string, from *pinSet) []partialResult {
 	p := len(homes)
-	results := make([]partialResult, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start := time.Now()
-			pctx, cancel := context.WithTimeout(ctx, rt.cfg.PartialTimeout)
-			defer cancel()
-			shard := homes[i]
-			pname := partName(name, i, p)
-			pin := from.part(i)
-			fr, err := rt.fetchPartial(pctx, shard, pname, pin)
-			if err != nil && pin != nil && pctx.Err() == nil {
-				// A broken delta path (stale pin, frame the pin cannot
-				// absorb) must not read as a dead shard: fetch cold once.
-				fr, err = rt.fetchPartial(pctx, shard, pname, nil)
+	return fanOut(p, func(i int) partialResult {
+		start := time.Now()
+		pctx, cancel := context.WithTimeout(ctx, rt.cfg.PartialTimeout)
+		defer cancel()
+		shard := homes[i]
+		pname := partName(name, i, p)
+		pin := from.part(i)
+		fr, err := rt.fetchPartial(pctx, shard, pname, pin)
+		if err != nil && pin != nil && pctx.Err() == nil {
+			// A broken delta path (stale pin, frame the pin cannot
+			// absorb) must not read as a dead shard: fetch cold once.
+			fr, err = rt.fetchPartial(pctx, shard, pname, nil)
+		}
+		res := partialResult{part: i, shard: shard, err: err}
+		if err == nil {
+			res.frame = fr
+			switch {
+			case fr.kind != "full":
+				rt.partialHits.With(fr.kind).Inc()
+			case pin == nil:
+				rt.partialMisses.With("cold").Inc()
+			default:
+				rt.partialMisses.With("full").Inc()
 			}
-			res := partialResult{part: i, shard: shard, err: err}
-			if err == nil {
-				res.frame = fr
-				switch {
-				case fr.kind != "full":
-					rt.partialHits.With(fr.kind).Inc()
-				case pin == nil:
-					rt.partialMisses.With("cold").Inc()
-				default:
-					rt.partialMisses.With("full").Inc()
-				}
-			}
-			res.elapsed = time.Since(start)
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	return results
+		}
+		res.elapsed = time.Since(start)
+		return res
+	})
 }
 
 // gather syncs every partition against the pin set current when it
@@ -278,7 +269,7 @@ func (rt *Router) partitionedCount(w http.ResponseWriter, r *http.Request, name 
 			resp.Cache = "merged"
 		}
 		if debug {
-			resp.Trace = spanToAPI(tr.Snapshot())
+			resp.Trace = serve.SpanToAPI(tr.Snapshot())
 		}
 		rt.writeJSON(w, http.StatusOK, resp)
 		return
@@ -301,7 +292,7 @@ func (rt *Router) partitionedCount(w http.ResponseWriter, r *http.Request, name 
 		resp.Cache = "merged"
 	}
 	if debug {
-		resp.Trace = spanToAPI(tr.Snapshot())
+		resp.Trace = serve.SpanToAPI(tr.Snapshot())
 	}
 	if out.live < p {
 		rt.degraded.With().Inc()
@@ -310,11 +301,50 @@ func (rt *Router) partitionedCount(w http.ResponseWriter, r *http.Request, name 
 	rt.writeJSON(w, http.StatusOK, resp)
 }
 
-// partitionedRegister materializes the requested graph, splits its
-// edges by V1-hash into P partition graphs, registers each on its
+// partPath is the shard path of partition i of a P-way graph.
+func partPath(name string, i, p int) string {
+	return "/v1/graphs/" + url.PathEscape(partName(name, i, p))
+}
+
+// foldParts merges partition infos into their logical graph's entry:
+// versions, edges and partition-local butterflies sum, the dimensions
+// (every partition carries the full ones) take the maximum, and the
+// density follows from the sums.
+func foldParts(name string, p int, parts []serveapi.GraphInfo) serveapi.GraphInfo {
+	out := serveapi.GraphInfo{Name: name, Partitions: p}
+	for _, gi := range parts {
+		out.Version += gi.Version
+		out.NumEdges += gi.NumEdges
+		out.Butterflies += gi.Butterflies
+		out.NumV1 = max(out.NumV1, gi.NumV1)
+		out.NumV2 = max(out.NumV2, gi.NumV2)
+		out.State = cmp.Or(out.State, gi.State)
+	}
+	if out.NumV1 > 0 && out.NumV2 > 0 {
+		out.Density = float64(out.NumEdges) / (float64(out.NumV1) * float64(out.NumV2))
+	}
+	return out
+}
+
+// partInfos decodes the GraphInfo of each reply that carries one; the
+// others are skipped.
+func partInfos(outs []reply) []serveapi.GraphInfo {
+	var infos []serveapi.GraphInfo
+	for _, o := range outs {
+		var gi serveapi.GraphInfo
+		if o.err == nil && json.Unmarshal(o.sr.body, &gi) == nil {
+			infos = append(infos, gi)
+		}
+	}
+	return infos
+}
+
+// partitionedRegister materializes the requested graph as a single
+// node would (serve.LoadRequestGraph; path loading is refused), splits
+// its edges by V1-hash into P partition graphs, registers each on its
 // home shard with the graph's full dimensions (shared id space — that
 // is what makes the partials mergeable without relabeling), and
-// answers with the merged logical info, Butterflies computed exactly
+// answers with the folded logical info, Butterflies computed exactly
 // by an immediate scatter-gather — which doubles as an end-to-end
 // check that the partition pipeline works before the client sees 201.
 func (rt *Router) partitionedRegister(w http.ResponseWriter, r *http.Request, req *serveapi.RegisterRequest) {
@@ -329,20 +359,7 @@ func (rt *Router) partitionedRegister(w http.ResponseWriter, r *http.Request, re
 			"path loading is not supported for partitioned registration (the router has no shard filesystem); use dataset or inline edges", 0)
 		return
 	}
-	var g *butterfly.Graph
-	var err error
-	switch {
-	case req.Dataset != "":
-		scale := req.Scale
-		if scale < 1 {
-			scale = 1
-		}
-		g, err = butterfly.GeneratePaperDataset(req.Dataset, scale)
-	case len(req.Edges) > 0 || req.M > 0 || req.N > 0:
-		g, err = butterfly.FromEdges(req.M, req.N, req.Edges)
-	default:
-		err = fmt.Errorf("exactly one of dataset or m/n/edges must be set")
-	}
+	g, err := serve.LoadRequestGraph(req, false)
 	if err != nil {
 		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
 		return
@@ -360,182 +377,129 @@ func (rt *Router) partitionedRegister(w http.ResponseWriter, r *http.Request, re
 		split[i] = append(split[i], e)
 	}
 
-	type regOut struct {
-		sr  *shardResp
-		err error
+	outs := fanOut(p, func(i int) reply {
+		body, _ := json.Marshal(&serveapi.RegisterRequest{
+			Name:    partName(req.Name, i, p),
+			Replace: true, // idempotent re-registration after a failed attempt
+			M:       g.NumV1(),
+			N:       g.NumV2(),
+			Edges:   split[i],
+		})
+		sr, err := rt.call(r.Context(), homes[i], http.MethodPost, "/v1/graphs", tenantHeaders(r), body)
+		return reply{sr, err}
+	})
+	failed := slices.IndexFunc(outs, func(o reply) bool { return o.err != nil })
+	if failed >= 0 {
+		// Best-effort cleanup so a retry is not blocked by
+		// half-registered partitions.
+		fanOut(p, func(i int) error {
+			if outs[i].err != nil {
+				return nil
+			}
+			_, err := rt.call(r.Context(), homes[i], http.MethodDelete, partPath(req.Name, i, p), nil, nil)
+			return err
+		})
 	}
-	outs := make([]regOut, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			preq := serveapi.RegisterRequest{
-				Name:    partName(req.Name, i, p),
-				Replace: true, // idempotent re-registration after a failed attempt
-				M:       g.NumV1(),
-				N:       g.NumV2(),
-				Edges:   split[i],
-			}
-			body, _ := json.Marshal(&preq)
-			sr, err := rt.forward(r.Context(), homes[i], http.MethodPost, "/v1/graphs", "application/json", 0, tenantHeaders(r), body)
-			if err == nil && sr.status/100 != 2 {
-				err = fmt.Errorf("shard %s: status %d: %s", homes[i], sr.status, truncate(sr.body, 200))
-			}
-			outs[i] = regOut{sr: sr, err: err}
-		}(i)
+	// The partitions were replaced (or removed again) whatever the
+	// outcome: nothing pinned from the previous incarnation may answer.
+	if m := rt.metaOf(req.Name); m != nil {
+		m.pc.clear()
 	}
-	wg.Wait()
-	for i, o := range outs {
-		if o.err != nil {
-			// Best-effort cleanup so a retry is not blocked by
-			// half-registered partitions.
-			for j := 0; j < p; j++ {
-				if outs[j].err == nil {
-					path := "/v1/graphs/" + url.PathEscape(partName(req.Name, j, p))
-					_, _ = rt.forward(r.Context(), homes[j], http.MethodDelete, path, "", 0, nil, nil)
-				}
-			}
-			rt.writeErr(w, http.StatusServiceUnavailable, serveapi.CodeUnavailable,
-				fmt.Sprintf("registering partition %d failed: %v", i, o.err), 1000)
-			return
-		}
+	if failed >= 0 {
+		rt.writeErr(w, http.StatusServiceUnavailable, serveapi.CodeUnavailable,
+			fmt.Sprintf("registering partition %d failed: %v", failed, outs[failed].err), 1000)
+		return
 	}
 	m := rt.ensureMeta(req.Name, p)
-	// A re-registration replaces partition content wholesale; anything
-	// pinned from the previous incarnation is garbage.
-	m.pc.clear()
 
 	out := rt.gather(r.Context(), req.Name, m, homes, nil)
 	// The pins stay for delta revalidation, but the first count still
 	// scatters: it is what reports a partition lost since registration.
 	m.pc.invalidate()
-	info := serveapi.GraphInfo{
-		Name:       req.Name,
-		Version:    out.sumVersion,
-		NumV1:      g.NumV1(),
-		NumV2:      g.NumV2(),
-		NumEdges:   g.NumEdges(),
-		Partitions: p,
-	}
+	info := foldParts(req.Name, p, partInfos(outs))
+	info.Butterflies = 0
 	if out.live == p {
 		info.Butterflies = out.count
-	}
-	if info.NumV1 > 0 && info.NumV2 > 0 {
-		info.Density = float64(info.NumEdges) / (float64(info.NumV1) * float64(info.NumV2))
 	}
 	rt.writeJSON(w, http.StatusCreated, &info)
 }
 
-// partitionedInfo merges the partition infos into one logical entry;
+// partitionedInfo folds the partition infos into one logical entry;
 // Butterflies comes from a fresh scatter-gather, exact when every
 // partition answers (the shard-side partial cache makes repeats
 // cheap), and omitted (0) otherwise.
 func (rt *Router) partitionedInfo(w http.ResponseWriter, r *http.Request, name string, m *graphMeta) {
 	p := m.partitions
-	ring := rt.currentRing()
-	homes := rt.partHomes(ring, name, p)
-	type infoOut struct {
-		info serveapi.GraphInfo
-		err  error
-	}
-	outs := make([]infoOut, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			path := "/v1/graphs/" + url.PathEscape(partName(name, i, p))
-			sr, err := rt.forward(r.Context(), homes[i], http.MethodGet, path, "", 0, tenantHeaders(r), nil)
-			if err == nil && sr.status != http.StatusOK {
-				err = fmt.Errorf("status %d", sr.status)
-			}
-			var gi serveapi.GraphInfo
-			if err == nil {
-				err = json.Unmarshal(sr.body, &gi)
-			}
-			outs[i] = infoOut{info: gi, err: err}
-		}(i)
-	}
-	wg.Wait()
-
-	merged := serveapi.GraphInfo{Name: name, Partitions: p}
-	ok := 0
-	for _, o := range outs {
-		if o.err != nil {
-			continue
-		}
-		ok++
-		merged.Version += o.info.Version
-		merged.NumEdges += o.info.NumEdges
-		if o.info.NumV1 > merged.NumV1 {
-			merged.NumV1 = o.info.NumV1
-		}
-		if o.info.NumV2 > merged.NumV2 {
-			merged.NumV2 = o.info.NumV2
-		}
-	}
-	if ok == 0 {
+	homes := rt.partHomes(rt.currentRing(), name, p)
+	infos := partInfos(fanOut(p, func(i int) reply {
+		sr, err := rt.call(r.Context(), homes[i], http.MethodGet, partPath(name, i, p), tenantHeaders(r), nil)
+		return reply{sr, err}
+	}))
+	if len(infos) == 0 {
 		rt.writeErr(w, http.StatusServiceUnavailable, serveapi.CodeUnavailable,
 			fmt.Sprintf("all %d partitions unreachable", p), 1000)
 		return
 	}
+	merged := foldParts(name, p, infos)
+	merged.Butterflies = 0
 	if out := rt.gatherMerged(r.Context(), name, m, homes); out.live == p {
 		merged.Butterflies = out.count
-	}
-	if merged.NumV1 > 0 && merged.NumV2 > 0 {
-		merged.Density = float64(merged.NumEdges) / (float64(merged.NumV1) * float64(merged.NumV2))
 	}
 	rt.writeJSON(w, http.StatusOK, &merged)
 }
 
-// partitionedDrop deletes every partition graph. Partial failure
-// leaves the remaining partitions in place and the meta intact so a
-// retry can finish the job.
+// partitionedDrop deletes every partition graph concurrently. Partial
+// failure leaves the remaining partitions in place and the meta intact
+// so a retry can finish the job; the pins go either way.
 func (rt *Router) partitionedDrop(w http.ResponseWriter, r *http.Request, name string, m *graphMeta) {
 	p := m.partitions
-	ring := rt.currentRing()
-	homes := rt.partHomes(ring, name, p)
-	var errs []string
-	for i := 0; i < p; i++ {
-		path := "/v1/graphs/" + url.PathEscape(partName(name, i, p))
-		sr, err := rt.forward(r.Context(), homes[i], http.MethodDelete, path, "", 0, tenantHeaders(r), nil)
+	homes := rt.partHomes(rt.currentRing(), name, p)
+	errs := fanOut(p, func(i int) error {
 		// 404 is success for a drop retry: the partition is already gone.
-		if err == nil && sr.status/100 != 2 && sr.status != http.StatusNotFound {
-			err = fmt.Errorf("status %d", sr.status)
-		}
+		_, err := rt.call(r.Context(), homes[i], http.MethodDelete, partPath(name, i, p), tenantHeaders(r), nil, http.StatusNotFound)
+		return err
+	})
+	m.pc.clear()
+	var failed []string
+	for i, err := range errs {
 		if err != nil {
-			errs = append(errs, fmt.Sprintf("partition %d on %s: %v", i, homes[i], err))
+			failed = append(failed, fmt.Sprintf("partition %d on %s: %v", i, homes[i], err))
 		}
 	}
-	if len(errs) > 0 {
+	if len(failed) > 0 {
 		rt.writeErr(w, http.StatusServiceUnavailable, serveapi.CodeUnavailable,
-			fmt.Sprintf("drop incomplete: %v", errs), 1000)
+			fmt.Sprintf("drop incomplete: %v", failed), 1000)
 		return
 	}
 	rt.forgetMeta(name)
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// partitionedMutate splits the mutation batch by the same V1 hash
-// that split the graph and applies each piece to its partition.
-// Created/Destroyed in the response sum the partition-local deltas
-// (butterflies whose both centers share a partition); Count is the
-// exact new total from a fresh scatter-gather. Edges sums the mutated
-// partitions' own replies and, fetched concurrently, the infos of the
-// partitions the batch did not touch.
+// partitionedMutate checks the body as a single node does, splits the
+// batch by the same V1 hash that split the graph, and applies the
+// pieces to their partitions concurrently, each carrying the body's
+// tenancy fields. The partitions the batch does not touch are asked
+// for their edge counts in the same fan-out. Created/Destroyed in the
+// response sum the partition-local deltas (butterflies whose both
+// centers share a partition); Count is the exact new total from a
+// fresh scatter-gather; Edges sums every partition's edges.
+//
+// A failed partition does not stop the others: the answer relays the
+// lowest-index failure, and the partitions that succeeded stay applied
+// — like a batch on a single node that fails midway. A retry is
+// idempotent per edge.
 func (rt *Router) partitionedMutate(w http.ResponseWriter, r *http.Request, name string, m *graphMeta, body []byte) {
 	var req serveapi.MutateRequest
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument,
-				fmt.Sprintf("invalid request body: %v", err), 0)
-			return
-		}
+	err := serve.DecodeBody(bytes.NewReader(body), &req)
+	if err == nil {
+		err = serve.CheckPriority(req.Priority)
+	}
+	if err != nil {
+		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)
+		return
 	}
 	p := m.partitions
-	ring := rt.currentRing()
-	homes := rt.partHomes(ring, name, p)
+	homes := rt.partHomes(rt.currentRing(), name, p)
 	ins := make([][][2]int, p)
 	dels := make([][][2]int, p)
 	for _, e := range req.Inserts {
@@ -546,85 +510,56 @@ func (rt *Router) partitionedMutate(w http.ResponseWriter, r *http.Request, name
 		i := partOf(e[0], p)
 		dels[i] = append(dels[i], e)
 	}
+	touched := func(i int) bool { return len(ins[i]) > 0 || len(dels[i]) > 0 }
 
 	start := time.Now()
+	outs := fanOut(p, func(i int) reply {
+		if !touched(i) {
+			sr, err := rt.call(r.Context(), homes[i], http.MethodGet, partPath(name, i, p), tenantHeaders(r), nil)
+			return reply{sr, err}
+		}
+		pbody, _ := json.Marshal(&serveapi.MutateRequest{Inserts: ins[i], Deletes: dels[i], Tenant: req.Tenant, Priority: req.Priority})
+		sr, err := rt.call(r.Context(), homes[i], http.MethodPost, partPath(name, i, p)+"/mutate", tenantHeaders(r), pbody)
+		return reply{sr, err}
+	})
+	// Partitions may have changed whatever the outcome: start a new
+	// cache generation (the pinned count stops answering; the pins stay
+	// for delta revalidation).
+	m.pc.invalidate()
+
 	total := serveapi.MutateResponse{Graph: name}
-	edges := make([]int64, p)
-	var untouched []int
-	for i := 0; i < p; i++ {
-		if len(ins[i]) == 0 && len(dels[i]) == 0 {
-			untouched = append(untouched, i)
+	for i, o := range outs {
+		switch {
+		case !touched(i):
+			var gi serveapi.GraphInfo
+			if o.err == nil && json.Unmarshal(o.sr.body, &gi) == nil {
+				total.Edges += gi.NumEdges
+			}
 			continue
-		}
-		preq := serveapi.MutateRequest{Inserts: ins[i], Deletes: dels[i]}
-		pbody, _ := json.Marshal(&preq)
-		path := "/v1/graphs/" + url.PathEscape(partName(name, i, p)) + "/mutate"
-		sr, err := rt.forward(r.Context(), homes[i], http.MethodPost, path, "application/json", 0, tenantHeaders(r), pbody)
-		if err == nil && sr.status/100 != 2 {
-			// Relay the shard's own error (bad request, overload, …)
-			// verbatim: partial application has already happened for
-			// earlier partitions — exactly like a partially applied
-			// batch on a single node that fails midway, the applied
-			// prefix stays applied.
-			relay(w, sr, homes[i])
-			return
-		}
-		if err != nil {
-			rt.writeErr(w, http.StatusServiceUnavailable, serveapi.CodeUnavailable,
-				fmt.Sprintf("partition %d on %s: %v (earlier partitions already applied; retry is idempotent per edge)", i, homes[i], err), 1000)
+		case o.err != nil:
+			rt.writeFailure(w, o.err, fmt.Sprintf("partition %d on %s: %v (some partitions may be applied; retry is idempotent per edge)", i, homes[i], o.err))
 			return
 		}
 		var mr serveapi.MutateResponse
-		if json.Unmarshal(sr.body, &mr) == nil {
+		if json.Unmarshal(o.sr.body, &mr) == nil {
 			total.Inserted += mr.Inserted
 			total.Deleted += mr.Deleted
 			total.Created += mr.Created
 			total.Destroyed += mr.Destroyed
-			edges[i] = mr.Edges
+			total.Edges += mr.Edges
 		}
 	}
 
-	// The graph changed: start a new cache generation (the pinned
-	// count stops answering; the pins stay for delta revalidation) and
-	// re-reduce. Routing through the flight group lets counts arriving
-	// during the post-mutation gather share it. The untouched
-	// partitions' edge counts are fetched meanwhile.
-	m.pc.invalidate()
-	var wg sync.WaitGroup
-	for _, i := range untouched {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			path := "/v1/graphs/" + url.PathEscape(partName(name, i, p))
-			if sr, err := rt.forward(r.Context(), homes[i], http.MethodGet, path, "", 0, tenantHeaders(r), nil); err == nil && sr.status == http.StatusOK {
-				var gi serveapi.GraphInfo
-				if json.Unmarshal(sr.body, &gi) == nil {
-					edges[i] = gi.NumEdges
-				}
-			}
-		}(i)
-	}
+	// Re-reduce through the flight group, so counts arriving during
+	// the post-mutation gather share it.
 	gctx := context.WithoutCancel(r.Context())
 	out, _ := rt.flights.Do(fmt.Sprintf("%s|g%d", name, m.pc.generation()), func() gatherOutcome {
 		return rt.gatherMerged(gctx, name, m, homes)
 	})
-	wg.Wait()
 	total.Version = out.sumVersion
 	if out.live == p {
 		total.Count = out.count
 	}
-	for _, e := range edges {
-		total.Edges += e
-	}
 	total.ElapsedMS = time.Since(start).Milliseconds()
 	rt.writeJSON(w, http.StatusOK, &total)
-}
-
-// spanToAPI converts a trace snapshot to the wire shape.
-func spanToAPI(n obsv.SpanNode) *serveapi.TraceSpan {
-	out := serveapi.TraceSpan{Name: n.Name, StartUS: n.StartUS, DurUS: n.DurUS, Dropped: n.Dropped}
-	for _, c := range n.Children {
-		out.Children = append(out.Children, *spanToAPI(c))
-	}
-	return &out
 }

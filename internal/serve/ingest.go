@@ -325,12 +325,12 @@ func (s *Server) handleIngestAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestEdges consumes an NDJSON edge stream — one "[u,v]" JSON array
-// per line, blank lines skipped — applying it in chunks so the
-// reservoir (and every concurrent estimate query) advances while the
-// body is still uploading. On a malformed line or invalid endpoint the
-// current chunk is discarded but earlier chunks stay applied; the
-// response reports how far the stream got via the error message, and
-// the ingest remains open.
+// of exactly two integers per line, blank lines skipped — applying it
+// in chunks so the reservoir (and every concurrent estimate query)
+// advances while the body is still uploading. On a malformed line or
+// invalid endpoint the current chunk is discarded but earlier chunks
+// stay applied; the response reports how far the stream got via the
+// error message, and the ingest remains open.
 func (s *Server) ingestEdges(ing *ingestState, body io.Reader) (int64, error) {
 	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -352,11 +352,18 @@ func (s *Server) ingestEdges(ing *ingestState, body io.Reader) (int64, error) {
 		if len(b) == 0 {
 			continue
 		}
-		var e [2]int
-		if err := json.Unmarshal(b, &e); err != nil {
+		// Decoding into [2]int would pad a short array with zeros, drop
+		// extra elements and read null as 0: every line must be exactly
+		// two integers.
+		var uv []*int
+		err := json.Unmarshal(b, &uv)
+		if err == nil && (len(uv) != 2 || uv[0] == nil || uv[1] == nil) {
+			err = fmt.Errorf("not exactly two integers")
+		}
+		if err != nil {
 			return total, badReqf("edge line %d: %v (want [u,v]); %d edges were applied", line, err, total)
 		}
-		chunk = append(chunk, e)
+		chunk = append(chunk, [2]int{*uv[0], *uv[1]})
 		if len(chunk) == ingestChunk {
 			if err := flush(); err != nil {
 				return total, err

@@ -261,9 +261,9 @@ func (m *obsMetrics) observeRequest(st *reqState, code int, elapsed time.Duratio
 	}
 }
 
-// spanToAPI converts a snapshot of the request's span tree into the
-// wire representation.
-func spanToAPI(n obsv.SpanNode) *serveapi.TraceSpan {
+// SpanToAPI converts a snapshot of a span tree into the wire
+// representation (the cluster router's debug traces use it too).
+func SpanToAPI(n obsv.SpanNode) *serveapi.TraceSpan {
 	t := spanNode(n)
 	return &t
 }

@@ -172,6 +172,10 @@ type Query struct {
 	run func(s *Server, ctx context.Context, sl *slot, snap *Snapshot, ksp *obsv.Span) (any, error)
 }
 
+// Priority is the body's priority field, which only applyTenant
+// checks (see CheckPriority).
+func (q Query) Priority() string { return q.priority }
+
 // parseFunc is the shape of the five parse functions: the request body
 // and the URL query parameters in, a Query or a badRequestError out.
 type parseFunc func(body io.Reader, params url.Values) (Query, error)

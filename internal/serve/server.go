@@ -445,7 +445,7 @@ func (s *Server) writeOK(w http.ResponseWriter, r *http.Request, code int, v any
 	st := stateOf(r)
 	sp := st.root().Child("render")
 	if st.debug {
-		setTrace(v, spanToAPI(st.tr.Snapshot()))
+		setTrace(v, SpanToAPI(st.tr.Snapshot()))
 	}
 	writeJSON(w, code, v)
 	sp.End()
@@ -510,7 +510,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	}
 	det := serveapi.ErrorDetail{Code: code, Message: err.Error(), RetryAfterMS: retryMS}
 	if st.debug {
-		det.Trace = spanToAPI(st.tr.Snapshot())
+		det.Trace = SpanToAPI(st.tr.Snapshot())
 	}
 	writeJSON(w, status, serveapi.ErrorEnvelope{Error: det})
 	sp.End()
@@ -534,6 +534,10 @@ func decodeBody(body io.Reader, v any) error {
 	}
 	return nil
 }
+
+// DecodeBody is decodeBody for the cluster router, which decodes a
+// client body exactly as a single node does.
+func DecodeBody(body io.Reader, v any) error { return decodeBody(body, v) }
 
 // --- infrastructure endpoints ---
 
@@ -627,8 +631,11 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// loadRequestGraph materializes the graph named by a RegisterRequest.
-func (s *Server) loadRequestGraph(req *serveapi.RegisterRequest) (*butterfly.Graph, error) {
+// LoadRequestGraph materializes the graph named by a RegisterRequest:
+// exactly one source (dataset, path, or m/n/edges) must be set, and a
+// path is read only when allowPath is set. The cluster router loads
+// partitioned registrations with it, so both answer one body alike.
+func LoadRequestGraph(req *serveapi.RegisterRequest, allowPath bool) (*butterfly.Graph, error) {
 	sources := 0
 	if req.Dataset != "" {
 		sources++
@@ -654,7 +661,7 @@ func (s *Server) loadRequestGraph(req *serveapi.RegisterRequest) (*butterfly.Gra
 		}
 		return g, nil
 	case req.Path != "":
-		if !s.cfg.AllowPathLoad {
+		if !allowPath {
 			return nil, badReqf("server-side path loading is disabled (start bfserved with -allow-path-load)")
 		}
 		switch req.Format {
@@ -708,7 +715,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.lim.release()
 	lsp := root.Child("load")
-	g, err := s.loadRequestGraph(&req)
+	g, err := LoadRequestGraph(&req, s.cfg.AllowPathLoad)
 	lsp.End()
 	if err != nil {
 		s.writeError(w, r, err)
@@ -996,6 +1003,13 @@ func echoTenant(w http.ResponseWriter, st *reqState) {
 	}
 	w.Header().Set(serveapi.TenantHeader, st.tenant)
 	w.Header().Set(serveapi.PriorityHeader, st.lane.String())
+}
+
+// CheckPriority rejects a /v1 body priority as applyTenant does. The
+// cluster router checks the bodies it answers itself with it.
+func CheckPriority(priority string) error {
+	_, err := parseLane(priority)
+	return err
 }
 
 // applyTenant applies a request body's tenant/priority fields; the
