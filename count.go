@@ -345,7 +345,7 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 			case AlgorithmWedgeHash:
 				c = baseline.CountWedgeHash(gg)
 			case AlgorithmVertexPriority:
-				c = baseline.CountVertexPriorityParallel(gg, threads)
+				c = core.CountVertexPriority(gg, threads, opts.Arena.internal())
 			case AlgorithmSortAggregate:
 				c = baseline.CountSortAggregate(gg, threads)
 			default:

@@ -1,17 +1,20 @@
 // Package baseline implements butterfly counters that are independent
 // of the paper's linear-algebraic family: the wedge-hashing exact
-// counter the paper builds on (Wang et al. 2014 [14]), the
-// vertex-priority counter (Wang et al. 2019 [15]), the sampling
+// counter the paper builds on (Wang et al. 2014 [14]), the sampling
 // estimators (Sanei-Mehri et al. 2018 [10]), and a full enumerator.
 //
 // They serve two purposes: independent correctness references for the
 // core family, and the comparison points a downstream user of a
-// butterfly library expects to find.
+// butterfly library expects to find. The vertex-priority counter (Wang
+// et al. 2019 [15]) is core's priority-wedge pass, shared with the
+// bloom index; CountVertexPriority here calls it, and the family
+// kernels are its independent check.
 package baseline
 
 import (
 	"sort"
 
+	"butterfly/internal/core"
 	"butterfly/internal/graph"
 )
 
@@ -40,85 +43,9 @@ func CountWedgeHash(g *graph.Bipartite) int64 {
 }
 
 // CountVertexPriority counts butterflies with the vertex-priority
-// strategy of Wang et al. [15]: all m+n vertices get a global priority
-// (descending degree, ties by id), and each butterfly is counted
-// exactly once, at its highest-priority vertex. For each start vertex
-// u, wedges u→mid→w are accumulated only when both mid and w have
-// lower priority than u; the butterfly contribution is Σ_w C(acc_w, 2).
-func CountVertexPriority(g *graph.Bipartite) int64 {
-	m, n := g.NumV1(), g.NumV2()
-	total := m + n
-
-	// Global ids: V1 vertex u ↦ u, V2 vertex v ↦ m+v.
-	deg := make([]int32, total)
-	for u := 0; u < m; u++ {
-		deg[u] = int32(g.DegreeV1(u))
-	}
-	for v := 0; v < n; v++ {
-		deg[m+v] = int32(g.DegreeV2(v))
-	}
-	order := make([]int32, total)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if deg[order[a]] != deg[order[b]] {
-			return deg[order[a]] > deg[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	// rank[x] = priority position; smaller rank = higher priority.
-	rank := make([]int32, total)
-	for pos, x := range order {
-		rank[x] = int32(pos)
-	}
-
-	neighbors := func(x int) []int32 { // global neighbor ids of global x
-		if x < m {
-			return g.NeighborsOfV1(x)
-		}
-		return g.NeighborsOfV2(x - m)
-	}
-	globalize := func(x int, nbr int32) int32 {
-		if x < m {
-			return nbr + int32(m) // neighbors of a V1 vertex live in V2
-		}
-		return nbr
-	}
-
-	acc := make([]int32, total)
-	touched := make([]int32, 0, 1024)
-	var count int64
-	for u := 0; u < total; u++ {
-		ru := rank[u]
-		for _, nb := range neighbors(u) {
-			mid := globalize(u, nb)
-			if rank[mid] < ru {
-				// mid has higher priority than u — this wedge is counted
-				// from a higher-priority start vertex instead. Ranks are a
-				// permutation and mid ≠ u, so equality cannot occur.
-				continue
-			}
-			for _, nb2 := range neighbors(int(mid)) {
-				w := globalize(int(mid), nb2)
-				if rank[w] <= ru {
-					continue
-				}
-				if acc[w] == 0 {
-					touched = append(touched, w)
-				}
-				acc[w]++
-			}
-		}
-		for _, w := range touched {
-			c := int64(acc[w])
-			count += c * (c - 1) / 2
-			acc[w] = 0
-		}
-		touched = touched[:0]
-	}
-	return count
-}
+// strategy of Wang et al. [15], on one thread: core's priority-wedge
+// pass, core.CountVertexPriority.
+func CountVertexPriority(g *graph.Bipartite) int64 { return core.CountVertexPriority(g, 1, nil) }
 
 // CountEnumerate counts by explicit enumeration via ListButterflies;
 // exact but O(ΞG) — only sensible for graphs with modest counts.

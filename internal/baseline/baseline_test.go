@@ -220,26 +220,3 @@ func TestQuickVerifyAll(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestQuickVertexPriorityParallelMatches(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		d, g := randGraphAndDense(rng, 12)
-		want := dense.SpecCount(d)
-		return CountVertexPriorityParallel(g, 4) == want &&
-			CountVertexPriorityParallel(g, 1) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVertexPriorityParallelLarge(t *testing.T) {
-	g := gen.PowerLawBipartite(3000, 2500, 15000, 0.75, 0.7, 12)
-	want := CountVertexPriority(g)
-	for _, threads := range []int{2, 6} {
-		if got := CountVertexPriorityParallel(g, threads); got != want {
-			t.Fatalf("threads=%d: %d, want %d", threads, got, want)
-		}
-	}
-}

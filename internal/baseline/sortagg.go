@@ -99,7 +99,7 @@ func EstimateSparsify(g *graph.Bipartite, p float64, seed int64) float64 {
 		panic("baseline: sparsification probability must be in (0,1]")
 	}
 	if p == 1 {
-		return float64(exactAuto(g))
+		return float64(CountVertexPriority(g))
 	}
 	rng := newSplitMix(seed)
 	b := graph.NewBuilder(g.NumV1(), g.NumV2())
@@ -111,14 +111,8 @@ func EstimateSparsify(g *graph.Bipartite, p float64, seed int64) float64 {
 		}
 	}
 	h := b.Build()
-	return float64(exactAuto(h)) / (p * p * p * p)
+	return float64(CountVertexPriority(h)) / (p * p * p * p)
 }
-
-// exactAuto is a local seam so sparsification reuses whichever exact
-// counter is cheapest without importing core (avoiding an import
-// cycle is not needed here — core is imported in sampling.go — but the
-// seam keeps this file self-contained for testing).
-var exactAuto = func(g *graph.Bipartite) int64 { return CountVertexPriority(g) }
 
 // splitMix is a tiny deterministic PRNG (SplitMix64) so sparsification
 // does not share math/rand global state.

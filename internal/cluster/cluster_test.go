@@ -238,7 +238,7 @@ func TestReplicaFloor(t *testing.T) {
 	if mr.Version != 2 {
 		t.Fatalf("primary version = %d, want 2", mr.Version)
 	}
-	rt.ensureMeta("rf", 0).floor.Store(2)
+	rt.ensureMeta("rf", 0, 0, 0).floor.Store(2)
 
 	// Every read — wherever the rotation starts — must see v2.
 	for i := 0; i < 6; i++ {

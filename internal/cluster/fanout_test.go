@@ -79,26 +79,54 @@ func wantAPIError(t *testing.T, err error, status int, what string) {
 	}
 }
 
-// TestFailedPartitionedMutateDropsMergedPin: a partitioned mutate that
-// one partition applies and another rejects still changed the graph,
-// so the next count must not answer the pre-mutation merged pin.
+// TestFailedPartitionedMutateDropsMergedPin: a batch with an edge out
+// of range is refused whole, on a single node and through the router,
+// before any partition applies its piece, so the count and the merged
+// pin stand. A mutate that fails in the fan-out itself (the shard of a
+// touched partition down) may have applied elsewhere, so the next
+// count must not answer the pre-mutation merged pin.
 func TestFailedPartitionedMutateDropsMergedPin(t *testing.T) {
 	shards := spawnShards(t, 2)
-	_, rts := newRouter(t, urlsOf(shards), Config{})
-	c := client.New(rts.URL)
-	registerInline(t, c, "k", k66(t), 2)
+	rt, rts := newRouter(t, urlsOf(shards), Config{})
+	registerInline(t, client.New(rts.URL), "k", k66(t), 2)
 	pinMerged(t, rts.URL, "k", 225)
+	single := serve.New(serve.Config{})
+	sts := httptest.NewServer(single)
+	t.Cleanup(sts.Close)
+	t.Cleanup(single.Close)
+	registerInline(t, client.New(sts.URL), "k", k66(t), 1)
 
 	if partOf(0, 2) != 0 || partOf(1, 2) != 1 {
 		t.Fatal("test assumes V1 vertex 0 in partition 0 and vertex 1 in partition 1")
 	}
-	// Partition 0 deletes (0,0); partition 1 rejects the out-of-range insert.
-	_, err := c.Mutate(context.Background(), "k", serveapi.MutateRequest{Deletes: [][2]int{{0, 0}}, Inserts: [][2]int{{1, 99}}})
-	wantAPIError(t, err, http.StatusBadRequest, "mutate with an out-of-range insert")
+	// Partition 0 gets the delete (0,0), partition 1 the out-of-range insert.
+	bad := serveapi.MutateRequest{Deletes: [][2]int{{0, 0}}, Inserts: [][2]int{{1, 99}}}
+	for _, base := range []string{sts.URL, rts.URL} {
+		_, err := client.New(base).Mutate(context.Background(), "k", bad)
+		wantAPIError(t, err, http.StatusBadRequest, "mutate with an out-of-range insert")
+		for _, q := range []string{"", "?debug=true"} {
+			if status, _, n := routerCount(t, base, "k", q); status != http.StatusOK || n != 225 {
+				t.Errorf("%s: count%s after the refused mutate = %d %d, want 200 225", base, q, status, n)
+			}
+		}
+	}
+	if status, cache, n := routerCount(t, rts.URL, "k", ""); status != http.StatusOK || cache != "merged" || n != 225 {
+		t.Errorf("count after the refused mutate = %d %q %d, want 200 merged 225", status, cache, n)
+	}
 
+	homes := rt.partHomes(rt.currentRing(), "k", 2)
+	for _, ts := range shards {
+		if ts.URL == homes[1] {
+			ts.Close()
+		}
+	}
+	_, err := client.New(rts.URL).Mutate(context.Background(), "k", serveapi.MutateRequest{Deletes: [][2]int{{0, 0}, {1, 0}}})
+	if err == nil {
+		t.Fatal("mutate with partition 1's shard down succeeded")
+	}
 	for _, q := range []string{"", "?debug=true"} {
-		if status, cache, n := routerCount(t, rts.URL, "k", q); status != http.StatusOK || cache == "merged" || n != 200 {
-			t.Errorf("count%s after the partly applied mutate = %d %q %d, want 200 (not merged) 200", q, status, cache, n)
+		if _, cache, _ := routerCount(t, rts.URL, "k", q); cache == "merged" {
+			t.Errorf("count%s after the failed mutate answered the pre-mutation merged pin", q)
 		}
 	}
 }
@@ -200,9 +228,16 @@ func TestRouterRejectsBodiesLikeSingleNode(t *testing.T) {
 		{"/v1/graphs/{G}/mutate", `{"priority":"urgent"}`, http.StatusBadRequest, false},
 		{"/v1/graphs/{G}/mutate", `{"insert":[[0,0]]}`, http.StatusBadRequest, false},
 		{"/v1/graphs/{G}/mutate", `{"inserts":[[0,0]]} {}`, http.StatusBadRequest, false},
+		{"/v1/graphs/{G}/mutate", `{"inserts":[[2]]}`, http.StatusBadRequest, false},
+		{"/v1/graphs/{G}/mutate", `{"inserts":[[1,1,2]]}`, http.StatusBadRequest, false},
+		{"/v1/graphs/{G}/mutate", `{"deletes":[[null,0]]}`, http.StatusBadRequest, false},
+		{"/v1/graphs/{G}/mutate", `{"deletes":[null]}`, http.StatusBadRequest, false},
 		{"/v1/graphs", `{"name":"r"{P},"m":2,"n":2,"edges":[[0,0]],"bogus":1}`, http.StatusBadRequest, false},
 		{"/v1/graphs", `{"name":"r"{P},"dataset":"github","m":2,"n":2,"edges":[[0,0]]}`, http.StatusBadRequest, false},
 		{"/v1/graphs", `{"name":"r"{P},"m":2,"n":2,"edges":[[0,0]]} {}`, http.StatusBadRequest, false},
+		{"/v1/graphs", `{"name":"r"{P},"m":2,"n":2,"edges":[[1]]}`, http.StatusBadRequest, false},
+		{"/v1/graphs", `{"name":"r"{P},"m":2,"n":2,"edges":[[1,1,1]]}`, http.StatusBadRequest, false},
+		{"/v1/graphs", `{"name":"r"{P},"m":2,"n":2,"edges":[[null,0]]}`, http.StatusBadRequest, false},
 		{"/v1/ingest", `{"name":"i","m":2,"n":2,"bogus":1}`, http.StatusBadRequest, false},
 		{"/v1/admin/rebalance", `{"shard":["http://127.0.0.1:1"]}`, http.StatusBadRequest, true},
 		{"/v1/admin/rebalance", `{} {}`, http.StatusBadRequest, true},
@@ -217,6 +252,21 @@ func TestRouterRejectsBodiesLikeSingleNode(t *testing.T) {
 			if status != tc.want || (tc.want == http.StatusBadRequest && code != serveapi.CodeInvalidArgument) {
 				t.Errorf("%s: POST %s %s = %d %q (%s), want %d", tg.name, path, body, status, code, strings.TrimSpace(string(b)), tc.want)
 			}
+		}
+	}
+	// The refused bodies changed nothing: the graph still holds K_{6,6}
+	// and no graph r was registered.
+	for _, tg := range targets {
+		if status, _, n := routerCount(t, tg.base, tg.graph, ""); status != http.StatusOK || n != 225 {
+			t.Errorf("%s: count after the refused bodies = %d %d, want 200 225", tg.name, status, n)
+		}
+		resp, err := http.Get(tg.base + "/v1/graphs/r")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: GET graph r after the refused registrations = %d, want 404", tg.name, resp.StatusCode)
 		}
 	}
 }

@@ -66,21 +66,18 @@ func holdings(shards []string, lists [][]serveapi.GraphInfo) map[string][]string
 func (rt *Router) Refresh(ctx context.Context) error {
 	nodes := rt.currentRing().Nodes()
 	lists, errs := rt.inventory(ctx, nodes, nil)
-	held := holdings(nodes, lists)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for name := range held {
-		logical, _, p, ok := splitPartName(name)
-		if !ok {
-			logical, p = name, 0
-		}
-		m := rt.graphs[logical]
-		if m == nil {
-			m = &graphMeta{}
-			rt.graphs[logical] = m
-		}
-		if p >= 2 {
-			m.partitions = p
+	for _, list := range lists {
+		for _, gi := range list {
+			if gi.State != "" {
+				continue // a loading ingest is not movable yet
+			}
+			logical, _, p, ok := splitPartName(gi.Name)
+			if !ok {
+				logical, p = gi.Name, 0
+			}
+			rt.ensureMetaLocked(logical, p, gi.NumV1, gi.NumV2)
 		}
 	}
 	// Membership (or shard content) may have changed under the pinned

@@ -97,6 +97,7 @@ func (c Config) withDefaults() Config {
 // (read-your-writes), and a rotation cursor for replica reads.
 type graphMeta struct {
 	partitions int // ≥ 2 for partitioned graphs
+	v1, v2     int // a partitioned graph's dimensions, every partition's too
 	floor      atomic.Uint64
 	rr         atomic.Uint32
 
@@ -196,17 +197,23 @@ func (rt *Router) metaOf(name string) *graphMeta {
 }
 
 // ensureMeta returns (creating if needed) the metadata of a graph.
-// partitions < 2 records an unpartitioned graph.
-func (rt *Router) ensureMeta(name string, partitions int) *graphMeta {
+// partitions < 2 records an unpartitioned graph; partitions ≥ 2 records
+// a partitioned one of v1 × v2 vertices.
+func (rt *Router) ensureMeta(name string, partitions, v1, v2 int) *graphMeta {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	return rt.ensureMetaLocked(name, partitions, v1, v2)
+}
+
+// ensureMetaLocked is ensureMeta for a caller holding rt.mu.
+func (rt *Router) ensureMetaLocked(name string, partitions, v1, v2 int) *graphMeta {
 	m := rt.graphs[name]
 	if m == nil {
 		m = &graphMeta{}
 		rt.graphs[name] = m
 	}
 	if partitions >= 2 {
-		m.partitions = partitions
+		m.partitions, m.v1, m.v2 = partitions, v1, v2
 	}
 	return m
 }
@@ -700,7 +707,7 @@ func (rt *Router) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if sr.status/100 == 2 {
 		var info serveapi.GraphInfo
 		if json.Unmarshal(sr.body, &info) == nil {
-			rt.ensureMeta(req.Name, 0).floor.Store(info.Version)
+			rt.ensureMeta(req.Name, 0, 0, 0).floor.Store(info.Version)
 		}
 	}
 	relay(w, sr, shard)
@@ -725,7 +732,7 @@ func (rt *Router) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if sr.status/100 == 2 {
 		var mr serveapi.MutateResponse
 		if json.Unmarshal(sr.body, &mr) == nil {
-			rt.ensureMeta(name, 0).floor.Store(mr.Version)
+			rt.ensureMeta(name, 0, 0, 0).floor.Store(mr.Version)
 		}
 	}
 	relay(w, sr, shard)

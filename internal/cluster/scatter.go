@@ -410,7 +410,7 @@ func (rt *Router) partitionedRegister(w http.ResponseWriter, r *http.Request, re
 			fmt.Sprintf("registering partition %d failed: %v", failed, outs[failed].err), 1000)
 		return
 	}
-	m := rt.ensureMeta(req.Name, p)
+	m := rt.ensureMeta(req.Name, p, g.NumV1(), g.NumV2())
 
 	out := rt.gather(r.Context(), req.Name, m, homes, nil)
 	// The pins stay for delta revalidation, but the first count still
@@ -475,8 +475,10 @@ func (rt *Router) partitionedDrop(w http.ResponseWriter, r *http.Request, name s
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// partitionedMutate checks the body as a single node does, splits the
-// batch by the same V1 hash that split the graph, and applies the
+// partitionedMutate checks the body as a single node does, the batch
+// against the graph's dimensions included, so a batch a shard would
+// refuse is refused whole before any partition sees it. It then splits
+// the batch by the same V1 hash that split the graph and applies the
 // pieces to their partitions concurrently, each carrying the body's
 // tenancy fields. The partitions the batch does not touch are asked
 // for their edge counts in the same fan-out. Created/Destroyed in the
@@ -484,15 +486,18 @@ func (rt *Router) partitionedDrop(w http.ResponseWriter, r *http.Request, name s
 // centers share a partition); Count is the exact new total from a
 // fresh scatter-gather; Edges sums every partition's edges.
 //
-// A failed partition does not stop the others: the answer relays the
-// lowest-index failure, and the partitions that succeeded stay applied
-// — like a batch on a single node that fails midway. A retry is
-// idempotent per edge.
+// A partition that fails past the check (a shard down, a log refusing
+// the record) does not stop the others: the answer relays the
+// lowest-index failure, and the partitions that succeeded stay
+// applied. A retry is idempotent per edge.
 func (rt *Router) partitionedMutate(w http.ResponseWriter, r *http.Request, name string, m *graphMeta, body []byte) {
 	var req serveapi.MutateRequest
 	err := serve.DecodeBody(bytes.NewReader(body), &req)
 	if err == nil {
 		err = serve.CheckPriority(req.Priority)
+	}
+	if err == nil {
+		err = serve.CheckBatch(req.Inserts, req.Deletes, m.v1, m.v2)
 	}
 	if err != nil {
 		rt.writeErr(w, http.StatusBadRequest, serveapi.CodeInvalidArgument, err.Error(), 0)

@@ -4,15 +4,15 @@ package core
 // (the BE-Index of Wang, Lin, Qin, Zhang & Zhang, "Efficient Bitruss
 // Decomposition for Large-scale Bipartite Graphs", ICDE 2020).
 //
-// Every vertex of both sides gets a priority: higher degree first, ties
-// to the lower global id (V1 vertex u is u, V2 vertex v is |V1|+v), as
-// in the vertex-priority counter of internal/baseline (Wang et al.,
-// arXiv:1812.00283). A wedge s–x–w obeys the priority when its middle x
-// and its end w both rank below its start s. A bloom is the set of
-// priority-obeying wedges that share a start s and an end w; k is its
-// size. A butterfly's highest-priority vertex s and the vertex w
-// opposite it fix one bloom, and the butterfly is a pair of that
-// bloom's wedges, so every butterfly lies in exactly one bloom:
+// The index is built on the priority-wedge pass of priority.go, the
+// pass behind CountVertexPriority (Wang et al., arXiv:1812.00283):
+// every vertex is ranked by degree, and a wedge s–x–w obeys the
+// priority when its middle x and its end w both rank below its start
+// s. A bloom is the set of priority-obeying wedges that share a start
+// s and an end w; k is its size. A butterfly's highest-priority vertex
+// s and the vertex w opposite it fix one bloom, and the butterfly is a
+// pair of that bloom's wedges, so every butterfly lies in exactly one
+// bloom:
 //
 //	ΞG = Σ_B C(k_B, 2),
 //
@@ -43,7 +43,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"butterfly/internal/graph"
 )
@@ -75,10 +74,7 @@ type bloom struct {
 // ids are int32: a graph with 2^31 vertices or edges or more panics.
 func NewBloomIndex(g *graph.Bipartite, threads int, a *Arena) *BloomIndex {
 	nnz := g.NumEdges()
-	if nnz > math.MaxInt32 || g.NumV1()+g.NumV2() > math.MaxInt32 {
-		panic("core: bloom index needs fewer than 2^31 vertices and edges")
-	}
-	b := newBloomBuild(g)
+	b := newPriorityRows(g, true)
 	n := len(b.ptr) - 1
 
 	// Size: blooms and wedges per start, then prefix offsets.
@@ -124,114 +120,9 @@ func NewBloomIndex(g *graph.Bipartite, threads int, a *Arena) *BloomIndex {
 	return x
 }
 
-// prefix turns counts c[0..n-1] into exclusive prefix offsets in place
-// and stores the total in c[n].
-func prefix(c []int64) {
-	var sum int64
-	for i, v := range c[:len(c)-1] {
-		c[i] = sum
-		sum += v
-	}
-	c[len(c)-1] = sum
-}
-
-// bloomBuild is the graph renumbered by priority for a build: vertex r
-// is the vertex of rank r (0 is the highest priority), and its row
-// lists its neighbours' ranks in ascending order with the flat edge ids
-// of g.Adj(). The priority-obeying wedges from start s are then two
-// nested row suffixes: the middles x > s of s's row and, for each, the
-// ends w > s of x's row.
-type bloomBuild struct {
-	ptr  []int64 // vertex r's row is nbr/eid[ptr[r] : ptr[r+1]]
-	nbr  []int32 // neighbour rank, ascending within a row
-	eid  []int32 // flat edge id in g.Adj()
-	work []int64 // per start: its scan steps, for the parallel schedule
-}
-
-// newBloomBuild ranks the |V1|+|V2| vertices by descending degree, ties
-// to the lower global id (V1 vertex u is u, V2 vertex v is |V1|+v),
-// with a counting sort over degrees, and scatters the edges into
-// rank-sorted rows by visiting the vertices in rank order.
-func newBloomBuild(g *graph.Bipartite) *bloomBuild {
-	adj, adjT := g.Adj(), g.AdjT()
-	m, n := adj.R, adjT.R
-	deg := func(x int) int64 {
-		if x < m {
-			return adj.Ptr[x+1] - adj.Ptr[x]
-		}
-		return adjT.Ptr[x-m+1] - adjT.Ptr[x-m]
-	}
-	var maxDeg int64
-	for x := 0; x < m+n; x++ {
-		maxDeg = max(maxDeg, deg(x))
-	}
-	// slot[d] counts, then offsets, the vertices of degree > maxDeg − d.
-	slot := make([]int32, maxDeg+2)
-	for x := 0; x < m+n; x++ {
-		slot[maxDeg-deg(x)+1]++
-	}
-	for d := 1; d < len(slot); d++ {
-		slot[d] += slot[d-1]
-	}
-	rank := make([]int32, m+n)
-	order := make([]int32, m+n)
-	for x := 0; x < m+n; x++ {
-		r := slot[maxDeg-deg(x)]
-		slot[maxDeg-deg(x)]++
-		rank[x], order[r] = r, int32(x)
-	}
-
-	b := &bloomBuild{
-		ptr: make([]int64, m+n+1),
-		nbr: make([]int32, 2*adj.NNZ()),
-		eid: make([]int32, 2*adj.NNZ()),
-	}
-	for r, x := range order {
-		b.ptr[r] = deg(int(x))
-	}
-	prefix(b.ptr)
-	next := slices.Clone(b.ptr[:m+n])
-	tmap := transposeEdgeMap(g)
-	for r, x := range order {
-		rows, eids, far := adj, []int32(nil), m
-		if int(x) >= m {
-			rows, eids, far, x = adjT, tmap, 0, x-int32(m)
-		}
-		for j := rows.Ptr[x]; j < rows.Ptr[x+1]; j++ {
-			e := int32(j)
-			if eids != nil {
-				e = eids[j]
-			}
-			y := rank[far+int(rows.Col[j])]
-			b.nbr[next[y]], b.eid[next[y]] = int32(r), e
-			next[y]++
-		}
-	}
-	return b
-}
-
-// count accumulates start s's priority-obeying wedge multiplicity per
-// end w into ws.acc and returns the touched ends.
-func (b *bloomBuild) count(s int32, ws *workspace) []int32 {
-	ptr, nbr := b.ptr, b.nbr
-	acc, touched := ws.acc, ws.touched[:0]
-	for j := ptr[s+1] - 1; j >= ptr[s] && nbr[j] > s; j-- {
-		x := nbr[j]
-		for i := ptr[x+1] - 1; i >= ptr[x] && nbr[i] > s; i-- {
-			w := nbr[i]
-			if acc[w] == 0 {
-				touched = append(touched, w)
-			}
-			acc[w]++
-		}
-	}
-	ws.touched = touched
-	return touched
-}
-
 // size returns how many blooms (k ≥ 2) start s holds and how many
 // wedges they hold, restoring the workspace at rest.
-func (b *bloomBuild) size(s int32, ws *workspace) (blooms, wedges int64) {
+func (b *priorityRows) size(s int32, ws *workspace) (blooms, wedges int64) {
 	acc := ws.acc
 	for _, w := range b.count(s, ws) {
 		if c := int64(acc[w]); c >= 2 {
@@ -247,7 +138,7 @@ func (b *bloomBuild) size(s int32, ws *workspace) (blooms, wedges int64) {
 // fill writes start s's blooms from bloom id bl and wedge index base
 // on, in the order their ends were first reached, restoring the
 // workspace at rest.
-func (b *bloomBuild) fill(s int32, ws *workspace, x *BloomIndex, bl, base int64) {
+func (b *priorityRows) fill(s int32, ws *workspace, x *BloomIndex, bl, base int64) {
 	acc := ws.acc
 	touched := b.count(s, ws)
 	// acc[w] becomes 1 + the next free slot of w's bloom relative to
@@ -279,55 +170,6 @@ func (b *bloomBuild) fill(s int32, ws *workspace, x *BloomIndex, bl, base int64)
 		acc[w] = 0
 	}
 	ws.touched = ws.touched[:0]
-}
-
-// run calls start(s, ws) for every start s: over chunks of starts
-// weighted by their scan steps when threads > 1, else in order on one
-// workspace of width |V1|+|V2|.
-func (b *bloomBuild) run(threads int, a *Arena, start func(s int32, ws *workspace)) {
-	n := len(b.ptr) - 1
-	if threads > 1 {
-		if b.work == nil {
-			b.work = make([]int64, n)
-			for s := range b.work {
-				for j := b.ptr[s+1] - 1; j >= b.ptr[s] && int(b.nbr[j]) > s; j-- {
-					x := b.nbr[j]
-					b.work[s] += 1 + b.ptr[x+1] - b.ptr[x]
-				}
-			}
-		}
-		wss := rowWorkers(b.work, threads, n, a, func(lo, hi int, ws *workspace) {
-			for s := lo; s < hi; s++ {
-				start(int32(s), ws)
-			}
-		})
-		if wss != nil {
-			for _, ws := range wss {
-				a.put(ws)
-			}
-			return
-		}
-	}
-	ws := a.get(n)
-	for s := 0; s < n; s++ {
-		start(int32(s), ws)
-	}
-	a.put(ws)
-}
-
-// transposeEdgeMap returns tmap with tmap[j] equal to the flat edge id
-// in g.Adj() of the edge stored at flat position j of g.AdjT(), in
-// O(nnz).
-func transposeEdgeMap(g *graph.Bipartite) []int32 {
-	adj, adjT := g.Adj(), g.AdjT()
-	tmap := make([]int32, adj.NNZ())
-	next := make([]int64, adjT.R)
-	copy(next, adjT.Ptr[:adjT.R])
-	for k, v := range adj.Col {
-		tmap[next[v]] = int32(k)
-		next[v]++
-	}
-	return tmap
 }
 
 // segment returns the edge ids of all of bloom bl's wedges, live or

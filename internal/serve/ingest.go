@@ -14,7 +14,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -352,18 +351,11 @@ func (s *Server) ingestEdges(ing *ingestState, body io.Reader) (int64, error) {
 		if len(b) == 0 {
 			continue
 		}
-		// Decoding into [2]int would pad a short array with zeros, drop
-		// extra elements and read null as 0: every line must be exactly
-		// two integers.
-		var uv []*int
-		err := json.Unmarshal(b, &uv)
-		if err == nil && (len(uv) != 2 || uv[0] == nil || uv[1] == nil) {
-			err = fmt.Errorf("not exactly two integers")
-		}
+		e, err := parseEdge(b)
 		if err != nil {
 			return total, badReqf("edge line %d: %v (want [u,v]); %d edges were applied", line, err, total)
 		}
-		chunk = append(chunk, [2]int{*uv[0], *uv[1]})
+		chunk = append(chunk, e)
 		if len(chunk) == ingestChunk {
 			if err := flush(); err != nil {
 				return total, err

@@ -349,6 +349,22 @@ func (r *Registry) Mutate(name string, inserts, deletes [][2]int) (MutateResult,
 	return r.MutateObserved(name, inserts, deletes, nil)
 }
 
+// CheckBatch fails a mutate batch with an insert or delete outside an
+// m×n graph, naming the first such edge. A batch that passes cannot
+// fail half-way on dimensions: the registry checks it before applying
+// anything, and a cluster router before sending any partition its
+// piece.
+func CheckBatch(inserts, deletes [][2]int, m, n int) error {
+	for i, ops := range [2][][2]int{inserts, deletes} {
+		for _, op := range ops {
+			if op[0] < 0 || op[0] >= m || op[1] < 0 || op[1] >= n {
+				return badReqf("%s (%d,%d) out of range %dx%d", [2]string{"insert", "delete"}[i], op[0], op[1], m, n)
+			}
+		}
+	}
+	return nil
+}
+
 // MutateObserved is Mutate with an optional stage hook: when non-nil,
 // stage receives "wal.append" with the time spent in the write-ahead
 // log (durable registries only), "snapshot" with the time to patch
@@ -365,15 +381,8 @@ func (r *Registry) MutateObserved(name string, inserts, deletes [][2]int, stage 
 
 	// Validate the whole batch against the (immutable) dimensions
 	// first so the application loop below cannot fail half-way.
-	for _, op := range inserts {
-		if op[0] < 0 || op[0] >= e.m || op[1] < 0 || op[1] >= e.n {
-			return MutateResult{}, fmt.Errorf("insert (%d,%d) out of range %dx%d", op[0], op[1], e.m, e.n)
-		}
-	}
-	for _, op := range deletes {
-		if op[0] < 0 || op[0] >= e.m || op[1] < 0 || op[1] >= e.n {
-			return MutateResult{}, fmt.Errorf("delete (%d,%d) out of range %dx%d", op[0], op[1], e.m, e.n)
-		}
+	if err := CheckBatch(inserts, deletes, e.m, e.n); err != nil {
+		return MutateResult{}, err
 	}
 
 	e.mu.Lock()

@@ -517,13 +517,32 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 // decodeBody strictly decodes a JSON request body into v: unknown
-// fields and anything after the first JSON value are rejected. An
-// empty body is allowed and leaves v at its zero value, so `curl -X
-// POST` without a body runs the default query.
+// fields and anything after the first JSON value are rejected, and so
+// is an edge pair of a register or mutate body that is not exactly two
+// integers. An empty body is allowed and leaves v at its zero value, so
+// `curl -X POST` without a body runs the default query.
 func decodeBody(body io.Reader, v any) error {
 	dec := json.NewDecoder(io.LimitReader(body, 16<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	// The request types keep their [][2]int fields; the pairs decode
+	// through fields of a wrapper that shadow them.
+	into, moved := v, func() {}
+	switch req := v.(type) {
+	case *serveapi.RegisterRequest:
+		w := &struct {
+			*serveapi.RegisterRequest
+			Edges []edgePair `json:"edges"`
+		}{RegisterRequest: req}
+		into, moved = w, func() { req.Edges = edgePairs(w.Edges) }
+	case *serveapi.MutateRequest:
+		w := &struct {
+			*serveapi.MutateRequest
+			Inserts []edgePair `json:"inserts"`
+			Deletes []edgePair `json:"deletes"`
+		}{MutateRequest: req}
+		into, moved = w, func() { req.Inserts, req.Deletes = edgePairs(w.Inserts), edgePairs(w.Deletes) }
+	}
+	if err := dec.Decode(into); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
@@ -532,7 +551,73 @@ func decodeBody(body io.Reader, v any) error {
 	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
 		return badReqf("invalid request body: data after the JSON value")
 	}
+	moved()
 	return nil
+}
+
+// edgePair is one edge of a request body, decoded by parseEdge.
+type edgePair [2]int
+
+func (p *edgePair) UnmarshalJSON(b []byte) (err error) {
+	*p, err = parseEdge(b)
+	return err
+}
+
+// edgePairs copies decoded pairs into a request's [][2]int field.
+func edgePairs(ps []edgePair) [][2]int {
+	if ps == nil {
+		return nil
+	}
+	out := make([][2]int, len(ps))
+	for i, p := range ps {
+		out[i] = p
+	}
+	return out
+}
+
+// parseEdge decodes one "[u,v]" edge: a JSON array of exactly two
+// integers, whitespace allowed between tokens. Decoding into [2]int
+// would pad a short array with zeros, drop extra elements and read
+// null as 0.
+func parseEdge(b []byte) (e [2]int, err error) {
+	i := 0
+	skip := func() {
+		for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+			i++
+		}
+	}
+	token := func(c byte) bool {
+		skip()
+		if i < len(b) && b[i] == c {
+			i++
+			return true
+		}
+		return false
+	}
+	integer := func(v *int) bool {
+		skip()
+		start := i
+		if i < len(b) && b[i] == '-' {
+			i++
+		}
+		digits := i
+		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+			i++
+		}
+		if i == digits || b[digits] == '0' && i > digits+1 {
+			return false // no digits, or a leading zero JSON forbids
+		}
+		n, err := strconv.Atoi(string(b[start:i]))
+		*v = n
+		return err == nil
+	}
+	if !token('[') || !integer(&e[0]) || !token(',') || !integer(&e[1]) || !token(']') {
+		return [2]int{}, errors.New("not exactly two integers")
+	}
+	if skip(); i != len(b) {
+		return [2]int{}, errors.New("data after the edge")
+	}
+	return e, nil
 }
 
 // DecodeBody is decodeBody for the cluster router, which decodes a

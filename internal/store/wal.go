@@ -397,8 +397,10 @@ func scanWAL(r io.Reader) (recs []*Record, validLen int64, reason error) {
 		if n > maxRecordLen {
 			return recs, off, fmt.Errorf("record length %d at offset %d exceeds limit", n, off)
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
+		// Read the bytes that are there rather than allocate the claimed
+		// length: a torn or corrupt header can claim up to maxRecordLen.
+		payload, err := io.ReadAll(io.LimitReader(br, int64(n)))
+		if err != nil || len(payload) < int(n) {
 			return recs, off, fmt.Errorf("short record payload at offset %d", off)
 		}
 		var tail [4]byte

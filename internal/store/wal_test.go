@@ -284,3 +284,22 @@ func TestWALTruncateResetsSize(t *testing.T) {
 		t.Fatalf("post-truncate log: %d records, reason %v", len(got), reason)
 	}
 }
+
+// FuzzScanWAL: the scan never panics on arbitrary bytes, its valid
+// prefix lies within the input, and re-scanning exactly that prefix
+// returns the same records with no error reason.
+func FuzzScanWAL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, validLen, _ := scanWAL(bytes.NewReader(data))
+		if validLen < 0 || validLen > int64(len(data)) {
+			t.Fatalf("validLen %d outside the %d-byte input", validLen, len(data))
+		}
+		again, againLen, reason := scanWAL(bytes.NewReader(data[:validLen]))
+		if reason != nil || againLen != validLen {
+			t.Fatalf("re-scan of the %d-byte valid prefix: validLen %d reason %v", validLen, againLen, reason)
+		}
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatalf("re-scan of the valid prefix changed the records:\n got %+v\nwant %+v", again, recs)
+		}
+	})
+}
