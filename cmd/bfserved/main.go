@@ -107,7 +107,9 @@ func run(args []string, ready chan<- string) error {
 		return err
 	}
 
-	rc, err := validateRole(*role, *shards, *replicas, *vnodes, *dataDir, *preload)
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	rc, err := validateRole(*role, *shards, *replicas, *vnodes, set)
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,16 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"io"
+	"math/rand"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -15,9 +21,12 @@ import (
 )
 
 // TestRunServeAndShutdown boots the daemon on an ephemeral port with a
-// preloaded dataset, exercises the API end to end, then delivers
-// SIGTERM and checks the graceful drain path returns cleanly.
+// preloaded dataset, exercises the API end to end and under a seeded
+// concurrent mix of all six operations, then delivers SIGTERM and
+// checks the graceful drain path returns cleanly and the slow-query
+// log file holds the run.
 func TestRunServeAndShutdown(t *testing.T) {
+	slowLog := filepath.Join(t.TempDir(), "slow.log")
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
@@ -25,6 +34,9 @@ func TestRunServeAndShutdown(t *testing.T) {
 			"-addr", "127.0.0.1:0",
 			"-preload", "occupations@100",
 			"-drain", "5s",
+			"-pprof",
+			"-slow-query-ms", "0",
+			"-slow-query-log", slowLog,
 		}, ready)
 	}()
 
@@ -60,6 +72,9 @@ func TestRunServeAndShutdown(t *testing.T) {
 		t.Fatalf("count %d != preload count %d", resp.Butterflies, info.Butterflies)
 	}
 
+	// A seeded concurrent mix of all six operations answers no 5xx.
+	loadMix(t, "http://"+addr, info, mixOps, 1, 8, 240)
+
 	// Graceful shutdown: the run goroutine catches SIGTERM, drains and
 	// returns nil.
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
@@ -72,6 +87,93 @@ func TestRunServeAndShutdown(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("server did not shut down after SIGTERM")
+	}
+
+	// With -slow-query-ms 0 the log file holds one JSON line per
+	// request, a count among them.
+	logged, err := os.ReadFile(slowLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sawCount bool
+	for _, line := range strings.Split(strings.TrimSpace(string(logged)), "\n") {
+		var e struct{ Route string }
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("slow-query log line is not JSON: %v: %s", err, line)
+		}
+		sawCount = sawCount || e.Route == "count"
+	}
+	if !sawCount {
+		t.Fatalf("slow-query log has no count request:\n%s", logged)
+	}
+}
+
+// mixOps are the operations a mixed load draws from.
+var mixOps = []string{"count", "vertex", "edges", "estimate", "peel", "mutate"}
+
+// loadMix sends n requests to one graph on base from workers
+// goroutines, each drawing its operations and parameters from its own
+// seeded generator. Every answer must be a 200 or a 429 shed: a 5xx or
+// a transport error fails the test. Each operation in ops must succeed
+// at least once. The load has its own connections and closes them when
+// done, so a drain that follows waits for none of them.
+func loadMix(t *testing.T, base string, info serveapi.GraphInfo, ops []string, seed int64, workers, n int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	c := client.New(base, client.WithHTTPClient(&http.Client{Transport: tr}))
+	var (
+		next atomic.Int64
+		mu   sync.Mutex
+		ok   = map[string]int{}
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for next.Add(1) <= int64(n) {
+				op := ops[rng.Intn(len(ops))]
+				var err error
+				switch op {
+				case "count":
+					_, err = c.Count(ctx, info.Name, serveapi.CountRequest{Invariant: rng.Intn(9), Threads: 1 - 2*rng.Intn(2)})
+				case "vertex":
+					_, err = c.VertexCounts(ctx, info.Name, serveapi.VertexCountsRequest{Side: []string{"v1", "v2"}[rng.Intn(2)], Top: 1 + rng.Intn(20)})
+				case "edges":
+					_, err = c.EdgeSupports(ctx, info.Name, serveapi.EdgeSupportsRequest{Top: 1 + rng.Intn(20)})
+				case "estimate":
+					_, err = c.Estimate(ctx, info.Name, serveapi.EstimateRequest{Strategy: "edges", Samples: 500, Seed: rng.Int63n(16)})
+				case "peel":
+					_, err = c.Peel(ctx, info.Name, serveapi.PeelRequest{Mode: "tip", K: int64(1 + rng.Intn(4)), Side: "v1", Threads: -1})
+				case "mutate":
+					e := [2]int{rng.Intn(info.NumV1), rng.Intn(info.NumV2)}
+					_, err = c.Mutate(ctx, info.Name, serveapi.MutateRequest{
+						Inserts: [][2]int{e, {rng.Intn(info.NumV1), rng.Intn(info.NumV2)}},
+						Deletes: [][2]int{e},
+					})
+				}
+				var apiErr *client.APIError
+				switch {
+				case err == nil:
+					mu.Lock()
+					ok[op]++
+					mu.Unlock()
+				case errors.As(err, &apiErr) && apiErr.Status == http.StatusTooManyRequests:
+				default:
+					t.Errorf("%s on %s: %v", op, info.Name, err)
+					return
+				}
+			}
+		}(rand.New(rand.NewSource(seed + int64(w))))
+	}
+	wg.Wait()
+	for _, op := range ops {
+		if ok[op] == 0 {
+			t.Errorf("no %s on %s succeeded in %d requests (%v)", op, info.Name, n, ok)
+		}
 	}
 }
 
@@ -186,6 +288,22 @@ func TestRunBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-data-dir", t.TempDir(), "-fsync", "sometimes", "-addr", "127.0.0.1:0"}, nil); err == nil {
 		t.Fatal("bad -fsync policy accepted")
+	}
+	// Flags the chosen mode would ignore are refused before anything
+	// starts: node knobs on a router, and durability or slow-log knobs
+	// without the flag that switches them on.
+	if err := run([]string{"-addr", "127.0.0.1:0", "-role", "router", "-shards", "http://127.0.0.1:1",
+		"-tenants", "/nonexistent.json", "-max-inflight", "1", "-pprof", "-slow-query-ms", "0"}, nil); err == nil ||
+		!strings.Contains(err.Error(), "does not apply to -role=router") {
+		t.Fatalf("router with node flags: err = %v", err)
+	}
+	slowLog := filepath.Join(t.TempDir(), "x.log")
+	if err := run([]string{"-addr", "127.0.0.1:0", "-fsync", "never", "-checkpoint-bytes", "5",
+		"-slow-query-log", slowLog}, nil); err == nil || !strings.Contains(err.Error(), "has no effect without") {
+		t.Fatalf("durability and slow-log flags without their switches: err = %v", err)
+	}
+	if _, err := os.Stat(slowLog); !os.IsNotExist(err) {
+		t.Fatalf("refused start created %s (stat err %v)", slowLog, err)
 	}
 }
 

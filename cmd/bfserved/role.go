@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -25,57 +26,85 @@ type roleConfig struct {
 	vnodes   int      // router only: ring points per shard (0 = default)
 }
 
-// validateRole checks the cluster flag combination before anything
-// heavier runs. The rules: -role must be single|shard|router; a
-// router requires -shards (absolute http(s) URLs) and owns no data of
-// its own, so the storage/preload flags are rejected; single and
-// shard daemons don't take placement flags. Defaults (replicas=1,
-// vnodes=0) are always fine so plain `bfserved` keeps working.
-func validateRole(role, shards string, replicas, vnodes int, dataDir, preload string) (roleConfig, error) {
+// flagScope says where a flag applies: the roles that read it, and a
+// flag that must be set alongside it for it to take effect. Flags not
+// in flagScopes (-addr, -drain, -role) apply everywhere.
+type flagScope struct {
+	roles string // space-separated roles that read the flag ("" = all)
+	needs string // flag it takes effect with ("" = none)
+}
+
+const nodeRoles = "single shard"
+
+var flagScopes = map[string]flagScope{
+	"shards":           {roles: "router"},
+	"replicas":         {roles: "router"},
+	"vnodes":           {roles: "router"},
+	"max-inflight":     {roles: nodeRoles},
+	"queue":            {roles: nodeRoles},
+	"cache":            {roles: nodeRoles},
+	"timeout":          {roles: nodeRoles},
+	"max-timeout":      {roles: nodeRoles},
+	"preload":          {roles: nodeRoles},
+	"allow-path-load":  {roles: nodeRoles},
+	"data-dir":         {roles: nodeRoles},
+	"fsync":            {needs: "data-dir"},
+	"fsync-interval":   {needs: "data-dir"},
+	"checkpoint-bytes": {needs: "data-dir"},
+	"reservoir":        {roles: nodeRoles},
+	"pprof":            {roles: nodeRoles},
+	"slow-query-ms":    {roles: nodeRoles},
+	"slow-query-log":   {needs: "slow-query-ms"},
+	"tenants":          {roles: nodeRoles},
+	"disable-legacy":   {roles: nodeRoles},
+}
+
+// validateRole checks the flag combination before anything heavier
+// runs. set names the flags given on the command line: each must apply
+// to the role (flagScopes), so a flag the chosen mode would ignore is
+// an error rather than a silent no-op. A router also needs -shards as
+// absolute http(s) URLs. Defaults are never checked, so plain
+// `bfserved` keeps working.
+func validateRole(role, shards string, replicas, vnodes int, set []string) (roleConfig, error) {
 	rc := roleConfig{role: role, replicas: replicas, vnodes: vnodes}
-	switch role {
-	case "single", "shard":
-		if shards != "" {
-			return rc, fmt.Errorf("-shards only applies to -role=router (got -role=%s)", role)
-		}
-		if replicas != 1 {
-			return rc, fmt.Errorf("-replicas only applies to -role=router (got -role=%s)", role)
-		}
-		if vnodes != 0 {
-			return rc, fmt.Errorf("-vnodes only applies to -role=router (got -role=%s)", role)
-		}
-	case "router":
-		if shards == "" {
-			return rc, errors.New("-role=router requires -shards (comma-separated shard base URLs)")
-		}
-		for _, s := range strings.Split(shards, ",") {
-			s = strings.TrimSpace(s)
-			if s == "" {
-				continue
-			}
-			u, err := url.Parse(s)
-			if err != nil || !u.IsAbs() || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
-				return rc, fmt.Errorf("bad -shards entry %q: want an absolute http(s) URL like http://10.0.0.1:8080", s)
-			}
-			rc.shards = append(rc.shards, strings.TrimRight(s, "/"))
-		}
-		if len(rc.shards) == 0 {
-			return rc, errors.New("-shards is empty after parsing (want comma-separated shard base URLs)")
-		}
-		if replicas < 1 {
-			return rc, fmt.Errorf("-replicas must be >= 1 (got %d)", replicas)
-		}
-		if vnodes < 0 {
-			return rc, fmt.Errorf("-vnodes must be >= 0 (got %d)", vnodes)
-		}
-		if dataDir != "" {
-			return rc, errors.New("-data-dir does not apply to -role=router: the router is stateless, shards own the data")
-		}
-		if preload != "" {
-			return rc, errors.New("-preload does not apply to -role=router: register graphs through the router API instead")
-		}
-	default:
+	if role != "single" && role != "shard" && role != "router" {
 		return rc, fmt.Errorf("unknown -role %q (want single, shard, or router)", role)
+	}
+	for _, name := range set {
+		sc := flagScopes[name]
+		if sc.roles != "" && !slices.Contains(strings.Fields(sc.roles), role) {
+			return rc, fmt.Errorf("-%s does not apply to -role=%s (only to -role=%s)",
+				name, role, strings.ReplaceAll(sc.roles, " ", "|"))
+		}
+		if sc.needs != "" && !slices.Contains(set, sc.needs) {
+			return rc, fmt.Errorf("-%s has no effect without -%s", name, sc.needs)
+		}
+	}
+	if role != "router" {
+		return rc, nil
+	}
+	if shards == "" {
+		return rc, errors.New("-role=router requires -shards (comma-separated shard base URLs)")
+	}
+	for _, s := range strings.Split(shards, ",") {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		u, err := url.Parse(s)
+		if err != nil || !u.IsAbs() || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
+			return rc, fmt.Errorf("bad -shards entry %q: want an absolute http(s) URL like http://10.0.0.1:8080", s)
+		}
+		rc.shards = append(rc.shards, strings.TrimRight(s, "/"))
+	}
+	if len(rc.shards) == 0 {
+		return rc, errors.New("-shards is empty after parsing (want comma-separated shard base URLs)")
+	}
+	if replicas < 1 {
+		return rc, fmt.Errorf("-replicas must be >= 1 (got %d)", replicas)
+	}
+	if vnodes < 0 {
+		return rc, fmt.Errorf("-vnodes must be >= 0 (got %d)", vnodes)
 	}
 	return rc, nil
 }

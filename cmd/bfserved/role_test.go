@@ -19,8 +19,7 @@ func TestValidateRole(t *testing.T) {
 		shards   string
 		replicas int
 		vnodes   int
-		dataDir  string
-		preload  string
+		set      string // further flags given on the command line
 		wantErr  string // substring, "" = ok
 	}{
 		{name: "single default", role: "single", replicas: 1},
@@ -35,14 +34,34 @@ func TestValidateRole(t *testing.T) {
 		{name: "router ftp shard url", role: "router", shards: "ftp://a:1", replicas: 1, wantErr: "absolute http(s) URL"},
 		{name: "router zero replicas", role: "router", shards: "http://a:1", replicas: 0, wantErr: "-replicas must be"},
 		{name: "router negative vnodes", role: "router", shards: "http://a:1", replicas: 1, vnodes: -1, wantErr: "-vnodes must be"},
-		{name: "router with data dir", role: "router", shards: "http://a:1", replicas: 1, dataDir: "/tmp/x", wantErr: "-data-dir does not apply"},
-		{name: "router with preload", role: "router", shards: "http://a:1", replicas: 1, preload: "github@10", wantErr: "-preload does not apply"},
-		{name: "single with shards", role: "single", shards: "http://a:1", replicas: 1, wantErr: "-shards only applies"},
-		{name: "shard with replicas", role: "shard", replicas: 2, wantErr: "-replicas only applies"},
-		{name: "shard with vnodes", role: "shard", replicas: 1, vnodes: 32, wantErr: "-vnodes only applies"},
+		{name: "router with data dir", role: "router", shards: "http://a:1", replicas: 1, set: "data-dir", wantErr: "-data-dir does not apply to -role=router"},
+		{name: "router with preload", role: "router", shards: "http://a:1", replicas: 1, set: "preload", wantErr: "-preload does not apply to -role=router"},
+		{name: "router with tenants", role: "router", shards: "http://a:1", replicas: 1, set: "tenants", wantErr: "-tenants does not apply to -role=router"},
+		{name: "router with node knobs", role: "router", shards: "http://a:1", replicas: 1, set: "max-inflight pprof slow-query-ms", wantErr: "-max-inflight does not apply to -role=router"},
+		{name: "single with shards", role: "single", shards: "http://a:1", replicas: 1, wantErr: "-shards does not apply to -role=single"},
+		{name: "single with explicit default replicas", role: "single", replicas: 1, set: "replicas", wantErr: "-replicas does not apply"},
+		{name: "shard with replicas", role: "shard", replicas: 2, wantErr: "-replicas does not apply to -role=shard"},
+		{name: "shard with vnodes", role: "shard", replicas: 1, vnodes: 32, wantErr: "-vnodes does not apply to -role=shard"},
+		{name: "shard durable", role: "shard", replicas: 1, set: "data-dir fsync checkpoint-bytes"},
+		{name: "single slow log", role: "single", replicas: 1, set: "slow-query-ms slow-query-log pprof tenants"},
+		{name: "fsync without data dir", role: "single", replicas: 1, set: "fsync", wantErr: "-fsync has no effect without -data-dir"},
+		{name: "checkpoint bytes without data dir", role: "shard", replicas: 1, set: "checkpoint-bytes", wantErr: "-checkpoint-bytes has no effect without -data-dir"},
+		{name: "slow log without threshold", role: "single", replicas: 1, set: "slow-query-log", wantErr: "-slow-query-log has no effect without -slow-query-ms"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rc, err := validateRole(tc.role, tc.shards, tc.replicas, tc.vnodes, tc.dataDir, tc.preload)
+			// The flags a command line would set: the non-default
+			// values, plus the named ones.
+			set := strings.Fields(tc.set)
+			if tc.shards != "" {
+				set = append(set, "shards")
+			}
+			if tc.replicas != 1 {
+				set = append(set, "replicas")
+			}
+			if tc.vnodes != 0 {
+				set = append(set, "vnodes")
+			}
+			rc, err := validateRole(tc.role, tc.shards, tc.replicas, tc.vnodes, set)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validateRole: %v", err)

@@ -64,49 +64,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear
-// interpolation inside the bucket containing it — the standard
-// histogram_quantile estimate. Returns 0 with no observations; the
-// +Inf bucket reports the highest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			cum += c
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i == len(h.buckets) { // +Inf bucket: clamp to last finite bound
-				return h.buckets[len(h.buckets)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.buckets[i-1]
-			}
-			hi := h.buckets[i]
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum += c
-	}
-	return h.buckets[len(h.buckets)-1]
-}
-
 // snapshot returns cumulative bucket counts (aligned with buckets,
 // then +Inf), the sum, and the total count. Prometheus scrapes
 // tolerate per-series skew, so no global lock is taken.

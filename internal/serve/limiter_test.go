@@ -113,39 +113,47 @@ func TestWeightedFairness(t *testing.T) {
 }
 
 // TestLanePrecedence: a queued interactive request is always granted
-// before any queued batch request, regardless of arrival order.
+// before any queued batch request, regardless of arrival order — also
+// when it arrives behind a flood of batch waiters. This is the
+// scheduler property behind interactive latency under a batch flood.
 func TestLanePrecedence(t *testing.T) {
-	l := newLimiter(1, 16)
-	if err := l.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	for _, flood := range []int{1, 24} {
+		l := newLimiter(1, 64)
+		if err := l.acquire(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 
-	grants := make(chan lane, 2)
-	add := func(ln lane) {
-		go func() {
-			if err := l.acquireFor(context.Background(), defaultTenant, ln); err != nil {
-				t.Errorf("lane %v: %v", ln, err)
-				return
+		grants := make(chan lane, flood+1)
+		add := func(ln lane) {
+			go func() {
+				if err := l.acquireFor(context.Background(), defaultTenant, ln); err != nil {
+					t.Errorf("lane %v: %v", ln, err)
+					return
+				}
+				grants <- ln
+				l.release()
+			}()
+		}
+		for i := 1; i <= flood; i++ { // the batch flood arrives FIRST
+			add(laneBatch)
+			for l.queueDepth() < int64(i) {
+				time.Sleep(time.Millisecond)
 			}
-			grants <- ln
-			l.release()
-		}()
-	}
-	add(laneBatch) // batch arrives FIRST
-	for l.queueDepth() < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	add(laneInteractive)
-	for l.queueDepth() < 2 {
-		time.Sleep(time.Millisecond)
-	}
+		}
+		add(laneInteractive)
+		for l.queueDepth() < int64(flood+1) {
+			time.Sleep(time.Millisecond)
+		}
 
-	l.release()
-	if first := <-grants; first != laneInteractive {
-		t.Fatalf("first grant = %v, want interactive despite batch arriving first", first)
-	}
-	if second := <-grants; second != laneBatch {
-		t.Fatalf("second grant = %v, want batch", second)
+		l.release()
+		if first := <-grants; first != laneInteractive {
+			t.Fatalf("behind %d batch waiters: first grant = %v, want interactive", flood, first)
+		}
+		for i := 0; i < flood; i++ {
+			if next := <-grants; next != laneBatch {
+				t.Fatalf("behind %d batch waiters: grant %d = %v, want batch", flood, i+2, next)
+			}
+		}
 	}
 }
 

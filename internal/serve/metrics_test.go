@@ -126,8 +126,8 @@ func TestMetricsInventory(t *testing.T) {
 }
 
 // metricsInventory is every family TestMetricsInventory's server
-// renders, as "name TYPE {label names}". Scrapers (the benchmark,
-// bfload, the QoS smoke script, CI) depend on these.
+// renders, as "name TYPE {label names}". Scrapers (the benchmark and
+// the tests that read tenant grants off /metrics) depend on these.
 var metricsInventory = []string{
 	"bfserved_cache_entries gauge {}",
 	"bfserved_cache_hit_ratio gauge {}",

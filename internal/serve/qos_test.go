@@ -212,6 +212,92 @@ func TestCoalescedFollowersChargedOwnBucket(t *testing.T) {
 	}
 }
 
+// TestWeightedFairnessOverHTTP: two tenants weighted 4:1, with equal
+// queued backlogs of distinct queries, split the scheduler's grants
+// 4:1 as bfserved_tenant_admitted_total reports them on /metrics. The
+// compute hook holds each granted request until the test lets it go,
+// so grants happen one at a time and every window of five is read at a
+// known point: after 5w grants the fast tenant holds 4w of them, ±1
+// for where the round-robin cursor starts.
+func TestWeightedFairnessOverHTTP(t *testing.T) {
+	s, c := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 64, NoCache: true, Tenants: TenantsConfig{
+		Tenants: map[string]TenantSpec{"fast": {Weight: 4}, "slow": {Weight: 1}},
+	}})
+	base := urlOf(t, c)
+	registerK44(t, c)
+
+	entered, proceed, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	s.computeHook = func(ctx context.Context) {
+		select {
+		case entered <- struct{}{}:
+			<-proceed
+		case <-finished:
+		}
+	}
+	var wg sync.WaitGroup
+	var once sync.Once
+	release := func() { once.Do(func() { close(finished); close(proceed) }) }
+	defer func() { release(); wg.Wait() }() // also on failure: no request stays held
+	var failed atomic.Int32
+	send := func(tenant string, top int) {
+		req, err := http.NewRequest("POST", base+"/v1/graphs/k44/vertex-counts", strings.NewReader(fmt.Sprintf(`{"top":%d}`, top)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(serveapi.TenantHeader, tenant)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				failed.Add(1)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				failed.Add(1)
+			}
+		}()
+	}
+	admitted := func(tenant string) int {
+		_, body := rawDo(t, "GET", base+"/metrics", "")
+		var n int
+		prefix := fmt.Sprintf("bfserved_tenant_admitted_total{tenant=%q} ", tenant)
+		for _, line := range strings.Split(string(body), "\n") {
+			if strings.HasPrefix(line, prefix) {
+				fmt.Sscan(strings.TrimPrefix(line, prefix), &n)
+			}
+		}
+		return n
+	}
+
+	send("default", 1000) // holds the only slot while the backlogs queue
+	<-entered
+	const backlog, windows = 20, 4
+	for i := 0; i < backlog; i++ {
+		send("fast", 1+i)
+		send("slow", 101+i)
+	}
+	waitFor(t, func() bool { return s.lim.queueDepth() == 2*backlog })
+
+	for g := 1; g <= 5*windows; g++ {
+		proceed <- struct{}{} // the holder finishes; the scheduler grants the next
+		<-entered
+		if g%5 != 0 {
+			continue
+		}
+		fast, slow := admitted("fast"), admitted("slow")
+		if w := g / 5; fast+slow != g || fast < 4*w-1 || fast > 4*w+1 {
+			t.Fatalf("after %d grants: fast %d, slow %d; want %d±1 fast", g, fast, slow, 4*w)
+		}
+	}
+	release()
+	wg.Wait()
+	if n := failed.Load(); n != 0 {
+		t.Fatalf("%d queued requests did not answer 200", n)
+	}
+}
+
 // TestTenantHeadersAndBodyPrecedence: the wire contract — header sets
 // the tenant, body wins over header, unknown names collapse to
 // default, and the resolved pair is echoed on the response.

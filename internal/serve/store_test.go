@@ -48,10 +48,11 @@ func adoptAll(t *testing.T, dir string) (*Server, *client.Client, *store.Store) 
 	return s, c, st
 }
 
-// TestDurableRestartServesIdenticalState is the end-to-end durability
-// contract: register + mutate through HTTP, "crash" (drop the server
-// without checkpointing), restart over the same dir, and the new
-// process must serve identical counts at the same (graph, version).
+// TestDurableRestartServesIdenticalState is the clean-restart path of
+// the durability contract: register + mutate through HTTP, close the
+// server and the store, reopen the same dir, and the new server must
+// serve identical counts at the same (graph, version). The crash path,
+// a daemon killed with SIGKILL, is cmd/bfserved's TestRunCrashRecovery.
 func TestDurableRestartServesIdenticalState(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -80,7 +81,7 @@ func TestDurableRestartServesIdenticalState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Crash: no drain, no checkpoint — just stop and reopen the dir.
+	// Clean stop: close the server and the store, then reopen the dir.
 	s1.Close()
 	if err := st1.Close(); err != nil {
 		t.Fatal(err)
