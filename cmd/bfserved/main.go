@@ -58,6 +58,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -107,8 +108,8 @@ func run(args []string, ready chan<- string) error {
 		return err
 	}
 
-	var set []string
-	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	set := map[string]string{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
 	rc, err := validateRole(*role, *shards, *replicas, *vnodes, set)
 	if err != nil {
 		return err
@@ -223,7 +224,32 @@ func run(args []string, ready chan<- string) error {
 		}
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	return serveAndDrain(*addr, srv, *drainWait, ready, func(a net.Addr) {
+		log.Printf("bfserved listening on %s (max-inflight=%d queue=%d cache=%d timeout=%s)",
+			a, *maxInflight, *queue, *cacheSize, *timeout)
+	})
+}
+
+// drainable is what serveAndDrain serves: a handler that can flip its
+// /healthz to draining before the listener closes.
+type drainable interface {
+	http.Handler
+	Drain()
+}
+
+// serveAndDrain listens on addr, announces the bound address (through
+// announce, then on ready) and serves h until SIGINT or SIGTERM.
+// Shutdown is graceful: h starts reporting draining (load balancers
+// stop routing), then in-flight requests get up to drainWait before
+// the server is forced closed.
+//
+// net/http counts a connection that was dialed but never carried a
+// request as active for its first 5 s, so one idle client dial would
+// hold the drain that long. Such connections (http.StateNew) are
+// tracked and closed as soon as the drain begins; ones accepted later
+// are closed on arrival.
+func serveAndDrain(addr string, h drainable, drainWait time.Duration, ready chan<- string, announce func(net.Addr)) error {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
@@ -232,28 +258,46 @@ func run(args []string, ready chan<- string) error {
 	// instead of killing the process.
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	log.Printf("bfserved listening on %s (max-inflight=%d queue=%d cache=%d timeout=%s)",
-		ln.Addr(), *maxInflight, *queue, *cacheSize, *timeout)
+	announce(ln.Addr())
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}
 
+	var (
+		mu       sync.Mutex
+		draining bool
+		unused   = map[net.Conn]struct{}{}
+	)
 	httpSrv := &http.Server{
-		Handler:           srv,
+		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
+		ConnState: func(c net.Conn, st http.ConnState) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case st != http.StateNew:
+				delete(unused, c)
+			case draining:
+				c.Close()
+			default:
+				unused[c] = struct{}{}
+			}
+		},
 	}
-
-	// Graceful shutdown: flip /healthz to draining (load balancers
-	// stop routing), then let Shutdown drain in-flight requests up to
-	// -drain before forcing the listener closed.
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 
 	select {
 	case sig := <-sigCh:
-		log.Printf("received %v, draining (up to %s)", sig, *drainWait)
-		srv.Drain()
-		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
+		log.Printf("received %v, draining (up to %s)", sig, drainWait)
+		h.Drain()
+		mu.Lock()
+		draining = true
+		for c := range unused {
+			c.Close()
+		}
+		mu.Unlock()
+		ctx, cancel := context.WithTimeout(context.Background(), drainWait)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {
 			return fmt.Errorf("shutdown: %w", err)

@@ -302,8 +302,28 @@ func TestRunBadFlags(t *testing.T) {
 		"-slow-query-log", slowLog}, nil); err == nil || !strings.Contains(err.Error(), "has no effect without") {
 		t.Fatalf("durability and slow-log flags without their switches: err = %v", err)
 	}
+	// A switch given at a value that leaves the flag off is refused
+	// the same way: a disabled slow-query threshold, and an
+	// -fsync-interval under any -fsync but interval. The address is
+	// one no listener takes, so a start that gets past the flag checks
+	// fails instead of serving.
+	const noListen = "127.0.0.1:-1"
+	if err := run([]string{"-addr", noListen, "-slow-query-log", slowLog, "-slow-query-ms", "-1"}, nil); err == nil ||
+		!strings.Contains(err.Error(), "-slow-query-log has no effect without -slow-query-ms >= 0") {
+		t.Fatalf("slow-query log with the threshold disabled: err = %v", err)
+	}
 	if _, err := os.Stat(slowLog); !os.IsNotExist(err) {
 		t.Fatalf("refused start created %s (stat err %v)", slowLog, err)
+	}
+	for _, fsync := range [][]string{{"-fsync", "always"}, nil} {
+		dir := filepath.Join(t.TempDir(), "d")
+		args := append([]string{"-addr", noListen, "-data-dir", dir, "-fsync-interval", "5ms"}, fsync...)
+		if err := run(args, nil); err == nil || !strings.Contains(err.Error(), "-fsync-interval has no effect without -fsync interval") {
+			t.Fatalf("%v: err = %v", args, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("refused start created %s (stat err %v)", dir, err)
+		}
 	}
 }
 

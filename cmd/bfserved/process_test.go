@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -110,6 +111,29 @@ func (d *daemon) stop(t *testing.T) {
 }
 
 func (d *daemon) client() *client.Client { return client.New("http://" + d.addr) }
+
+// TestRunDrainUnusedConn: a connection that was dialed but never
+// carried a request must not hold the SIGTERM drain. net/http counts
+// such a connection as active for its first 5 s, so under -drain 1s
+// the shutdown would time out and the daemon exit 1; a clean exit
+// means the drain finished inside -drain.
+func TestRunDrainUnusedConn(t *testing.T) {
+	d := startDaemonProc(t, "127.0.0.1:0", "-drain", "1s")
+	idle, err := net.Dial("tcp", d.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	// The server accepts connections in order, so once a later
+	// request is answered the idle one has been accepted too.
+	resp, err := http.Get("http://" + d.addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	d.stop(t)
+}
 
 // TestRunCrashRecovery kills a durable daemon with SIGKILL, so neither
 // the drain nor the closing checkpoint runs, and restarts it over the

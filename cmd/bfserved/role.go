@@ -6,13 +6,10 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"net/url"
-	"os"
-	"os/signal"
 	"slices"
+	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"butterfly/internal/cluster"
@@ -26,15 +23,34 @@ type roleConfig struct {
 	vnodes   int      // router only: ring points per shard (0 = default)
 }
 
-// flagScope says where a flag applies: the roles that read it, and a
-// flag that must be set alongside it for it to take effect. Flags not
-// in flagScopes (-addr, -drain, -role) apply everywhere.
+// flagScope says where a flag applies: the roles that read it, and
+// the setting of another flag it takes effect with. Flags not in
+// flagScopes (-addr, -drain, -role) apply everywhere.
 type flagScope struct {
-	roles string // space-separated roles that read the flag ("" = all)
-	needs string // flag it takes effect with ("" = none)
+	roles string   // space-separated roles that read the flag ("" = all)
+	needs *setting // setting it takes effect with (nil = none)
+}
+
+// setting is a flag's switched-on values: on reports whether the value
+// given on the command line switches it on, and name says which values
+// do in an error. Every flag a scope needs is off at its default
+// (-data-dir "", -fsync always, -slow-query-ms -1), so a flag left off
+// the command line is off.
+type setting struct {
+	flag, name string
+	on         func(v string) bool
 }
 
 const nodeRoles = "single shard"
+
+var (
+	durable = &setting{flag: "data-dir", name: "-data-dir", on: func(v string) bool { return v != "" }}
+	fsyncOn = &setting{flag: "fsync", name: "-fsync interval", on: func(v string) bool { return v == "interval" }}
+	slowOn  = &setting{flag: "slow-query-ms", name: "-slow-query-ms >= 0", on: func(v string) bool {
+		ms, err := strconv.Atoi(v)
+		return err == nil && ms >= 0
+	}}
+)
 
 var flagScopes = map[string]flagScope{
 	"shards":           {roles: "router"},
@@ -48,36 +64,44 @@ var flagScopes = map[string]flagScope{
 	"preload":          {roles: nodeRoles},
 	"allow-path-load":  {roles: nodeRoles},
 	"data-dir":         {roles: nodeRoles},
-	"fsync":            {needs: "data-dir"},
-	"fsync-interval":   {needs: "data-dir"},
-	"checkpoint-bytes": {needs: "data-dir"},
+	"fsync":            {needs: durable},
+	"fsync-interval":   {needs: fsyncOn},
+	"checkpoint-bytes": {needs: durable},
 	"reservoir":        {roles: nodeRoles},
 	"pprof":            {roles: nodeRoles},
 	"slow-query-ms":    {roles: nodeRoles},
-	"slow-query-log":   {needs: "slow-query-ms"},
+	"slow-query-log":   {needs: slowOn},
 	"tenants":          {roles: nodeRoles},
 	"disable-legacy":   {roles: nodeRoles},
 }
 
 // validateRole checks the flag combination before anything heavier
-// runs. set names the flags given on the command line: each must apply
-// to the role (flagScopes), so a flag the chosen mode would ignore is
+// runs. set maps each flag given on the command line to its value:
+// each must apply to the role, and the setting it needs must be
+// switched on (flagScopes), so a flag the chosen mode would ignore is
 // an error rather than a silent no-op. A router also needs -shards as
 // absolute http(s) URLs. Defaults are never checked, so plain
 // `bfserved` keeps working.
-func validateRole(role, shards string, replicas, vnodes int, set []string) (roleConfig, error) {
+func validateRole(role, shards string, replicas, vnodes int, set map[string]string) (roleConfig, error) {
 	rc := roleConfig{role: role, replicas: replicas, vnodes: vnodes}
 	if role != "single" && role != "shard" && role != "router" {
 		return rc, fmt.Errorf("unknown -role %q (want single, shard, or router)", role)
 	}
-	for _, name := range set {
+	names := make([]string, 0, len(set))
+	for name := range set {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
 		sc := flagScopes[name]
 		if sc.roles != "" && !slices.Contains(strings.Fields(sc.roles), role) {
 			return rc, fmt.Errorf("-%s does not apply to -role=%s (only to -role=%s)",
 				name, role, strings.ReplaceAll(sc.roles, " ", "|"))
 		}
-		if sc.needs != "" && !slices.Contains(set, sc.needs) {
-			return rc, fmt.Errorf("-%s has no effect without -%s", name, sc.needs)
+		if n := sc.needs; n != nil {
+			if v, ok := set[n.flag]; !ok || !n.on(v) {
+				return rc, fmt.Errorf("-%s has no effect without %s", name, n.name)
+			}
 		}
 	}
 	if role != "router" {
@@ -131,43 +155,8 @@ func runRouter(rc roleConfig, addr string, drainWait time.Duration, ready chan<-
 	}
 	cancel()
 
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	// Catch the shutdown signals before announcing readiness, so a
-	// signal sent as soon as the address is known drains the server
-	// instead of killing the process.
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	log.Printf("bfserved router listening on %s (shards=%d replicas=%d)",
-		ln.Addr(), len(rc.shards), rc.replicas)
-	if ready != nil {
-		ready <- ln.Addr().String()
-	}
-
-	httpSrv := &http.Server{
-		Handler:           rt,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-
-	select {
-	case sig := <-sigCh:
-		log.Printf("received %v, draining (up to %s)", sig, drainWait)
-		rt.Drain()
-		ctx, cancel := context.WithTimeout(context.Background(), drainWait)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		log.Printf("drained, exiting")
-		return nil
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	}
+	return serveAndDrain(addr, rt, drainWait, ready, func(a net.Addr) {
+		log.Printf("bfserved router listening on %s (shards=%d replicas=%d)",
+			a, len(rc.shards), rc.replicas)
+	})
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"os"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -19,7 +20,7 @@ func TestValidateRole(t *testing.T) {
 		shards   string
 		replicas int
 		vnodes   int
-		set      string // further flags given on the command line
+		set      string // further flags given on the command line, as name=value
 		wantErr  string // substring, "" = ok
 	}{
 		{name: "single default", role: "single", replicas: 1},
@@ -42,24 +43,32 @@ func TestValidateRole(t *testing.T) {
 		{name: "single with explicit default replicas", role: "single", replicas: 1, set: "replicas", wantErr: "-replicas does not apply"},
 		{name: "shard with replicas", role: "shard", replicas: 2, wantErr: "-replicas does not apply to -role=shard"},
 		{name: "shard with vnodes", role: "shard", replicas: 1, vnodes: 32, wantErr: "-vnodes does not apply to -role=shard"},
-		{name: "shard durable", role: "shard", replicas: 1, set: "data-dir fsync checkpoint-bytes"},
-		{name: "single slow log", role: "single", replicas: 1, set: "slow-query-ms slow-query-log pprof tenants"},
+		{name: "shard durable", role: "shard", replicas: 1, set: "data-dir=d fsync=always checkpoint-bytes=5"},
+		{name: "single slow log", role: "single", replicas: 1, set: "slow-query-ms=0 slow-query-log=x.log pprof=true tenants=t.json"},
 		{name: "fsync without data dir", role: "single", replicas: 1, set: "fsync", wantErr: "-fsync has no effect without -data-dir"},
 		{name: "checkpoint bytes without data dir", role: "shard", replicas: 1, set: "checkpoint-bytes", wantErr: "-checkpoint-bytes has no effect without -data-dir"},
-		{name: "slow log without threshold", role: "single", replicas: 1, set: "slow-query-log", wantErr: "-slow-query-log has no effect without -slow-query-ms"},
+		{name: "slow log without threshold", role: "single", replicas: 1, set: "slow-query-log=x.log", wantErr: "-slow-query-log has no effect without -slow-query-ms"},
+		{name: "slow log with disabled threshold", role: "single", replicas: 1, set: "slow-query-ms=-1 slow-query-log=x.log", wantErr: "-slow-query-log has no effect without -slow-query-ms >= 0"},
+		{name: "durable fsync interval", role: "shard", replicas: 1, set: "data-dir=d fsync=interval fsync-interval=5ms"},
+		{name: "fsync interval under always", role: "single", replicas: 1, set: "data-dir=d fsync=always fsync-interval=5ms", wantErr: "-fsync-interval has no effect without -fsync interval"},
+		{name: "fsync interval at default fsync", role: "single", replicas: 1, set: "data-dir=d fsync-interval=5ms", wantErr: "-fsync-interval has no effect without -fsync interval"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// The flags a command line would set: the non-default
 			// values, plus the named ones.
-			set := strings.Fields(tc.set)
+			set := map[string]string{}
+			for _, f := range strings.Fields(tc.set) {
+				name, value, _ := strings.Cut(f, "=")
+				set[name] = value
+			}
 			if tc.shards != "" {
-				set = append(set, "shards")
+				set["shards"] = tc.shards
 			}
 			if tc.replicas != 1 {
-				set = append(set, "replicas")
+				set["replicas"] = strconv.Itoa(tc.replicas)
 			}
 			if tc.vnodes != 0 {
-				set = append(set, "vnodes")
+				set["vnodes"] = strconv.Itoa(tc.vnodes)
 			}
 			rc, err := validateRole(tc.role, tc.shards, tc.replicas, tc.vnodes, set)
 			if tc.wantErr == "" {

@@ -49,6 +49,7 @@ import (
 	"sync"
 
 	"butterfly"
+	"butterfly/internal/core"
 )
 
 // An overlay folds into a fresh base once it holds more entries
@@ -59,8 +60,6 @@ const (
 	overlayFoldDivisor = 8
 	overlayFoldFloor   = 1024
 )
-
-func pairKey(p butterfly.WedgePartial) uint64 { return uint64(p.V)<<32 | uint64(uint32(p.W)) }
 
 func choose2(b int64) int64 { return b * (b - 1) / 2 }
 
@@ -79,7 +78,8 @@ type run struct {
 func newRun(ps []butterfly.WedgePartial) run {
 	r := run{ps: ps, fence: make([]uint64, (len(ps)+fenceStride-1)/fenceStride)}
 	for i := range r.fence {
-		r.fence[i] = pairKey(ps[i*fenceStride])
+		p := ps[i*fenceStride]
+		r.fence[i] = core.PairKey(p.V, p.W)
 	}
 	return r
 }
@@ -100,7 +100,7 @@ func (r run) find(k uint64) (int64, bool) {
 		return 0, false
 	}
 	for _, p := range r.ps[(lo-1)*fenceStride : min(lo*fenceStride, len(r.ps))] {
-		if pk := pairKey(p); pk >= k {
+		if pk := core.PairKey(p.V, p.W); pk >= k {
 			if pk > k {
 				break
 			}
@@ -122,16 +122,17 @@ func mergeRuns(older, newer []butterfly.WedgePartial, dropZero bool) []butterfly
 	}
 	i, j := 0, 0
 	for i < len(older) && j < len(newer) {
-		ko, kn := pairKey(older[i]), pairKey(newer[j])
+		o, n := older[i], newer[j]
+		ko, kn := core.PairKey(o.V, o.W), core.PairKey(n.V, n.W)
 		switch {
 		case ko < kn:
-			keep(older[i])
+			keep(o)
 			i++
 		case ko > kn:
-			keep(newer[j])
+			keep(n)
 			j++
 		default:
-			keep(newer[j])
+			keep(n)
 			i, j = i+1, j+1
 		}
 	}
@@ -213,7 +214,7 @@ func (pp *partPin) advance(to, epoch uint64, delta []butterfly.WedgePartial) (pa
 	olds := make([]int64, len(delta))
 	changed := make([]butterfly.WedgePartial, len(delta))
 	for i, d := range delta {
-		olds[i] = pp.beta(pairKey(d))
+		olds[i] = pp.beta(core.PairKey(d.V, d.W))
 		changed[i] = butterfly.WedgePartial{V: d.V, W: d.W, Count: olds[i] + d.Count}
 		if changed[i].Count < 0 {
 			return partFrame{}, &staleDeltaError{d: d, beta: olds[i]}
@@ -319,7 +320,7 @@ func (ps *pinSet) reduce(gen uint64, frames []partFrame, full bool) (*pinSet, re
 			live = append(live, next.parts[i].base.ps)
 		}
 	}
-	red.count = butterfly.MergeWedgePartials(live...)
+	red.count = core.CountFromPartials(live...)
 	if red.live == len(frames) {
 		next.count, next.counted = red.count, true
 	}
@@ -333,7 +334,7 @@ func (ps *pinSet) adjustment(frames []partFrame) int64 {
 	var keys []uint64
 	for _, f := range frames {
 		for _, d := range f.delta {
-			keys = append(keys, pairKey(d))
+			keys = append(keys, core.PairKey(d.V, d.W))
 		}
 	}
 	if len(keys) == 0 {
@@ -346,7 +347,7 @@ func (ps *pinSet) adjustment(frames []partFrame) int64 {
 	for _, k := range keys {
 		var b, d int64
 		for p, f := range frames {
-			if j := at[p]; j < len(f.delta) && pairKey(f.delta[j]) == k {
+			if j := at[p]; j < len(f.delta) && core.PairKey(f.delta[j].V, f.delta[j].W) == k {
 				b += f.olds[j]
 				d += f.delta[j].Count
 				at[p]++

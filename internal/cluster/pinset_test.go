@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"butterfly"
+	"butterfly/internal/core"
 )
 
 // shardModel is one partition as its shard serves it: the wedge-partial
@@ -43,10 +44,11 @@ func (s *shardModel) mutate(rng *rand.Rand, keyspace, changes int) {
 func sortedPartials(m map[uint64]int64) []butterfly.WedgePartial {
 	out := make([]butterfly.WedgePartial, 0, len(m))
 	for k, c := range m {
-		out = append(out, butterfly.WedgePartial{V: int32(k >> 32), W: int32(uint32(k)), Count: c})
+		v, w := core.SplitPairKey(k)
+		out = append(out, butterfly.WedgePartial{V: v, W: w, Count: c})
 	}
 	slices.SortFunc(out, func(a, b butterfly.WedgePartial) int {
-		ka, kb := pairKey(a), pairKey(b)
+		ka, kb := core.PairKey(a.V, a.W), core.PairKey(b.V, b.W)
 		switch {
 		case ka < kb:
 			return -1
@@ -127,7 +129,7 @@ func TestPinSetProperty(t *testing.T) {
 						// A delta from some other version: drive a pinned
 						// pair below zero and expect the stale-pin signal.
 						bad := pin.base.ps[rng.Intn(len(pin.base.ps))]
-						bad.Count = -pin.beta(pairKey(bad)) - 1
+						bad.Count = -pin.beta(core.PairKey(bad.V, bad.W)) - 1
 						_, err := pin.advance(s.version, s.epoch, mergeRuns(delta, []butterfly.WedgePartial{bad}, false))
 						var se *staleDeltaError
 						if !errors.As(err, &se) {
@@ -190,7 +192,7 @@ func TestPinSetProperty(t *testing.T) {
 					}
 					for k := 0; k < 16 && len(m) > 0; k++ {
 						e := m[rng.Intn(len(m))]
-						if got := pp.beta(pairKey(e)); got != e.Count {
+						if got := pp.beta(core.PairKey(e.V, e.W)); got != e.Count {
 							t.Fatalf("step %d part %d: β(%d,%d) = %d, want %d", step, i, e.V, e.W, got, e.Count)
 						}
 					}

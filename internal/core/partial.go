@@ -6,17 +6,27 @@ import (
 	"butterfly/internal/graph"
 )
 
-// PairCount is one entry of a V1-centered wedge partial: C wedges
-// (v—u—w) with center u in this graph's V1 and endpoints V < W in V2.
-// It is the cross-node analogue of the hub-split partial-pair
+// WedgePartial is one entry of a V1-centered wedge partial: Count
+// wedges (v—u—w) with center u in this graph's V1 and endpoints V < W
+// in V2. It is the cross-node analogue of the hub-split partial-pair
 // accumulator (kernel.go segPairs/reducePairs): C(β, 2) is not
 // additive across partitions of the center side, so partitions export
 // integer wedge counts and a reduction phase merges them before the
-// butterfly formula is applied.
-type PairCount struct {
-	V, W int32
-	C    int64
+// butterfly formula is applied. The public butterfly.WedgePartial is
+// an alias of this type.
+type WedgePartial struct {
+	V, W  int32
+	Count int64
 }
+
+// PairKey packs a V2 endpoint pair into the 64-bit key that orders
+// partials: V in the high half, W in the low half, so keys sort by
+// (V, W). Every layer that sorts, merges or serializes partials packs
+// through this function, and SplitPairKey inverts it.
+func PairKey(v, w int32) uint64 { return uint64(v)<<32 | uint64(uint32(w)) }
+
+// SplitPairKey returns the (V, W) pair that PairKey packed into key.
+func SplitPairKey(key uint64) (v, w int32) { return int32(key >> 32), int32(uint32(key)) }
 
 // WedgePartials returns g's V1-centered wedge frequency map over V2
 // endpoint pairs, sorted by (V, W). Merging the partials of an
@@ -29,7 +39,7 @@ type PairCount struct {
 // Cost is O(Σ_u C(deg u, 2)) time and O(wedges) transient memory —
 // the same wedge work as a sequential count, plus the materialized
 // map.
-func WedgePartials(g *graph.Bipartite) []PairCount {
+func WedgePartials(g *graph.Bipartite) []WedgePartial {
 	return pairCounts(g, func(visit func(u int)) {
 		for u := 0; u < g.NumV1(); u++ {
 			visit(u)
@@ -44,7 +54,7 @@ func WedgePartials(g *graph.Bipartite) []PairCount {
 // and the partial-map change is exactly the difference of the touched
 // centers' contributions before and after, O(Σ_{u∈centers} C(deg u, 2))
 // instead of O(wedges).
-func WedgePartialsOf(g *graph.Bipartite, centers []int) []PairCount {
+func WedgePartialsOf(g *graph.Bipartite, centers []int) []WedgePartial {
 	seen := make(map[int]struct{}, len(centers))
 	for _, u := range centers {
 		if u >= 0 && u < g.NumV1() {
@@ -59,11 +69,11 @@ func WedgePartialsOf(g *graph.Bipartite, centers []int) []PairCount {
 }
 
 // pairCounts is the body of both partial builders: it packs every
-// wedge (v—u—w) of each center u that centers visits as the key
-// v<<32 | w, sorts the keys and run-length counts them. centers is
-// called twice — once to size the key buffer, once to fill it — and
-// must visit the same set both times.
-func pairCounts(g *graph.Bipartite, centers func(visit func(u int))) []PairCount {
+// wedge (v—u—w) of each center u that centers visits as PairKey(v, w),
+// sorts the keys and run-length counts them. centers is called twice —
+// once to size the key buffer, once to fill it — and must visit the
+// same set both times.
+func pairCounts(g *graph.Bipartite, centers func(visit func(u int))) []WedgePartial {
 	var wedges int64
 	centers(func(u int) {
 		d := int64(g.DegreeV1(u))
@@ -76,40 +86,36 @@ func pairCounts(g *graph.Bipartite, centers func(visit func(u int))) []PairCount
 			for _, w := range row[i+1:] {
 				// CSR rows are sorted, so v < w and the key orders
 				// pairs lexicographically.
-				ks = append(ks, uint64(v)<<32|uint64(uint32(w)))
+				ks = append(ks, PairKey(v, w))
 			}
 		}
 		keys = ks
 	})
 	slices.Sort(keys)
-	out := make([]PairCount, 0, len(keys)/2+1)
+	out := make([]WedgePartial, 0, len(keys)/2+1)
 	for i := 0; i < len(keys); {
 		j := i + 1
 		for j < len(keys) && keys[j] == keys[i] {
 			j++
 		}
-		out = append(out, PairCount{
-			V: int32(keys[i] >> 32),
-			W: int32(uint32(keys[i])),
-			C: int64(j - i),
-		})
+		v, w := SplitPairKey(keys[i])
+		out = append(out, WedgePartial{V: v, W: w, Count: int64(j - i)})
 		i = j
 	}
 	return out
 }
-
-func pairKey(p PairCount) uint64 { return uint64(p.V)<<32 | uint64(uint32(p.W)) }
 
 // SumPartialDeltas merges sorted signed partial deltas by summing
 // counts per pair key and dropping entries that cancel to zero. It is
 // used both to compose consecutive per-version deltas (shard-side log
 // compaction for a `?since=` reply spanning several versions) and to
 // compute a diff: SumPartialDeltas(after, negate(before)).
-func SumPartialDeltas(parts ...[]PairCount) []PairCount {
-	var out []PairCount
+func SumPartialDeltas(parts ...[]WedgePartial) []WedgePartial {
+	var out []WedgePartial
 	mergePairs(parts, func(key uint64, c int64) {
 		if c != 0 {
-			out = append(out, PairCount{V: int32(key >> 32), W: int32(uint32(key)), C: c})
+			v, w := SplitPairKey(key)
+			out = append(out, WedgePartial{V: v, W: w, Count: c})
 		}
 	})
 	return out
@@ -119,7 +125,7 @@ func SumPartialDeltas(parts ...[]PairCount) []PairCount {
 // SumPartialDeltas and CountFromPartials: it calls emit once per
 // distinct pair key, in ascending key order, with the key's count
 // summed over every partial that holds it.
-func mergePairs(parts [][]PairCount, emit func(key uint64, c int64)) {
+func mergePairs(parts [][]WedgePartial, emit func(key uint64, c int64)) {
 	idx := make([]int, len(parts))
 	for {
 		// Find the minimum live key across all partials.
@@ -127,7 +133,7 @@ func mergePairs(parts [][]PairCount, emit func(key uint64, c int64)) {
 		live := false
 		for p, part := range parts {
 			if idx[p] < len(part) {
-				if k := pairKey(part[idx[p]]); !live || k < minKey {
+				if k := PairKey(part[idx[p]].V, part[idx[p]].W); !live || k < minKey {
 					minKey, live = k, true
 				}
 			}
@@ -137,8 +143,8 @@ func mergePairs(parts [][]PairCount, emit func(key uint64, c int64)) {
 		}
 		var c int64
 		for p, part := range parts {
-			if idx[p] < len(part) && pairKey(part[idx[p]]) == minKey {
-				c += part[idx[p]].C
+			if idx[p] < len(part) && PairKey(part[idx[p]].V, part[idx[p]].W) == minKey {
+				c += part[idx[p]].Count
 				idx[p]++
 			}
 		}
@@ -150,10 +156,10 @@ func mergePairs(parts [][]PairCount, emit func(key uint64, c int64)) {
 // applying the result to `before` with ApplyPartialDelta reconstructs
 // `after` exactly. Both inputs must be sorted by (V, W); entries with
 // equal counts cancel out of the result.
-func DiffPartials(after, before []PairCount) []PairCount {
-	neg := make([]PairCount, len(before))
+func DiffPartials(after, before []WedgePartial) []WedgePartial {
+	neg := make([]WedgePartial, len(before))
 	for i, p := range before {
-		neg[i] = PairCount{V: p.V, W: p.W, C: -p.C}
+		neg[i] = WedgePartial{V: p.V, W: p.W, Count: -p.Count}
 	}
 	return SumPartialDeltas(after, neg)
 }
@@ -163,11 +169,11 @@ func DiffPartials(after, before []PairCount) []PairCount {
 // negative means the delta does not belong to this base version — the
 // caller's pinned copy is stale or corrupt — and is reported as an
 // error rather than silently clamped.
-func ApplyPartialDelta(base, delta []PairCount) ([]PairCount, error) {
+func ApplyPartialDelta(base, delta []WedgePartial) ([]WedgePartial, error) {
 	merged := SumPartialDeltas(base, delta)
 	for _, p := range merged {
-		if p.C < 0 {
-			return nil, &NegativePartialError{V: p.V, W: p.W, C: p.C}
+		if p.Count < 0 {
+			return nil, &NegativePartialError{V: p.V, W: p.W, C: p.Count}
 		}
 	}
 	return merged, nil
@@ -190,7 +196,7 @@ func (e *NegativePartialError) Error() string {
 // that turns per-partition exports into the exact global butterfly
 // count. Passing a single partial computes the count of that graph
 // alone.
-func CountFromPartials(parts ...[]PairCount) int64 {
+func CountFromPartials(parts ...[]WedgePartial) int64 {
 	var total int64
 	mergePairs(parts, func(_ uint64, beta int64) {
 		total += beta * (beta - 1) / 2

@@ -60,7 +60,7 @@ func TestWedgePartialsMergeAcrossPartitions(t *testing.T) {
 		exact := CountAuto(g)
 		for _, p := range []int{1, 2, 3, 4, 7} {
 			parts := partitionV1(g, p)
-			partials := make([][]PairCount, p)
+			partials := make([][]WedgePartial, p)
 			var local int64
 			for i, pg := range parts {
 				partials[i] = WedgePartials(pg)
@@ -90,7 +90,7 @@ func TestWedgePartialsSortedAndDeduped(t *testing.T) {
 		if p.V >= p.W {
 			t.Fatalf("pair not ordered: %+v", p)
 		}
-		if p.C <= 0 {
+		if p.Count <= 0 {
 			t.Fatalf("non-positive wedge count: %+v", p)
 		}
 	}

@@ -33,7 +33,7 @@ func mutateRows(g *graph.Bipartite, touched []int, seed int64) *graph.Bipartite 
 	return b.Build()
 }
 
-func pairCountsEqual(a, b []PairCount) bool {
+func pairCountsEqual(a, b []WedgePartial) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -97,7 +97,7 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 			WedgePartialsOf(before, touched),
 		)
 		for _, d := range delta {
-			if d.C == 0 {
+			if d.Count == 0 {
 				t.Fatalf("seed %d: zero-count entry in delta: %+v", seed, d)
 			}
 		}
@@ -133,8 +133,8 @@ func TestSumPartialDeltasComposes(t *testing.T) {
 }
 
 func TestApplyPartialDeltaRejectsNegative(t *testing.T) {
-	base := []PairCount{{V: 1, W: 2, C: 3}}
-	delta := []PairCount{{V: 1, W: 2, C: -5}}
+	base := []WedgePartial{{V: 1, W: 2, Count: 3}}
+	delta := []WedgePartial{{V: 1, W: 2, Count: -5}}
 	_, err := ApplyPartialDelta(base, delta)
 	if err == nil {
 		t.Fatal("negative result accepted")
@@ -148,7 +148,7 @@ func TestApplyPartialDeltaRejectsNegative(t *testing.T) {
 	}
 
 	// Exact cancellation is fine: the pair just disappears.
-	got, err := ApplyPartialDelta(base, []PairCount{{V: 1, W: 2, C: -3}})
+	got, err := ApplyPartialDelta(base, []WedgePartial{{V: 1, W: 2, Count: -3}})
 	if err != nil || len(got) != 0 {
 		t.Fatalf("cancel-to-zero: got %v, err %v", got, err)
 	}

@@ -48,6 +48,20 @@ func TestReservoirExactRegime(t *testing.T) {
 	if snap.EdgesSeen != g.NumEdges() || snap.ReservoirSize != int(g.NumEdges()) {
 		t.Fatalf("snapshot bookkeeping: seen=%d size=%d want %d", snap.EdgesSeen, snap.ReservoirSize, g.NumEdges())
 	}
+	// The exact regime does not depend on arrival order or seed.
+	back, err := NewReservoir(100, 80, int(g.NumEdges())+10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := streamOf(g)
+	for i := len(stream) - 1; i >= 0; i-- {
+		if err := back.Add(stream[i][0], stream[i][1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := back.Snapshot().Estimate; got != snap.Estimate {
+		t.Fatalf("reversed stream estimate %g, forward %g", got, snap.Estimate)
+	}
 }
 
 // TestReservoirIncrementalMatchesRecount is the differential test for
@@ -146,6 +160,9 @@ func TestReservoirValidation(t *testing.T) {
 	}
 	if got := r.Seen(); got != 0 {
 		t.Fatalf("failed adds must not advance the stream, seen=%d", got)
+	}
+	if got := r.Snapshot().Estimate; got != 0 {
+		t.Fatalf("empty stream estimate %g, want 0", got)
 	}
 }
 

@@ -3,8 +3,8 @@
 // Sanei-Mehri et al., arXiv:1812.03398) and adaptive sampling
 // estimators with error bars for registered graphs. The serving layer
 // answers /v1/estimate from this package; internal/baseline keeps its
-// original estimator signatures as thin wrappers for differential
-// tests.
+// original sampling-estimator signatures as thin wrappers for
+// differential tests.
 package estimate
 
 import (

@@ -37,53 +37,32 @@ func getPartial(t *testing.T, base, name, query string) (status int, body []byte
 	return resp.StatusCode, body, version, epoch, resp.Header.Get(PartialKindHeader), resp.Header.Get("X-Cache")
 }
 
-// TestPartialCacheKeyIncludesAgg is the regression test for the cache
-// key aliasing bug: two requests that resolve to different aggregation
-// modes must not share a cached body, while repeats of the same mode
-// must hit.
-func TestPartialCacheKeyIncludesAgg(t *testing.T) {
+// TestPartialCacheHit: a full export is cached once per version — the
+// first plain request misses, a repeat hits with the same body, and a
+// debug request bypasses the cache.
+func TestPartialCacheHit(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	c := client.New(ts.URL)
 	registerK44(t, c)
 
-	status, sortBody, _, _, _, xc := getPartial(t, ts.URL, "k44", "agg=sort")
+	status, first, _, _, _, xc := getPartial(t, ts.URL, "k44", "")
 	if status != http.StatusOK || xc != "miss" {
-		t.Fatalf("first agg=sort: status %d, X-Cache %q (want 200 miss)", status, xc)
+		t.Fatalf("first request: status %d, X-Cache %q (want 200 miss)", status, xc)
 	}
-	if status, _, _, _, _, xc = getPartial(t, ts.URL, "k44", "agg=sort"); xc != "hit" {
-		t.Fatalf("repeat agg=sort: status %d, X-Cache %q (want hit)", status, xc)
+	status, again, _, _, _, xc := getPartial(t, ts.URL, "k44", "")
+	if status != http.StatusOK || xc != "hit" {
+		t.Fatalf("repeat: status %d, X-Cache %q (want 200 hit)", status, xc)
 	}
-	status, hashBody, _, _, _, xc := getPartial(t, ts.URL, "k44", "agg=hash")
-	if status != http.StatusOK || xc != "miss" {
-		t.Fatalf("first agg=hash: status %d, X-Cache %q (want 200 miss — agg missing from cache key?)", status, xc)
+	if string(first) != string(again) {
+		t.Fatal("cached body differs from the exported one")
 	}
-	if _, _, _, _, _, xc = getPartial(t, ts.URL, "k44", "agg=hash"); xc != "hit" {
-		t.Fatalf("repeat agg=hash: X-Cache %q (want hit)", xc)
+	if _, _, _, _, _, xc = getPartial(t, ts.URL, "k44", "debug=true"); xc != "miss" {
+		t.Fatalf("debug request: X-Cache %q (want miss)", xc)
 	}
-
-	// Different cache entries, same semantics: both bodies decode to
-	// the same partial map.
-	_, p1, err := serveapi.DecodePartial(sortBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, p2, err := serveapi.DecodePartial(hashBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p1) != len(p2) {
-		t.Fatalf("agg=sort and agg=hash partials differ: %d vs %d entries", len(p1), len(p2))
-	}
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("partials diverge at %d: %+v vs %+v", i, p1[i], p2[i])
-		}
-	}
-
-	if status, _, _, _, _, _ := getPartial(t, ts.URL, "k44", "agg=bogus"); status != http.StatusBadRequest {
-		t.Fatalf("agg=bogus: status %d, want 400", status)
+	if _, ps, err := serveapi.DecodePartial(first); err != nil || butterfly.MergeWedgePartials(ps) != 36 {
+		t.Fatalf("cached body: err %v, want K4,4's 36 butterflies", err)
 	}
 }
 

@@ -256,61 +256,3 @@ func BenchmarkMxMAAT(b *testing.B) {
 		MxMWith(w, a, at, PlusTimes)
 	}
 }
-
-func TestQuickMxMSortedMatchesGustavson(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, k, n := rng.Intn(8)+1, rng.Intn(8)+1, rng.Intn(8)+1
-		a := randCSRVals(rng, m, k, 0.5)
-		b := randCSRVals(rng, k, n, 0.5)
-		for _, s := range []Semiring{PlusTimes, OrAnd, PlusPair} {
-			if !MxMSorted(a, b, s).Equal(MxM(a, b, s)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMxMSortedLargeSparse(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	a := randCSR(rng, 800, 600, 0.01)
-	b := randCSR(rng, 600, 900, 0.01)
-	got := MxMSorted(a, b, PlusTimes)
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(MxM(a, b, PlusTimes)) {
-		t.Fatal("ESC product differs on large sparse input")
-	}
-}
-
-func TestMxMSortedShapePanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	MxMSorted(randCSR(rng, 2, 3, 0.5), randCSR(rng, 2, 3, 0.5), PlusTimes)
-}
-
-func BenchmarkMxMStrategies(b *testing.B) {
-	rng := rand.New(rand.NewSource(23))
-	a := randCSR(rng, 2000, 1500, 0.005)
-	at := Transpose(a)
-	b.Run("gustavson", func(b *testing.B) {
-		w := NewWorkspace(a.R)
-		for i := 0; i < b.N; i++ {
-			MxMWith(w, a, at, PlusTimes)
-		}
-	})
-	b.Run("esc", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			MxMSorted(a, at, PlusTimes)
-		}
-	})
-}

@@ -11,8 +11,8 @@ package serveapi
 //	uvarint snapshot version
 //	uvarint entry count
 //	entries uvarint key delta, uvarint wedge count
-//	        (key = uint64(V)<<32 | W, strictly increasing;
-//	        V, W < 2^31, count <= MaxInt64)
+//	        (key = uint64(V)<<32 | W as core.PairKey packs it,
+//	        strictly increasing; V, W < 2^31, count <= MaxInt64)
 //	crc32c  Castagnoli over everything above, little-endian (4 bytes)
 
 import (
@@ -22,6 +22,7 @@ import (
 	"math"
 
 	"butterfly"
+	"butterfly/internal/core"
 )
 
 // partialMagic identifies (and versions) the partial wire format.
@@ -40,7 +41,7 @@ func EncodePartial(version uint64, partials []butterfly.WedgePartial) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(partials)))
 	prev := uint64(0)
 	for _, p := range partials {
-		key := uint64(p.V)<<32 | uint64(uint32(p.W))
+		key := core.PairKey(p.V, p.W)
 		buf = binary.AppendUvarint(buf, key-prev)
 		buf = binary.AppendUvarint(buf, uint64(p.Count))
 		prev = key
@@ -55,7 +56,8 @@ func splitKey(key uint64) (v, w int32, ok bool) {
 	if key&(1<<63|1<<31) != 0 {
 		return 0, 0, false
 	}
-	return int32(key >> 32), int32(uint32(key)), true
+	v, w = core.SplitPairKey(key)
+	return v, w, true
 }
 
 // DecodePartial parses an encoded partial map, verifying the magic

@@ -12,7 +12,7 @@ package serveapi
 //	uvarint to version   (>= from; == from means "unchanged")
 //	uvarint entry count
 //	entries uvarint key delta, varint signed count delta (zigzag,
-//	        nonzero; key = uint64(V)<<32 | W, strictly increasing;
+//	        nonzero; key = core.PairKey(V, W), strictly increasing;
 //	        V, W < 2^31)
 //	crc32c  Castagnoli over everything above, little-endian (4 bytes)
 //
@@ -27,6 +27,7 @@ import (
 	"hash/crc32"
 
 	"butterfly"
+	"butterfly/internal/core"
 )
 
 // partialDeltaMagic identifies (and versions) the delta wire format.
@@ -64,7 +65,7 @@ func EncodePartialDelta(from, to uint64, delta []butterfly.WedgePartial) []byte 
 	buf = binary.AppendUvarint(buf, uint64(len(delta)))
 	prev := uint64(0)
 	for _, p := range delta {
-		key := uint64(p.V)<<32 | uint64(uint32(p.W))
+		key := core.PairKey(p.V, p.W)
 		buf = binary.AppendUvarint(buf, key-prev)
 		buf = binary.AppendVarint(buf, p.Count)
 		prev = key
