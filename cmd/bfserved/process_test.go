@@ -56,7 +56,11 @@ func startDaemonProc(t *testing.T, addr string, args ...string) *daemon {
 	t.Helper()
 	d := &daemon{exited: make(chan struct{})}
 	d.cmd = exec.Command(os.Args[0], append([]string{"-addr", addr, "-drain", "5s"}, args...)...)
-	d.cmd.Env = append(os.Environ(), childEnv+"=1")
+	// A race-built child sleeps atexit_sleep_ms (1 s by default) before
+	// it exits; turn that off, keeping the caller's other GORACE options.
+	// The last GORACE entry in Env wins.
+	gorace := strings.TrimSpace(os.Getenv("GORACE") + " atexit_sleep_ms=0")
+	d.cmd.Env = append(os.Environ(), childEnv+"=1", "GORACE="+gorace)
 	d.cmd.Stderr = &d.logs
 	d.cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	out, err := d.cmd.StdoutPipe()

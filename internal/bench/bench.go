@@ -54,17 +54,12 @@ type InvariantTiming struct {
 	Count     int64
 }
 
-// TimeInvariants measures all eight invariants on g with the given
-// thread count (1 = sequential, matching Fig 10; 6 matches Fig 11).
-// All counts are verified equal; a mismatch panics, because a harness
-// that times wrong answers is worse than no harness.
-func TimeInvariants(g *graph.Bipartite, threads int) []InvariantTiming {
-	return TimeInvariantsBest(g, threads, 1)
-}
-
-// TimeInvariantsBest is TimeInvariants reporting the minimum over
-// `repeat` runs per cell — the usual defense against scheduler noise
-// in small-cell grids.
+// TimeInvariantsBest measures all eight invariants on g with the given
+// thread count (1 = sequential, matching Fig 10; 6 matches Fig 11),
+// reporting the minimum over `repeat` runs per cell — the usual
+// defense against scheduler noise in small-cell grids. All counts are
+// verified equal; a mismatch panics, because a harness that times
+// wrong answers is worse than no harness.
 func TimeInvariantsBest(g *graph.Bipartite, threads, repeat int) []InvariantTiming {
 	if repeat < 1 {
 		repeat = 1
@@ -137,13 +132,8 @@ type TimingRow struct {
 	Cells   []InvariantTiming
 }
 
-// TimingGrid measures invariants 1–8 across the named datasets with
-// the given thread count.
-func TimingGrid(names []string, dataDir string, scale, threads int) (*TimingTable, error) {
-	return TimingGridRepeat(names, dataDir, scale, threads, 1)
-}
-
-// TimingGridRepeat is TimingGrid with min-of-`repeat` timing per cell.
+// TimingGridRepeat measures invariants 1–8 across the named datasets
+// with the given thread count and min-of-`repeat` timing per cell.
 func TimingGridRepeat(names []string, dataDir string, scale, threads, repeat int) (*TimingTable, error) {
 	t := &TimingTable{Threads: threads}
 	for _, name := range names {

@@ -41,7 +41,7 @@ func TestLoadDatasetFromFile(t *testing.T) {
 func TestTimeInvariantsAgree(t *testing.T) {
 	g := gen.PowerLawBipartite(150, 120, 900, 0.7, 0.7, 5)
 	for _, threads := range []int{1, 3} {
-		cells := TimeInvariants(g, threads)
+		cells := TimeInvariantsBest(g, threads, 1)
 		if len(cells) != core.NumInvariants {
 			t.Fatalf("%d cells", len(cells))
 		}
@@ -74,7 +74,7 @@ func TestFig9SmallScale(t *testing.T) {
 }
 
 func TestTimingGridAndPrint(t *testing.T) {
-	grid, err := TimingGrid([]string{"arxiv-cond-mat"}, "", 100, 2)
+	grid, err := TimingGridRepeat([]string{"arxiv-cond-mat"}, "", 100, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestEstimatorComparison(t *testing.T) {
 }
 
 func TestCSVWriters(t *testing.T) {
-	grid, err := TimingGrid([]string{"arxiv-cond-mat"}, "", 200, 1)
+	grid, err := TimingGridRepeat([]string{"arxiv-cond-mat"}, "", 200, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,13 +29,6 @@ func New(n int) *Vector {
 	return &Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
-// NewFull returns a Vector of length n with all bits set.
-func NewFull(n int) *Vector {
-	v := New(n)
-	v.SetAll()
-	return v
-}
-
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 
@@ -83,38 +76,6 @@ func (v *Vector) Clear(i int) {
 	v.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
-// SetBool sets bit i to b.
-func (v *Vector) SetBool(i int, b bool) {
-	if b {
-		v.Set(i)
-	} else {
-		v.Clear(i)
-	}
-}
-
-// SetAll sets every bit.
-func (v *Vector) SetAll() {
-	for i := range v.words {
-		v.words[i] = ^uint64(0)
-	}
-	v.trim()
-}
-
-// ClearAll clears every bit.
-func (v *Vector) ClearAll() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-}
-
-// trim zeroes the unused high bits of the final word so that Count and
-// equality work on whole words.
-func (v *Vector) trim() {
-	if r := v.n % wordBits; r != 0 && len(v.words) > 0 {
-		v.words[len(v.words)-1] &= (1 << uint(r)) - 1
-	}
-}
-
 // Count returns the number of set bits.
 func (v *Vector) Count() int {
 	c := 0
@@ -124,22 +85,6 @@ func (v *Vector) Count() int {
 	return c
 }
 
-// Any reports whether at least one bit is set.
-func (v *Vector) Any() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// None reports whether no bit is set.
-func (v *Vector) None() bool { return !v.Any() }
-
-// All reports whether every bit is set.
-func (v *Vector) All() bool { return v.Count() == v.n }
-
 // Clone returns a deep copy of v.
 func (v *Vector) Clone() *Vector {
 	w := New(v.n)
@@ -147,23 +92,9 @@ func (v *Vector) Clone() *Vector {
 	return w
 }
 
-// CopyFrom overwrites v with the contents of o. Lengths must match.
-func (v *Vector) CopyFrom(o *Vector) {
-	v.mustMatch(o)
-	copy(v.words, o.words)
-}
-
 func (v *Vector) mustMatch(o *Vector) {
 	if v.n != o.n {
 		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, o.n))
-	}
-}
-
-// And stores v ∧ o into v.
-func (v *Vector) And(o *Vector) {
-	v.mustMatch(o)
-	for i := range v.words {
-		v.words[i] &= o.words[i]
 	}
 }
 
@@ -173,30 +104,6 @@ func (v *Vector) Or(o *Vector) {
 	for i := range v.words {
 		v.words[i] |= o.words[i]
 	}
-}
-
-// AndNot stores v ∧ ¬o into v.
-func (v *Vector) AndNot(o *Vector) {
-	v.mustMatch(o)
-	for i := range v.words {
-		v.words[i] &^= o.words[i]
-	}
-}
-
-// Xor stores v ⊕ o into v.
-func (v *Vector) Xor(o *Vector) {
-	v.mustMatch(o)
-	for i := range v.words {
-		v.words[i] ^= o.words[i]
-	}
-}
-
-// Not flips every bit in place.
-func (v *Vector) Not() {
-	for i := range v.words {
-		v.words[i] = ^v.words[i]
-	}
-	v.trim()
 }
 
 // Equal reports whether v and o have the same length and bits.
@@ -220,46 +127,6 @@ func (v *Vector) IntersectionCount(o *Vector) int {
 		c += bits.OnesCount64(v.words[i] & o.words[i])
 	}
 	return c
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1 if
-// there is none.
-func (v *Vector) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= v.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := v.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(v.words); wi++ {
-		if v.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(v.words[wi])
-		}
-	}
-	return -1
-}
-
-// ForEach calls fn for every set bit, in increasing order.
-func (v *Vector) ForEach(fn func(i int)) {
-	for wi, w := range v.words {
-		base := wi * wordBits
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-}
-
-// Indices returns the indices of all set bits, in increasing order.
-func (v *Vector) Indices() []int {
-	out := make([]int, 0, v.Count())
-	v.ForEach(func(i int) { out = append(out, i) })
-	return out
 }
 
 // String renders the vector as a 0/1 string, bit 0 first. Long vectors

@@ -11,9 +11,6 @@ func TestNewIsEmpty(t *testing.T) {
 	if v.Len() != 130 {
 		t.Fatalf("Len = %d, want 130", v.Len())
 	}
-	if v.Any() {
-		t.Fatal("new vector has set bits")
-	}
 	if v.Count() != 0 {
 		t.Fatalf("Count = %d, want 0", v.Count())
 	}
@@ -48,15 +45,6 @@ func TestSetGetClear(t *testing.T) {
 	}
 }
 
-func TestSetBool(t *testing.T) {
-	v := New(10)
-	v.SetBool(3, true)
-	v.SetBool(4, false)
-	if !v.Get(3) || v.Get(4) {
-		t.Fatal("SetBool mismatch")
-	}
-}
-
 func TestOutOfRangePanics(t *testing.T) {
 	v := New(10)
 	for name, fn := range map[string]func(){
@@ -75,32 +63,6 @@ func TestOutOfRangePanics(t *testing.T) {
 	}
 }
 
-func TestSetAllAndNot(t *testing.T) {
-	v := New(70) // deliberately not a multiple of 64
-	v.SetAll()
-	if !v.All() {
-		t.Fatal("SetAll did not set all bits")
-	}
-	if v.Count() != 70 {
-		t.Fatalf("Count = %d, want 70", v.Count())
-	}
-	v.Not()
-	if v.Any() {
-		t.Fatal("Not of full vector should be empty")
-	}
-	v.Not()
-	if v.Count() != 70 {
-		t.Fatalf("double Not: Count = %d, want 70", v.Count())
-	}
-}
-
-func TestNewFull(t *testing.T) {
-	v := NewFull(65)
-	if !v.All() || v.Count() != 65 {
-		t.Fatalf("NewFull(65): Count = %d", v.Count())
-	}
-}
-
 func TestBooleanOps(t *testing.T) {
 	a := New(100)
 	b := New(100)
@@ -111,54 +73,31 @@ func TestBooleanOps(t *testing.T) {
 		b.Set(i)
 	}
 
-	and := a.Clone()
-	and.And(b)
-	for i := 0; i < 100; i++ {
-		want := i%2 == 0 && i%3 == 0
-		if and.Get(i) != want {
-			t.Fatalf("And bit %d = %v, want %v", i, and.Get(i), want)
-		}
-	}
-
 	or := a.Clone()
 	or.Or(b)
+	both := 0
 	for i := 0; i < 100; i++ {
 		want := i%2 == 0 || i%3 == 0
 		if or.Get(i) != want {
 			t.Fatalf("Or bit %d = %v, want %v", i, or.Get(i), want)
 		}
-	}
-
-	an := a.Clone()
-	an.AndNot(b)
-	for i := 0; i < 100; i++ {
-		want := i%2 == 0 && i%3 != 0
-		if an.Get(i) != want {
-			t.Fatalf("AndNot bit %d = %v, want %v", i, an.Get(i), want)
+		if i%6 == 0 {
+			both++
 		}
 	}
 
-	xor := a.Clone()
-	xor.Xor(b)
-	for i := 0; i < 100; i++ {
-		want := (i%2 == 0) != (i%3 == 0)
-		if xor.Get(i) != want {
-			t.Fatalf("Xor bit %d = %v, want %v", i, xor.Get(i), want)
-		}
-	}
-
-	if got := a.IntersectionCount(b); got != and.Count() {
-		t.Fatalf("IntersectionCount = %d, want %d", got, and.Count())
+	if got := a.IntersectionCount(b); got != both {
+		t.Fatalf("IntersectionCount = %d, want %d", got, both)
 	}
 }
 
 func TestLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("And with mismatched lengths did not panic")
+			t.Fatal("Or with mismatched lengths did not panic")
 		}
 	}()
-	New(10).And(New(11))
+	New(10).Or(New(11))
 }
 
 func TestCloneIndependent(t *testing.T) {
@@ -171,16 +110,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 	if !b.Get(5) {
 		t.Fatal("Clone lost bit 5")
-	}
-}
-
-func TestCopyFrom(t *testing.T) {
-	a := New(64)
-	a.Set(1)
-	b := New(64)
-	b.CopyFrom(a)
-	if !b.Get(1) || b.Count() != 1 {
-		t.Fatal("CopyFrom did not copy")
 	}
 }
 
@@ -202,45 +131,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestNextSet(t *testing.T) {
-	v := New(300)
-	for _, i := range []int{3, 64, 130, 299} {
-		v.Set(i)
-	}
-	cases := []struct{ from, want int }{
-		{0, 3}, {3, 3}, {4, 64}, {64, 64}, {65, 130},
-		{131, 299}, {299, 299}, {-5, 3},
-	}
-	for _, c := range cases {
-		if got := v.NextSet(c.from); got != c.want {
-			t.Errorf("NextSet(%d) = %d, want %d", c.from, got, c.want)
-		}
-	}
-	if got := v.NextSet(300); got != -1 {
-		t.Errorf("NextSet past end = %d, want -1", got)
-	}
-	if got := New(10).NextSet(0); got != -1 {
-		t.Errorf("NextSet on empty = %d, want -1", got)
-	}
-}
-
-func TestForEachAndIndices(t *testing.T) {
-	v := New(200)
-	want := []int{0, 17, 63, 64, 128, 199}
-	for _, i := range want {
-		v.Set(i)
-	}
-	got := v.Indices()
-	if len(got) != len(want) {
-		t.Fatalf("Indices len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Indices[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-}
-
 func TestString(t *testing.T) {
 	v := New(4)
 	v.Set(1)
@@ -248,25 +138,26 @@ func TestString(t *testing.T) {
 	if s := v.String(); s != "0101" {
 		t.Fatalf("String = %q, want 0101", s)
 	}
-	long := NewFull(200)
+	long := New(200)
 	if s := long.String(); len(s) == 0 {
 		t.Fatal("long String is empty")
 	}
 }
 
-// Property: Count equals the number of indices reported by ForEach, and
-// round-tripping through Indices reconstructs the vector.
+// Property: Count equals the number of indices set, and setting the
+// same indices in a fresh vector reconstructs it.
 func TestQuickCountMatchesIndices(t *testing.T) {
 	f := func(seed int64, nRaw uint16) bool {
 		n := int(nRaw)%500 + 1
 		rng := rand.New(rand.NewSource(seed))
 		v := New(n)
+		var idx []int
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 1 {
 				v.Set(i)
+				idx = append(idx, i)
 			}
 		}
-		idx := v.Indices()
 		if len(idx) != v.Count() {
 			return false
 		}
@@ -281,37 +172,9 @@ func TestQuickCountMatchesIndices(t *testing.T) {
 	}
 }
 
-// Property: De Morgan — ¬(a ∧ b) == ¬a ∨ ¬b.
-func TestQuickDeMorgan(t *testing.T) {
-	f := func(seed int64, nRaw uint16) bool {
-		n := int(nRaw)%300 + 1
-		rng := rand.New(rand.NewSource(seed))
-		a, b := New(n), New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 1 {
-				a.Set(i)
-			}
-			if rng.Intn(2) == 1 {
-				b.Set(i)
-			}
-		}
-		lhs := a.Clone()
-		lhs.And(b)
-		lhs.Not()
-
-		na, nb := a.Clone(), b.Clone()
-		na.Not()
-		nb.Not()
-		na.Or(nb)
-		return lhs.Equal(na)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkCount(b *testing.B) {
-	v := NewFull(1 << 20)
+	v := New(1 << 20)
+	fillAll(v)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if v.Count() != 1<<20 {
@@ -320,30 +183,21 @@ func BenchmarkCount(b *testing.B) {
 	}
 }
 
-func BenchmarkAnd(b *testing.B) {
-	x := NewFull(1 << 20)
-	y := NewFull(1 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x.And(y)
-	}
-}
-
 func TestReset(t *testing.T) {
 	v := New(130)
-	v.SetAll()
+	fillAll(v)
 	v.Reset(130)
-	if v.Len() != 130 || v.Any() {
+	if v.Len() != 130 || v.Count() != 0 {
 		t.Fatalf("Reset(same) left len=%d count=%d", v.Len(), v.Count())
 	}
-	v.SetAll()
+	fillAll(v)
 	v.Reset(40) // shrink: must reuse storage and clear
-	if v.Len() != 40 || v.Any() {
+	if v.Len() != 40 || v.Count() != 0 {
 		t.Fatalf("Reset(shrink) left len=%d count=%d", v.Len(), v.Count())
 	}
 	v.Set(39)
 	v.Reset(500) // grow
-	if v.Len() != 500 || v.Any() {
+	if v.Len() != 500 || v.Count() != 0 {
 		t.Fatalf("Reset(grow) left len=%d count=%d", v.Len(), v.Count())
 	}
 	v.Set(499)
@@ -364,4 +218,11 @@ func TestResetNegativePanics(t *testing.T) {
 		}
 	}()
 	New(4).Reset(-1)
+}
+
+// fillAll sets every bit of v.
+func fillAll(v *Vector) {
+	for i := 0; i < v.Len(); i++ {
+		v.Set(i)
+	}
 }

@@ -119,43 +119,6 @@ func rowSlice(a *sparse.CSR, lo, hi int) *sparse.CSR {
 	return out
 }
 
-// VertexButterfliesSpGEMM computes the per-vertex butterfly vector of
-// equation (19) directly on the sparse substrate: materialize
-// B = A·Aᵀ and evaluate, per row i,
-//
-//	s_i = ½·(Σ_j β_ij² − β_ii² − Σ_j β_ij + β_ii)
-//
-// which is the i-th diagonal entry of (BB − B∘B − JB + B)/2. The
-// linear-algebra cross-check of VertexButterflies; heavier because B
-// is materialized.
-func VertexButterfliesSpGEMM(g *graph.Bipartite, side Side) []int64 {
-	a, at := g.Adj(), g.AdjT()
-	if side == SideV2 {
-		a, at = at, a
-	}
-	b := sparse.MxM(a, at, sparse.PlusTimes)
-	s := make([]int64, b.R)
-	for i := 0; i < b.R; i++ {
-		row := b.Row(i)
-		vals := b.RowVals(i)
-		var sumSq, sum, diag int64
-		for k, j := range row {
-			v := vals[k]
-			sumSq += v * v
-			sum += v
-			if int(j) == i {
-				diag = v
-			}
-		}
-		num := sumSq - diag*diag - sum + diag
-		if num%2 != 0 {
-			panic("core: per-vertex numerator not divisible by 2")
-		}
-		s[i] = num / 2
-	}
-	return s
-}
-
 // WedgeCount returns the paper's equation (6) for both orientations:
 // wedgesV1 counts wedges whose endpoints lie in V1 (wedge point in V2),
 // wedgesV2 the symmetric quantity. Computed in closed form from the

@@ -60,7 +60,7 @@ func TestWorkspaceBitsetReuse(t *testing.T) {
 	if b2 != b1 {
 		t.Fatal("bitset not reused")
 	}
-	if b2.Any() {
+	if b2.Count() != 0 {
 		t.Fatal("reused bitset not cleared")
 	}
 	b3 := ws.bitset(10)

@@ -12,7 +12,7 @@ import (
 	"butterfly/internal/sparse"
 )
 
-// transposeEdgeMap must invert the CSR/CSC correspondence exactly.
+// transposeEdgeMap must map A's edge order onto Aᵀ's exactly.
 func TestTransposeEdgeMap(t *testing.T) {
 	g := gen.PowerLawBipartite(60, 50, 400, 0.7, 0.7, 5)
 	adj, adjT := g.Adj(), g.AdjT()

@@ -116,7 +116,7 @@ func TestCountContextCancelledLeavesArenaAtRest(t *testing.T) {
 			}
 			for _, ws := range arena.free {
 				if slices.ContainsFunc(ws.acc, func(c int32) bool { return c != 0 }) || len(ws.touched) > 0 ||
-					(ws.bits != nil && ws.bits.Any()) {
+					(ws.bits != nil && ws.bits.Count() != 0) {
 					t.Fatalf("threads=%d: a pooled workspace is not at rest after a cancelled count", threads)
 				}
 			}

@@ -92,17 +92,6 @@ func (inv Invariant) String() string {
 // column-partitioned family (1–4).
 func (inv Invariant) PartitionsV2() bool { return inv >= Inv1 && inv <= Inv4 }
 
-// LookAhead reports whether the invariant counts against the partition
-// that has not been exposed yet (the paper's "look-ahead" property).
-func (inv Invariant) LookAhead() bool {
-	switch inv {
-	case Inv2, Inv3, Inv6, Inv7:
-		return true
-	default:
-		return false
-	}
-}
-
 // traversal geometry of an invariant: iteration direction over the
 // exposed side and whether partners are taken from indices below or
 // above the exposed vertex.

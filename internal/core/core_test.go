@@ -64,12 +64,6 @@ func TestInvariantMetadata(t *testing.T) {
 			t.Errorf("%v should partition V1", inv)
 		}
 	}
-	lookAhead := map[Invariant]bool{Inv2: true, Inv3: true, Inv6: true, Inv7: true}
-	for _, inv := range Invariants() {
-		if inv.LookAhead() != lookAhead[inv] {
-			t.Errorf("%v LookAhead = %v", inv, inv.LookAhead())
-		}
-	}
 }
 
 func TestCountInvalidInvariantPanics(t *testing.T) {

@@ -138,41 +138,3 @@ func supportRows(exposed, secondary *sparse.CSR, lo, hi int, vals []int64, ws *w
 	}
 	ws.touched = touched
 }
-
-// EdgeSupportSpGEMM computes the support matrix by executing equation
-// (25) literally on the sparse substrate:
-//
-//	S_w = (AAᵀA − diag(AAᵀ)·1ᵀ − 1·diag(AᵀA)ᵀ + J) ∘ A
-//
-// The (AAᵀ)·A term is evaluated with a masked SpGEMM (only positions
-// where A stores an edge are kept), so the dense-ish product never
-// materializes; the rank-one correction terms reduce to the endpoint
-// degrees at each stored edge. It is the "pure linear algebra" per-edge
-// algorithm — a cross-validation of the accumulator sweep and the
-// masked-product kernel, asymptotically equivalent but constant-factor
-// heavier (it materializes AAᵀ).
-func EdgeSupportSpGEMM(g *graph.Bipartite) *sparse.CSR {
-	adj, adjT := g.Adj(), g.AdjT()
-	b := sparse.MxM(adj, adjT, sparse.PlusTimes)            // AAᵀ
-	core := sparse.MxMMasked(b, adj, adj, sparse.PlusTimes) // (AAᵀA) ∘ A
-	out := core.Clone()
-	for u := 0; u < out.R; u++ {
-		du := int64(g.DegreeV1(u))
-		row := out.Row(u)
-		vals := out.Val[out.Ptr[u]:out.Ptr[u+1]]
-		for k, v := range row {
-			vals[k] -= du + int64(g.DegreeV2(int(v))) - 1
-		}
-	}
-	return out
-}
-
-// CountFromEdgeSupport recovers ΞG from a support matrix: Σ/4.
-// Used as a consistency check and by the wing-peeling code.
-func CountFromEdgeSupport(s *sparse.CSR) int64 {
-	total := sparse.SumAll(s)
-	if total%4 != 0 {
-		panic("core: edge-support sum not divisible by 4")
-	}
-	return total / 4
-}

@@ -241,7 +241,7 @@ func cheaperSidePair(t testing.TB, g *graph.Bipartite) [2]*graph.Bipartite {
 func TestEdgeSupportIntoMatchesSpGEMM(t *testing.T) {
 	arena := NewArena()
 	for i, g := range cheaperSidePair(t, gen.PowerLawBipartite(600, 450, 4000, 0.8, 0.75, 21)) {
-		want := EdgeSupportSpGEMM(g)
+		want := edgeSupportSpGEMM(g)
 		vals := make([]int64, g.NumEdges())
 		for _, threads := range []int{1, 3, 1} {
 			got := EdgeSupportInto(vals, g, threads, arena)

@@ -209,39 +209,3 @@ func (c *Counter) Snapshot() *graph.Bipartite {
 	c.edits = make(map[graph.Edge]struct{})
 	return c.base
 }
-
-// VertexDelta returns how many butterflies vertex u ∈ V1 would lose if
-// removed right now — the dynamic analogue of the per-vertex vector
-// (19), useful for online tip-style maintenance.
-func (c *Counter) VertexDelta(u int) int64 {
-	if u < 0 || u >= len(c.adj) {
-		panic(fmt.Sprintf("dynamic: vertex %d out of range", u))
-	}
-	return vertexDelta(c.adj, c.adjT, u)
-}
-
-// VertexDeltaV2 is VertexDelta for a vertex v ∈ V2.
-func (c *Counter) VertexDeltaV2(v int) int64 {
-	if v < 0 || v >= len(c.adjT) {
-		panic(fmt.Sprintf("dynamic: vertex %d out of range", v))
-	}
-	return vertexDelta(c.adjT, c.adj, v)
-}
-
-// vertexDelta computes Σ_{w≠u} C(β_uw, 2) with β accumulated over
-// two-hop neighbors in the given orientation.
-func vertexDelta(adj, adjT []map[int32]struct{}, u int) int64 {
-	acc := make(map[int32]int64)
-	for v := range adj[u] {
-		for w := range adjT[v] {
-			if int(w) != u {
-				acc[w]++
-			}
-		}
-	}
-	var s int64
-	for _, beta := range acc {
-		s += beta * (beta - 1) / 2
-	}
-	return s
-}

@@ -98,7 +98,6 @@ func TestOutOfRangePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"insert": func() { c.InsertEdge(2, 0) },
 		"delete": func() { c.DeleteEdge(0, -1) },
-		"vertex": func() { c.VertexDelta(5) },
 	} {
 		func() {
 			defer func() {
@@ -199,11 +198,6 @@ func TestFromGraphMatchesStatic(t *testing.T) {
 		}
 		if !sameArrays(ref.Snapshot(), g) || !sameArrays(rebuild(c), g) {
 			t.Fatalf("graph %d: neighbor sets differ from the seed graph", i)
-		}
-		for u := 0; u < g.NumV1(); u++ {
-			if c.VertexDelta(u) != ref.VertexDelta(u) {
-				t.Fatalf("graph %d: VertexDelta(%d) = %d, insert seed %d", i, u, c.VertexDelta(u), ref.VertexDelta(u))
-			}
 		}
 	}
 }
@@ -397,33 +391,6 @@ func FuzzSnapshotPatch(f *testing.F) {
 	})
 }
 
-// vertexCounts is the static per-vertex vector of the side with n
-// vertices.
-func vertexCounts(g *graph.Bipartite, side core.Side, n int) []int64 {
-	s := make([]int64, n)
-	core.VertexButterfliesMaskedInto(s, g, side, nil, 1, nil)
-	return s
-}
-
-// VertexDelta agrees with the static per-vertex vector.
-func TestQuickVertexDeltaMatchesStatic(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := gen.ErdosRenyi(rng.Intn(8)+2, rng.Intn(8)+2, 0.5, seed)
-		c := FromGraph(g)
-		want := vertexCounts(g, core.SideV1, g.NumV1())
-		for u := 0; u < g.NumV1(); u++ {
-			if c.VertexDelta(u) != want[u] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkInsertDelete(b *testing.B) {
 	g := gen.PowerLawBipartite(5000, 4000, 30000, 0.7, 0.7, 11)
 	c := FromGraph(g)
@@ -483,31 +450,4 @@ func BenchmarkDynamicSnapshot(b *testing.B) {
 			}
 		})
 	}
-}
-
-func TestQuickVertexDeltaV2MatchesStatic(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := gen.ErdosRenyi(rng.Intn(8)+2, rng.Intn(8)+2, 0.5, seed)
-		c := FromGraph(g)
-		want := vertexCounts(g, core.SideV2, g.NumV2())
-		for v := 0; v < g.NumV2(); v++ {
-			if c.VertexDeltaV2(v) != want[v] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVertexDeltaV2Panics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	New(2, 2).VertexDeltaV2(2)
 }

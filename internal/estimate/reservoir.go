@@ -104,12 +104,6 @@ func NewReservoir(m, n, capacity int, seed int64) (*Reservoir, error) {
 	}, nil
 }
 
-// Dims returns the declared vertex-set sizes.
-func (r *Reservoir) Dims() (m, n int) { return r.m, r.n }
-
-// Cap returns the edge capacity.
-func (r *Reservoir) Cap() int { return r.cap }
-
 // Seen returns the number of stream edges consumed so far.
 func (r *Reservoir) Seen() int64 {
 	r.mu.Lock()

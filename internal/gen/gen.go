@@ -102,49 +102,6 @@ func PowerLawBipartite(m, n int, e int64, alpha1, alpha2 float64, seed int64) *g
 	return ChungLu(PowerLawWeights(m, alpha1), PowerLawWeights(n, alpha2), e, seed)
 }
 
-// ConfigurationModel realizes the given degree sequences exactly-ish:
-// stubs of both sides are shuffled and matched; duplicate pairings are
-// dropped (simple graph), so realized degrees can fall slightly short
-// for heavy-tailed sequences. Panics if the degree sums differ.
-func ConfigurationModel(deg1, deg2 []int, seed int64) *graph.Bipartite {
-	var s1, s2 int
-	for _, d := range deg1 {
-		if d < 0 {
-			panic("gen: negative degree")
-		}
-		s1 += d
-	}
-	for _, d := range deg2 {
-		if d < 0 {
-			panic("gen: negative degree")
-		}
-		s2 += d
-	}
-	if s1 != s2 {
-		panic(fmt.Sprintf("gen: degree sums differ: %d vs %d", s1, s2))
-	}
-	stubs1 := make([]int32, 0, s1)
-	for u, d := range deg1 {
-		for k := 0; k < d; k++ {
-			stubs1 = append(stubs1, int32(u))
-		}
-	}
-	stubs2 := make([]int32, 0, s2)
-	for v, d := range deg2 {
-		for k := 0; k < d; k++ {
-			stubs2 = append(stubs2, int32(v))
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(stubs2), func(i, j int) { stubs2[i], stubs2[j] = stubs2[j], stubs2[i] })
-
-	b := graph.NewBuilder(len(deg1), len(deg2))
-	for k := range stubs1 {
-		b.AddEdge(int(stubs1[k]), int(stubs2[k])) // duplicates merged by the builder
-	}
-	return b.Build()
-}
-
 // CompleteBipartite returns K(a, b); it has C(a,2)·C(b,2) butterflies.
 func CompleteBipartite(a, b int) *graph.Bipartite {
 	bl := graph.NewBuilder(a, b)

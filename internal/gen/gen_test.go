@@ -174,35 +174,6 @@ func TestChungLuSaturation(t *testing.T) {
 	}
 }
 
-func TestConfigurationModel(t *testing.T) {
-	deg1 := []int{3, 2, 1}
-	deg2 := []int{2, 2, 2}
-	g := ConfigurationModel(deg1, deg2, 9)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Dedup can only lower degrees.
-	for u, d := range deg1 {
-		if g.DegreeV1(u) > d {
-			t.Fatalf("degree of u%d = %d exceeds target %d", u, g.DegreeV1(u), d)
-		}
-	}
-	for v, d := range deg2 {
-		if g.DegreeV2(v) > d {
-			t.Fatalf("degree of v%d = %d exceeds target %d", v, g.DegreeV2(v), d)
-		}
-	}
-}
-
-func TestConfigurationModelMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched degree sums did not panic")
-		}
-	}()
-	ConfigurationModel([]int{2}, []int{1}, 1)
-}
-
 func TestStructuredFamilies(t *testing.T) {
 	k := CompleteBipartite(3, 4)
 	if k.NumEdges() != 12 || k.NumV1() != 3 || k.NumV2() != 4 {

@@ -6,7 +6,7 @@
 // pattern A in CSR form (rows = V1, columns = V2) plus the transpose
 // Aᵀ. Keeping both orientations resident is what lets the paper's two
 // algorithm families pick their preferred storage: invariants 1–4 walk
-// columns of A (CSC ≡ CSR of Aᵀ), invariants 5–8 walk rows.
+// columns of A (the rows of Aᵀ), invariants 5–8 walk rows.
 package graph
 
 import (
@@ -208,10 +208,6 @@ func (g *Bipartite) Adj() *sparse.CSR { return g.adj }
 
 // AdjT returns Aᵀ (V2 rows → V1 columns); read-only.
 func (g *Bipartite) AdjT() *sparse.CSR { return g.adjT }
-
-// CSC returns the biadjacency in CSC form, sharing storage with AdjT.
-// This is the layout invariants 1–4 iterate over.
-func (g *Bipartite) CSC() *sparse.CSC { return sparse.CSCFromCSRTranspose(g.adjT) }
 
 // NeighborsOfV1 returns the V2 neighbors of u ∈ V1 (sorted, read-only).
 func (g *Bipartite) NeighborsOfV1(u int) []int32 { return g.adj.Row(u) }

@@ -147,10 +147,11 @@ func TestDensity(t *testing.T) {
 func TestInducedSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := randGraph(rng, 6, 6, 0.5)
-	keep1 := bitvec.NewFull(6)
-	keep1.Clear(0)
-	keep2 := bitvec.NewFull(6)
-	keep2.Clear(5)
+	keep1, keep2 := bitvec.New(6), bitvec.New(6)
+	for i := 0; i < 5; i++ {
+		keep1.Set(i + 1)
+		keep2.Set(i)
+	}
 	h := g.InducedSubgraph(keep1, keep2)
 	if h.NumV1() != 6 || h.NumV2() != 6 {
 		t.Fatal("InducedSubgraph must preserve vertex-set sizes")
@@ -295,9 +296,6 @@ func TestStats(t *testing.T) {
 	if s.MaxDegV2 != 3 || s.MinDegV2 != 1 || s.MaxDegV1 != 2 || s.MinDegV1 != 1 {
 		t.Fatalf("degree extremes wrong: %+v", s)
 	}
-	if s.SmallerSideIsV2() != true {
-		t.Fatal("SmallerSideIsV2 wrong")
-	}
 	if len(s.String()) == 0 {
 		t.Fatal("empty Stats.String")
 	}
@@ -322,27 +320,6 @@ func TestQuickStatsRelabelInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCSCView(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randGraph(rng, 6, 4, 0.5)
-	csc := g.CSC()
-	if csc.R != 6 || csc.C != 4 {
-		t.Fatalf("CSC dims %dx%d", csc.R, csc.C)
-	}
-	for v := 0; v < 4; v++ {
-		rows := csc.ColIdx(v)
-		nbrs := g.NeighborsOfV2(v)
-		if len(rows) != len(nbrs) {
-			t.Fatalf("column %d degree mismatch", v)
-		}
-		for k := range rows {
-			if rows[k] != nbrs[k] {
-				t.Fatalf("column %d row list mismatch", v)
-			}
-		}
 	}
 }
 

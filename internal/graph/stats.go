@@ -69,11 +69,6 @@ func ComputeStats(g *Bipartite) Stats {
 	return s
 }
 
-// SmallerSideIsV2 reports whether |V2| < |V1| — the condition under
-// which the paper recommends the column-partitioned family
-// (invariants 1–4).
-func (s Stats) SmallerSideIsV2() bool { return s.NumV2 < s.NumV1 }
-
 // String renders the stats in a compact one-line form.
 func (s Stats) String() string {
 	var sb strings.Builder

@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -137,22 +138,34 @@ func TestSlowLog(t *testing.T) {
 	if !l.Should(10 * time.Millisecond) {
 		t.Fatal("at threshold should log")
 	}
-	l.Record(map[string]any{"route": "count", "elapsed_ms": 12.5})
-	l.Record(map[string]any{"route": "peel", "elapsed_ms": 99.0})
-	if l.Logged() != 2 {
-		t.Fatalf("logged = %d", l.Logged())
+	for _, e := range []map[string]any{
+		{"route": "count", "elapsed_ms": 12.5},
+		{"route": "peel", "elapsed_ms": 99.0},
+	} {
+		if err := l.Record(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Record(func() {}); err == nil {
+		t.Fatal("unmarshalable entry did not return an error")
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 || !strings.Contains(lines[0], `"route":"count"`) {
 		t.Fatalf("lines = %q", lines)
 	}
+	if err := NewSlowLog(failWriter{}, 0).Record("x"); err == nil {
+		t.Fatal("failed write did not return an error")
+	}
 
 	var nilLog *SlowLog
-	if nilLog.Should(time.Hour) || nilLog.Logged() != 0 {
+	if nilLog.Should(time.Hour) || nilLog.Record("ignored") != nil {
 		t.Fatal("nil slowlog must be disabled")
 	}
-	nilLog.Record("ignored")
 	if NewSlowLog(nil, 0) != nil {
 		t.Fatal("nil writer should yield nil log")
 	}
 }
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("closed") }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -16,8 +15,6 @@ type SlowLog struct {
 	mu        sync.Mutex
 	w         io.Writer
 	threshold time.Duration
-	logged    atomic.Uint64
-	errs      atomic.Uint64
 }
 
 // NewSlowLog returns a slow-query log writing to w for requests at or
@@ -39,32 +36,20 @@ func (l *SlowLog) Should(elapsed time.Duration) bool {
 	return l != nil && elapsed >= l.threshold
 }
 
-// Record marshals entry as one JSON line. Entries are serialized under
-// a mutex so concurrent requests never interleave bytes.
-func (l *SlowLog) Record(entry any) {
+// Record marshals entry as one JSON line and returns the marshal or
+// write error, if any. Entries are serialized under a mutex so
+// concurrent requests never interleave bytes.
+func (l *SlowLog) Record(entry any) error {
 	if l == nil {
-		return
+		return nil
 	}
 	b, err := json.Marshal(entry)
 	if err != nil {
-		l.errs.Add(1)
-		return
+		return err
 	}
 	b = append(b, '\n')
 	l.mu.Lock()
-	_, werr := l.w.Write(b)
-	l.mu.Unlock()
-	if werr != nil {
-		l.errs.Add(1)
-		return
-	}
-	l.logged.Add(1)
-}
-
-// Logged returns the number of lines successfully written.
-func (l *SlowLog) Logged() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.logged.Load()
+	defer l.mu.Unlock()
+	_, err = l.w.Write(b)
+	return err
 }

@@ -224,14 +224,3 @@ type StageTiming struct {
 	Name string
 	Dur  time.Duration
 }
-
-// NumStages returns the number of named spans in the tree including
-// the root — the quantity the serving contract ("every /v1 response
-// carries a trace with ≥ 3 named stages") is stated over.
-func (n SpanNode) NumStages() int {
-	total := 1
-	for _, c := range n.Children {
-		total += c.NumStages()
-	}
-	return total
-}

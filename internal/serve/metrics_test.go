@@ -151,6 +151,7 @@ var metricsInventory = []string{
 	"bfserved_route_seconds histogram {route,api}",
 	"bfserved_shed_total counter {}",
 	"bfserved_slow_queries_total counter {}",
+	"bfserved_slow_query_log_errors_total counter {}",
 	"bfserved_stage_seconds histogram {stage}",
 	"bfserved_tenant_admitted_total counter {tenant}",
 	"bfserved_tenant_evicted_total counter {tenant}",

@@ -103,6 +103,10 @@ type obsMetrics struct {
 	stageSeconds  *obsv.HistogramVec // {stage}
 	responseBytes *obsv.Histogram
 	slowQueries   *obsv.Counter
+	// slowLogErrors counts slow-query log lines that failed to marshal
+	// or write (a full disk, a closed file), which would otherwise be
+	// lost without a trace.
+	slowLogErrors *obsv.Counter
 	estimates     *obsv.CounterVec // {kind}
 	ingestEdges   *obsv.Counter
 	// tenantSeconds is the per-tenant latency histogram behind the QoS
@@ -138,6 +142,8 @@ func newObsMetrics(s *Server) *obsMetrics {
 			"Response body size in bytes.", obsv.SizeBuckets).With(),
 		slowQueries: reg.Counter("bfserved_slow_queries_total",
 			"Requests at or above the slow-query threshold.").With(),
+		slowLogErrors: reg.Counter("bfserved_slow_query_log_errors_total",
+			"Slow-query log lines that failed to marshal or write.").With(),
 		estimates: reg.Counter("bfserved_estimates_total",
 			"Approximate-tier answers served, by kind (reservoir|sample|degraded).",
 			"kind"),

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"regexp"
@@ -488,6 +489,23 @@ func TestSlowQueryLog(t *testing.T) {
 			sawCount, saw404, buf.String())
 	}
 }
+
+// TestSlowQueryLogWriteErrors: a slow-log writer that fails (a full
+// disk, a closed file) shows on /metrics instead of going silent.
+func TestSlowQueryLogWriteErrors(t *testing.T) {
+	_, c := newTestServer(t, Config{SlowQueryLog: failingWriter{}, SlowQueryThreshold: 0})
+	base := urlOf(t, c)
+	rawDo(t, "GET", base+"/v1/graphs/nope", "")
+
+	_, body := rawDo(t, "GET", base+"/metrics", "")
+	if want := "bfserved_slow_query_log_errors_total 1\n"; !strings.Contains(string(body), want) {
+		t.Fatalf("/metrics missing %q:\n%s", want, body)
+	}
+}
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 // TestPprofGate: the profiling endpoints exist only when enabled.
 func TestPprofGate(t *testing.T) {

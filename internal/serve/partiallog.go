@@ -109,23 +109,6 @@ func (r *Registry) EnablePartialLog(name string) (*Snapshot, uint64, error) {
 	return snap, e.plog.epoch, nil
 }
 
-// PartialEpoch returns the epoch token of name's partial log, or ok
-// false when the log is not active.
-func (r *Registry) PartialEpoch(name string) (uint64, bool) {
-	r.mu.RLock()
-	e, ok := r.entries[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.plog == nil {
-		return 0, false
-	}
-	return e.plog.epoch, true
-}
-
 // PartialDeltaSince returns the composed signed delta that takes
 // name's partial map from version `since` to version `upto`. ok is
 // false — caller serves a full map instead — when the log is inactive,

@@ -397,7 +397,7 @@ func (s *Server) instrument(route string, api apiVer, h http.HandlerFunc) http.H
 		s.lim.observe(st.tenant, elapsed)
 		if s.slow.Should(elapsed) {
 			s.obs.slowQueries.Inc()
-			s.slow.Record(slowEntry{
+			if err := s.slow.Record(slowEntry{
 				TS:        start.UTC().Format(time.RFC3339Nano),
 				Route:     route,
 				API:       api.String(),
@@ -406,7 +406,9 @@ func (s *Server) instrument(route string, api apiVer, h http.HandlerFunc) http.H
 				Status:    sw.code,
 				ElapsedMS: float64(elapsed.Microseconds()) / 1000,
 				Trace:     spanNode(st.tr.Snapshot()),
-			})
+			}); err != nil {
+				s.obs.slowLogErrors.Inc()
+			}
 		}
 	}
 }

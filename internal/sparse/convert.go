@@ -35,13 +35,6 @@ func Transpose(a *CSR) *CSR {
 	return t
 }
 
-// ToCSC converts a CSR matrix to CSC form (same matrix, column-major
-// compressed storage).
-func ToCSC(a *CSR) *CSC { return CSCFromCSRTranspose(Transpose(a)) }
-
-// ToCSR converts a CSC matrix to CSR form.
-func ToCSR(a *CSC) *CSR { return Transpose(a.AsCSRTranspose()) }
-
 // FromDense builds a CSR matrix from a dense one, storing every non-zero
 // entry. If pattern is true, values are dropped (entries become implicit
 // 1s) — entries must then be 0/1.

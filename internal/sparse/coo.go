@@ -135,9 +135,3 @@ func (a *CSR) dedupRows() {
 		a.Val = a.Val[:w]
 	}
 }
-
-// ToCSC builds CSC form directly (via the transpose reinterpretation).
-func (b *COO) ToCSC(dup DupPolicy) *CSC {
-	t := &COO{R: b.C, C: b.R, I: b.J, J: b.I, V: b.V}
-	return CSCFromCSRTranspose(t.ToCSR(dup))
-}

@@ -6,118 +6,6 @@ import (
 	"butterfly/internal/bitvec"
 )
 
-func mustSameShape(a, b *CSR, op string) {
-	if a.R != b.R || a.C != b.C {
-		panic(fmt.Sprintf("sparse: %s shape mismatch %s vs %s", op, dims(a.R, a.C), dims(b.R, b.C)))
-	}
-}
-
-// EWiseMult returns the element-wise (Hadamard) combination of a and b:
-// the output pattern is the intersection of the two patterns, with
-// values mul(av, bv).
-func EWiseMult(a, b *CSR, mul func(av, bv int64) int64) *CSR {
-	mustSameShape(a, b, "EWiseMult")
-	out := &CSR{R: a.R, C: a.C, Ptr: make([]int64, a.R+1)}
-	for i := 0; i < a.R; i++ {
-		ra, rb := a.Row(i), b.Row(i)
-		va, vb := a.RowVals(i), b.RowVals(i)
-		x, y := 0, 0
-		for x < len(ra) && y < len(rb) {
-			switch {
-			case ra[x] < rb[y]:
-				x++
-			case ra[x] > rb[y]:
-				y++
-			default:
-				av, bv := int64(1), int64(1)
-				if va != nil {
-					av = va[x]
-				}
-				if vb != nil {
-					bv = vb[y]
-				}
-				out.Col = append(out.Col, ra[x])
-				out.Val = append(out.Val, mul(av, bv))
-				x++
-				y++
-			}
-		}
-		out.Ptr[i+1] = int64(len(out.Col))
-	}
-	return out
-}
-
-// Hadamard is EWiseMult with ordinary multiplication — the paper's ∘.
-func Hadamard(a, b *CSR) *CSR {
-	return EWiseMult(a, b, func(x, y int64) int64 { return x * y })
-}
-
-// EWiseAdd returns the element-wise union combination of a and b: the
-// output pattern is the union of the patterns; where both store an
-// entry the values are combined with add, otherwise the stored value is
-// kept.
-func EWiseAdd(a, b *CSR, add func(av, bv int64) int64) *CSR {
-	mustSameShape(a, b, "EWiseAdd")
-	out := &CSR{R: a.R, C: a.C, Ptr: make([]int64, a.R+1)}
-	for i := 0; i < a.R; i++ {
-		ra, rb := a.Row(i), b.Row(i)
-		va, vb := a.RowVals(i), b.RowVals(i)
-		x, y := 0, 0
-		emit := func(c int32, v int64) {
-			out.Col = append(out.Col, c)
-			out.Val = append(out.Val, v)
-		}
-		for x < len(ra) || y < len(rb) {
-			switch {
-			case y >= len(rb) || (x < len(ra) && ra[x] < rb[y]):
-				av := int64(1)
-				if va != nil {
-					av = va[x]
-				}
-				emit(ra[x], av)
-				x++
-			case x >= len(ra) || ra[x] > rb[y]:
-				bv := int64(1)
-				if vb != nil {
-					bv = vb[y]
-				}
-				emit(rb[y], bv)
-				y++
-			default:
-				av, bv := int64(1), int64(1)
-				if va != nil {
-					av = va[x]
-				}
-				if vb != nil {
-					bv = vb[y]
-				}
-				emit(ra[x], add(av, bv))
-				x++
-				y++
-			}
-		}
-		out.Ptr[i+1] = int64(len(out.Col))
-	}
-	return out
-}
-
-// Apply returns a copy of a with every stored value mapped through fn.
-// The pattern is unchanged; zero results stay stored (use Select to
-// drop them).
-func Apply(a *CSR, fn func(v int64) int64) *CSR {
-	out := a.Clone()
-	if out.Val == nil {
-		out.Val = make([]int64, out.NNZ())
-		for k := range out.Val {
-			out.Val[k] = 1
-		}
-	}
-	for k, v := range out.Val {
-		out.Val[k] = fn(v)
-	}
-	return out
-}
-
 // Select returns a copy of a keeping only entries whose (row, col,
 // value) satisfy keep. Dropped entries are removed from the pattern.
 func Select(a *CSR, keep func(i int, j int32, v int64) bool) *CSR {

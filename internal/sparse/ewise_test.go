@@ -3,109 +3,9 @@ package sparse
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"butterfly/internal/bitvec"
-	"butterfly/internal/dense"
 )
-
-func TestQuickHadamardMatchesDense(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, n := rng.Intn(8)+1, rng.Intn(8)+1
-		da := randDense(rng, m, n, 0.5, 4)
-		db := randDense(rng, m, n, 0.5, 4)
-		got := Hadamard(FromDense(da, false), FromDense(db, false))
-		if got.Validate() != nil {
-			return false
-		}
-		return ToDense(got).Equal(da.Hadamard(db))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHadamardPatternIntersection(t *testing.T) {
-	b1 := NewCOO(2, 3)
-	b1.Add(0, 0)
-	b1.Add(0, 2)
-	b1.Add(1, 1)
-	b2 := NewCOO(2, 3)
-	b2.Add(0, 2)
-	b2.Add(1, 0)
-	h := Hadamard(b1.ToCSR(DupBinary), b2.ToCSR(DupBinary))
-	if h.NNZ() != 1 || h.At(0, 2) != 1 {
-		t.Fatalf("pattern intersection wrong: nnz=%d", h.NNZ())
-	}
-}
-
-func TestEWiseMultShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("shape mismatch did not panic")
-		}
-	}()
-	rng := rand.New(rand.NewSource(1))
-	Hadamard(randCSR(rng, 2, 3, 0.5), randCSR(rng, 3, 2, 0.5))
-}
-
-func TestQuickEWiseAddMatchesDense(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, n := rng.Intn(8)+1, rng.Intn(8)+1
-		da := randDense(rng, m, n, 0.4, 4)
-		db := randDense(rng, m, n, 0.4, 4)
-		got := EWiseAdd(FromDense(da, false), FromDense(db, false),
-			func(x, y int64) int64 { return x + y })
-		if got.Validate() != nil {
-			return false
-		}
-		return ToDense(got).Equal(da.Add(db))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEWiseAddUnionPattern(t *testing.T) {
-	b1 := NewCOO(1, 4)
-	b1.Add(0, 0)
-	b1.Add(0, 2)
-	b2 := NewCOO(1, 4)
-	b2.Add(0, 2)
-	b2.Add(0, 3)
-	u := EWiseAdd(b1.ToCSR(DupBinary), b2.ToCSR(DupBinary),
-		func(x, y int64) int64 { return x + y })
-	if u.NNZ() != 3 {
-		t.Fatalf("union nnz = %d, want 3", u.NNZ())
-	}
-	if u.At(0, 0) != 1 || u.At(0, 2) != 2 || u.At(0, 3) != 1 {
-		t.Fatal("union values wrong")
-	}
-}
-
-func TestApply(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randCSRVals(rng, 5, 5, 0.5)
-	sq := Apply(a, func(v int64) int64 { return v * v })
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			if sq.At(i, j) != a.At(i, j)*a.At(i, j) {
-				t.Fatalf("Apply square wrong at (%d,%d)", i, j)
-			}
-		}
-	}
-	// Applying to a pattern matrix materializes values.
-	p := randCSR(rng, 4, 4, 0.5)
-	doubled := Apply(p, func(v int64) int64 { return 2 * v })
-	if doubled.NNZ() != p.NNZ() {
-		t.Fatal("Apply changed pattern")
-	}
-	if doubled.NNZ() > 0 && doubled.Val[0] != 2 {
-		t.Fatal("Apply on pattern did not materialize 1s")
-	}
-}
 
 func TestSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -131,10 +31,15 @@ func TestSelect(t *testing.T) {
 func TestZeroRowsCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randCSR(rng, 6, 5, 0.6)
-	rowKeep := bitvec.NewFull(6)
-	rowKeep.Clear(2)
-	colKeep := bitvec.NewFull(5)
-	colKeep.Clear(0)
+	rowKeep, colKeep := bitvec.New(6), bitvec.New(5)
+	for i := 0; i < 6; i++ {
+		if i != 2 {
+			rowKeep.Set(i)
+		}
+	}
+	for j := 1; j < 5; j++ {
+		colKeep.Set(j)
+	}
 	b := ZeroRowsCols(a, rowKeep, colKeep)
 	if err := b.Validate(); err != nil {
 		t.Fatal(err)
@@ -177,78 +82,4 @@ func TestPatternOf(t *testing.T) {
 	if p.NNZ() != a.NNZ() {
 		t.Fatal("PatternOf changed pattern")
 	}
-}
-
-func TestReductions(t *testing.T) {
-	d := dense.NewFromRows([][]int64{
-		{1, 0, 2},
-		{0, 3, 0},
-		{4, 0, 5},
-	})
-	a := FromDense(d, false)
-	if SumAll(a) != 15 {
-		t.Fatalf("SumAll = %d", SumAll(a))
-	}
-	if Trace(a) != 9 {
-		t.Fatalf("Trace = %d", Trace(a))
-	}
-	dg := Diag(a)
-	if dg[0] != 1 || dg[1] != 3 || dg[2] != 5 {
-		t.Fatalf("Diag = %v", dg)
-	}
-	rs := RowSums(a)
-	if rs[0] != 3 || rs[1] != 3 || rs[2] != 9 {
-		t.Fatalf("RowSums = %v", rs)
-	}
-	cs := ColSums(a)
-	if cs[0] != 5 || cs[1] != 3 || cs[2] != 7 {
-		t.Fatalf("ColSums = %v", cs)
-	}
-	rd := RowDegrees(a)
-	if rd[0] != 2 || rd[1] != 1 || rd[2] != 2 {
-		t.Fatalf("RowDegrees = %v", rd)
-	}
-	cd := ColDegrees(a)
-	if cd[0] != 2 || cd[1] != 1 || cd[2] != 2 {
-		t.Fatalf("ColDegrees = %v", cd)
-	}
-	if MaxValue(a) != 5 {
-		t.Fatalf("MaxValue = %d", MaxValue(a))
-	}
-	if Reduce(a, MaxMonoid) != 5 || Reduce(a, PlusMonoid) != 15 {
-		t.Fatal("Reduce wrong")
-	}
-}
-
-func TestReductionsPattern(t *testing.T) {
-	b := NewCOO(2, 2)
-	b.Add(0, 0)
-	b.Add(1, 1)
-	b.Add(1, 0)
-	a := b.ToCSR(DupBinary)
-	if SumAll(a) != 3 {
-		t.Fatalf("pattern SumAll = %d", SumAll(a))
-	}
-	if Trace(a) != 2 {
-		t.Fatalf("pattern Trace = %d", Trace(a))
-	}
-	if MaxValue(a) != 1 {
-		t.Fatalf("pattern MaxValue = %d", MaxValue(a))
-	}
-	if Reduce(a, PlusMonoid) != 3 {
-		t.Fatal("pattern Reduce wrong")
-	}
-	if MaxValue(NewCOO(2, 2).ToCSR(DupBinary)) != 0 {
-		t.Fatal("empty MaxValue should be 0")
-	}
-}
-
-func TestTraceNonSquarePanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Trace of non-square did not panic")
-		}
-	}()
-	Trace(randCSR(rng, 2, 3, 0.5))
 }

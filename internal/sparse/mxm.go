@@ -148,53 +148,6 @@ func MxMMasked(a, b, m *CSR, s Semiring) *CSR {
 	return out
 }
 
-// MxV computes y = A·x over PlusTimes with a dense vector x.
-func MxV(a *CSR, x []int64) []int64 {
-	if len(x) != a.C {
-		panic(fmt.Sprintf("sparse: MxV vector length %d, want %d", len(x), a.C))
-	}
-	y := make([]int64, a.R)
-	for i := 0; i < a.R; i++ {
-		row := a.Row(i)
-		vals := a.RowVals(i)
-		var s int64
-		for k, j := range row {
-			v := int64(1)
-			if vals != nil {
-				v = vals[k]
-			}
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// VxM computes yᵀ = xᵀ·A over PlusTimes (equivalently Aᵀ·x) without
-// forming the transpose.
-func VxM(x []int64, a *CSR) []int64 {
-	if len(x) != a.R {
-		panic(fmt.Sprintf("sparse: VxM vector length %d, want %d", len(x), a.R))
-	}
-	y := make([]int64, a.C)
-	for i := 0; i < a.R; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := a.Row(i)
-		vals := a.RowVals(i)
-		for k, j := range row {
-			v := int64(1)
-			if vals != nil {
-				v = vals[k]
-			}
-			y[j] += xi * v
-		}
-	}
-	return y
-}
-
 // DotRows returns ⟨row i of a, row j of b⟩ over PlusTimes by merging the
 // two sorted rows; O(deg(i) + deg(j)).
 func DotRows(a *CSR, i int, b *CSR, j int) int64 {

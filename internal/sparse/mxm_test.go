@@ -153,66 +153,6 @@ func TestMxMMaskedShapePanics(t *testing.T) {
 	MxMMasked(a, b, badMask, PlusTimes)
 }
 
-func TestQuickMxVMatchesDense(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, n := rng.Intn(9)+1, rng.Intn(9)+1
-		da := randDense(rng, m, n, 0.5, 4)
-		x := make([]int64, n)
-		for i := range x {
-			x[i] = rng.Int63n(7) - 3
-		}
-		got := MxV(FromDense(da, false), x)
-		for i := 0; i < m; i++ {
-			var want int64
-			for j := 0; j < n; j++ {
-				want += da.At(i, j) * x[j]
-			}
-			if got[i] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickVxMEqualsTransposeMxV(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, n := rng.Intn(9)+1, rng.Intn(9)+1
-		a := randCSRVals(rng, m, n, 0.5)
-		x := make([]int64, m)
-		for i := range x {
-			x[i] = rng.Int63n(5)
-		}
-		got := VxM(x, a)
-		want := MxV(Transpose(a), x)
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMxVLengthPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randCSR(rng, 3, 4, 0.5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MxV length mismatch did not panic")
-		}
-	}()
-	MxV(a, make([]int64, 3))
-}
-
 func TestQuickDotRowsMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

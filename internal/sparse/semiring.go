@@ -1,7 +1,7 @@
 package sparse
 
 // Monoid is a commutative monoid over int64 used as the "add" of a
-// semiring and as the combiner of reductions.
+// semiring.
 type Monoid struct {
 	Identity int64
 	Op       func(a, b int64) int64
@@ -18,20 +18,6 @@ type Semiring struct {
 var (
 	// PlusMonoid is ordinary integer addition.
 	PlusMonoid = Monoid{Identity: 0, Op: func(a, b int64) int64 { return a + b }}
-	// MinMonoid takes the minimum; identity is a large sentinel.
-	MinMonoid = Monoid{Identity: int64(1) << 62, Op: func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	}}
-	// MaxMonoid takes the maximum.
-	MaxMonoid = Monoid{Identity: -(int64(1) << 62), Op: func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	}}
 	// OrMonoid is logical OR on 0/1 values.
 	OrMonoid = Monoid{Identity: 0, Op: func(a, b int64) int64 {
 		if a != 0 || b != 0 {
@@ -58,7 +44,4 @@ var (
 		}
 		return 0
 	}}
-	// PlusSecond takes the right operand's value; useful for masked
-	// gathers.
-	PlusSecond = Semiring{Add: PlusMonoid, Mul: func(a, b int64) int64 { return b }}
 )

@@ -1,13 +1,11 @@
-// Package sparse provides hand-rolled sparse matrix kernels: CSR and CSC
-// storage, a COO builder, transposition, sparse matrix–matrix and
-// matrix–vector products over pluggable semirings, element-wise
-// operations, selections, and reductions.
+// Package sparse provides hand-rolled sparse matrix kernels: CSR
+// storage, a COO builder, transposition, sparse matrix–matrix products
+// over pluggable semirings, and selections.
 //
 // The package is the computational substrate for the butterfly-counting
 // algorithms: the paper's biadjacency matrix A is held as a pattern CSR
-// (implicit 1 values) together with its transpose, and every term of the
-// linear-algebraic specification (AAᵀ products, Hadamard masks, traces,
-// diagonals) maps to a kernel here.
+// (implicit 1 values) together with the CSR of its transpose, and the
+// AAᵀ products of the linear-algebraic specification run here.
 //
 // Conventions:
 //   - Row/column indices are int32 (graphs of interest are ≪ 2³¹).
@@ -151,44 +149,6 @@ func (a *CSR) Equal(b *CSR) bool {
 		}
 	}
 	return true
-}
-
-// CSC is a compressed-sparse-column matrix. CSC(A) stores the same
-// pattern as CSR(Aᵀ); it exists as a named type because the paper's
-// column-partitioned algorithms (invariants 1–4) iterate over exposed
-// columns, for which CSC is the natural layout.
-type CSC struct {
-	R, C int     // dimensions
-	Ptr  []int64 // column offsets, len C+1
-	Row  []int32 // row indices, len nnz, sorted within each column
-	Val  []int64 // values, or nil for a pattern matrix
-}
-
-// NNZ returns the number of stored entries.
-func (a *CSC) NNZ() int64 {
-	if len(a.Ptr) == 0 {
-		return 0
-	}
-	return a.Ptr[a.C]
-}
-
-// ColIdx returns the row indices of column j; the slice aliases internal
-// storage.
-func (a *CSC) ColIdx(j int) []int32 { return a.Row[a.Ptr[j]:a.Ptr[j+1]] }
-
-// ColDeg returns the number of stored entries in column j.
-func (a *CSC) ColDeg(j int) int { return int(a.Ptr[j+1] - a.Ptr[j]) }
-
-// AsCSRTranspose reinterprets the CSC storage of A as the CSR storage of
-// Aᵀ without copying.
-func (a *CSC) AsCSRTranspose() *CSR {
-	return &CSR{R: a.C, C: a.R, Ptr: a.Ptr, Col: a.Row, Val: a.Val}
-}
-
-// CSCFromCSRTranspose reinterprets CSR storage of Aᵀ as CSC storage of A
-// without copying.
-func CSCFromCSRTranspose(at *CSR) *CSC {
-	return &CSC{R: at.C, C: at.R, Ptr: at.Ptr, Row: at.Col, Val: at.Val}
 }
 
 // Dims formats the dimensions for error messages.
