@@ -692,6 +692,23 @@ func TestAggPolicyStringsAndParse(t *testing.T) {
 	}
 }
 
+func TestPeelEngineStringsAndParse(t *testing.T) {
+	for e, s := range map[PeelEngine]string{PeelDelta: "delta", PeelRecount: "recount"} {
+		if e.String() != s {
+			t.Errorf("String(%d) = %q, want %q", int(e), e.String(), s)
+		}
+		back, err := ParsePeelEngine(s)
+		if err != nil || back != e {
+			t.Errorf("ParsePeelEngine(%q) = %v, %v", s, back, err)
+		}
+	}
+	for _, s := range []string{"", "Delta", "bogus"} {
+		if _, err := ParsePeelEngine(s); err == nil {
+			t.Errorf("engine %q accepted", s)
+		}
+	}
+}
+
 func TestCountWithAggErrors(t *testing.T) {
 	g := k22(t)
 	if _, err := g.CountWith(CountOptions{Agg: AggPolicy(42)}); err == nil {

@@ -81,13 +81,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var eng butterfly.PeelEngine
-	switch *engine {
-	case "delta":
-		eng = butterfly.PeelDelta
-	case "recount":
-		eng = butterfly.PeelRecount
-	default:
+	eng, err := butterfly.ParsePeelEngine(*engine)
+	if err != nil {
 		return fmt.Errorf("unknown -engine %q (want delta|recount)", *engine)
 	}
 	opts := butterfly.PeelOptions{Engine: eng, Threads: *threads}

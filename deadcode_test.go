@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ var (
 	keptPackages = map[string]string{
 		"dense": "the paper's specification, equations (7), (19) and (25), run as the test oracle",
 	}
-	// Single functions and methods, as package.Func or package.Type.Method.
+	// Single declarations, as package.Name or package.Type.Method.
 	keptDecls = map[string]string{
 		"gen.Star":               "test fixture: the star graph, zero butterflies by construction",
 		"gen.BicliqueChain":      "test fixture: chained bicliques with a closed-form count",
@@ -41,24 +42,33 @@ var (
 	}
 )
 
-// TestNoTestOnlyExports fails for every exported function or method in
-// internal/ whose name appears as an identifier nowhere in the non-test
-// Go of either module (this one and benchmark/) outside its own
-// declaration. Such a declaration is called by tests only: delete it
-// with its tests, move it into a _test.go file, or list it above with
-// the reason it stays.
+// TestNoTestOnlyExports fails for every exported package-level
+// function, method, var, const or type in internal/ whose name appears
+// as an identifier nowhere in the non-test Go of either module (this
+// one and benchmark/) outside its own declaration. Such a declaration
+// is named by tests only: delete it with its tests, move it into a
+// _test.go file, or list it above with the reason it stays.
 func TestNoTestOnlyExports(t *testing.T) {
 	type decl struct {
 		key, pos string
-		node     *ast.FuncDecl
+		name     *ast.Ident
+		unit     ast.Node // the FuncDecl or spec that declares name
 		method   bool
 	}
 	var decls []decl
-	// users[name] holds the top-level declaration around each identifier
-	// with that name; nil for identifiers outside any function. The name
-	// a function or method declares is not a use, even of a same-named
-	// method on another type.
-	users := map[string][]*ast.FuncDecl{}
+	// users[name] holds the declaring unit — a function or method, or
+	// one spec of a var, const or type declaration — around each
+	// identifier with that name. The names a unit declares are not
+	// uses, even of a same-named method on another type.
+	users := map[string][]ast.Node{}
+	record := func(unit ast.Node, declared ...*ast.Ident) {
+		ast.Inspect(unit, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !slices.Contains(declared, id) {
+				users[id.Name] = append(users[id.Name], unit)
+			}
+			return true
+		})
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -78,21 +88,35 @@ func TestNoTestOnlyExports(t *testing.T) {
 			return err
 		}
 		pkg, inInternal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
-		for _, dd := range f.Decls {
-			fn, _ := dd.(*ast.FuncDecl)
-			if fn != nil && inInternal && fn.Name.IsExported() {
-				key := pkg + "." + fn.Name.Name
-				if fn.Recv != nil {
-					key = pkg + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-				}
-				decls = append(decls, decl{key, fset.Position(fn.Pos()).String(), fn, fn.Recv != nil})
+		add := func(key string, name *ast.Ident, unit ast.Node, method bool) {
+			if inInternal && name.IsExported() {
+				decls = append(decls, decl{pkg + "." + key, fset.Position(name.Pos()).String(), name, unit, method})
 			}
-			ast.Inspect(dd, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && (fn == nil || id != fn.Name) {
-					users[id.Name] = append(users[id.Name], fn)
+		}
+		for _, dd := range f.Decls {
+			switch x := dd.(type) {
+			case *ast.FuncDecl:
+				key := x.Name.Name
+				if x.Recv != nil {
+					key = recvName(x.Recv.List[0].Type) + "." + key
 				}
-				return true
-			})
+				add(key, x.Name, x, x.Recv != nil)
+				record(x, x.Name)
+			case *ast.GenDecl:
+				for _, spec := range x.Specs {
+					var names []*ast.Ident
+					switch sp := spec.(type) {
+					case *ast.ValueSpec:
+						names = sp.Names
+					case *ast.TypeSpec:
+						names = []*ast.Ident{sp.Name}
+					}
+					for _, name := range names {
+						add(name.Name, name, spec, false)
+					}
+					record(spec, names...)
+				}
+			}
 		}
 		return nil
 	})
@@ -104,8 +128,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 	var dead []string
 	for _, d := range decls {
 		used := false
-		for _, u := range users[d.node.Name.Name] {
-			if u != d.node {
+		for _, u := range users[d.name.Name] {
+			if u != d.unit {
 				used = true
 				break
 			}
@@ -119,7 +143,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			matched[pkg] = true
 		case keptDecls[d.key] != "":
 			matched[d.key] = true
-		case d.method && interfaceMethods[d.node.Name.Name] != "":
+		case d.method && interfaceMethods[d.name.Name] != "":
 		default:
 			dead = append(dead, d.pos+": "+d.key)
 		}

@@ -20,7 +20,7 @@ func CountSpGEMM(g *graph.Bipartite) int64 {
 	if g.NumV2() < g.NumV1() {
 		a, at = at, a
 	}
-	return countFromWedgeMatrix(sparse.MxM(a, at, sparse.PlusTimes))
+	return countFromWedgeMatrix(sparse.MxM(a, at))
 }
 
 // CountSpGEMMParallel is CountSpGEMM with a row-parallel sparse
@@ -31,7 +31,7 @@ func CountSpGEMMParallel(g *graph.Bipartite, threads int) int64 {
 	if g.NumV2() < g.NumV1() {
 		a, at = at, a
 	}
-	return countFromWedgeMatrix(sparse.MxMParallel(a, at, sparse.PlusTimes, threads))
+	return countFromWedgeMatrix(sparse.MxMParallel(a, at, threads))
 }
 
 // countFromWedgeMatrix evaluates ΞG = ½·Σ_{i≠j} C(β_ij, 2) over the
@@ -83,13 +83,13 @@ func CountBlockedAlgebraic(g *graph.Bipartite, panel int) int64 {
 		a0 := rowSlice(at, 0, p0)   // A0ᵀ: processed columns as rows
 		// Cross wedges: W = A1ᵀ·A0 = a1t · (a0)ᵀ.
 		if a0.R > 0 {
-			w := sparse.MxM(a1t, sparse.Transpose(a0), sparse.PlusTimes)
+			w := sparse.MxM(a1t, sparse.Transpose(a0))
 			for _, beta := range w.Val {
 				total += beta * (beta - 1) / 2
 			}
 		}
 		// Within-panel pairs: strictly upper part of A1ᵀ·A1.
-		wp := sparse.MxM(a1t, sparse.Transpose(a1t), sparse.PlusTimes)
+		wp := sparse.MxM(a1t, sparse.Transpose(a1t))
 		for i := 0; i < wp.R; i++ {
 			row := wp.Row(i)
 			vals := wp.RowVals(i)

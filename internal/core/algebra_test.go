@@ -114,7 +114,7 @@ func vertexButterfliesSpGEMM(g *graph.Bipartite, side Side) []int64 {
 	if side == SideV2 {
 		a, at = at, a
 	}
-	b := sparse.MxM(a, at, sparse.PlusTimes)
+	b := sparse.MxM(a, at)
 	s := make([]int64, b.R)
 	for i := 0; i < b.R; i++ {
 		row := b.Row(i)

@@ -177,7 +177,7 @@ func peelTips(g *graph.Bipartite, side Side, threads int, a *Arena) {
 		alive[u] = true
 	}
 	dirty := make([]int32, n)
-	var batch, touched []int32
+	var batch, touched []int64
 	var level int64
 	for left := n; left > 0; left -= len(batch) {
 		low := int64(-1)
@@ -191,7 +191,7 @@ func peelTips(g *graph.Bipartite, side Side, threads int, a *Arena) {
 		for u, ok := range alive {
 			if ok && s[u] <= level {
 				alive[u] = false
-				batch = append(batch, int32(u))
+				batch = append(batch, int64(u))
 			}
 		}
 		touched = touched[:0]

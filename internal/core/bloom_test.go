@@ -272,10 +272,10 @@ func TestDeltaPartialsMergeOnCompleteBipartite(t *testing.T) {
 
 	// Tip: peel V1 vertices 0–9; each of 10–19 loses 10·C(20, 2).
 	alive := make([]bool, g.NumV1())
-	var batch []int32
+	var batch []int64
 	for u := range alive {
 		if u < 10 {
-			batch = append(batch, int32(u))
+			batch = append(batch, int64(u))
 		} else {
 			alive[u] = true
 		}
@@ -284,14 +284,14 @@ func TestDeltaPartialsMergeOnCompleteBipartite(t *testing.T) {
 	before := slices.Clone(s)
 	want := vertexButterfliesMasked(g, SideV1, alive)
 	dirty := make([]int32, len(s))
-	var touched []int32
+	var touched []int64
 	TipDeltaBatch(g, SideV1, batch, alive, s, dirty, &touched, 3, arena)
 	for u, ok := range alive {
 		if ok && s[u] != want[u] {
 			t.Fatalf("tip: vertex %d has %d butterflies, recount %d", u, s[u], want[u])
 		}
 	}
-	if !touchedExact(touched, dirty, func(w int32) bool { return s[w] != before[w] }) {
+	if !touchedExact(touched, dirty, func(w int64) bool { return s[w] != before[w] }) {
 		t.Fatal("tip: touched list or dirty marks wrong")
 	}
 
@@ -330,8 +330,8 @@ func TestDeltaPartialsMergeOnCompleteBipartite(t *testing.T) {
 
 // touchedExact reports whether touched lists exactly the ids for which
 // changed holds, each once, and dirty is set for exactly those ids.
-func touchedExact[T int32 | int64](touched []T, dirty []int32, changed func(T) bool) bool {
-	seen := make(map[T]bool, len(touched))
+func touchedExact(touched []int64, dirty []int32, changed func(int64) bool) bool {
+	seen := make(map[int64]bool, len(touched))
 	for _, f := range touched {
 		if seen[f] || !changed(f) {
 			return false
@@ -339,7 +339,7 @@ func touchedExact[T int32 | int64](touched []T, dirty []int32, changed func(T) b
 		seen[f] = true
 	}
 	for i, d := range dirty {
-		f := T(i)
+		f := int64(i)
 		if (d != 0) != seen[f] || changed(f) != seen[f] {
 			return false
 		}

@@ -55,7 +55,7 @@ const minDeltaParallelBatch = 8
 // worker goroutines that subtract into private partial vectors, merged
 // into s after the join; results are identical to the sequential path
 // (the decrement multiset is the same).
-func TipDeltaBatch(g *graph.Bipartite, side Side, batch []int32, alive []bool, s []int64, dirty []int32, touched *[]int32, threads int, a *Arena) {
+func TipDeltaBatch(g *graph.Bipartite, side Side, batch []int64, alive []bool, s []int64, dirty []int32, touched *[]int64, threads int, a *Arena) {
 	if len(batch) == 0 {
 		return
 	}
@@ -76,7 +76,7 @@ func TipDeltaBatch(g *graph.Bipartite, side Side, batch []int32, alive []bool, s
 					s[w] -= b
 					if dirty[w] == 0 {
 						dirty[w] = 1
-						*touched = append(*touched, w)
+						*touched = append(*touched, int64(w))
 					}
 				}
 			}
@@ -112,13 +112,13 @@ func TipDeltaBatch(g *graph.Bipartite, side Side, batch []int32, alive []bool, s
 // it touched first — into vals and re-zeroes them, appending each id
 // whose dirty mark is still clear to *touched. Called once per worker
 // after the join, so the marks need no atomics.
-func mergePartials(vals, part []int64, ids []int32, dirty []int32, touched *[]int32) {
+func mergePartials(vals, part []int64, ids []int32, dirty []int32, touched *[]int64) {
 	for _, id := range ids {
 		vals[id] += part[id]
 		part[id] = 0
 		if dirty[id] == 0 {
 			dirty[id] = 1
-			*touched = append(*touched, id)
+			*touched = append(*touched, int64(id))
 		}
 	}
 }

@@ -27,13 +27,13 @@ func TestQuickTipDeltaBatchExact(t *testing.T) {
 			}
 			before := make([]bool, n)
 			after := make([]bool, n)
-			var batch []int32
+			var batch []int64
 			for u := range before {
 				switch rng.Intn(4) {
 				case 0: // dead from an earlier round
 				case 1: // peeled by this batch
 					before[u] = true
-					batch = append(batch, int32(u))
+					batch = append(batch, int64(u))
 				default: // survivor
 					before[u] = true
 					after[u] = true
@@ -46,7 +46,7 @@ func TestQuickTipDeltaBatchExact(t *testing.T) {
 			want := vertexButterfliesMasked(g, side, after)
 
 			dirty := make([]int32, n)
-			var touched []int32
+			var touched []int64
 			for _, threads := range []int{1, 3} {
 				got := append([]int64(nil), s...)
 				touched = touched[:0]
@@ -82,10 +82,10 @@ func TestQuickTipDeltaParallelTouched(t *testing.T) {
 				n = g.NumV2()
 			}
 			alive := make([]bool, n)
-			var batch []int32
+			var batch []int64
 			for u := range alive {
 				if rng.Intn(3) == 0 {
-					batch = append(batch, int32(u))
+					batch = append(batch, int64(u))
 				} else {
 					alive[u] = true
 				}
@@ -97,7 +97,7 @@ func TestQuickTipDeltaParallelTouched(t *testing.T) {
 			VertexButterfliesMaskedInto(s, g, side, nil, 1, nil)
 			seq := append([]int64(nil), s...)
 			dirty := make([]int32, n)
-			var touched []int32
+			var touched []int64
 			TipDeltaBatch(g, side, batch, alive, seq, dirty, &touched, 1, nil)
 			for _, w := range touched {
 				dirty[w] = 0
@@ -111,7 +111,7 @@ func TestQuickTipDeltaParallelTouched(t *testing.T) {
 					t.Logf("seed %d side %v threads %d: counts differ from the sequential path", seed, side, threads)
 					return false
 				}
-				if !touchedExact(touched, dirty, func(w int32) bool { return got[w] != s[w] }) {
+				if !touchedExact(touched, dirty, func(w int64) bool { return got[w] != s[w] }) {
 					t.Logf("seed %d side %v threads %d: touched list or dirty marks wrong", seed, side, threads)
 					return false
 				}
@@ -160,10 +160,10 @@ func TestTipDeltaSteadyStateZeroAlloc(t *testing.T) {
 	g := gen.PowerLawBipartite(800, 600, 4000, 0.7, 0.7, 8)
 	n := g.NumV1()
 	alive := make([]bool, n)
-	var batch []int32
+	var batch []int64
 	for u := range alive {
 		if u%7 == 0 {
-			batch = append(batch, int32(u))
+			batch = append(batch, int64(u))
 		} else {
 			alive[u] = true
 		}
@@ -171,7 +171,7 @@ func TestTipDeltaSteadyStateZeroAlloc(t *testing.T) {
 	s := make([]int64, n)
 	VertexButterfliesMaskedInto(s, g, SideV1, nil, 1, nil)
 	dirty := make([]int32, n)
-	touched := make([]int32, 0, n)
+	touched := make([]int64, 0, n)
 	arena := NewArena()
 	// Warm the arena workspace and the touched capacity.
 	TipDeltaBatch(g, SideV1, batch, alive, s, dirty, &touched, 1, arena)

@@ -26,7 +26,7 @@ func BenchmarkTipDecompositionDelta(b *testing.B) {
 	for _, threads := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, benchRounds = tipDecompositionDelta(g, core.SideV1, threads, nil)
+				_, benchRounds = deltaLevels(tips(g, core.SideV1, threads), nil)
 			}
 		})
 	}
@@ -51,7 +51,7 @@ func BenchmarkWingDecompositionDelta(b *testing.B) {
 		for _, threads := range []int{1, runtime.NumCPU()} {
 			b.Run(fmt.Sprintf("%s/threads=%d", name, threads), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					_, benchRounds = wingDecompositionDelta(g, threads, nil)
+					_, benchRounds = deltaLevels(wings(g, threads), nil)
 				}
 				b.ReportMetric(blooms, "blooms")
 				b.ReportMetric(wedges, "wedges")

@@ -25,7 +25,7 @@ func TestQuickTipDeltaMatchesSequentialAndRecount(t *testing.T) {
 		for _, side := range []core.Side{core.SideV1, core.SideV2} {
 			want := tipNumbers(g, side)
 			for _, threads := range []int{1, 3} {
-				got, _ := tipDecompositionDelta(g, side, threads, nil)
+				got, _ := deltaLevels(tips(g, side, threads), nil)
 				for i := range want {
 					if got[i] != want[i] {
 						return false
@@ -43,7 +43,7 @@ func TestQuickTipDeltaMatchesSequentialAndRecount(t *testing.T) {
 func TestTipDeltaMediumGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(300, 250, 2000, 0.7, 0.7, 3)
 	want := tipNumbers(g, core.SideV1)
-	got, rounds := tipDecompositionDelta(g, core.SideV1, 4, nil)
+	got, rounds := deltaLevels(tips(g, core.SideV1, 4), nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("vertex %d: delta %d, recount %d", i, got[i], want[i])
@@ -55,12 +55,12 @@ func TestTipDeltaMediumGraph(t *testing.T) {
 }
 
 func TestTipDeltaEmptyAndButterflyFree(t *testing.T) {
-	for _, tip := range mustTip(tipDecompositionDelta(gen.Star(5), core.SideV2, 2, nil)) {
+	for _, tip := range mustTip(deltaLevels(tips(gen.Star(5), core.SideV2, 2), nil)) {
 		if tip != 0 {
 			t.Fatal("star leaves should have tip 0")
 		}
 	}
-	empty, rounds := tipDecompositionDelta(gen.CompleteBipartite(0, 0), core.SideV1, 2, nil)
+	empty, rounds := deltaLevels(tips(gen.CompleteBipartite(0, 0), core.SideV1, 2), nil)
 	if len(empty) != 0 || rounds != 0 {
 		t.Fatal("empty graph should give empty tips in zero rounds")
 	}
@@ -74,7 +74,7 @@ func TestQuickWingDeltaMatchesSequentialAndRecount(t *testing.T) {
 		_, g := randGraphAndDense(rng, 8)
 		want := wingNumbers(g)
 		for _, threads := range []int{1, 3} {
-			got, _ := wingDecompositionDelta(g, threads, nil)
+			got, _ := deltaLevels(wings(g, threads), nil)
 			for i := range want {
 				if got[i] != want[i] {
 					return false
@@ -91,7 +91,7 @@ func TestQuickWingDeltaMatchesSequentialAndRecount(t *testing.T) {
 func TestWingDeltaMediumGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(120, 100, 900, 0.7, 0.7, 13)
 	want := wingNumbers(g)
-	got, rounds := wingDecompositionDelta(g, 4, nil)
+	got, rounds := deltaLevels(wings(g, 4), nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("edge %d: delta %d, recount %d", i, got[i], want[i])
@@ -122,6 +122,25 @@ func checkWingRound(x *core.BloomIndex, alive []bool, sup []int64) error {
 		return fmt.Errorf("surviving supports add up to %d, want 4·Σ C(k, 2) = %d", sum, want)
 	}
 	return nil
+}
+
+// wingPeel is the delta wing decomposition with a hook that, when
+// non-nil, sees the index, liveness and supports after every round. Its
+// seed builds the index exactly as the wing kind's does, and keeps it
+// in the hook's reach.
+func wingPeel(g *graph.Bipartite, threads int, stage stageFunc, after func(x *core.BloomIndex, alive []bool, sup []int64)) ([]int64, int) {
+	k := wings(g, threads)
+	k.seed = func(sup []int64) decFunc {
+		x := core.NewBloomIndex(g, threads, nil)
+		x.SupportsInto(sup)
+		return func(batch []int64, alive []bool, sup []int64, dirty []int32, touched *[]int64) {
+			x.PeelRound(batch, alive, sup, dirty, touched)
+			if after != nil {
+				after(x, alive, sup)
+			}
+		}
+	}
+	return deltaLevels(k, stage)
 }
 
 // wingRoundsChecked runs the wing engine with checkWingRound after
@@ -208,7 +227,7 @@ func TestQuickKTipDeltaMatches(t *testing.T) {
 		_, g := randGraphAndDense(rng, 9)
 		for k := int64(0); k <= 3; k++ {
 			for _, side := range []core.Side{core.SideV1, core.SideV2} {
-				sub, _ := kTipDelta(g, k, side, 3, nil)
+				sub, _ := deltaBelow(tips(g, side, 3), k, nil)
 				if !sub.Equal(kTip(g, k, side)) {
 					return false
 				}
@@ -226,7 +245,7 @@ func TestQuickKWingDeltaMatches(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 8)
 		for k := int64(0); k <= 3; k++ {
-			sub, _ := kWingDelta(g, k, 3, nil)
+			sub, _ := deltaBelow(wings(g, 3), k, nil)
 			if !sub.Equal(kWing(g, k)) {
 				return false
 			}
@@ -327,15 +346,15 @@ func TestEnginesMergeOnCompleteBipartite(t *testing.T) {
 	for _, g := range []*graph.Bipartite{gen.CompleteBipartite(20, 20), b.Build()} {
 		for _, side := range []core.Side{core.SideV1, core.SideV2} {
 			want := tipNumbers(g, side)
-			delta, _ := tipDecompositionDelta(g, side, 3, nil)
-			recount, _ := tipDecompositionRecount(g, side, 3, nil)
+			delta, _ := deltaLevels(tips(g, side, 3), nil)
+			recount, _ := recountLevels(tips(g, side, 3), nil)
 			if !slices.Equal(delta, want) || !slices.Equal(recount, want) {
 				t.Fatalf("%d×%d %v tips: delta %v, recount %v, want %v", g.NumV1(), g.NumV2(), side, delta, recount, want)
 			}
 		}
 		want := wingNumbers(g)
-		delta, _ := wingDecompositionDelta(g, 3, nil)
-		recount, _ := wingDecompositionRecount(g, 3, nil)
+		delta, _ := deltaLevels(wings(g, 3), nil)
+		recount, _ := recountLevels(wings(g, 3), nil)
 		if !slices.Equal(delta, want) || !slices.Equal(recount, want) {
 			t.Fatalf("%d×%d wings: delta and recount at threads 3 differ from the one-thread recount", g.NumV1(), g.NumV2())
 		}
@@ -358,12 +377,12 @@ func TestEngineString(t *testing.T) {
 func TestTipDeltaFewAllocsWarm(t *testing.T) {
 	g := gen.PowerLawBipartite(200, 160, 1400, 0.7, 0.7, 7)
 	// Prime any global state.
-	tipDecompositionDelta(g, core.SideV1, 1, nil)
+	deltaLevels(tips(g, core.SideV1, 1), nil)
 	allocs := testing.AllocsPerRun(3, func() {
-		tipDecompositionDelta(g, core.SideV1, 1, nil)
+		deltaLevels(tips(g, core.SideV1, 1), nil)
 	})
 	if allocs > 512 {
-		t.Fatalf("tipDecompositionDelta allocates %v times per run", allocs)
+		t.Fatalf("deltaLevels of tips allocates %v times per run", allocs)
 	}
 }
 
@@ -377,9 +396,9 @@ func TestTipDeltaFewAllocsWarm(t *testing.T) {
 func TestWingDeltaRelayoutAgreement(t *testing.T) {
 	orig := gen.PowerLawBipartite(120, 100, 900, 0.7, 0.7, 13)
 	g, _, _ := orig.DegreeOrdered()
-	want := mustTip(wingDecompositionRecount(g, 2, nil))
+	want := mustTip(recountLevels(wings(g, 2), nil))
 	for _, threads := range []int{1, 4} {
-		got, _ := wingDecompositionDelta(g, threads, nil)
+		got, _ := deltaLevels(wings(g, threads), nil)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("threads=%d edge %d: delta %d, recount %d", threads, i, got[i], want[i])
@@ -408,9 +427,9 @@ func TestTipDeltaRelayoutAgreement(t *testing.T) {
 	orig := gen.PowerLawBipartite(300, 250, 2000, 0.7, 0.7, 3)
 	g, _, _ := orig.DegreeOrdered()
 	for _, side := range []core.Side{core.SideV1, core.SideV2} {
-		want := mustTip(tipDecompositionRecount(g, side, 2, nil))
+		want := mustTip(recountLevels(tips(g, side, 2), nil))
 		for _, threads := range []int{1, 4} {
-			got, _ := tipDecompositionDelta(g, side, threads, nil)
+			got, _ := deltaLevels(tips(g, side, threads), nil)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("side=%v threads=%d vertex %d: delta %d, recount %d", side, threads, i, got[i], want[i])

@@ -66,8 +66,8 @@ func DensestByButterflies(g *graph.Bipartite, side core.Side) DensestResult {
 	}
 
 	dirty := make([]int32, n)
-	batch := make([]int32, 1)
-	touched := make([]int32, 0, 1024)
+	batch := make([]int64, 1)
+	touched := make([]int64, 0, 1024)
 	step := 0
 	for {
 		_, id, ok := h.popCurrent(s, removed)
@@ -86,11 +86,11 @@ func DensestByButterflies(g *graph.Bipartite, side core.Side) DensestResult {
 		activeCount--
 		step++
 
-		batch[0] = int32(u)
+		batch[0] = id
 		core.TipDeltaBatch(g, side, batch, active, s, dirty, &touched, 1, arena)
 		for _, w := range touched {
 			dirty[w] = 0
-			h.push(s[w], int64(w))
+			h.push(s[w], w)
 		}
 		touched = touched[:0]
 

@@ -1,17 +1,20 @@
 package peel
 
 // Engine selection for the peeling algorithms: every decomposition and
-// k-subgraph extraction exists in two parallel flavors that produce
+// k-subgraph extraction runs on one of two engines that produce
 // bit-identical results (peeling is confluent):
 //
 //   - EngineDelta (default): the incremental engine — bucketed peeling
-//     with exact wedge-delta support updates. Work is proportional to
-//     the butterflies destroyed; the hot path of choice.
+//     with exact support decrements (deltaLevels, deltaBelow). Work is
+//     proportional to the butterflies destroyed; the hot path of choice.
 //   - EngineRecount: the round-synchronous engine — every round
-//     recomputes all surviving supports from scratch. O(levels ×
-//     wedges), but structurally trivial; kept as the differential-
-//     testing oracle and as a fallback for workloads with very few
-//     levels and enormous delta fan-out.
+//     recomputes all surviving supports from scratch (recountLevels,
+//     recountBelow). O(levels × wedges), but structurally trivial; kept
+//     as the differential-testing oracle and as a fallback for
+//     workloads with very few levels and enormous delta fan-out.
+//
+// Each engine runs tips and wings through the same two loops; the kind
+// of peel is a value (kind.go), not a code path.
 
 import (
 	"fmt"
@@ -26,9 +29,13 @@ import (
 type Engine int
 
 const (
-	// EngineDelta is the incremental wedge-delta engine (default).
+	// EngineDelta is the incremental engine (default): bucketed peeling
+	// whose work is proportional to the butterflies actually destroyed.
 	EngineDelta Engine = iota
-	// EngineRecount is the round-synchronous full-recount engine.
+	// EngineRecount is the round-synchronous engine: every round
+	// recomputes all surviving supports from scratch. Kept as the
+	// differential-testing oracle and for few-level workloads with
+	// enormous delta fan-out.
 	EngineRecount
 )
 
@@ -40,7 +47,11 @@ func (e Engine) String() string {
 	return "delta"
 }
 
-// Options configures an engine-dispatched peeling run.
+// Options configures an engine-dispatched peeling run. It has no
+// aggregation knob: the engines keep per-vertex and per-edge supports
+// indexed by id, which needs the dense histogram accumulator — the
+// sort/hash/batch wedge aggregations only apply to scalar whole-graph
+// counts.
 type Options struct {
 	// Engine selects delta (zero value) or recount execution. A delta
 	// wing run holds a core.BloomIndex, whose memory follows the
@@ -93,6 +104,8 @@ func emitRound(stage stageFunc, i int, t0 time.Time) {
 
 // Stats reports how a peeling run executed.
 type Stats struct {
+	// Engine is the engine that ran.
+	Engine Engine
 	// Rounds is the number of peeled batches (delta) or recompute
 	// rounds (recount). Engines may legitimately differ: the delta
 	// engine counts the sub-rounds its cascades replay.
@@ -109,42 +122,43 @@ func (o Options) threads() int {
 	return o.Threads
 }
 
+// levels runs the decomposition of p on the selected engine.
+func (o Options) levels(p kind) ([]int64, Stats) {
+	run := deltaLevels
+	if o.Engine == EngineRecount {
+		run = recountLevels
+	}
+	num, rounds := run(p, o.Stage)
+	return num, Stats{Engine: o.Engine, Rounds: rounds}
+}
+
+// below peels every id of p whose support is below k, to the
+// fixpoint, on the selected engine.
+func (o Options) below(p kind, k int64) (*graph.Bipartite, Stats) {
+	run := deltaBelow
+	if o.Engine == EngineRecount {
+		run = recountBelow
+	}
+	sub, rounds := run(p, k, o.Stage)
+	return sub, Stats{Engine: o.Engine, Rounds: rounds}
+}
+
 // TipNumbersWith runs the tip decomposition on the selected engine.
 func TipNumbersWith(g *graph.Bipartite, side core.Side, o Options) ([]int64, Stats) {
-	if o.Engine == EngineRecount {
-		tip, rounds := tipDecompositionRecount(g, side, o.threads(), o.Stage)
-		return tip, Stats{Rounds: rounds}
-	}
-	tip, rounds := tipDecompositionDelta(g, side, o.threads(), o.Stage)
-	return tip, Stats{Rounds: rounds}
+	return o.levels(tips(g, side, o.threads()))
 }
 
 // WingNumbersWith runs the wing decomposition on the selected engine.
 func WingNumbersWith(g *graph.Bipartite, o Options) ([]int64, Stats) {
-	if o.Engine == EngineRecount {
-		wing, rounds := wingDecompositionRecount(g, o.threads(), o.Stage)
-		return wing, Stats{Rounds: rounds}
-	}
-	wing, rounds := wingDecompositionDelta(g, o.threads(), o.Stage)
-	return wing, Stats{Rounds: rounds}
+	return o.levels(wings(g, o.threads()))
 }
 
 // KTipWith extracts the k-tip subgraph on the selected engine.
 func KTipWith(g *graph.Bipartite, k int64, side core.Side, o Options) (*graph.Bipartite, Stats) {
-	if o.Engine == EngineRecount {
-		sub, rounds := kTipRecount(g, k, side, o.threads(), o.Stage)
-		return sub, Stats{Rounds: rounds}
-	}
-	sub, rounds := kTipDelta(g, k, side, o.threads(), o.Stage)
-	return sub, Stats{Rounds: rounds}
+	return o.below(tips(g, side, o.threads()), k)
 }
 
 // KWingWith extracts the k-wing subgraph on the selected engine.
 func KWingWith(g *graph.Bipartite, k int64, o Options) (*graph.Bipartite, Stats) {
-	if o.Engine == EngineRecount {
-		sub, rounds := kWingRecount(g, k, o.threads(), o.Stage)
-		return sub, Stats{Rounds: rounds}
-	}
-	sub, rounds := kWingDelta(g, k, o.threads(), o.Stage)
-	return sub, Stats{Rounds: rounds}
+	return o.below(wings(g, o.threads()), k)
 }

@@ -4,8 +4,11 @@
 // full tip/wing decompositions (the peeling orders of Sariyüce & Pinar
 // [11]). Every answer has one production path and one oracle: the
 // incremental delta engine and the round-synchronous recount engine
-// (engine.go). The lazy-deletion min-heap in this file orders the
-// one-vertex-at-a-time greedy peel of DensestByButterflies.
+// (engine.go). Each engine is two loops — deltaLevels and deltaBelow
+// (delta.go), recountLevels and recountBelow (recount.go) — that tips
+// and wings share, run over the per-kind value of kind.go. The
+// lazy-deletion min-heap in this file orders the one-vertex-at-a-time
+// greedy peel of DensestByButterflies.
 package peel
 
 import "container/heap"

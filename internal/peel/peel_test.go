@@ -2,6 +2,7 @@ package peel
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -34,21 +35,21 @@ func randGraphAndDense(rng *rand.Rand, maxSide int) (*dense.Matrix, *graph.Bipar
 // k-subgraphs are checked against the dense spec below); these helpers
 // drop its round counts.
 func kTip(g *graph.Bipartite, k int64, side core.Side) *graph.Bipartite {
-	sub, _ := kTipRecount(g, k, side, 1, nil)
+	sub, _ := recountBelow(tips(g, side, 1), k, nil)
 	return sub
 }
 
 func kWing(g *graph.Bipartite, k int64) *graph.Bipartite {
-	sub, _ := kWingRecount(g, k, 1, nil)
+	sub, _ := recountBelow(wings(g, 1), k, nil)
 	return sub
 }
 
 func tipNumbers(g *graph.Bipartite, side core.Side) []int64 {
-	return mustTip(tipDecompositionRecount(g, side, 1, nil))
+	return mustTip(recountLevels(tips(g, side, 1), nil))
 }
 
 func wingNumbers(g *graph.Bipartite) []int64 {
-	return mustTip(wingDecompositionRecount(g, 1, nil))
+	return mustTip(recountLevels(wings(g, 1), nil))
 }
 
 // v1Counts is the per-vertex butterfly vector of V1.
@@ -210,7 +211,7 @@ func TestQuickTipDecompositionConsistent(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 8)
-		for _, tip := range [][]int64{tipNumbers(g, core.SideV1), mustTip(tipDecompositionDelta(g, core.SideV1, 1, nil))} {
+		for _, tip := range [][]int64{tipNumbers(g, core.SideV1), mustTip(deltaLevels(tips(g, core.SideV1, 1), nil))} {
 			maxTip := int64(0)
 			for _, v := range tip {
 				if v > maxTip {
@@ -245,7 +246,7 @@ func TestQuickWingDecompositionConsistent(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 7)
 		adj := g.Adj()
-		for _, wing := range [][]int64{wingNumbers(g), mustTip(wingDecompositionDelta(g, 1, nil))} {
+		for _, wing := range [][]int64{wingNumbers(g), mustTip(deltaLevels(wings(g, 1), nil))} {
 			maxWing := int64(0)
 			for _, v := range wing {
 				if v > maxWing {
@@ -253,10 +254,10 @@ func TestQuickWingDecompositionConsistent(t *testing.T) {
 				}
 			}
 			for k := int64(0); k <= maxWing+1; k++ {
-				kept := sparse.PatternOf(sparse.Select(adj, func(i int, j int32, _ int64) bool {
+				kept := sparse.Select(adj, func(i int, j int32, _ int64) bool {
 					e, ok := edgeID(adj, i, j)
 					return ok && wing[e] >= k
-				}))
+				})
 				got, err := graph.FromCSR(kept)
 				if err != nil {
 					return false
@@ -326,6 +327,16 @@ func TestQuickPeelingMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// edgeID returns the flat edge index of (u, v), if present.
+func edgeID(a *sparse.CSR, u int, v int32) (int64, bool) {
+	row := a.Row(u)
+	k := sort.Search(len(row), func(i int) bool { return row[i] >= v })
+	if k < len(row) && row[k] == v {
+		return a.Ptr[u] + int64(k), true
+	}
+	return 0, false
 }
 
 func TestEdgeHelpers(t *testing.T) {

@@ -18,7 +18,7 @@ func TestQuickTipRoundsMatchSequential(t *testing.T) {
 		for _, side := range []core.Side{core.SideV1, core.SideV2} {
 			want := tipNumbers(g, side)
 			for _, threads := range []int{2, 3} {
-				got := mustTip(tipDecompositionRecount(g, side, threads, nil))
+				got := mustTip(recountLevels(tips(g, side, threads), nil))
 				for i := range want {
 					if got[i] != want[i] {
 						return false
@@ -36,7 +36,7 @@ func TestQuickTipRoundsMatchSequential(t *testing.T) {
 func TestTipRoundsMediumGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(300, 250, 2000, 0.7, 0.7, 3)
 	want := tipNumbers(g, core.SideV1)
-	got := mustTip(tipDecompositionRecount(g, core.SideV1, 4, nil))
+	got := mustTip(recountLevels(tips(g, core.SideV1, 4), nil))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("vertex %d: 4 workers %d, sequential %d", i, got[i], want[i])
@@ -45,12 +45,12 @@ func TestTipRoundsMediumGraph(t *testing.T) {
 }
 
 func TestTipRoundsEmptyAndButterflyFree(t *testing.T) {
-	for _, tip := range mustTip(tipDecompositionRecount(gen.Star(5), core.SideV2, 2, nil)) {
+	for _, tip := range mustTip(recountLevels(tips(gen.Star(5), core.SideV2, 2), nil)) {
 		if tip != 0 {
 			t.Fatal("star leaves should have tip 0")
 		}
 	}
-	empty := mustTip(tipDecompositionRecount(gen.CompleteBipartite(0, 0), core.SideV1, 2, nil))
+	empty := mustTip(recountLevels(tips(gen.CompleteBipartite(0, 0), core.SideV1, 2), nil))
 	if len(empty) != 0 {
 		t.Fatal("empty graph should give empty tips")
 	}
@@ -62,7 +62,7 @@ func TestQuickKTipParallelMatches(t *testing.T) {
 		_, g := randGraphAndDense(rng, 9)
 		for k := int64(0); k <= 3; k++ {
 			for _, side := range []core.Side{core.SideV1, core.SideV2} {
-				if sub, _ := kTipRecount(g, k, side, 4, nil); !sub.Equal(kTip(g, k, side)) {
+				if sub, _ := recountBelow(tips(g, side, 4), k, nil); !sub.Equal(kTip(g, k, side)) {
 					return false
 				}
 			}
@@ -104,7 +104,7 @@ func TestQuickWingRoundsMatchSequential(t *testing.T) {
 		_, g := randGraphAndDense(rng, 8)
 		want := wingNumbers(g)
 		for _, threads := range []int{2, 3} {
-			got := mustTip(wingDecompositionRecount(g, threads, nil))
+			got := mustTip(recountLevels(wings(g, threads), nil))
 			for i := range want {
 				if got[i] != want[i] {
 					return false
@@ -121,7 +121,7 @@ func TestQuickWingRoundsMatchSequential(t *testing.T) {
 func TestWingRoundsMediumGraph(t *testing.T) {
 	g := gen.PowerLawBipartite(120, 100, 900, 0.7, 0.7, 13)
 	want := wingNumbers(g)
-	got := mustTip(wingDecompositionRecount(g, 4, nil))
+	got := mustTip(recountLevels(wings(g, 4), nil))
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("edge %d: 4 workers %d, sequential %d", i, got[i], want[i])
@@ -134,7 +134,7 @@ func TestQuickKWingParallelMatches(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		_, g := randGraphAndDense(rng, 8)
 		for k := int64(0); k <= 3; k++ {
-			if sub, _ := kWingRecount(g, k, 3, nil); !sub.Equal(kWing(g, k)) {
+			if sub, _ := recountBelow(wings(g, 3), k, nil); !sub.Equal(kWing(g, k)) {
 				return false
 			}
 		}
@@ -146,10 +146,10 @@ func TestQuickKWingParallelMatches(t *testing.T) {
 }
 
 func TestWingRoundsEmpty(t *testing.T) {
-	if got := mustTip(wingDecompositionRecount(gen.CompleteBipartite(0, 0), 2, nil)); len(got) != 0 {
+	if got := mustTip(recountLevels(wings(gen.CompleteBipartite(0, 0), 2), nil)); len(got) != 0 {
 		t.Fatal("empty graph should give empty wing numbers")
 	}
-	for _, wn := range mustTip(wingDecompositionRecount(gen.Star(4), 2, nil)) {
+	for _, wn := range mustTip(recountLevels(wings(gen.Star(4), 2), nil)) {
 		if wn != 0 {
 			t.Fatal("butterfly-free edges must have wing 0")
 		}

@@ -14,7 +14,7 @@ import (
 // so later iterations of the same sweep already skip peeled vertices.
 // Sweeps repeat until none removes a vertex. Peeling is confluent —
 // removal order does not change the maximal fixpoint — so the result
-// equals the recount engine's k-tip, kTipRecount (asserted by tests).
+// equals the recount engine's k-tip, recountBelow (asserted by tests).
 func KTipLookAhead(g *graph.Bipartite, k int64, side core.Side) *graph.Bipartite {
 	exposed, secondary := g.Adj(), g.AdjT()
 	if side == core.SideV2 {

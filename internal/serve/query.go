@@ -128,18 +128,6 @@ func keyCountFor(opts butterfly.CountOptions) string {
 	return "count|agg=" + opts.Agg.String()
 }
 
-// parsePeelEngine maps the wire spelling to a PeelEngine.
-func parsePeelEngine(s string) (butterfly.PeelEngine, error) {
-	switch s {
-	case "", "delta":
-		return butterfly.PeelDelta, nil
-	case "recount":
-		return butterfly.PeelRecount, nil
-	default:
-		return 0, badReqf("unknown engine %q (want delta|recount)", s)
-	}
-}
-
 // parseTop resolves a request's top: 0 asks for the default 100, and
 // every negative value asks for all, which is kept as -1 so that the
 // spellings of "all" share one cache entry.
@@ -312,9 +300,11 @@ func parsePeel(body io.Reader, _ url.Values) (Query, error) {
 	if req.K < 0 {
 		return Query{}, badReqf("k must be ≥ 0, got %d", req.K)
 	}
-	engine, err := parsePeelEngine(req.Engine)
-	if err != nil {
-		return Query{}, err
+	engine := butterfly.PeelDelta
+	if req.Engine != "" {
+		if engine, err = butterfly.ParsePeelEngine(req.Engine); err != nil {
+			return Query{}, badReqf("unknown engine %q (want delta|recount)", req.Engine)
+		}
 	}
 	key := fmt.Sprintf("peel|tip|k=%d|%v|%v", req.K, side, engine)
 	if req.Mode == "wing" {

@@ -53,10 +53,3 @@ func ZeroRowsCols(a *CSR, rowKeep, colKeep *bitvec.Vector) *CSR {
 		return true
 	})
 }
-
-// PatternOf returns a pattern-only copy of a (values dropped).
-func PatternOf(a *CSR) *CSR {
-	out := a.Clone()
-	out.Val = nil
-	return out
-}

@@ -71,15 +71,3 @@ func TestZeroRowsColsBadMaskPanics(t *testing.T) {
 	}()
 	ZeroRowsCols(a, bitvec.New(3), nil)
 }
-
-func TestPatternOf(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randCSRVals(rng, 5, 5, 0.5)
-	p := PatternOf(a)
-	if !p.IsPattern() {
-		t.Fatal("PatternOf kept values")
-	}
-	if p.NNZ() != a.NNZ() {
-		t.Fatal("PatternOf changed pattern")
-	}
-}

@@ -36,27 +36,28 @@ func (w *Workspace) reset(ncols int) {
 	w.list = w.list[:0]
 }
 
-// scatter adds v into accumulator slot j under the additive monoid.
-func (w *Workspace) scatter(j int32, v int64, add Monoid) {
+// scatter adds v into accumulator slot j.
+func (w *Workspace) scatter(j int32, v int64) {
 	if w.mark[j] != w.gen {
 		w.mark[j] = w.gen
-		w.acc[j] = add.Op(add.Identity, v)
+		w.acc[j] = v
 		w.list = append(w.list, j)
 		return
 	}
-	w.acc[j] = add.Op(w.acc[j], v)
+	w.acc[j] += v
 }
 
-// MxM computes A·B over the semiring s, allocating a fresh workspace.
-func MxM(a, b *CSR, s Semiring) *CSR {
-	return MxMWith(NewWorkspace(b.C), a, b, s)
+// MxM computes the integer product A·B, allocating a fresh workspace.
+// AAᵀ yields the wedge counts of the paper's B.
+func MxM(a, b *CSR) *CSR {
+	return MxMWith(NewWorkspace(b.C), a, b)
 }
 
-// MxMWith computes A·B over the semiring s using the supplied workspace.
+// MxMWith computes the integer product A·B using the supplied workspace.
 // Row i of the result is produced by merging the rows of B selected by
 // the stored columns of row i of A (Gustavson's algorithm). Output rows
 // have sorted, unique columns; the result always carries explicit values.
-func MxMWith(w *Workspace, a, b *CSR, s Semiring) *CSR {
+func MxMWith(w *Workspace, a, b *CSR) *CSR {
 	if a.C != b.R {
 		panic(fmt.Sprintf("sparse: MxM shape mismatch %s · %s", dims(a.R, a.C), dims(b.R, b.C)))
 	}
@@ -80,7 +81,7 @@ func MxMWith(w *Workspace, a, b *CSR, s Semiring) *CSR {
 				if bvals != nil {
 					bv = bvals[t]
 				}
-				w.scatter(j, s.Mul(av, bv), s.Add)
+				w.scatter(j, av*bv)
 			}
 		}
 		emitRow(out, w, i)
@@ -100,12 +101,11 @@ func emitRow(out *CSR, w *Workspace, i int) {
 	out.Ptr[i+1] = out.Ptr[i] + int64(len(w.list))
 }
 
-// MxMMasked computes (A·B) ∘ M over the semiring s: only output
-// positions where the mask M stores an entry are computed and kept.
-// The mask's values are ignored; its pattern is the mask. This is the
-// kernel behind equation (25)'s (AAᵀA) ∘ A, which never materializes
-// the dense-ish AAᵀA.
-func MxMMasked(a, b, m *CSR, s Semiring) *CSR {
+// MxMMasked computes (A·B) ∘ M: only output positions where the mask
+// M stores an entry are computed and kept. The mask's values are
+// ignored; its pattern is the mask. This is the kernel behind equation
+// (25)'s (AAᵀA) ∘ A, which never materializes the dense-ish AAᵀA.
+func MxMMasked(a, b, m *CSR) *CSR {
 	if a.C != b.R {
 		panic(fmt.Sprintf("sparse: MxMMasked shape mismatch %s · %s", dims(a.R, a.C), dims(b.R, b.C)))
 	}
@@ -133,7 +133,7 @@ func MxMMasked(a, b, m *CSR, s Semiring) *CSR {
 				if bvals != nil {
 					bv = bvals[t]
 				}
-				w.scatter(j, s.Mul(av, bv), s.Add)
+				w.scatter(j, av*bv)
 			}
 		}
 		// Keep only masked positions, in mask order (sorted already).
@@ -148,8 +148,8 @@ func MxMMasked(a, b, m *CSR, s Semiring) *CSR {
 	return out
 }
 
-// DotRows returns ⟨row i of a, row j of b⟩ over PlusTimes by merging the
-// two sorted rows; O(deg(i) + deg(j)).
+// DotRows returns ⟨row i of a, row j of b⟩ by merging the two sorted
+// rows; O(deg(i) + deg(j)).
 func DotRows(a *CSR, i int, b *CSR, j int) int64 {
 	if a.C != b.C {
 		panic(fmt.Sprintf("sparse: DotRows width mismatch %d vs %d", a.C, b.C))

@@ -9,14 +9,14 @@ import (
 // fetch in MxMParallel.
 const mxmChunk = 128
 
-// MxMParallel computes A·B over the semiring s with `threads` workers.
+// MxMParallel computes the integer product A·B with `threads` workers.
 // Gustavson's algorithm is row-parallel: each output row depends only
 // on A's row and B, so workers claim row chunks with an atomic cursor,
 // build their fragment with a private workspace, and the fragments are
 // stitched into one CSR afterwards. Results are identical to MxM.
-func MxMParallel(a, b *CSR, s Semiring, threads int) *CSR {
+func MxMParallel(a, b *CSR, threads int) *CSR {
 	if threads <= 1 || a.R < 2*mxmChunk {
-		return MxM(a, b, s)
+		return MxM(a, b)
 	}
 	if a.C != b.R {
 		panic("sparse: MxMParallel shape mismatch " + dims(a.R, a.C) + " · " + dims(b.R, b.C))
@@ -65,7 +65,7 @@ func MxMParallel(a, b *CSR, s Semiring, threads int) *CSR {
 							if bvals != nil {
 								bv = bvals[t2]
 							}
-							w.scatter(j, s.Mul(av, bv), s.Add)
+							w.scatter(j, av*bv)
 						}
 					}
 					sortInt32(w.list)

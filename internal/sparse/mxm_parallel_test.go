@@ -10,7 +10,7 @@ func TestMxMParallelSmallDelegates(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randCSRVals(rng, 10, 8, 0.5)
 	b := randCSRVals(rng, 8, 12, 0.5)
-	if !MxMParallel(a, b, PlusTimes, 4).Equal(MxM(a, b, PlusTimes)) {
+	if !MxMParallel(a, b, 4).Equal(MxM(a, b)) {
 		t.Fatal("small-matrix delegation differs")
 	}
 }
@@ -19,9 +19,9 @@ func TestMxMParallelMatchesSequentialLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := randCSR(rng, 1500, 900, 0.01)
 	b := randCSR(rng, 900, 1100, 0.01)
-	want := MxM(a, b, PlusTimes)
+	want := MxM(a, b)
 	for _, threads := range []int{2, 3, 8} {
-		got := MxMParallel(a, b, PlusTimes, threads)
+		got := MxMParallel(a, b, threads)
 		if err := got.Validate(); err != nil {
 			t.Fatalf("threads=%d: invalid result: %v", threads, err)
 		}
@@ -40,21 +40,10 @@ func TestQuickMxMParallelMatches(t *testing.T) {
 		n := rng.Intn(40) + 1
 		a := randCSRVals(rng, m, k, 0.2)
 		b := randCSRVals(rng, k, n, 0.2)
-		return MxMParallel(a, b, PlusTimes, 4).Equal(MxM(a, b, PlusTimes))
+		return MxMParallel(a, b, 4).Equal(MxM(a, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMxMParallelOtherSemirings(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randCSR(rng, 800, 500, 0.01)
-	b := randCSR(rng, 500, 700, 0.01)
-	for name, s := range map[string]Semiring{"OrAnd": OrAnd, "PlusPair": PlusPair} {
-		if !MxMParallel(a, b, s, 3).Equal(MxM(a, b, s)) {
-			t.Fatalf("%s parallel differs", name)
-		}
 	}
 }
 
@@ -67,7 +56,7 @@ func TestMxMParallelShapePanics(t *testing.T) {
 			t.Fatal("shape mismatch did not panic")
 		}
 	}()
-	MxMParallel(a, b, PlusTimes, 4)
+	MxMParallel(a, b, 4)
 }
 
 func BenchmarkMxMParallelAAT(b *testing.B) {
@@ -77,6 +66,6 @@ func BenchmarkMxMParallelAAT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MxMParallel(a, at, PlusTimes, 6)
+		MxMParallel(a, at, 6)
 	}
 }

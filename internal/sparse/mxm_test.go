@@ -11,7 +11,7 @@ import (
 func TestMxMKnown(t *testing.T) {
 	a := FromDense(dense.NewFromRows([][]int64{{1, 2}, {0, 3}}), false)
 	b := FromDense(dense.NewFromRows([][]int64{{4, 0}, {5, 6}}), false)
-	p := MxM(a, b, PlusTimes)
+	p := MxM(a, b)
 	want := dense.NewFromRows([][]int64{{14, 12}, {15, 18}})
 	if !ToDense(p).Equal(want) {
 		t.Fatalf("MxM = %v, want %v", ToDense(p), want)
@@ -28,7 +28,7 @@ func TestMxMShapePanics(t *testing.T) {
 		}
 	}()
 	rng := rand.New(rand.NewSource(1))
-	MxM(randCSR(rng, 2, 3, 0.5), randCSR(rng, 2, 3, 0.5), PlusTimes)
+	MxM(randCSR(rng, 2, 3, 0.5), randCSR(rng, 2, 3, 0.5))
 }
 
 func TestQuickMxMMatchesDense(t *testing.T) {
@@ -37,7 +37,7 @@ func TestQuickMxMMatchesDense(t *testing.T) {
 		m, k, n := rng.Intn(8)+1, rng.Intn(8)+1, rng.Intn(8)+1
 		da := randDense(rng, m, k, 0.5, 4)
 		db := randDense(rng, k, n, 0.5, 4)
-		p := MxM(FromDense(da, false), FromDense(db, false), PlusTimes)
+		p := MxM(FromDense(da, false), FromDense(db, false))
 		if p.Validate() != nil {
 			return false
 		}
@@ -54,7 +54,7 @@ func TestQuickMxMPatternMatchesDense(t *testing.T) {
 		m, k, n := rng.Intn(8)+1, rng.Intn(8)+1, rng.Intn(8)+1
 		da := randDense(rng, m, k, 0.5, 1)
 		db := randDense(rng, k, n, 0.5, 1)
-		p := MxM(FromDense(da, true), FromDense(db, true), PlusTimes)
+		p := MxM(FromDense(da, true), FromDense(db, true))
 		return ToDense(p).Equal(da.Mul(db))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -69,38 +69,10 @@ func TestMxMWorkspaceReuse(t *testing.T) {
 		m, k, n := rng.Intn(8)+1, rng.Intn(8)+1, rng.Intn(8)+1
 		da := randDense(rng, m, k, 0.5, 3)
 		db := randDense(rng, k, n, 0.5, 3)
-		p := MxMWith(w, FromDense(da, false), FromDense(db, false), PlusTimes)
+		p := MxMWith(w, FromDense(da, false), FromDense(db, false))
 		if !ToDense(p).Equal(da.Mul(db)) {
 			t.Fatalf("trial %d: workspace-reused product wrong", trial)
 		}
-	}
-}
-
-func TestMxMOrAndSemiring(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	da := randDense(rng, 6, 5, 0.5, 1)
-	db := randDense(rng, 5, 7, 0.5, 1)
-	p := MxM(FromDense(da, true), FromDense(db, true), OrAnd)
-	prod := da.Mul(db)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 7; j++ {
-			want := int64(0)
-			if prod.At(i, j) > 0 {
-				want = 1
-			}
-			if p.At(i, j) != want {
-				t.Fatalf("OrAnd(%d,%d) = %d, want %d", i, j, p.At(i, j), want)
-			}
-		}
-	}
-}
-
-func TestMxMPlusPairEqualsPlusTimesOnPatterns(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randCSR(rng, 8, 6, 0.5)
-	b := randCSR(rng, 6, 9, 0.5)
-	if !MxM(a, b, PlusPair).Equal(MxM(a, b, PlusTimes)) {
-		t.Fatal("PlusPair != PlusTimes on 0/1 matrices")
 	}
 }
 
@@ -111,7 +83,7 @@ func TestQuickMxMMaskedMatchesDense(t *testing.T) {
 		da := randDense(rng, m, k, 0.5, 3)
 		db := randDense(rng, k, n, 0.5, 3)
 		dm := randDense(rng, m, n, 0.5, 1)
-		got := MxMMasked(FromDense(da, false), FromDense(db, false), FromDense(dm, true), PlusTimes)
+		got := MxMMasked(FromDense(da, false), FromDense(db, false), FromDense(dm, true))
 		if got.Validate() != nil {
 			return false
 		}
@@ -150,7 +122,7 @@ func TestMxMMaskedShapePanics(t *testing.T) {
 			t.Fatal("MxMMasked bad mask did not panic")
 		}
 	}()
-	MxMMasked(a, b, badMask, PlusTimes)
+	MxMMasked(a, b, badMask)
 }
 
 func TestQuickDotRowsMatchesDense(t *testing.T) {
@@ -177,7 +149,7 @@ func TestQuickAATIsWedgeMatrix(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		da := randDense(rng, rng.Intn(7)+1, rng.Intn(7)+1, 0.5, 1)
 		a := FromDense(da, true)
-		b := MxM(a, Transpose(a), PlusTimes)
+		b := MxM(a, Transpose(a))
 		return ToDense(b).Equal(da.MulTranspose())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 250}); err != nil {
@@ -193,6 +165,6 @@ func BenchmarkMxMAAT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MxMWith(w, a, at, PlusTimes)
+		MxMWith(w, a, at)
 	}
 }

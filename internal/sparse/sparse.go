@@ -1,6 +1,6 @@
 // Package sparse provides hand-rolled sparse matrix kernels: CSR
-// storage, a COO builder, transposition, sparse matrix–matrix products
-// over pluggable semirings, and selections.
+// storage, a COO builder, transposition, integer sparse matrix–matrix
+// products, and selections.
 //
 // The package is the computational substrate for the butterfly-counting
 // algorithms: the paper's biadjacency matrix A is held as a pattern CSR

@@ -2,7 +2,6 @@ package butterfly
 
 import (
 	"fmt"
-	"time"
 
 	"butterfly/internal/peel"
 )
@@ -67,74 +66,42 @@ func (g *Graph) TipNumbers(side Side) ([]int64, error) {
 // PeelEngine selects the execution strategy of the parallel peeling
 // entry points. Both engines produce bit-identical results (peeling is
 // confluent); they differ only in how much work each round does.
-type PeelEngine int
+type PeelEngine = peel.Engine
 
 const (
-	// PeelDelta is the incremental wedge-delta engine (default):
-	// bucketed peeling whose work is proportional to the butterflies
-	// actually destroyed.
-	PeelDelta PeelEngine = iota
+	// PeelDelta is the incremental engine (default): bucketed peeling
+	// whose work is proportional to the butterflies actually destroyed.
+	PeelDelta = peel.EngineDelta
 	// PeelRecount is the round-synchronous engine: every round
 	// recomputes all surviving supports from scratch. Kept as the
 	// differential-testing oracle and for few-level workloads with
 	// enormous delta fan-out.
-	PeelRecount
+	PeelRecount = peel.EngineRecount
 )
 
-// String names the engine with the wire/CLI spelling.
-func (e PeelEngine) String() string {
-	if e == PeelRecount {
-		return "recount"
+// ParsePeelEngine converts an engine name to its engine; it accepts
+// exactly the String spellings.
+func ParsePeelEngine(s string) (PeelEngine, error) {
+	for e := PeelDelta; e <= PeelRecount; e++ {
+		if s == e.String() {
+			return e, nil
+		}
 	}
-	return "delta"
+	return 0, fmt.Errorf("butterfly: invalid peel engine %q (want delta or recount)", s)
 }
 
-// PeelOptions configures an engine-dispatched peeling run.
-// PeelOptions deliberately has no Agg knob (unlike CountOptions): the
-// peeling engines run per-vertex and per-edge masked counters whose
-// outputs are indexed by vertex/edge id, which requires the dense
-// histogram accumulator — the sort/hash/batch wedge-aggregation
-// kernels only apply to scalar whole-graph counts. This is the same
-// reason hub-split segments always aggregate through the histogram.
-type PeelOptions struct {
-	// Engine selects the delta (zero value) or recount execution. A
-	// delta k-wing or wing-number run holds a bloom index whose memory
-	// follows the priority-obeying wedges, not the edges: 16 B per
-	// stored wedge plus at most 8 B per wedge of bloom records and 8 B
-	// per edge. The wedges number at most the smaller Σ deg² of the two
-	// sides, n²(n − 1)/2 on K_{n,n} (about 218 MB at n = 300). The
-	// recount engine keeps O(|E|) state.
-	Engine PeelEngine
-	// Threads is the worker count; ≤ 0 means one per CPU, and it is
-	// capped at GOMAXPROCS.
-	Threads int
-	// Stage, when non-nil, receives named sub-stage timings:
-	// "peel.seed" for the initial butterfly/support sweep — on a delta
-	// wing run, the bloom index build that yields the supports — and
-	// "peel.round[i]" for every peeled batch or recompute round. The
-	// hook fires once per round — never inside the wedge kernels — so
-	// a nil hook costs one predictable branch per round. The serving
-	// layer adapts this to trace spans.
-	Stage func(stage string, d time.Duration)
-}
+// PeelOptions configures an engine-dispatched peeling run. Engine is
+// PeelDelta (the zero value) or PeelRecount; a delta wing run holds a
+// bloom index whose memory follows the priority-obeying wedges (about
+// 218 MB on K_{300,300}), the recount engine O(|E|) state. Threads
+// ≤ 0 means one per CPU, and it is capped at GOMAXPROCS. Stage, when
+// non-nil, receives "peel.seed" and per-round "peel.round[i]" timings,
+// which the serving layer adapts to trace spans.
+type PeelOptions = peel.Options
 
-// PeelStats reports how a peeling run executed.
-type PeelStats struct {
-	// Engine is the engine that actually ran.
-	Engine PeelEngine
-	// Rounds is the number of peeled batches (delta) or recompute
-	// rounds (recount). Engines legitimately differ here: the delta
-	// engine counts the sub-rounds its cascades replay.
-	Rounds int
-}
-
-func (o PeelOptions) internal() peel.Options {
-	po := peel.Options{Threads: o.Threads, Stage: o.Stage}
-	if o.Engine == PeelRecount {
-		po.Engine = peel.EngineRecount
-	}
-	return po
-}
+// PeelStats reports how a peeling run executed: the engine that ran
+// and its round count.
+type PeelStats = peel.Stats
 
 // TipNumbersWith computes tip numbers on the engine selected by opts.
 // Results are identical across engines.
@@ -143,15 +110,15 @@ func (g *Graph) TipNumbersWith(side Side, opts PeelOptions) ([]int64, PeelStats,
 	if err != nil {
 		return nil, PeelStats{}, err
 	}
-	tip, st := peel.TipNumbersWith(g.g, s, opts.internal())
-	return tip, PeelStats{Engine: opts.Engine, Rounds: st.Rounds}, nil
+	tip, st := peel.TipNumbersWith(g.g, s, opts)
+	return tip, st, nil
 }
 
 // WingNumbersWith computes wing numbers on the engine selected by opts.
 // Results are identical across engines.
 func (g *Graph) WingNumbersWith(opts PeelOptions) ([]EdgeCount, PeelStats) {
-	wing, st := peel.WingNumbersWith(g.g, opts.internal())
-	return g.wingNumbersFrom(wing), PeelStats{Engine: opts.Engine, Rounds: st.Rounds}
+	wing, st := peel.WingNumbersWith(g.g, opts)
+	return g.wingNumbersFrom(wing), st
 }
 
 // KTipWith extracts the k-tip subgraph on the engine selected by opts.
@@ -163,8 +130,8 @@ func (g *Graph) KTipWith(k int64, side Side, opts PeelOptions) (*Graph, PeelStat
 	if err != nil {
 		return nil, PeelStats{}, err
 	}
-	sub, st := peel.KTipWith(g.g, k, s, opts.internal())
-	return &Graph{g: sub}, PeelStats{Engine: opts.Engine, Rounds: st.Rounds}, nil
+	sub, st := peel.KTipWith(g.g, k, s, opts)
+	return &Graph{g: sub}, st, nil
 }
 
 // KWingWith extracts the k-wing subgraph on the engine selected by opts.
@@ -172,8 +139,8 @@ func (g *Graph) KWingWith(k int64, opts PeelOptions) (*Graph, PeelStats, error) 
 	if k < 0 {
 		return nil, PeelStats{}, fmt.Errorf("butterfly: negative k %d", k)
 	}
-	sub, st := peel.KWingWith(g.g, k, opts.internal())
-	return &Graph{g: sub}, PeelStats{Engine: opts.Engine, Rounds: st.Rounds}, nil
+	sub, st := peel.KWingWith(g.g, k, opts)
+	return &Graph{g: sub}, st, nil
 }
 
 // WingNumbers returns the wing number of every edge — the largest k

@@ -37,7 +37,7 @@ func (g *Graph) Project(side Side, minShared int64) ([]WeightedPair, error) {
 	default:
 		return nil, fmt.Errorf("butterfly: invalid side %d", int(side))
 	}
-	b := sparse.MxM(adj, adjT, sparse.PlusTimes)
+	b := sparse.MxM(adj, adjT)
 	var out []WeightedPair
 	for a := 0; a < b.R; a++ {
 		row := b.Row(a)
