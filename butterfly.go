@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"butterfly/internal/core"
 	"butterfly/internal/graph"
@@ -191,58 +192,37 @@ func (g *Graph) Density() float64 { return g.g.Density() }
 func (g *Graph) String() string { return g.g.String() }
 
 // Stats summarizes the graph with the quantities the paper's Fig 9
-// and Section V analysis use.
-type Stats struct {
-	NumV1, NumV2       int
-	NumEdges           int64
-	Density            float64
-	MinDegV1, MaxDegV1 int
-	MinDegV2, MaxDegV2 int
-	AvgDegV1, AvgDegV2 float64
-	// WedgesV1 counts wedges with both endpoints in V1 (these are what
-	// the column-partitioned family enumerates); WedgesV2 symmetric.
-	WedgesV1, WedgesV2 int64
-}
+// and Section V analysis use. It is the graph layer's own type:
+// WedgesV1 counts wedges with both endpoints in V1 (these are what the
+// column-partitioned family enumerates), WedgesV2 symmetric.
+type Stats = graph.Stats
 
 // Stats computes summary statistics in one pass per side.
-func (g *Graph) Stats() Stats {
-	s := graph.ComputeStats(g.g)
-	return Stats{
-		NumV1: s.NumV1, NumV2: s.NumV2, NumEdges: s.NumEdges, Density: s.Density,
-		MinDegV1: s.MinDegV1, MaxDegV1: s.MaxDegV1,
-		MinDegV2: s.MinDegV2, MaxDegV2: s.MaxDegV2,
-		AvgDegV1: s.AvgDegV1, AvgDegV2: s.AvgDegV2,
-		WedgesV1: s.WedgesV1, WedgesV2: s.WedgesV2,
-	}
-}
+func (g *Graph) Stats() Stats { return graph.ComputeStats(g.g) }
 
-// Side selects one bipartition side.
-type Side int
+// Side selects one bipartition side. It is the counting core's own
+// type; String gives "V1" or "V2".
+type Side = core.Side
 
 const (
 	// V1 is the row side of the biadjacency matrix.
-	V1 Side = iota
+	V1 = core.SideV1
 	// V2 is the column side.
-	V2
+	V2 = core.SideV2
 )
 
-// String names the side.
-func (s Side) String() string {
-	if s == V1 {
-		return "V1"
-	}
-	return "V2"
+// ParseSide converts "v1" or "v2", the lower-case String spellings, to
+// its side.
+func ParseSide(s string) (Side, error) {
+	return parseEnum(s, "side", V1, V2, func(sd Side) string { return strings.ToLower(sd.String()) })
 }
 
-func (s Side) internal() (core.Side, error) {
-	switch s {
-	case V1:
-		return core.SideV1, nil
-	case V2:
-		return core.SideV2, nil
-	default:
-		return 0, fmt.Errorf("butterfly: invalid side %d", int(s))
+// checkSide rejects a Side that is neither V1 nor V2.
+func checkSide(side Side) error {
+	if side != V1 && side != V2 {
+		return fmt.Errorf("butterfly: invalid side %d", int(side))
 	}
+	return nil
 }
 
 var errNilGraph = errors.New("butterfly: nil graph")

@@ -104,9 +104,9 @@ func run(args []string, out io.Writer) error {
 		return runProject(out, g, *project, *minShared, *top)
 	}
 
-	hubPolicy, err := parseHub(*hub)
+	hubPolicy, err := butterfly.ParseHubPolicy(*hub)
 	if err != nil {
-		return err
+		return fmt.Errorf("unknown -hub %q (want auto|never|always)", *hub)
 	}
 	aggPolicy, err := butterfly.ParseAggPolicy(*agg)
 	if err != nil {
@@ -137,28 +137,10 @@ func run(args []string, out io.Writer) error {
 		Agg:       aggPolicy,
 		Arena:     pool,
 	}
-	switch *algorithm {
-	case "family":
-		opts.Algorithm = butterfly.AlgorithmFamily
-	case "wedge-hash":
-		opts.Algorithm = butterfly.AlgorithmWedgeHash
-	case "vertex-priority":
-		opts.Algorithm = butterfly.AlgorithmVertexPriority
-	case "sort-aggregate":
-		opts.Algorithm = butterfly.AlgorithmSortAggregate
-	case "spgemm":
-		opts.Algorithm = butterfly.AlgorithmSpGEMM
-	default:
+	if opts.Algorithm, err = butterfly.ParseAlgorithm(*algorithm); err != nil {
 		return fmt.Errorf("unknown -algorithm %q", *algorithm)
 	}
-	switch *order {
-	case "natural":
-		opts.Order = butterfly.OrderNatural
-	case "degree-asc":
-		opts.Order = butterfly.OrderDegreeAsc
-	case "degree-desc":
-		opts.Order = butterfly.OrderDegreeDesc
-	default:
+	if opts.Order, err = butterfly.ParseOrder(*order); err != nil {
 		return fmt.Errorf("unknown -order %q", *order)
 	}
 
@@ -198,27 +180,9 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func parseHub(s string) (butterfly.HubPolicy, error) {
-	switch s {
-	case "auto":
-		return butterfly.HubAuto, nil
-	case "never":
-		return butterfly.HubNever, nil
-	case "always":
-		return butterfly.HubAlways, nil
-	default:
-		return 0, fmt.Errorf("unknown -hub %q (want auto|never|always)", s)
-	}
-}
-
 func runProject(out io.Writer, g *butterfly.Graph, side string, minShared int64, top int) error {
-	var sd butterfly.Side
-	switch side {
-	case "v1":
-		sd = butterfly.V1
-	case "v2":
-		sd = butterfly.V2
-	default:
+	sd, err := butterfly.ParseSide(side)
+	if err != nil {
 		return fmt.Errorf("unknown -project %q (want v1|v2)", side)
 	}
 	pairs, err := g.Project(sd, minShared)
@@ -247,19 +211,13 @@ func runProject(out io.Writer, g *butterfly.Graph, side string, minShared int64,
 }
 
 func runEstimate(out io.Writer, g *butterfly.Graph, kind string, samples int, targetErr float64, maxSamples int, p float64, seed int64, jsonOut bool) error {
-	opts := butterfly.EstimateOptions{
-		Samples: samples, P: p, Seed: seed,
-		TargetRelErr: targetErr, MaxSamples: maxSamples,
-	}
-	switch kind {
-	case "vertices":
-		opts.Strategy = butterfly.SampleVertices
-	case "edges":
-		opts.Strategy = butterfly.SampleEdges
-	case "sparsify":
-		opts.Strategy = butterfly.SampleSparsify
-	default:
+	strategy, err := butterfly.ParseEstimateStrategy(kind)
+	if err != nil {
 		return fmt.Errorf("unknown -estimate %q (want vertices|edges|sparsify)", kind)
+	}
+	opts := butterfly.EstimateOptions{
+		Strategy: strategy, Samples: samples, P: p, Seed: seed,
+		TargetRelErr: targetErr, MaxSamples: maxSamples,
 	}
 	start := time.Now()
 	est, err := g.EstimateWithCI(opts)

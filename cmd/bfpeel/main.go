@@ -95,13 +95,8 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, "input:", g)
 	}
 
-	var sd butterfly.Side
-	switch *side {
-	case "v1":
-		sd = butterfly.V1
-	case "v2":
-		sd = butterfly.V2
-	default:
+	sd, err := butterfly.ParseSide(*side)
+	if err != nil {
 		return fmt.Errorf("unknown -side %q", *side)
 	}
 

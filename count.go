@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"butterfly/internal/baseline"
@@ -14,8 +15,9 @@ import (
 
 // Invariant selects a member of the paper's algorithm family. The zero
 // value (InvariantAuto) applies the paper's selection rule: partition
-// the smaller vertex side, preferring the look-ahead member.
-type Invariant int
+// the smaller vertex side, preferring the look-ahead member. It is the
+// counting core's own type; String gives "auto", "Inv1" … "Inv8".
+type Invariant = core.Invariant
 
 // The eight loop invariants of the paper (Fig 4 and Fig 5).
 // Invariant1–4 partition V2 and traverse columns of the biadjacency
@@ -23,61 +25,35 @@ type Invariant int
 // Invariant3, Invariant6 and Invariant7 are "look-ahead" algorithms —
 // they count against the partition that has not been exposed yet.
 const (
-	InvariantAuto Invariant = iota
-	Invariant1
-	Invariant2
-	Invariant3
-	Invariant4
-	Invariant5
-	Invariant6
-	Invariant7
-	Invariant8
+	InvariantAuto Invariant = 0
+	Invariant1              = core.Inv1
+	Invariant2              = core.Inv2
+	Invariant3              = core.Inv3
+	Invariant4              = core.Inv4
+	Invariant5              = core.Inv5
+	Invariant6              = core.Inv6
+	Invariant7              = core.Inv7
+	Invariant8              = core.Inv8
 )
 
 // NumInvariants is the size of the family.
-const NumInvariants = 8
-
-// String names the invariant.
-func (inv Invariant) String() string {
-	if inv == InvariantAuto {
-		return "auto"
-	}
-	if inv >= Invariant1 && inv <= Invariant8 {
-		return fmt.Sprintf("Inv%d", int(inv))
-	}
-	return fmt.Sprintf("Invariant(%d)", int(inv))
-}
-
-// Valid reports whether inv is InvariantAuto or one of the eight family
-// members.
-func (inv Invariant) Valid() bool { return inv >= InvariantAuto && inv <= Invariant8 }
+const NumInvariants = core.NumInvariants
 
 // Order selects an optional vertex relabeling applied before counting
 // (the count itself is invariant under relabeling; degree orders are
-// the locality optimization the paper's future work points at).
-type Order int
+// the locality optimization the paper's future work points at). It is
+// the graph layer's own type; String gives "natural", "degree-asc" or
+// "degree-desc".
+type Order = graph.Order
 
 const (
 	// OrderNatural keeps input vertex ids.
-	OrderNatural Order = iota
+	OrderNatural = graph.OrderNatural
 	// OrderDegreeAsc relabels each side by ascending degree.
-	OrderDegreeAsc
+	OrderDegreeAsc = graph.OrderDegreeAsc
 	// OrderDegreeDesc relabels each side by descending degree.
-	OrderDegreeDesc
+	OrderDegreeDesc = graph.OrderDegreeDesc
 )
-
-func (o Order) internal() (graph.Order, error) {
-	switch o {
-	case OrderNatural:
-		return graph.OrderNatural, nil
-	case OrderDegreeAsc:
-		return graph.OrderDegreeAsc, nil
-	case OrderDegreeDesc:
-		return graph.OrderDegreeDesc, nil
-	default:
-		return 0, fmt.Errorf("butterfly: invalid order %d", int(o))
-	}
-}
 
 // Algorithm selects the counting implementation. The default
 // (AlgorithmFamily) is the paper's loop-invariant family; the others
@@ -126,100 +102,92 @@ func (a Algorithm) String() string {
 // HubPolicy selects how the hybrid intersection kernel treats dense
 // ("hub") exposed vertices during counting. Every policy returns the
 // exact count; the policy only trades the sparse wedge-accumulator
-// path against the bitset path.
-type HubPolicy int
+// path against the bitset path. It is the counting core's own type;
+// String gives "auto", "never" or "always".
+type HubPolicy = core.HubPolicy
 
 const (
 	// HubAuto (the default) picks per vertex from the kernel's cost
 	// model.
-	HubAuto HubPolicy = iota
+	HubAuto = core.HubAuto
 	// HubNever forces the sparse accumulator path everywhere.
-	HubNever
+	HubNever = core.HubNever
 	// HubAlways forces the bitset path wherever a candidate range
 	// exists.
-	HubAlways
+	HubAlways = core.HubAlways
 )
-
-// String names the policy.
-func (p HubPolicy) String() string {
-	switch p {
-	case HubAuto:
-		return "auto"
-	case HubNever:
-		return "never"
-	case HubAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("HubPolicy(%d)", int(p))
-	}
-}
-
-// Valid reports whether p is one of the three policies.
-func (p HubPolicy) Valid() bool { return p >= HubAuto && p <= HubAlways }
 
 // AggPolicy selects the wedge-aggregation kernel of the counting core —
 // how one exposed vertex's wedge multiset is materialized before the
 // butterfly formula is applied. Every mode returns the exact count;
 // they differ only in memory behavior (ParButterfly's observation that
 // sort-, hash-, histogram- and batch-based aggregation each win on
-// different graph shapes).
-type AggPolicy int
+// different graph shapes). It is the counting core's own type; String
+// gives "auto", "sort", "hash", "hist" or "batch".
+type AggPolicy = core.AggPolicy
 
 const (
 	// AggAuto (the default) picks per graph from its degree profile.
-	AggAuto AggPolicy = iota
+	AggAuto = core.AggAuto
 	// AggSort radix-sorts gathered wedge endpoints and counts runs.
-	AggSort
+	AggSort = core.AggSort
 	// AggHash aggregates in an open-addressing table keyed by partner.
-	AggHash
+	AggHash = core.AggHash
 	// AggHist aggregates in the dense per-endpoint counter array.
-	AggHist
+	AggHist = core.AggHist
 	// AggBatch gathers into fixed-size buffers flushed through the
 	// histogram, bounding memory on huge hubs.
-	AggBatch
+	AggBatch = core.AggBatch
 )
 
-// String names the policy ("auto", "sort", "hash", "hist", "batch") —
-// the spelling the bfc -agg flag and the serve API accept.
-func (p AggPolicy) String() string {
-	if p.Valid() {
-		return core.AggPolicy(p).Mode()
-	}
-	return fmt.Sprintf("AggPolicy(%d)", int(p))
+// ParseAlgorithm converts an algorithm name to its algorithm; it
+// accepts exactly the String spellings.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	return parseEnum(s, "algorithm", AlgorithmFamily, AlgorithmSpGEMM, Algorithm.String)
 }
 
-// Valid reports whether p is one of the five policies.
-func (p AggPolicy) Valid() bool { return p >= AggAuto && p <= AggBatch }
+// ParseOrder converts an order name to its order; it accepts exactly
+// the String spellings.
+func ParseOrder(s string) (Order, error) {
+	return parseEnum(s, "order", OrderNatural, OrderDegreeDesc, Order.String)
+}
+
+// ParseHubPolicy converts a policy name to its policy; it accepts
+// exactly the String spellings.
+func ParseHubPolicy(s string) (HubPolicy, error) {
+	return parseEnum(s, "hub policy", HubAuto, HubAlways, HubPolicy.String)
+}
 
 // ParseAggPolicy converts a mode string to its policy; it accepts
 // exactly the String spellings.
 func ParseAggPolicy(s string) (AggPolicy, error) {
-	for p := AggAuto; p <= AggBatch; p++ {
-		if s == p.String() {
-			return p, nil
+	return parseEnum(s, "aggregation mode", AggAuto, AggBatch, AggPolicy.String)
+}
+
+// parseEnum returns the value in [lo, hi] that spell names s. Its
+// error lists every spelling, so callers need not repeat them.
+func parseEnum[T ~int](s, what string, lo, hi T, spell func(T) string) (T, error) {
+	for v := lo; v <= hi; v++ {
+		if spell(v) == s {
+			return v, nil
 		}
 	}
-	return 0, fmt.Errorf("butterfly: invalid aggregation mode %q (want auto, sort, hash, hist or batch)", s)
+	var want []string
+	for v := lo; v < hi; v++ {
+		want = append(want, spell(v))
+	}
+	return 0, fmt.Errorf("butterfly: invalid %s %q (want %s or %s)", what, s, strings.Join(want, ", "), spell(hi))
 }
 
 // Arena is a reusable pool of counting workspaces. Passing the same
 // Arena to repeated counts (CountOptions.Arena) makes the steady state
 // allocation-free — the win measured in docs/PERFORMANCE.md for
-// peeling rounds and repeated-query serving. The zero value is not
-// usable; construct with NewArena. Safe for concurrent use.
-type Arena struct {
-	a *core.Arena
-}
+// peeling rounds and repeated-query serving. It is the counting core's
+// own type; construct with NewArena. Safe for concurrent use.
+type Arena = core.Arena
 
 // NewArena returns an empty workspace pool.
-func NewArena() *Arena { return &Arena{a: core.NewArena()} }
-
-func (a *Arena) internal() *core.Arena {
-	if a == nil {
-		return nil
-	}
-	return a.a
-}
+func NewArena() *Arena { return core.NewArena() }
 
 // CountOptions configures CountWith.
 type CountOptions struct {
@@ -302,18 +270,17 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 	if opts.Agg != AggAuto && opts.Algorithm != AlgorithmFamily {
 		return 0, fmt.Errorf("butterfly: Agg is only meaningful with AlgorithmFamily, got %v with %v", opts.Agg, opts.Algorithm)
 	}
-	ord, err := opts.Order.internal()
-	if err != nil {
-		return 0, err
+	if opts.Order < OrderNatural || opts.Order > OrderDegreeDesc {
+		return 0, fmt.Errorf("butterfly: invalid order %d", int(opts.Order))
 	}
 	gg := g.g
-	if ord != graph.OrderNatural {
+	if opts.Order != OrderNatural {
 		if opts.Stage != nil {
 			t0 := time.Now()
-			gg, _, _ = gg.Relabel(ord)
+			gg, _, _ = gg.Relabel(opts.Order)
 			opts.Stage("core.order", time.Since(t0))
 		} else {
-			gg, _, _ = gg.Relabel(ord)
+			gg, _, _ = gg.Relabel(opts.Order)
 		}
 	}
 	threads := opts.Threads
@@ -323,12 +290,12 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 	switch opts.Algorithm {
 	case AlgorithmFamily:
 		return core.CountContext(ctx, gg, core.Options{
-			Invariant: core.Invariant(opts.Invariant),
+			Invariant: opts.Invariant,
 			Threads:   threads,
 			BlockSize: opts.BlockSize,
-			Hub:       core.HubPolicy(opts.Hub),
-			Agg:       core.AggPolicy(opts.Agg),
-			Arena:     opts.Arena.internal(),
+			Hub:       opts.Hub,
+			Agg:       opts.Agg,
+			Arena:     opts.Arena,
 			Stage:     opts.Stage,
 		})
 	case AlgorithmWedgeHash, AlgorithmVertexPriority, AlgorithmSortAggregate, AlgorithmSpGEMM:
@@ -345,7 +312,7 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 			case AlgorithmWedgeHash:
 				c = baseline.CountWedgeHash(gg)
 			case AlgorithmVertexPriority:
-				c = core.CountVertexPriority(gg, threads, opts.Arena.internal())
+				c = core.CountVertexPriority(gg, threads, opts.Arena)
 			case AlgorithmSortAggregate:
 				c = baseline.CountSortAggregate(gg, threads)
 			default:
@@ -386,28 +353,27 @@ func (g *Graph) ResolvedAgg(opts CountOptions) AggPolicy {
 	if g == nil || g.g == nil || !opts.Agg.Valid() || opts.Algorithm != AlgorithmFamily {
 		return opts.Agg
 	}
-	return AggPolicy(core.ResolveAgg(g.g, core.Options{
-		Invariant: core.Invariant(opts.Invariant),
+	return core.ResolveAgg(g.g, core.Options{
+		Invariant: opts.Invariant,
 		Threads:   opts.Threads,
 		BlockSize: opts.BlockSize,
-		Agg:       core.AggPolicy(opts.Agg),
-	}))
+		Agg:       opts.Agg,
+	})
 }
 
 // VertexButterflies returns, for every vertex of the chosen side, the
 // number of butterflies it participates in. The vector sums to twice
 // the total count.
 func (g *Graph) VertexButterflies(side Side) ([]int64, error) {
-	s, err := side.internal()
-	if err != nil {
+	if err := checkSide(side); err != nil {
 		return nil, err
 	}
 	n := g.g.NumV1()
-	if s == core.SideV2 {
+	if side == V2 {
 		n = g.g.NumV2()
 	}
 	out := make([]int64, n)
-	core.VertexButterfliesMaskedInto(out, g.g, s, nil, 1, nil)
+	core.VertexButterfliesMaskedInto(out, g.g, side, nil, 1, nil)
 	return out, nil
 }
 
@@ -463,51 +429,45 @@ func (g *Graph) Butterflies(yield func(Butterfly) bool) {
 	})
 }
 
-// EstimateStrategy selects a sampling estimator.
-type EstimateStrategy int
+// EstimateStrategy selects a sampling estimator. It is the estimation
+// tier's own type; String gives "vertices", "edges" or "sparsify".
+type EstimateStrategy = estimate.Strategy
 
 const (
 	// SampleVertices estimates from uniformly sampled V1 vertices.
-	SampleVertices EstimateStrategy = iota
+	SampleVertices = estimate.StrategyVertices
 	// SampleEdges estimates from uniformly sampled edges; usually
 	// lower-variance on skewed graphs.
-	SampleEdges
+	SampleEdges = estimate.StrategyEdges
 	// SampleSparsify keeps each edge with probability P, counts the
 	// sparsified graph exactly and scales by 1/P⁴ (a butterfly
 	// survives iff all four edges do).
-	SampleSparsify
+	SampleSparsify = estimate.StrategySparsify
 )
 
-// EstimateOptions configures EstimateCount and EstimateWithCI.
-type EstimateOptions struct {
-	Strategy EstimateStrategy
-	// Samples fixes the draw count for SampleVertices/SampleEdges.
-	// EstimateCount requires it positive; EstimateWithCI also accepts
-	// 0, which enables the adaptive stopping rule (draw until the 95%
-	// CI half-width falls below TargetRelErr × estimate).
-	Samples int
-	P       float64 // keep-probability for SampleSparsify; in (0, 1]
-	Seed    int64   // RNG seed; estimators are deterministic given it
-	// TargetRelErr is the adaptive accuracy target (EstimateWithCI
-	// with Samples == 0); 0 means 5%.
-	TargetRelErr float64
-	// MaxSamples bounds the adaptive loop; 0 means the package default
-	// (65536).
-	MaxSamples int
+// ParseEstimateStrategy converts a strategy name to its strategy; it
+// accepts exactly the String spellings.
+func ParseEstimateStrategy(s string) (EstimateStrategy, error) {
+	return parseEnum(s, "estimate strategy", SampleVertices, SampleSparsify, EstimateStrategy.String)
 }
 
-// EstimateResult is a point estimate with error bars. StdErr is the
-// standard error of the estimator (zero when it cannot be measured:
-// fewer than two samples, or the sparsify strategy, which reports no
-// error bars); CI95 is its 1.96× half-width. Samples is the number of
-// draws actually taken — under the adaptive rule, where the loop
-// stopped.
-type EstimateResult struct {
-	Estimate float64
-	StdErr   float64
-	CI95     float64
-	Samples  int
-}
+// EstimateOptions configures EstimateCount and EstimateWithCI; it is
+// the estimation tier's own Options. Samples fixes the draw count for
+// SampleVertices/SampleEdges: EstimateCount requires it positive, and
+// EstimateWithCI also accepts 0, which enables the adaptive stopping
+// rule (draw until the 95% CI half-width falls below TargetRelErr ×
+// estimate, 5% when 0, bounded by MaxSamples, 65536 when 0). P is
+// SampleSparsify's keep-probability, in (0, 1]. Seed makes every
+// estimator deterministic.
+type EstimateOptions = estimate.Options
+
+// EstimateResult is a point estimate with error bars, the estimation
+// tier's own Result. StdErr is the standard error of the estimator
+// (zero when it cannot be measured: fewer than two samples, or the
+// sparsify strategy, which reports no error bars); CI95 is its 1.96×
+// half-width. Samples is the number of draws actually taken — under
+// the adaptive rule, where the loop stopped.
+type EstimateResult = estimate.Result
 
 // EstimateCount approximates the butterfly count with an unbiased
 // sampling estimator (Sanei-Mehri et al., KDD'18 style). For error
@@ -530,34 +490,11 @@ func (g *Graph) EstimateWithCI(opts EstimateOptions) (EstimateResult, error) {
 	if g == nil || g.g == nil {
 		return EstimateResult{}, errNilGraph
 	}
-	switch opts.Strategy {
-	case SampleVertices, SampleEdges:
-		strat := estimate.StrategyVertices
-		if opts.Strategy == SampleEdges {
-			strat = estimate.StrategyEdges
-		}
-		return estimateResult(estimate.Sample(g.g, estimate.Options{
-			Strategy:     strat,
-			Samples:      opts.Samples,
-			TargetRelErr: opts.TargetRelErr,
-			MaxSamples:   opts.MaxSamples,
-			Seed:         opts.Seed,
-		}))
-	case SampleSparsify:
-		if opts.P <= 0 || opts.P > 1 {
-			return EstimateResult{}, fmt.Errorf("butterfly: P must be in (0,1], got %g", opts.P)
-		}
-		return EstimateResult{Estimate: baseline.EstimateSparsify(g.g, opts.P, opts.Seed)}, nil
-	default:
-		return EstimateResult{}, fmt.Errorf("butterfly: invalid estimate strategy %d", int(opts.Strategy))
-	}
-}
-
-func estimateResult(r estimate.Result, err error) (EstimateResult, error) {
+	res, err := estimate.Sample(g.g, opts)
 	if err != nil {
 		return EstimateResult{}, fmt.Errorf("butterfly: %w", err)
 	}
-	return EstimateResult{Estimate: r.Estimate, StdErr: r.StdErr, CI95: r.CI95, Samples: r.Samples}, nil
+	return res, nil
 }
 
 // Verify cross-checks the whole algorithm family plus three independent

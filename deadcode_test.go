@@ -44,10 +44,17 @@ var (
 
 // TestNoTestOnlyExports fails for every exported package-level
 // function, method, var, const or type in internal/ whose name appears
-// as an identifier nowhere in the non-test Go of either module (this
-// one and benchmark/) outside its own declaration. Such a declaration
-// is named by tests only: delete it with its tests, move it into a
-// _test.go file, or list it above with the reason it stays.
+// as an identifier nowhere in the live non-test Go of either module
+// (this one and benchmark/) outside its own declaration. Such a
+// declaration is named by tests only: delete it with its tests, move
+// it into a _test.go file, or list it above with the reason it stays.
+//
+// Liveness is transitive: the check iterates to a fixpoint in which a
+// name used only inside declarations already found dead is dead too,
+// so an exported A that nothing calls takes down an exported B that
+// only A calls. Allowlisted declarations stay live and count as users.
+// Methods are still matched by name only, not by receiver type: a dead
+// method escapes while a same-named method of another type is called.
 func TestNoTestOnlyExports(t *testing.T) {
 	type decl struct {
 		key, pos string
@@ -124,28 +131,54 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	matched := map[string]bool{}
-	var dead []string
-	for _, d := range decls {
-		used := false
-		for _, u := range users[d.name.Name] {
-			if u != d.unit {
-				used = true
-				break
-			}
-		}
-		if used {
-			continue
-		}
+	excused := func(d decl) string {
 		pkg := strings.SplitN(d.key, ".", 2)[0]
 		switch {
 		case keptPackages[pkg] != "":
-			matched[pkg] = true
+			return pkg
 		case keptDecls[d.key] != "":
-			matched[d.key] = true
+			return d.key
 		case d.method && interfaceMethods[d.name.Name] != "":
-		default:
+			return "interface method"
+		}
+		return ""
+	}
+	// A unit is dead once every exported declaration in it is; its
+	// identifiers then use nothing.
+	liveDecls := map[ast.Node]int{}
+	for _, d := range decls {
+		liveDecls[d.unit]++
+	}
+	deadUnit := map[ast.Node]bool{}
+	used := func(d decl) bool {
+		for _, u := range users[d.name.Name] {
+			if u != d.unit && !deadUnit[u] {
+				return true
+			}
+		}
+		return false
+	}
+	isDead := make([]bool, len(decls))
+	for changed := true; changed; {
+		changed = false
+		for i, d := range decls {
+			if isDead[i] || excused(d) != "" || used(d) {
+				continue
+			}
+			isDead[i], changed = true, true
+			if liveDecls[d.unit]--; liveDecls[d.unit] == 0 {
+				deadUnit[d.unit] = true
+			}
+		}
+	}
+
+	matched := map[string]bool{}
+	var dead []string
+	for i, d := range decls {
+		if isDead[i] {
 			dead = append(dead, d.pos+": "+d.key)
+		} else if e := excused(d); e != "" && !used(d) {
+			matched[e] = true
 		}
 	}
 	sort.Strings(dead)

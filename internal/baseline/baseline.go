@@ -1,7 +1,8 @@
-// Package baseline implements butterfly counters that are independent
-// of the paper's linear-algebraic family: the wedge-hashing exact
-// counter the paper builds on (Wang et al. 2014 [14]), the sampling
-// estimators (Sanei-Mehri et al. 2018 [10]), and a full enumerator.
+// Package baseline implements exact butterfly counters that are
+// independent of the paper's linear-algebraic family: the wedge-hashing
+// counter the paper builds on (Wang et al. 2014 [14]), ParButterfly's
+// sort aggregation, and a full enumerator. The sampling estimators
+// (Sanei-Mehri et al. 2018 [10]) live in internal/estimate.
 //
 // They serve two purposes: independent correctness references for the
 // core family, and the comparison points a downstream user of a
@@ -12,6 +13,7 @@
 package baseline
 
 import (
+	"fmt"
 	"sort"
 
 	"butterfly/internal/core"
@@ -105,4 +107,33 @@ func ListButterflies(g *graph.Bipartite, fn func(Butterfly) bool) {
 			return
 		}
 	}
+}
+
+// VerifyAll cross-checks every counter in this package plus the core
+// family on g and returns an error naming the first disagreement. Used
+// by tests and the CLI's --verify flag.
+func VerifyAll(g *graph.Bipartite) error {
+	want := core.CountAuto(g)
+	checks := []struct {
+		name string
+		got  int64
+	}{
+		{"wedge-hash", CountWedgeHash(g)},
+		{"vertex-priority", CountVertexPriority(g)},
+		{"enumerate", CountEnumerate(g)},
+		{"spgemm", core.CountSpGEMM(g)},
+		{"sort-aggregate", CountSortAggregate(g, 1)},
+		{"sort-aggregate-par", CountSortAggregate(g, 4)},
+	}
+	for _, c := range checks {
+		if c.got != want {
+			return fmt.Errorf("baseline: %s counted %d, core counted %d", c.name, c.got, want)
+		}
+	}
+	for _, inv := range core.Invariants() {
+		if got := core.Count(g, inv); got != want {
+			return fmt.Errorf("baseline: %v counted %d, auto counted %d", inv, got, want)
+		}
+	}
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"butterfly/internal/core"
 	"butterfly/internal/dense"
 	"butterfly/internal/gen"
 	"butterfly/internal/graph"
@@ -125,81 +124,6 @@ func TestListButterfliesEarlyStop(t *testing.T) {
 	})
 	if calls != 3 {
 		t.Fatalf("early stop after %d calls, want 3", calls)
-	}
-}
-
-func TestEstimatorsExactOnUniformGraph(t *testing.T) {
-	// In K(a,b) every vertex and edge has identical participation, so a
-	// single sample is already exact.
-	g := gen.CompleteBipartite(5, 6)
-	exact := core.CountAuto(g)
-	if est := EstimateVertexSampling(g, 1, 1); est != float64(exact) {
-		t.Errorf("vertex sampling on K(5,6): %f, want %d", est, exact)
-	}
-	if est := EstimateEdgeSampling(g, 1, 1); est != float64(exact) {
-		t.Errorf("edge sampling on K(5,6): %f, want %d", est, exact)
-	}
-}
-
-func TestEstimatorsConvergeOnSkewedGraph(t *testing.T) {
-	g := gen.PowerLawBipartite(300, 200, 2500, 0.8, 0.7, 5)
-	exact := core.CountAuto(g)
-	if exact == 0 {
-		t.Skip("degenerate workload")
-	}
-	vs := EstimateVertexSampling(g, 4000, 9)
-	if RelativeError(vs, exact) > 0.25 {
-		t.Errorf("vertex sampling error %.2f (est %.0f, exact %d)", RelativeError(vs, exact), vs, exact)
-	}
-	es := EstimateEdgeSampling(g, 4000, 9)
-	if RelativeError(es, exact) > 0.25 {
-		t.Errorf("edge sampling error %.2f (est %.0f, exact %d)", RelativeError(es, exact), es, exact)
-	}
-}
-
-func TestEstimatorsEmptyAndDegenerate(t *testing.T) {
-	empty := graph.NewBuilder(0, 0).Build()
-	if EstimateVertexSampling(empty, 5, 1) != 0 {
-		t.Error("vertex sampling on empty graph not 0")
-	}
-	if EstimateEdgeSampling(empty, 5, 1) != 0 {
-		t.Error("edge sampling on empty graph not 0")
-	}
-	star := gen.Star(5)
-	if EstimateVertexSampling(star, 50, 1) != 0 {
-		t.Error("vertex sampling on star not 0")
-	}
-	if EstimateEdgeSampling(star, 50, 1) != 0 {
-		t.Error("edge sampling on star not 0")
-	}
-}
-
-func TestEstimatorPanics(t *testing.T) {
-	g := gen.Star(2)
-	for name, fn := range map[string]func(){
-		"vertex": func() { EstimateVertexSampling(g, 0, 1) },
-		"edge":   func() { EstimateEdgeSampling(g, -1, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic on bad sample count", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestRelativeError(t *testing.T) {
-	if RelativeError(110, 100) != 0.1 {
-		t.Fatal("RelativeError(110,100) wrong")
-	}
-	if RelativeError(90, 100) != 0.1 {
-		t.Fatal("RelativeError(90,100) wrong")
-	}
-	if RelativeError(3, 0) != 3 || RelativeError(-3, 0) != 3 {
-		t.Fatal("RelativeError at exact=0 wrong")
 	}
 }
 

@@ -88,46 +88,3 @@ func sumRuns(sorted []int64) int64 {
 	total += run * (run - 1) / 2
 	return total
 }
-
-// EstimateSparsify approximates ΞG by graph sparsification
-// (Sanei-Mehri et al. [10]'s ESpar): keep each edge independently with
-// probability p, count the sparsified graph exactly, and scale by
-// 1/p⁴ — a butterfly survives iff all four edges do. Unbiased;
-// variance grows as p shrinks. Deterministic given seed.
-func EstimateSparsify(g *graph.Bipartite, p float64, seed int64) float64 {
-	if p <= 0 || p > 1 {
-		panic("baseline: sparsification probability must be in (0,1]")
-	}
-	if p == 1 {
-		return float64(CountVertexPriority(g))
-	}
-	rng := newSplitMix(seed)
-	b := graph.NewBuilder(g.NumV1(), g.NumV2())
-	for u := 0; u < g.NumV1(); u++ {
-		for _, v := range g.NeighborsOfV1(u) {
-			if rng.float64() < p {
-				b.AddEdge(u, int(v))
-			}
-		}
-	}
-	h := b.Build()
-	return float64(CountVertexPriority(h)) / (p * p * p * p)
-}
-
-// splitMix is a tiny deterministic PRNG (SplitMix64) so sparsification
-// does not share math/rand global state.
-type splitMix struct{ s uint64 }
-
-func newSplitMix(seed int64) *splitMix { return &splitMix{s: uint64(seed)*2654435769 + 1} }
-
-func (r *splitMix) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *splitMix) float64() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
-}

@@ -1,12 +1,10 @@
 package baseline
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"butterfly/internal/core"
 	"butterfly/internal/dense"
 	"butterfly/internal/gen"
 )
@@ -53,69 +51,5 @@ func TestSumRuns(t *testing.T) {
 		if got := sumRuns(c.in); got != c.want {
 			t.Errorf("sumRuns(%v) = %d, want %d", c.in, got, c.want)
 		}
-	}
-}
-
-func TestEstimateSparsifyExactAtP1(t *testing.T) {
-	g := gen.PowerLawBipartite(100, 80, 600, 0.7, 0.7, 3)
-	want := float64(core.CountAuto(g))
-	if got := EstimateSparsify(g, 1, 1); got != want {
-		t.Fatalf("p=1: %f, want %f", got, want)
-	}
-}
-
-func TestEstimateSparsifyConverges(t *testing.T) {
-	g := gen.PowerLawBipartite(400, 300, 4000, 0.7, 0.7, 4)
-	exact := float64(core.CountAuto(g))
-	if exact == 0 {
-		t.Skip("degenerate workload")
-	}
-	// Average several independent sparsifications; the mean should
-	// land near the exact count.
-	const trials = 30
-	var sum float64
-	for s := int64(0); s < trials; s++ {
-		sum += EstimateSparsify(g, 0.6, 100+s)
-	}
-	mean := sum / trials
-	if math.Abs(mean-exact)/exact > 0.2 {
-		t.Fatalf("sparsify mean %f vs exact %f (%.1f%% off)", mean, exact, 100*math.Abs(mean-exact)/exact)
-	}
-}
-
-func TestEstimateSparsifyDeterministic(t *testing.T) {
-	g := gen.PowerLawBipartite(100, 100, 500, 0.7, 0.7, 5)
-	if EstimateSparsify(g, 0.5, 42) != EstimateSparsify(g, 0.5, 42) {
-		t.Fatal("same seed gave different estimates")
-	}
-}
-
-func TestEstimateSparsifyPanics(t *testing.T) {
-	g := gen.Star(2)
-	for _, p := range []float64{0, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("p=%f: no panic", p)
-				}
-			}()
-			EstimateSparsify(g, p, 1)
-		}()
-	}
-}
-
-func TestSplitMixUniform(t *testing.T) {
-	r := newSplitMix(7)
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.float64()
-		if v < 0 || v >= 1 {
-			t.Fatalf("sample %f out of [0,1)", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("mean %f far from 0.5", mean)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"butterfly/internal/baseline"
 	"butterfly/internal/core"
 	"butterfly/internal/dynamic"
+	"butterfly/internal/estimate"
 	"butterfly/internal/gen"
 	"butterfly/internal/graph"
 	"butterfly/internal/peel"
@@ -324,20 +325,32 @@ func EstimatorComparison(g *graph.Bipartite, samples int, sparsifyP float64, see
 		d, _ := TimeIt(func() int64 { est = fn(); return 0 })
 		out = append(out, EstimatorPoint{
 			Name: name, Seconds: d.Seconds(), Estimate: est,
-			RelErr: baseline.RelativeError(est, exact),
+			RelErr: relativeError(est, exact),
 		})
 	}
 	add("exact (reference)", func() float64 { return float64(core.CountAuto(g)) })
-	add(fmt.Sprintf("vertex-sampling (%d)", samples), func() float64 {
-		return baseline.EstimateVertexSampling(g, samples, seed)
-	})
-	add(fmt.Sprintf("edge-sampling (%d)", samples), func() float64 {
-		return baseline.EstimateEdgeSampling(g, samples, seed)
-	})
-	add(fmt.Sprintf("sparsify (p=%.2f)", sparsifyP), func() float64 {
-		return baseline.EstimateSparsify(g, sparsifyP, seed)
-	})
+	sample := func(o estimate.Options) func() float64 {
+		o.Seed = seed
+		return func() float64 {
+			res, err := estimate.Sample(g, o)
+			if err != nil {
+				panic(err)
+			}
+			return res.Estimate
+		}
+	}
+	add(fmt.Sprintf("vertex-sampling (%d)", samples), sample(estimate.Options{Strategy: estimate.StrategyVertices, Samples: samples}))
+	add(fmt.Sprintf("edge-sampling (%d)", samples), sample(estimate.Options{Strategy: estimate.StrategyEdges, Samples: samples}))
+	add(fmt.Sprintf("sparsify (p=%.2f)", sparsifyP), sample(estimate.Options{Strategy: estimate.StrategySparsify, P: sparsifyP}))
 	return out
+}
+
+// relativeError is |est − exact| / exact, or |est| when exact is 0.
+func relativeError(est float64, exact int64) float64 {
+	if exact == 0 {
+		return math.Abs(est)
+	}
+	return math.Abs(est-float64(exact)) / float64(exact)
 }
 
 // SignificanceRow reports a dataset's butterfly count against its

@@ -334,3 +334,15 @@ func TestTimingGridRepeat(t *testing.T) {
 		t.Fatal("clamped repeat wrong")
 	}
 }
+
+func TestRelativeError(t *testing.T) {
+	if relativeError(110, 100) != 0.1 {
+		t.Fatal("relativeError(110,100) wrong")
+	}
+	if relativeError(90, 100) != 0.1 {
+		t.Fatal("relativeError(90,100) wrong")
+	}
+	if relativeError(3, 0) != 3 || relativeError(-3, 0) != 3 {
+		t.Fatal("relativeError at exact=0 wrong")
+	}
+}

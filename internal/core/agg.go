@@ -72,28 +72,9 @@ const (
 	AggBatch
 )
 
-// String names the policy.
+// String names the policy with the spelling CLIs, wire requests and
+// stage attribution use: "auto", "sort", "hash", "hist" or "batch".
 func (p AggPolicy) String() string {
-	switch p {
-	case AggAuto:
-		return "AggAuto"
-	case AggSort:
-		return "AggSort"
-	case AggHash:
-		return "AggHash"
-	case AggHist:
-		return "AggHist"
-	case AggBatch:
-		return "AggBatch"
-	default:
-		return fmt.Sprintf("AggPolicy(%d)", int(p))
-	}
-}
-
-// Mode returns the short lower-case spelling used by CLIs, wire
-// requests and stage attribution ("auto", "sort", "hash", "hist",
-// "batch").
-func (p AggPolicy) Mode() string {
 	switch p {
 	case AggAuto:
 		return "auto"
@@ -106,9 +87,12 @@ func (p AggPolicy) Mode() string {
 	case AggBatch:
 		return "batch"
 	default:
-		return fmt.Sprintf("agg(%d)", int(p))
+		return fmt.Sprintf("AggPolicy(%d)", int(p))
 	}
 }
+
+// Mode is String, under the name the benchmark's per-mode metrics use.
+func (p AggPolicy) Mode() string { return p.String() }
 
 // Valid reports whether p is one of the five policies.
 func (p AggPolicy) Valid() bool { return p >= AggAuto && p <= AggBatch }

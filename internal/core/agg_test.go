@@ -14,25 +14,19 @@ import (
 var allAggs = []AggPolicy{AggSort, AggHash, AggHist, AggBatch}
 
 func TestAggPolicyStrings(t *testing.T) {
-	wantLong := map[AggPolicy]string{
-		AggAuto: "AggAuto", AggSort: "AggSort", AggHash: "AggHash",
-		AggHist: "AggHist", AggBatch: "AggBatch",
-	}
-	wantMode := map[AggPolicy]string{
+	want := map[AggPolicy]string{
 		AggAuto: "auto", AggSort: "sort", AggHash: "hash",
 		AggHist: "hist", AggBatch: "batch",
+		AggPolicy(42): "AggPolicy(42)",
 	}
-	for p, s := range wantLong {
-		if p.String() != s {
-			t.Errorf("String(%d) = %q, want %q", int(p), p.String(), s)
+	for p, s := range want {
+		if p.String() != s || p.Mode() != s {
+			t.Errorf("String(%d) = %q, Mode = %q, want %q", int(p), p.String(), p.Mode(), s)
 		}
+	}
+	for _, p := range append(allAggs, AggAuto) {
 		if !p.Valid() {
 			t.Errorf("%v should be valid", p)
-		}
-	}
-	for p, s := range wantMode {
-		if p.Mode() != s {
-			t.Errorf("Mode(%d) = %q, want %q", int(p), p.Mode(), s)
 		}
 	}
 	if AggPolicy(99).Valid() || AggPolicy(-1).Valid() {

@@ -42,7 +42,9 @@ import (
 )
 
 // Invariant selects one of the paper's eight loop invariants (Fig 4 and
-// Fig 5), i.e. one member of the algorithm family.
+// Fig 5), i.e. one member of the algorithm family. The zero value asks
+// for AutoInvariant: partition the smaller vertex side, preferring the
+// look-ahead member.
 type Invariant int
 
 const (
@@ -80,13 +82,21 @@ func Invariants() []Invariant {
 	return []Invariant{Inv1, Inv2, Inv3, Inv4, Inv5, Inv6, Inv7, Inv8}
 }
 
-// String returns the paper's name for the invariant.
+// String returns the paper's name for the invariant, "auto" for the
+// zero value.
 func (inv Invariant) String() string {
-	if inv < Inv1 || inv > Inv8 {
-		return fmt.Sprintf("Invariant(%d)", int(inv))
+	switch {
+	case inv == 0:
+		return "auto"
+	case inv.Valid():
+		return fmt.Sprintf("Inv%d", int(inv))
 	}
-	return fmt.Sprintf("Inv%d", int(inv))
+	return fmt.Sprintf("Invariant(%d)", int(inv))
 }
+
+// Valid reports whether inv is the zero value (automatic selection) or
+// one of the eight family members.
+func (inv Invariant) Valid() bool { return inv >= 0 && inv <= Inv8 }
 
 // PartitionsV2 reports whether the invariant belongs to the
 // column-partitioned family (1–4).
@@ -232,7 +242,7 @@ func CountWith(g *graph.Bipartite, opts Options) int64 {
 	if opts.Stage != nil {
 		d := time.Since(t0)
 		opts.Stage("core.count", d)
-		opts.Stage("core.agg."+agg.Mode(), d)
+		opts.Stage("core.agg."+agg.String(), d)
 	}
 	return c
 }

@@ -51,8 +51,11 @@ func TestInvariantMetadata(t *testing.T) {
 	if Inv1.String() != "Inv1" || Inv8.String() != "Inv8" {
 		t.Fatal("String names wrong")
 	}
-	if Invariant(0).String() != "Invariant(0)" {
-		t.Fatal("invalid invariant String wrong")
+	if Invariant(0).String() != "auto" || Invariant(9).String() != "Invariant(9)" {
+		t.Fatal("auto or invalid invariant String wrong")
+	}
+	if !Invariant(0).Valid() || !Inv8.Valid() || Invariant(9).Valid() || Invariant(-1).Valid() {
+		t.Fatal("Valid wrong")
 	}
 	for _, inv := range []Invariant{Inv1, Inv2, Inv3, Inv4} {
 		if !inv.PartitionsV2() {

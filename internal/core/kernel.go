@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -39,19 +40,22 @@ const (
 	HubAlways
 )
 
-// String names the policy.
+// String names the policy: "auto", "never" or "always".
 func (p HubPolicy) String() string {
 	switch p {
 	case HubAuto:
-		return "HubAuto"
+		return "auto"
 	case HubNever:
-		return "HubNever"
+		return "never"
 	case HubAlways:
-		return "HubAlways"
+		return "always"
 	default:
-		return "HubPolicy(?)"
+		return fmt.Sprintf("HubPolicy(%d)", int(p))
 	}
 }
+
+// Valid reports whether p is one of the three policies.
+func (p HubPolicy) Valid() bool { return p >= HubAuto && p <= HubAlways }
 
 // hubPair is one (partner, wedge-count) export of a split hub segment.
 type hubPair struct {

@@ -14,12 +14,15 @@ var allPolicies = []HubPolicy{HubAuto, HubNever, HubAlways}
 
 func TestHubPolicyString(t *testing.T) {
 	cases := map[HubPolicy]string{
-		HubAuto: "HubAuto", HubNever: "HubNever", HubAlways: "HubAlways",
-		HubPolicy(42): "HubPolicy(?)",
+		HubAuto: "auto", HubNever: "never", HubAlways: "always",
+		HubPolicy(42): "HubPolicy(42)",
 	}
 	for p, want := range cases {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(p), p.String(), want)
+		}
+		if p.Valid() != (p != 42) {
+			t.Errorf("%d.Valid() = %v", int(p), p.Valid())
 		}
 	}
 	if HubPolicy(0) != HubAuto {

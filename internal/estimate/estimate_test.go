@@ -235,7 +235,7 @@ func TestSampleExactOnUniformGraph(t *testing.T) {
 
 // TestSampleAdaptiveStops checks the stopping rule: on a uniform graph
 // the sample variance is zero, so the adaptive loop must stop at
-// MinSamples with a tight CI; on a skewed graph it must stop before
+// DefaultMinSamples with a tight CI; on a skewed graph it must stop before
 // MaxSamples once the target is met, and the reported CI must honor the
 // target.
 func TestSampleAdaptiveStops(t *testing.T) {
@@ -290,22 +290,22 @@ func TestSampleStatisticalAcceptance(t *testing.T) {
 	}
 }
 
-// TestSampleAccumulatorsAgree forces both accumulator implementations
-// over the same seed; the estimates must be identical because the RNG
-// draw sequence and per-sample values do not depend on the accumulator.
+// TestSampleAccumulatorsAgree runs the sampling kernel over both
+// accumulator implementations: every vertex's participation and every
+// edge's support must be identical, so Sample's draws do not depend on
+// which accumulator the degree profile picks.
 func TestSampleAccumulatorsAgree(t *testing.T) {
 	g := gen.PowerLawBipartite(200, 150, 1800, 0.7, 0.7, 8)
-	for _, strat := range []Strategy{StrategyVertices, StrategyEdges} {
-		dense, err := Sample(g, Options{Strategy: strat, Samples: 200, Agg: core.AggHist, Seed: 13})
-		if err != nil {
-			t.Fatal(err)
+	dense := wedgeKernel{g: g, adj: g.Adj(), adjT: g.AdjT(), acc: &denseAccum{counts: make([]int32, g.NumV1())}}
+	hash := wedgeKernel{g: g, adj: g.Adj(), adjT: g.AdjT(), acc: &hashAccum{counts: make(map[int32]int32)}}
+	for u := 0; u < g.NumV1(); u++ {
+		if d, h := dense.vertexSample(u), hash.vertexSample(u); d != h {
+			t.Fatalf("vertex %d: dense %d != hash %d", u, d, h)
 		}
-		hash, err := Sample(g, Options{Strategy: strat, Samples: 200, Agg: core.AggHash, Seed: 13})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dense.Estimate != hash.Estimate || dense.StdErr != hash.StdErr {
-			t.Fatalf("%v: dense %+v != hash %+v", strat, dense, hash)
+	}
+	for k := int64(0); k < g.NumEdges(); k++ {
+		if d, h := dense.edgeSample(k), hash.edgeSample(k); d != h {
+			t.Fatalf("edge %d: dense %d != hash %d", k, d, h)
 		}
 	}
 }
@@ -322,12 +322,14 @@ func TestSampleDegenerate(t *testing.T) {
 		}
 	}
 	star := gen.Star(6)
-	res, err := Sample(star, Options{Strategy: StrategyVertices, Samples: 50, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Estimate != 0 {
-		t.Fatalf("star has no butterflies, estimate %g", res.Estimate)
+	for _, strat := range []Strategy{StrategyVertices, StrategyEdges} {
+		res, err := Sample(star, Options{Strategy: strat, Samples: 50, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Estimate != 0 {
+			t.Fatalf("%v: star has no butterflies, estimate %g", strat, res.Estimate)
+		}
 	}
 	if _, err := Sample(star, Options{Strategy: Strategy(9)}); err == nil {
 		t.Fatal("invalid strategy must error")
@@ -399,5 +401,76 @@ func TestEstimatorsOnStandIns(t *testing.T) {
 		}
 		snap := r.Snapshot()
 		check("reservoir", snap.Estimate, snap.ReservoirSize)
+	}
+}
+
+func sparsifyEstimate(t *testing.T, g *graph.Bipartite, p float64, seed int64) float64 {
+	t.Helper()
+	res, err := Sample(g, Options{Strategy: StrategySparsify, P: p, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StdErr != 0 || res.CI95 != 0 || res.Samples != 0 {
+		t.Fatalf("sparsify reported error bars: %+v", res)
+	}
+	return res.Estimate
+}
+
+func TestEstimateSparsifyExactAtP1(t *testing.T) {
+	g := gen.PowerLawBipartite(100, 80, 600, 0.7, 0.7, 3)
+	want := float64(core.CountAuto(g))
+	if got := sparsifyEstimate(t, g, 1, 1); got != want {
+		t.Fatalf("p=1: %f, want %f", got, want)
+	}
+}
+
+func TestEstimateSparsifyConverges(t *testing.T) {
+	g := gen.PowerLawBipartite(400, 300, 4000, 0.7, 0.7, 4)
+	exact := float64(core.CountAuto(g))
+	if exact == 0 {
+		t.Skip("degenerate workload")
+	}
+	// Average several independent sparsifications; the mean should
+	// land near the exact count.
+	const trials = 30
+	var sum float64
+	for s := int64(0); s < trials; s++ {
+		sum += sparsifyEstimate(t, g, 0.6, 100+s)
+	}
+	mean := sum / trials
+	if math.Abs(mean-exact)/exact > 0.2 {
+		t.Fatalf("sparsify mean %f vs exact %f (%.1f%% off)", mean, exact, 100*math.Abs(mean-exact)/exact)
+	}
+}
+
+func TestEstimateSparsifyDeterministic(t *testing.T) {
+	g := gen.PowerLawBipartite(100, 100, 500, 0.7, 0.7, 5)
+	if sparsifyEstimate(t, g, 0.5, 42) != sparsifyEstimate(t, g, 0.5, 42) {
+		t.Fatal("same seed gave different estimates")
+	}
+}
+
+func TestEstimateSparsifyRejectsP(t *testing.T) {
+	g := gen.Star(2)
+	for _, p := range []float64{0, -0.5, 1.5} {
+		if _, err := Sample(g, Options{Strategy: StrategySparsify, P: p, Seed: 1}); err == nil {
+			t.Errorf("p=%g accepted", p)
+		}
+	}
+}
+
+func TestSplitMixUniform(t *testing.T) {
+	r := newSplitMix(7)
+	var sum float64
+	const n = 100000
+	for i := 0; i < n; i++ {
+		v := r.float64()
+		if v < 0 || v >= 1 {
+			t.Fatalf("sample %f out of [0,1)", v)
+		}
+		sum += v
+	}
+	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
+		t.Fatalf("mean %f far from 0.5", mean)
 	}
 }

@@ -1,10 +1,11 @@
-// Package estimate is the approximate-answer tier: fixed-memory
-// reservoir estimation over edge streams (the FLEET family of
-// Sanei-Mehri et al., arXiv:1812.03398) and adaptive sampling
-// estimators with error bars for registered graphs. The serving layer
-// answers /v1/estimate from this package; internal/baseline keeps its
-// original sampling-estimator signatures as thin wrappers for
-// differential tests.
+// Package estimate is the approximate-answer tier. It owns all three
+// estimators for a registered graph — vertex sampling and edge
+// sampling (adaptive, with error bars) and sparsification (Sanei-Mehri
+// et al., KDD'18) — behind Sample, and fixed-memory reservoir
+// estimation over edge streams (the FLEET family, arXiv:1812.03398).
+// The root package's EstimateOptions and EstimateResult are this
+// package's Options and Result, and the serving layer answers
+// /v1/estimate from it.
 package estimate
 
 import (

@@ -23,6 +23,11 @@ const (
 	// Usually lower-variance on skewed graphs because edge supports are
 	// more homogeneous than vertex participations.
 	StrategyEdges
+	// StrategySparsify keeps each edge independently with probability
+	// P, counts the sparsified graph exactly and scales by 1/P⁴ — a
+	// butterfly survives iff all four of its edges do (ESpar of
+	// Sanei-Mehri et al.). Unbiased; it reports no error bars.
+	StrategySparsify
 )
 
 // String names the strategy.
@@ -32,6 +37,8 @@ func (s Strategy) String() string {
 		return "vertices"
 	case StrategyEdges:
 		return "edges"
+	case StrategySparsify:
+		return "sparsify"
 	default:
 		return fmt.Sprintf("Strategy(%d)", int(s))
 	}
@@ -48,29 +55,28 @@ const (
 // Options configures Sample.
 type Options struct {
 	Strategy Strategy
-	// Samples > 0 draws exactly that many samples (no early stop).
-	// Samples == 0 enables the adaptive stopping rule.
+	// Samples > 0 makes a sampler draw exactly that many samples (no
+	// early stop); Samples == 0 enables the adaptive stopping rule.
+	// Sparsify ignores it.
 	Samples int
+	// P is StrategySparsify's keep-probability, in (0, 1].
+	P float64
 	// TargetRelErr is the adaptive target: stop once the 95% CI
 	// half-width falls below TargetRelErr · estimate. 0 means
 	// DefaultTargetRelErr.
 	TargetRelErr float64
-	// MinSamples / MaxSamples bound the adaptive loop; 0 means the
-	// package defaults.
-	MinSamples int
+	// MaxSamples bounds the adaptive loop, which draws at least
+	// DefaultMinSamples; 0 means DefaultMaxSamples.
 	MaxSamples int
-	// Agg picks the wedge accumulator: AggHash uses the sparse map
-	// accumulator (huge V1, tiny touched sets), everything else the
-	// dense per-vertex array. AggAuto resolves from the graph's cached
-	// degree profile — the same decision table the exact kernels use.
-	Agg core.AggPolicy
 	// Seed makes the estimator deterministic.
 	Seed int64
 }
 
 // Result is a point estimate with error bars. StdErr is the standard
 // error of the scaled estimator mean (zero when fewer than two samples
-// were drawn); CI95 is its 1.96× half-width.
+// were drawn, and for StrategySparsify); CI95 is its 1.96× half-width.
+// Samples is the number of draws taken — under the adaptive rule,
+// where the loop stopped.
 type Result struct {
 	Estimate float64
 	StdErr   float64
@@ -78,15 +84,22 @@ type Result struct {
 	Samples  int
 }
 
-// Sample estimates the butterfly count of g by Monte-Carlo sampling.
-// With Options.Samples > 0 it draws a fixed number of samples; with
-// Samples == 0 it draws in batches until the 95% CI half-width falls
-// below TargetRelErr × estimate (bounded by Min/MaxSamples). Both
+// Sample estimates the butterfly count of g. StrategySparsify runs one
+// exact count of a sparsified copy. The samplers draw vertices or
+// edges: with Options.Samples > 0 a fixed number, with Samples == 0 in
+// batches until the 95% CI half-width falls below TargetRelErr ×
+// estimate (bounded by DefaultMinSamples and MaxSamples). All three
 // estimators are unbiased (see docs/ALGORITHMS.md for the derivation);
-// the per-sample kernel is the shared wedge accumulator also used by
-// the internal/baseline wrappers.
+// both samplers share one wedge-accumulator kernel.
 func Sample(g *graph.Bipartite, opts Options) (Result, error) {
-	if opts.Strategy != StrategyVertices && opts.Strategy != StrategyEdges {
+	switch opts.Strategy {
+	case StrategyVertices, StrategyEdges:
+	case StrategySparsify:
+		if opts.P <= 0 || opts.P > 1 {
+			return Result{}, fmt.Errorf("estimate: P must be in (0,1], got %g", opts.P)
+		}
+		return Result{Estimate: sparsify(g, opts.P, opts.Seed)}, nil
+	default:
 		return Result{}, fmt.Errorf("estimate: invalid strategy %v", opts.Strategy)
 	}
 	if opts.Samples < 0 {
@@ -108,10 +121,7 @@ func Sample(g *graph.Bipartite, opts Options) (Result, error) {
 	if target <= 0 {
 		target = DefaultTargetRelErr
 	}
-	minS, maxS := opts.MinSamples, opts.MaxSamples
-	if minS <= 0 {
-		minS = DefaultMinSamples
-	}
+	minS, maxS := DefaultMinSamples, opts.MaxSamples
 	if maxS <= 0 {
 		maxS = DefaultMaxSamples
 	}
@@ -123,7 +133,7 @@ func Sample(g *graph.Bipartite, opts Options) (Result, error) {
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	acc := newAccum(g, opts.Agg)
+	acc := newAccum(g)
 	kernel := wedgeKernel{g: g, adj: g.Adj(), adjT: g.AdjT(), acc: acc}
 
 	// Welford running mean/variance of the raw per-sample values.
@@ -171,27 +181,6 @@ func Sample(g *graph.Bipartite, opts Options) (Result, error) {
 		}
 	}
 	return result(), nil
-}
-
-// VertexSampling draws exactly `samples` V1 vertices and returns the
-// scaled estimate — the fixed-budget entry point internal/baseline
-// delegates to. samples must be positive.
-func VertexSampling(g *graph.Bipartite, samples int, seed int64) float64 {
-	res, err := Sample(g, Options{Strategy: StrategyVertices, Samples: samples, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
-	return res.Estimate
-}
-
-// EdgeSampling draws exactly `samples` edges and returns the scaled
-// estimate. samples must be positive.
-func EdgeSampling(g *graph.Bipartite, samples int, seed int64) float64 {
-	res, err := Sample(g, Options{Strategy: StrategyEdges, Samples: samples, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
-	return res.Estimate
 }
 
 // wedgeKernel computes exact per-vertex butterfly participations and
@@ -273,15 +262,11 @@ type accum interface {
 	reset()
 }
 
-// newAccum picks dense vs. hash from the requested aggregation policy,
-// resolving AggAuto through the same degree-profile decision table the
-// exact kernels use (AggHash means "huge sparse id space" there too).
-func newAccum(g *graph.Bipartite, agg core.AggPolicy) accum {
-	resolved := agg
-	if agg == core.AggAuto {
-		resolved = core.ResolveAgg(g, core.Options{Agg: core.AggAuto})
-	}
-	if resolved == core.AggHash {
+// newAccum picks dense vs. hash through the same degree-profile
+// decision table the exact kernels use: AggHash means "huge sparse id
+// space" there too.
+func newAccum(g *graph.Bipartite) accum {
+	if core.ResolveAgg(g, core.Options{}) == core.AggHash {
 		return &hashAccum{counts: make(map[int32]int32)}
 	}
 	return &denseAccum{counts: make([]int32, g.NumV1()), touched: make([]int32, 0, 1024)}
@@ -331,3 +316,40 @@ func (a *hashAccum) drain(f func(c int64)) {
 }
 
 func (a *hashAccum) reset() { clear(a.counts) }
+
+// sparsify keeps each edge of g with probability p, drawn from a
+// SplitMix64 stream seeded by seed, and returns the sparsified graph's
+// exact count scaled by 1/p⁴. p == 1 is the exact count.
+func sparsify(g *graph.Bipartite, p float64, seed int64) float64 {
+	if p == 1 {
+		return float64(core.CountVertexPriority(g, 1, nil))
+	}
+	rng := newSplitMix(seed)
+	b := graph.NewBuilder(g.NumV1(), g.NumV2())
+	for u := 0; u < g.NumV1(); u++ {
+		for _, v := range g.NeighborsOfV1(u) {
+			if rng.float64() < p {
+				b.AddEdge(u, int(v))
+			}
+		}
+	}
+	return float64(core.CountVertexPriority(b.Build(), 1, nil)) / (p * p * p * p)
+}
+
+// splitMix is a tiny deterministic PRNG (SplitMix64) so sparsification
+// does not share math/rand global state.
+type splitMix struct{ s uint64 }
+
+func newSplitMix(seed int64) *splitMix { return &splitMix{s: uint64(seed)*2654435769 + 1} }
+
+func (r *splitMix) next() uint64 {
+	r.s += 0x9e3779b97f4a7c15
+	z := r.s
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (r *splitMix) float64() float64 {
+	return float64(r.next()>>11) / float64(1<<53)
+}

@@ -8,8 +8,9 @@ import (
 
 // DensestResult describes the subgraph found by DensestByButterflies.
 type DensestResult struct {
-	// KeepSide marks the surviving vertices of the peeled side.
-	KeepSide []bool
+	// Keep marks the surviving vertices of the peeled side; feed it to
+	// Graph.InducedSubgraph (root package) to materialize the subgraph.
+	Keep []bool
 	// Butterflies and Vertices of the best prefix; Density is their
 	// ratio.
 	Butterflies int64
@@ -40,7 +41,7 @@ func DensestByButterflies(g *graph.Bipartite, side core.Side) DensestResult {
 			activeCount++
 		}
 	}
-	res := DensestResult{KeepSide: make([]bool, n)}
+	res := DensestResult{Keep: make([]bool, n)}
 	if activeCount == 0 {
 		return res
 	}
@@ -104,19 +105,19 @@ func DensestByButterflies(g *graph.Bipartite, side core.Side) DensestResult {
 
 	// Reconstruct the best prefix: everything not among the first
 	// bestStep removals (and not isolated at the start).
-	for i := range res.KeepSide {
-		res.KeepSide[i] = exposed.RowDeg(i) > 0
+	for i := range res.Keep {
+		res.Keep[i] = exposed.RowDeg(i) > 0
 	}
 	for _, u := range order[:bestStep] {
-		res.KeepSide[u] = false
+		res.Keep[u] = false
 	}
 	res.Vertices = 0
-	for _, k := range res.KeepSide {
+	for _, k := range res.Keep {
 		if k {
 			res.Vertices++
 		}
 	}
-	res.Butterflies = countKept(g, side, res.KeepSide)
+	res.Butterflies = countKept(g, side, res.Keep)
 	if res.Vertices > 0 {
 		res.Density = float64(res.Butterflies) / float64(res.Vertices)
 	}

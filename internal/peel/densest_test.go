@@ -42,7 +42,7 @@ func TestDensestRecoversPlantedBiclique(t *testing.T) {
 
 	res := DensestByButterflies(g, core.SideV1)
 	for u := 100; u < 108; u++ {
-		if !res.KeepSide[u] {
+		if !res.Keep[u] {
 			t.Fatalf("planted vertex %d peeled away", u)
 		}
 	}
@@ -141,7 +141,7 @@ func TestDensestGolden(t *testing.T) {
 	} {
 		res := DensestByButterflies(c.g, c.side)
 		var keep []int
-		for i, k := range res.KeepSide {
+		for i, k := range res.Keep {
 			if k {
 				keep = append(keep, i)
 			}

@@ -45,11 +45,6 @@ func tips(g *graph.Bipartite, side core.Side, threads int) kind {
 			core.VertexButterfliesMaskedInto(sup, g, side, nil, threads, arena)
 			return func(batch []int64, alive []bool, sup []int64, dirty []int32, touched *[]int64) {
 				core.TipDeltaBatch(g, side, batch, alive, sup, dirty, touched, threads, arena)
-				for _, w := range *touched {
-					if sup[w] < 0 {
-						sup[w] = 0
-					}
-				}
 			}
 		},
 		recount: func(alive []bool, sup []int64) {

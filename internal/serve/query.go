@@ -24,33 +24,27 @@ func badReqf(format string, args ...any) error {
 	return badRequestError{fmt.Sprintf(format, args...)}
 }
 
+// parseSide maps "" to V1 and otherwise accepts butterfly.ParseSide's
+// spellings.
 func parseSide(s string) (butterfly.Side, error) {
-	switch s {
-	case "", "v1":
+	if s == "" {
 		return butterfly.V1, nil
-	case "v2":
-		return butterfly.V2, nil
-	default:
+	}
+	side, err := butterfly.ParseSide(s)
+	if err != nil {
 		return 0, badReqf("unknown side %q (want v1|v2)", s)
 	}
+	return side, nil
 }
 
 // countOptions validates a CountRequest into CountOptions.
 func countOptions(req *serveapi.CountRequest) (butterfly.CountOptions, error) {
 	var opts butterfly.CountOptions
-	switch req.Algorithm {
-	case "", "family":
-		opts.Algorithm = butterfly.AlgorithmFamily
-	case "wedge-hash":
-		opts.Algorithm = butterfly.AlgorithmWedgeHash
-	case "vertex-priority":
-		opts.Algorithm = butterfly.AlgorithmVertexPriority
-	case "sort-aggregate":
-		opts.Algorithm = butterfly.AlgorithmSortAggregate
-	case "spgemm":
-		opts.Algorithm = butterfly.AlgorithmSpGEMM
-	default:
-		return opts, badReqf("unknown algorithm %q", req.Algorithm)
+	var err error
+	if req.Algorithm != "" {
+		if opts.Algorithm, err = butterfly.ParseAlgorithm(req.Algorithm); err != nil {
+			return opts, badReqf("unknown algorithm %q", req.Algorithm)
+		}
 	}
 	opts.Invariant = butterfly.Invariant(req.Invariant)
 	if !opts.Invariant.Valid() {
@@ -59,35 +53,23 @@ func countOptions(req *serveapi.CountRequest) (butterfly.CountOptions, error) {
 	if opts.Algorithm != butterfly.AlgorithmFamily && opts.Invariant != butterfly.InvariantAuto {
 		return opts, badReqf("invariant is only meaningful with the family algorithm")
 	}
-	switch req.Hub {
-	case "", "auto":
-		opts.Hub = butterfly.HubAuto
-	case "never":
-		opts.Hub = butterfly.HubNever
-	case "always":
-		opts.Hub = butterfly.HubAlways
-	default:
-		return opts, badReqf("unknown hub policy %q (want auto|never|always)", req.Hub)
+	if req.Hub != "" {
+		if opts.Hub, err = butterfly.ParseHubPolicy(req.Hub); err != nil {
+			return opts, badReqf("unknown hub policy %q (want auto|never|always)", req.Hub)
+		}
 	}
 	if req.Agg != "" {
-		agg, err := butterfly.ParseAggPolicy(req.Agg)
-		if err != nil {
+		if opts.Agg, err = butterfly.ParseAggPolicy(req.Agg); err != nil {
 			return opts, badReqf("unknown aggregation mode %q (want auto|sort|hash|hist|batch)", req.Agg)
 		}
-		if agg != butterfly.AggAuto && opts.Algorithm != butterfly.AlgorithmFamily {
+		if opts.Agg != butterfly.AggAuto && opts.Algorithm != butterfly.AlgorithmFamily {
 			return opts, badReqf("agg is only meaningful with the family algorithm")
 		}
-		opts.Agg = agg
 	}
-	switch req.Order {
-	case "", "natural":
-		opts.Order = butterfly.OrderNatural
-	case "degree-asc":
-		opts.Order = butterfly.OrderDegreeAsc
-	case "degree-desc":
-		opts.Order = butterfly.OrderDegreeDesc
-	default:
-		return opts, badReqf("unknown order %q", req.Order)
+	if req.Order != "" {
+		if opts.Order, err = butterfly.ParseOrder(req.Order); err != nil {
+			return opts, badReqf("unknown order %q", req.Order)
+		}
 	}
 	if req.BlockSize < 0 {
 		return opts, badReqf("block must be ≥ 0, got %d", req.BlockSize)
@@ -238,22 +220,14 @@ func ParseEstimate(body io.Reader, _ url.Values) (Query, error) {
 	if err := decodeBody(body, &req); err != nil {
 		return Query{}, err
 	}
-	strategy := req.Strategy
-	if strategy == "" || strategy == "auto" {
-		// Edge sampling is usually the lowest-variance choice on skewed
-		// graphs, and every sample is O(deg) — a safe default.
-		strategy = "edges"
-	}
-	opts := butterfly.EstimateOptions{Seed: req.Seed}
-	switch strategy {
-	case "vertices":
-		opts.Strategy = butterfly.SampleVertices
-	case "edges":
-		opts.Strategy = butterfly.SampleEdges
-	case "sparsify":
-		opts.Strategy = butterfly.SampleSparsify
-	default:
-		return Query{}, badReqf("unknown strategy %q (want auto|vertices|edges|sparsify)", req.Strategy)
+	opts := butterfly.EstimateOptions{Strategy: butterfly.SampleEdges, Seed: req.Seed}
+	if req.Strategy != "" && req.Strategy != "auto" {
+		// Edge sampling, the default, is usually the lowest-variance
+		// choice on skewed graphs, and every sample is O(deg).
+		var err error
+		if opts.Strategy, err = butterfly.ParseEstimateStrategy(req.Strategy); err != nil {
+			return Query{}, badReqf("unknown strategy %q (want auto|vertices|edges|sparsify)", req.Strategy)
+		}
 	}
 	switch {
 	case req.Samples < 0:
@@ -273,10 +247,10 @@ func ParseEstimate(body io.Reader, _ url.Values) (Query, error) {
 	}
 	return Query{
 		tenant: req.Tenant, priority: req.Priority, timeoutMS: req.TimeoutMillis, live: true,
-		key: fmt.Sprintf("estimate|%s|samples=%d|p=%g|seed=%d|tre=%g|max=%d",
-			strategy, opts.Samples, opts.P, opts.Seed, opts.TargetRelErr, opts.MaxSamples),
+		key: fmt.Sprintf("estimate|%v|samples=%d|p=%g|seed=%d|tre=%g|max=%d",
+			opts.Strategy, opts.Samples, opts.P, opts.Seed, opts.TargetRelErr, opts.MaxSamples),
 		run: func(s *Server, ctx context.Context, sl *slot, snap *Snapshot, _ *obsv.Span) (any, error) {
-			return s.execEstimate(ctx, sl, snap, strategy, opts)
+			return s.execEstimate(ctx, sl, snap, opts)
 		},
 	}, nil
 }
@@ -414,7 +388,7 @@ func (s *Server) execEdgeSupports(ctx context.Context, sl *slot, snap *Snapshot,
 // seed, hence cacheable). Samples == 0 with a sampling strategy means
 // adaptive sizing: draws accumulate until the 95% CI half-width is
 // below the target relative error or MaxSamples is hit.
-func (s *Server) execEstimate(ctx context.Context, sl *slot, snap *Snapshot, strategy string, opts butterfly.EstimateOptions) (*serveapi.EstimateResponse, error) {
+func (s *Server) execEstimate(ctx context.Context, sl *slot, snap *Snapshot, opts butterfly.EstimateOptions) (*serveapi.EstimateResponse, error) {
 	res, err := runAbandon(ctx, sl, func() (butterfly.EstimateResult, error) {
 		return snap.Graph.EstimateWithCI(opts)
 	})
@@ -424,7 +398,7 @@ func (s *Server) execEstimate(ctx context.Context, sl *slot, snap *Snapshot, str
 	s.obs.estimates.With("sample").Inc()
 	return &serveapi.EstimateResponse{
 		ResultMeta: serveapi.ResultMeta{Graph: snap.Name, Version: snap.Version},
-		Strategy:   strategy,
+		Strategy:   opts.Strategy.String(),
 		Estimate:   res.Estimate,
 		StdErr:     res.StdErr,
 		CI95:       res.CI95,

@@ -15,11 +15,10 @@ func (g *Graph) KTip(k int64, side Side) (*Graph, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("butterfly: negative k %d", k)
 	}
-	s, err := side.internal()
-	if err != nil {
+	if err := checkSide(side); err != nil {
 		return nil, err
 	}
-	sub, _ := peel.KTipWith(g.g, k, s, peel.Options{Engine: peel.EngineRecount, Threads: 1})
+	sub, _ := peel.KTipWith(g.g, k, side, peel.Options{Engine: peel.EngineRecount, Threads: 1})
 	return &Graph{g: sub}, nil
 }
 
@@ -32,11 +31,10 @@ func (g *Graph) KTipLookAhead(k int64, side Side) (*Graph, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("butterfly: negative k %d", k)
 	}
-	s, err := side.internal()
-	if err != nil {
+	if err := checkSide(side); err != nil {
 		return nil, err
 	}
-	return &Graph{g: peel.KTipLookAhead(g.g, k, s)}, nil
+	return &Graph{g: peel.KTipLookAhead(g.g, k, side)}, nil
 }
 
 // KWing returns the k-wing subgraph: the maximal subgraph in which
@@ -55,11 +53,10 @@ func (g *Graph) KWing(k int64) (*Graph, error) {
 // Computed by the delta engine on one thread, a single peeling pass
 // rather than one KTip call per k.
 func (g *Graph) TipNumbers(side Side) ([]int64, error) {
-	s, err := side.internal()
-	if err != nil {
+	if err := checkSide(side); err != nil {
 		return nil, err
 	}
-	tip, _ := peel.TipNumbersWith(g.g, s, peel.Options{Threads: 1})
+	tip, _ := peel.TipNumbersWith(g.g, side, peel.Options{Threads: 1})
 	return tip, nil
 }
 
@@ -82,12 +79,7 @@ const (
 // ParsePeelEngine converts an engine name to its engine; it accepts
 // exactly the String spellings.
 func ParsePeelEngine(s string) (PeelEngine, error) {
-	for e := PeelDelta; e <= PeelRecount; e++ {
-		if s == e.String() {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("butterfly: invalid peel engine %q (want delta or recount)", s)
+	return parseEnum(s, "peel engine", PeelDelta, PeelRecount, PeelEngine.String)
 }
 
 // PeelOptions configures an engine-dispatched peeling run. Engine is
@@ -106,11 +98,10 @@ type PeelStats = peel.Stats
 // TipNumbersWith computes tip numbers on the engine selected by opts.
 // Results are identical across engines.
 func (g *Graph) TipNumbersWith(side Side, opts PeelOptions) ([]int64, PeelStats, error) {
-	s, err := side.internal()
-	if err != nil {
+	if err := checkSide(side); err != nil {
 		return nil, PeelStats{}, err
 	}
-	tip, st := peel.TipNumbersWith(g.g, s, opts)
+	tip, st := peel.TipNumbersWith(g.g, side, opts)
 	return tip, st, nil
 }
 
@@ -126,11 +117,10 @@ func (g *Graph) KTipWith(k int64, side Side, opts PeelOptions) (*Graph, PeelStat
 	if k < 0 {
 		return nil, PeelStats{}, fmt.Errorf("butterfly: negative k %d", k)
 	}
-	s, err := side.internal()
-	if err != nil {
+	if err := checkSide(side); err != nil {
 		return nil, PeelStats{}, err
 	}
-	sub, st := peel.KTipWith(g.g, k, s, opts)
+	sub, st := peel.KTipWith(g.g, k, side, opts)
 	return &Graph{g: sub}, st, nil
 }
 
@@ -151,17 +141,12 @@ func (g *Graph) WingNumbers() []EdgeCount {
 	return g.wingNumbersFrom(wing)
 }
 
-// DensestSubgraph holds the result of DensestByButterflies.
-type DensestSubgraph struct {
-	// Keep marks the surviving vertices of the peeled side; feed it to
-	// InducedSubgraph to materialize the subgraph.
-	Keep []bool
-	// Butterflies and Vertices of the selected subgraph; Density is
-	// their ratio.
-	Butterflies int64
-	Vertices    int
-	Density     float64
-}
+// DensestSubgraph holds the result of DensestByButterflies; it is the
+// peeling engine's own DensestResult. Keep marks the surviving
+// vertices of the peeled side: feed it to InducedSubgraph to
+// materialize the subgraph. Butterflies and Vertices count the
+// selected subgraph, and Density is their ratio.
+type DensestSubgraph = peel.DensestResult
 
 // DensestByButterflies greedily peels minimum-butterfly vertices of
 // the chosen side (the tip-decomposition order) and returns the prefix
@@ -169,17 +154,10 @@ type DensestSubgraph struct {
 // extraction the paper's abstract motivates. On a planted biclique it
 // recovers the block exactly.
 func (g *Graph) DensestByButterflies(side Side) (DensestSubgraph, error) {
-	s, err := side.internal()
-	if err != nil {
+	if err := checkSide(side); err != nil {
 		return DensestSubgraph{}, err
 	}
-	r := peel.DensestByButterflies(g.g, s)
-	return DensestSubgraph{
-		Keep:        r.KeepSide,
-		Butterflies: r.Butterflies,
-		Vertices:    r.Vertices,
-		Density:     r.Density,
-	}, nil
+	return peel.DensestByButterflies(g.g, side), nil
 }
 
 func (g *Graph) wingNumbersFrom(wing []int64) []EdgeCount {

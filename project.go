@@ -29,13 +29,12 @@ func (g *Graph) Project(side Side, minShared int64) ([]WeightedPair, error) {
 	if minShared < 1 {
 		return nil, fmt.Errorf("butterfly: minShared must be ≥ 1, got %d", minShared)
 	}
+	if err := checkSide(side); err != nil {
+		return nil, err
+	}
 	adj, adjT := g.g.Adj(), g.g.AdjT()
-	switch side {
-	case V1:
-	case V2:
+	if side == V2 {
 		adj, adjT = adjT, adj
-	default:
-		return nil, fmt.Errorf("butterfly: invalid side %d", int(side))
 	}
 	b := sparse.MxM(adj, adjT)
 	var out []WeightedPair

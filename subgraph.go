@@ -49,13 +49,14 @@ func (g *Graph) FilterEdges(keep func(u, v int) bool) *Graph {
 // where β is the pair's common-neighbor count. a and b must be
 // distinct, valid vertices of that side.
 func (g *Graph) PairButterflies(a, b int, side Side) (int64, error) {
+	if err := checkSide(side); err != nil {
+		return 0, err
+	}
 	n := g.NumV1()
 	adj := g.g.Adj()
 	if side == V2 {
 		n = g.NumV2()
 		adj = g.g.AdjT()
-	} else if side != V1 {
-		return 0, fmt.Errorf("butterfly: invalid side %d", int(side))
 	}
 	if a < 0 || a >= n || b < 0 || b >= n {
 		return 0, fmt.Errorf("butterfly: pair (%d,%d) out of range [0,%d)", a, b, n)
@@ -70,13 +71,14 @@ func (g *Graph) PairButterflies(a, b int, side Side) (int64, error) {
 // CommonNeighbors returns |N(a) ∩ N(b)| for two same-side vertices —
 // the wedge count β the butterfly formula C(β, 2) is built from.
 func (g *Graph) CommonNeighbors(a, b int, side Side) (int64, error) {
+	if err := checkSide(side); err != nil {
+		return 0, err
+	}
 	n := g.NumV1()
 	adj := g.g.Adj()
 	if side == V2 {
 		n = g.NumV2()
 		adj = g.g.AdjT()
-	} else if side != V1 {
-		return 0, fmt.Errorf("butterfly: invalid side %d", int(side))
 	}
 	if a < 0 || a >= n || b < 0 || b >= n {
 		return 0, fmt.Errorf("butterfly: pair (%d,%d) out of range [0,%d)", a, b, n)
