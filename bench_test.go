@@ -21,6 +21,7 @@ package butterfly
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"strconv"
 	"sync"
@@ -383,24 +384,34 @@ func BenchmarkVertexAndEdgeCounts(b *testing.B) {
 }
 
 // BenchmarkDynamicCounter measures incremental update throughput on a
-// seeded stand-in (the streaming extension; see EXPERIMENTS.md).
+// seeded stand-in (the streaming extension; see EXPERIMENTS.md). An
+// insert of a random pair and a delete of a random present edge
+// alternate, so every timed delete removes an edge.
 func BenchmarkDynamicCounter(b *testing.B) {
 	g := benchDataset(b, "arxiv-cond-mat")
 	d := NewDynamicCounterFromGraph(g)
 	m, n := g.NumV1(), g.NumV2()
+	live := g.Edges()
+	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u := (i * 2654435761) % m
-		v := (i * 40503) % n
 		if i%2 == 0 {
-			if _, _, err := d.InsertEdge(u, v); err != nil {
+			u, v := rng.Intn(m), rng.Intn(n)
+			added, _, err := d.InsertEdge(u, v)
+			if err != nil {
 				b.Fatal(err)
+			}
+			if added {
+				live = append(live, [2]int{u, v})
 			}
 		} else {
-			if _, _, err := d.DeleteEdge(u, v); err != nil {
+			j := rng.Intn(len(live))
+			if _, _, err := d.DeleteEdge(live[j][0], live[j][1]); err != nil {
 				b.Fatal(err)
 			}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
 		}
 	}
 	b.StopTimer()

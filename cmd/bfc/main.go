@@ -93,7 +93,9 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "density=%.3g degV1=[%d,%d] avg %.2f degV2=[%d,%d] avg %.2f wedges(V1 endpoints)=%d wedges(V2 endpoints)=%d\n",
 			s.Density, s.MinDegV1, s.MaxDegV1, s.AvgDegV1,
 			s.MinDegV2, s.MaxDegV2, s.AvgDegV2, s.WedgesV1, s.WedgesV2)
-		fmt.Fprintf(out, "degree Gini: V1=%.3f V2=%.3f\n", g.DegreeGini(butterfly.V1), g.DegreeGini(butterfly.V2))
+		gini1, _ := g.DegreeGini(butterfly.V1)
+		gini2, _ := g.DegreeGini(butterfly.V2)
+		fmt.Fprintf(out, "degree Gini: V1=%.3f V2=%.3f\n", gini1, gini2)
 	}
 
 	if *estimate != "" {

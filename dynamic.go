@@ -8,9 +8,11 @@ import (
 
 // DynamicCounter maintains an exact butterfly count under edge
 // insertions and deletions — the streaming companion to the static
-// family. Each update costs a local set-intersection sweep (the
-// support of the touched edge) instead of a recount. Not safe for
-// concurrent mutation.
+// family. Each update costs a local sweep of sorted-row intersections
+// (the butterflies the touched edge closes) instead of a recount, and
+// memory follows the edges held, not the vertex-set sizes.
+// StreamEstimator keeps its reservoir sample in the same counter. Not
+// safe for concurrent mutation.
 type DynamicCounter struct {
 	c *dynamic.Counter
 }

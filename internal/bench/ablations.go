@@ -196,20 +196,27 @@ type DynamicPoint struct {
 }
 
 // DynamicThroughput seeds a dynamic counter with g and applies
-// `updates` alternating random insertions and deletions, reporting the
-// sustained update rate. The final count is audited against a static
-// recount; a mismatch panics.
+// `updates` alternating updates: an insertion of a random pair, then a
+// deletion of a random present edge, so every timed delete removes an
+// edge. It reports the sustained update rate. The final count is
+// audited against a static recount; a mismatch panics.
 func DynamicThroughput(g *graph.Bipartite, updates int, seed int64) DynamicPoint {
 	c := dynamic.FromGraph(g)
 	rng := rand.New(rand.NewSource(seed))
 	m, n := g.NumV1(), g.NumV2()
+	live := g.Edges()
 	d, _ := TimeIt(func() int64 {
 		for i := 0; i < updates; i++ {
-			u, v := rng.Intn(m), rng.Intn(n)
 			if i%2 == 0 {
-				c.InsertEdge(u, v)
-			} else {
-				c.DeleteEdge(u, v)
+				u, v := rng.Intn(m), rng.Intn(n)
+				if added, _ := c.InsertEdge(u, v); added {
+					live = append(live, graph.Edge{U: int32(u), V: int32(v)})
+				}
+			} else if len(live) > 0 {
+				j := rng.Intn(len(live))
+				c.DeleteEdge(int(live[j].U), int(live[j].V))
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
 			}
 		}
 		return c.Count()

@@ -3,19 +3,24 @@
 //
 // The static family recounts from scratch; here the update rule falls
 // out of the same per-edge support quantity the paper's equation (24)
-// derives: inserting edge (u, v) creates exactly
+// derives. An absent edge (u, v) closes
 //
-//	Σ_{w ∈ N(v)\{u}} (|N(u) ∩ N(w)| − 1)
+//	Σ_{w ∈ N(v)} |N(u) ∩ N(w)|
 //
-// new butterflies (its support in the post-insertion graph), and
-// deleting an edge destroys its pre-deletion support. Each update
-// costs O(Σ_{w∈N(v)} min(deg u, deg w)) set intersections — far below
-// a recount for local changes. This is the building block for
-// streaming butterfly analytics over evolving bipartite graphs.
+// butterflies: each other endpoint w of v and each V2 vertex x it
+// shares with u complete the 2×2 biclique {u, w} × {v, x}. Inserting
+// the edge creates that many, counted before it is added; deleting it
+// destroys that many, counted after it is removed. Each update costs
+// O(Σ_{w∈N(v)} min(deg u, deg w)) over sorted neighbor rows — far
+// below a recount for local changes. This is the building block for
+// streaming butterfly analytics over evolving bipartite graphs, and
+// the fixed-budget stream reservoir (internal/estimate) keeps its
+// sample in a Counter.
 package dynamic
 
 import (
 	"fmt"
+	"slices"
 
 	"butterfly/internal/core"
 	"butterfly/internal/graph"
@@ -23,51 +28,45 @@ import (
 )
 
 // Counter is a mutable bipartite graph with an incrementally
-// maintained butterfly count. Not safe for concurrent mutation.
+// maintained butterfly count. Each side keeps only its non-empty
+// neighbor rows, sorted, so memory follows the edges held rather than
+// the declared vertex sets. Not safe for concurrent mutation.
 type Counter struct {
-	adj   []map[int32]struct{} // u ∈ V1 → neighbor set in V2
-	adjT  []map[int32]struct{} // v ∈ V2 → neighbor set in V1
+	m, n  int
+	adj   map[int32][]int32 // u ∈ V1 → sorted neighbors in V2
+	adjT  map[int32][]int32 // v ∈ V2 → sorted neighbors in V1
 	edges int64
 	count int64
 
 	// base is the graph the last Snapshot published (the seed graph,
-	// or an empty one for New); edits holds the edges whose presence
-	// differs from base. Every successful insert or delete toggles its
-	// edge, so an insert undone by a delete leaves no edit behind.
+	// or nil before New's first Snapshot); edits holds the edges whose
+	// presence differs from base. While a base exists every successful
+	// insert or delete toggles its edge, so an insert undone by a
+	// delete leaves no edit behind.
 	base  *graph.Bipartite
 	edits map[graph.Edge]struct{}
 }
 
-// New returns an empty counter over vertex sets of size m and n.
+// New returns an empty counter over vertex sets of size m and n. It
+// allocates nothing per vertex.
 func New(m, n int) *Counter {
 	if m < 0 || n < 0 {
 		panic(fmt.Sprintf("dynamic: negative vertex-set size %d/%d", m, n))
 	}
-	c := &Counter{
-		adj:   make([]map[int32]struct{}, m),
-		adjT:  make([]map[int32]struct{}, n),
-		base:  graph.NewBuilder(m, n).Build(),
-		edits: make(map[graph.Edge]struct{}),
-	}
-	for i := range c.adj {
-		c.adj[i] = make(map[int32]struct{})
-	}
-	for i := range c.adjT {
-		c.adjT[i] = make(map[int32]struct{})
-	}
-	return c
+	return &Counter{m: m, n: n, adj: make(map[int32][]int32), adjT: make(map[int32][]int32)}
 }
 
-// FromGraph seeds a counter with an existing graph: each neighbor set
-// is loaded straight from the CSR rows, sized to its vertex's degree,
-// and the initial count comes from one static count of g by the
-// family kernel (core.CountAuto) rather than |E| incremental inserts.
-// g becomes the base the first Snapshot patches, and is what Snapshot
-// returns until the first mutation.
+// FromGraph seeds a counter with an existing graph: the neighbor rows
+// slice one copy of each CSR orientation's column array, and the
+// initial count comes from one static count of g by the family kernel
+// (core.CountAuto) rather than |E| incremental inserts. g becomes the
+// base the first Snapshot patches, and is what Snapshot returns until
+// the first mutation.
 func FromGraph(g *graph.Bipartite) *Counter {
 	return &Counter{
-		adj:   loadSets(g.Adj()),
-		adjT:  loadSets(g.AdjT()),
+		m: g.NumV1(), n: g.NumV2(),
+		adj:   loadRows(g.Adj()),
+		adjT:  loadRows(g.AdjT()),
 		edges: g.NumEdges(),
 		count: core.CountAuto(g),
 		base:  g,
@@ -75,25 +74,25 @@ func FromGraph(g *graph.Bipartite) *Counter {
 	}
 }
 
-// loadSets returns one neighbor set per row of a.
-func loadSets(a *sparse.CSR) []map[int32]struct{} {
-	sets := make([]map[int32]struct{}, a.R)
-	for i := range sets {
-		row := a.Row(i)
-		s := make(map[int32]struct{}, len(row))
-		for _, v := range row {
-			s[v] = struct{}{}
+// loadRows returns the non-empty rows of a over one copy of its column
+// array. Each row's capacity is its length, so growing a row
+// reallocates it instead of writing into the next one.
+func loadRows(a *sparse.CSR) map[int32][]int32 {
+	col := slices.Clone(a.Col)
+	rows := make(map[int32][]int32)
+	for i := 0; i < a.R; i++ {
+		if lo, hi := a.Ptr[i], a.Ptr[i+1]; hi > lo {
+			rows[int32(i)] = col[lo:hi:hi]
 		}
-		sets[i] = s
 	}
-	return sets
+	return rows
 }
 
 // NumV1 returns |V1|.
-func (c *Counter) NumV1() int { return len(c.adj) }
+func (c *Counter) NumV1() int { return c.m }
 
 // NumV2 returns |V2|.
-func (c *Counter) NumV2() int { return len(c.adjT) }
+func (c *Counter) NumV2() int { return c.n }
 
 // NumEdges returns the current |E|.
 func (c *Counter) NumEdges() int64 { return c.edges }
@@ -101,18 +100,23 @@ func (c *Counter) NumEdges() int64 { return c.edges }
 // Count returns the current number of butterflies.
 func (c *Counter) Count() int64 { return c.count }
 
+// Rows returns the non-empty sorted neighbor rows of each side, keyed
+// by vertex: V1 → V2 neighbors and V2 → V1 neighbors. They are the
+// counter's own storage, valid until the next mutation; read only.
+func (c *Counter) Rows() (adj, adjT map[int32][]int32) { return c.adj, c.adjT }
+
 // HasEdge reports whether (u, v) is present.
 func (c *Counter) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(c.adj) || v < 0 || v >= len(c.adjT) {
+	if u < 0 || u >= c.m || v < 0 || v >= c.n {
 		return false
 	}
-	_, ok := c.adj[u][int32(v)]
+	_, ok := slices.BinarySearch(c.adj[int32(u)], int32(v))
 	return ok
 }
 
 func (c *Counter) check(u, v int) {
-	if u < 0 || u >= len(c.adj) || v < 0 || v >= len(c.adjT) {
-		panic(fmt.Sprintf("dynamic: edge (%d,%d) out of range %dx%d", u, v, len(c.adj), len(c.adjT)))
+	if u < 0 || u >= c.m || v < 0 || v >= c.n {
+		panic(fmt.Sprintf("dynamic: edge (%d,%d) out of range %dx%d", u, v, c.m, c.n))
 	}
 }
 
@@ -120,15 +124,18 @@ func (c *Counter) check(u, v int) {
 // number of butterflies it created.
 func (c *Counter) InsertEdge(u, v int) (added bool, delta int64) {
 	c.check(u, v)
-	if _, dup := c.adj[u][int32(v)]; dup {
+	nu, nv := c.adj[int32(u)], c.adjT[int32(v)]
+	i, dup := slices.BinarySearch(nu, int32(v))
+	if dup {
 		return false, 0
 	}
-	c.adj[u][int32(v)] = struct{}{}
-	c.adjT[v][int32(u)] = struct{}{}
+	delta = c.closes(nu, nv)
+	j, _ := slices.BinarySearch(nv, int32(u))
+	c.adj[int32(u)] = slices.Insert(nu, i, int32(v))
+	c.adjT[int32(v)] = slices.Insert(nv, j, int32(u))
 	c.edges++
-	c.toggle(u, v)
-	delta = c.support(u, v)
 	c.count += delta
+	c.toggle(u, v)
 	return true, delta
 }
 
@@ -136,49 +143,87 @@ func (c *Counter) InsertEdge(u, v int) (added bool, delta int64) {
 // (non-negative) number of butterflies it destroyed.
 func (c *Counter) DeleteEdge(u, v int) (removed bool, delta int64) {
 	c.check(u, v)
-	if _, ok := c.adj[u][int32(v)]; !ok {
+	nu := c.adj[int32(u)]
+	i, ok := slices.BinarySearch(nu, int32(v))
+	if !ok {
 		return false, 0
 	}
-	delta = c.support(u, v)
-	delete(c.adj[u], int32(v))
-	delete(c.adjT[v], int32(u))
+	nv := c.adjT[int32(v)]
+	j, _ := slices.BinarySearch(nv, int32(u))
+	nu, nv = slices.Delete(nu, i, i+1), slices.Delete(nv, j, j+1)
+	setRow(c.adj, int32(u), nu)
+	setRow(c.adjT, int32(v), nv)
+	delta = c.closes(nu, nv)
 	c.edges--
-	c.toggle(u, v)
 	c.count -= delta
+	c.toggle(u, v)
 	return true, delta
 }
 
-// support computes the number of butterflies containing the present
-// edge (u, v): Σ_{w∈N(v)\{u}} (|N(u) ∩ N(w)| − 1), where the −1
-// removes the shared neighbor v itself.
-func (c *Counter) support(u, v int) int64 {
+// setRow stores row k, dropping it once it is empty.
+func setRow(rows map[int32][]int32, k int32, row []int32) {
+	if len(row) == 0 {
+		delete(rows, k)
+	} else {
+		rows[k] = row
+	}
+}
+
+// closes returns the number of butterflies the absent edge (u, v)
+// would close, given nu = N(u) and nv = N(v):
+// Σ_{w∈N(v)} |N(u) ∩ N(w)|. Insert and delete both call it with the
+// edge absent, so their deltas are exact mirrors.
+func (c *Counter) closes(nu, nv []int32) int64 {
+	if len(nu) == 0 {
+		return 0
+	}
 	var s int64
-	nu := c.adj[u]
-	for w := range c.adjT[v] {
-		if int(w) == u {
-			continue
-		}
-		s += intersectSize(nu, c.adj[w]) - 1
+	for _, w := range nv {
+		s += intersect(nu, c.adj[w])
 	}
 	return s
 }
 
-// intersectSize returns |a ∩ b|, iterating the smaller set.
-func intersectSize(a, b map[int32]struct{}) int64 {
+// intersect returns |a ∩ b| for sorted rows: a merge, or, when one row
+// is at least 16× longer, a binary search of it for each element of
+// the shorter.
+func intersect(a, b []int32) int64 {
 	if len(a) > len(b) {
 		a, b = b, a
 	}
 	var n int64
-	for k := range a {
-		if _, ok := b[k]; ok {
+	if len(a)*16 <= len(b) {
+		for _, x := range a {
+			i, ok := slices.BinarySearch(b, x)
+			if ok {
+				n++
+			}
+			b = b[i:]
+		}
+		return n
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
 			n++
+			i++
+			j++
 		}
 	}
 	return n
 }
 
-// toggle flips (u, v)'s membership in the edit set.
+// toggle flips (u, v)'s membership in the edit set while a base
+// exists.
 func (c *Counter) toggle(u, v int) {
+	if c.base == nil {
+		return
+	}
 	e := graph.Edge{U: int32(u), V: int32(v)}
 	if _, ok := c.edits[e]; ok {
 		delete(c.edits, e)
@@ -192,8 +237,20 @@ func (c *Counter) toggle(u, v int) {
 // edits since: O(|V| + |E|) block copies plus O(k log k) for k edited
 // edges, with no map walk and no transpose. Without edits it returns
 // the previous snapshot itself, so its cached degree profile and
-// relayout twin carry over. Earlier snapshots are never written to.
+// relayout twin carry over. A counter made by New builds its first
+// snapshot from its rows. Earlier snapshots are never written to.
 func (c *Counter) Snapshot() *graph.Bipartite {
+	if c.base == nil {
+		edges := make([]graph.Edge, 0, c.edges)
+		for u, row := range c.adj {
+			for _, v := range row {
+				edges = append(edges, graph.Edge{U: u, V: v})
+			}
+		}
+		c.base = graph.FromEdges(c.m, c.n, edges)
+		c.edits = make(map[graph.Edge]struct{})
+		return c.base
+	}
 	if len(c.edits) == 0 {
 		return c.base
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -28,6 +29,26 @@ func TestEmptyCounter(t *testing.T) {
 		if s.NumV1() != d[0] || s.NumV2() != d[1] || s.NumEdges() != 0 || s.Validate() != nil {
 			t.Fatalf("empty %dx%d snapshot: %s", d[0], d[1], s)
 		}
+	}
+}
+
+// Memory follows the edges held, not the declared vertex sets: a
+// counter over a million vertices a side that takes a thousand edges
+// allocates well under a megabyte.
+func TestNewAllocatesPerEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := New(1_000_000, 1_000_000)
+	for i := 0; i < 1000; i++ {
+		c.InsertEdge(rng.Intn(1_000_000), rng.Intn(1_000_000))
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("New(1e6, 1e6) and 1000 inserts allocated %d bytes, want < 1 MiB", got)
+	}
+	if c.NumEdges() != 1000 {
+		t.Fatalf("NumEdges = %d, want 1000", c.NumEdges())
 	}
 }
 
@@ -203,13 +224,11 @@ func TestFromGraphMatchesStatic(t *testing.T) {
 }
 
 // rebuild materializes c from scratch the way Snapshot did before it
-// patched: every neighbor set copied into a CSR that FromRows sorts.
+// patched: every neighbor row copied into a CSR that FromRows sorts.
 func rebuild(c *Counter) *graph.Bipartite {
-	a := &sparse.CSR{R: len(c.adj), C: len(c.adjT), Ptr: make([]int64, len(c.adj)+1)}
-	for u, nbrs := range c.adj {
-		for v := range nbrs {
-			a.Col = append(a.Col, v)
-		}
+	a := &sparse.CSR{R: c.m, C: c.n, Ptr: make([]int64, c.m+1)}
+	for u := 0; u < c.m; u++ {
+		a.Col = append(a.Col, c.adj[int32(u)]...)
 		a.Ptr[u+1] = int64(len(a.Col))
 	}
 	return graph.FromRows(a)
@@ -391,18 +410,27 @@ func FuzzSnapshotPatch(f *testing.F) {
 	})
 }
 
+// BenchmarkInsertDelete times one update: an insert of a random pair
+// and a delete of a random present edge alternate, so |E| holds steady
+// and every delete removes an edge.
 func BenchmarkInsertDelete(b *testing.B) {
 	g := gen.PowerLawBipartite(5000, 4000, 30000, 0.7, 0.7, 11)
 	c := FromGraph(g)
+	live := g.Edges()
 	rng := rand.New(rand.NewSource(12))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u, v := rng.Intn(5000), rng.Intn(4000)
 		if i%2 == 0 {
-			c.InsertEdge(u, v)
+			u, v := rng.Intn(5000), rng.Intn(4000)
+			if added, _ := c.InsertEdge(u, v); added {
+				live = append(live, graph.Edge{U: int32(u), V: int32(v)})
+			}
 		} else {
-			c.DeleteEdge(u, v)
+			j := rng.Intn(len(live))
+			c.DeleteEdge(int(live[j].U), int(live[j].V))
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
 		}
 	}
 }

@@ -84,11 +84,11 @@ func TestReservoirIncrementalMatchesRecount(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Rebuild the reservoir subgraph from the live adjacency.
+		// Rebuild the reservoir subgraph from the non-duplicate slots.
 		b := graph.NewBuilder(120, 90)
-		for u, nbrs := range r.adjU {
-			for _, v := range nbrs {
-				b.AddEdge(int(u), int(v))
+		for _, e := range r.slots {
+			if !e.dup {
+				b.AddEdge(int(e.u), int(e.v))
 			}
 		}
 		want := core.CountAuto(b.Build())
@@ -472,5 +472,41 @@ func TestSplitMixUniform(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
 		t.Fatalf("mean %f far from 0.5", mean)
+	}
+}
+
+// shuffledStream returns g's edges in a seeded random order.
+func shuffledStream(g *graph.Bipartite, seed int64) [][2]int {
+	stream := streamOf(g)
+	rand.New(rand.NewSource(seed)).Shuffle(len(stream), func(i, j int) {
+		stream[i], stream[j] = stream[j], stream[i]
+	})
+	return stream
+}
+
+// BenchmarkReservoirStream streams the github stand-in at scale 1
+// (440,237 edges, shuffled) through AddBatch in 4096-edge chunks, one
+// whole stream per op, into reservoirs of 2^14 and 2^16 edges.
+func BenchmarkReservoirStream(b *testing.B) {
+	g, err := gen.ScaledPaperDataset("github", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream := shuffledStream(g, 1)
+	for _, capacity := range []int{1 << 14, 1 << 16} {
+		b.Run(fmt.Sprintf("R=%d", capacity), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := NewReservoir(g.NumV1(), g.NumV2(), capacity, 7)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for lo := 0; lo < len(stream); lo += 4096 {
+					if err := r.AddBatch(stream[lo:min(lo+4096, len(stream))]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -2,36 +2,37 @@
 // estimators for a registered graph — vertex sampling and edge
 // sampling (adaptive, with error bars) and sparsification (Sanei-Mehri
 // et al., KDD'18) — behind Sample, and fixed-memory reservoir
-// estimation over edge streams (the FLEET family, arXiv:1812.03398).
-// The root package's EstimateOptions and EstimateResult are this
-// package's Options and Result, and the serving layer answers
-// /v1/estimate from it.
+// estimation over edge streams (the FLEET family, arXiv:1812.03398),
+// whose sample is a dynamic.Counter. The root package's
+// EstimateOptions and EstimateResult are this package's Options and
+// Result, and the serving layer answers /v1/estimate from it.
 package estimate
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
+
+	"butterfly/internal/dynamic"
 )
 
 // slot is one reservoir cell. dup marks a stream element whose (u,v)
 // pair was already present in the reservoir when it entered: it holds a
-// cell (keeping the sample uniform over stream *elements*) but does not
-// contribute adjacency or butterflies a second time.
+// cell (keeping the sample uniform over stream *elements*) but is not
+// inserted into the sample a second time.
 type slot struct {
 	u, v int32
 	dup  bool
 }
 
 // Reservoir is a fixed-budget streaming butterfly estimator. It keeps a
-// uniform sample of at most Cap stream edges; the butterfly count of
-// the sampled subgraph is maintained *incrementally* — every insert and
-// evict applies a wedge delta over the small in-reservoir adjacency —
-// so a snapshot is O(1), not a recount. At any point the stream count
-// is estimated by scaling with the inverse probability that all four
-// edges of a butterfly survived together,
+// uniform sample of at most Cap stream edges in a dynamic.Counter, so
+// the butterfly count of the sampled subgraph is maintained
+// *incrementally* — every insert and evict applies the counter's
+// per-edge delta — and a snapshot is O(1), not a recount. At any point
+// the stream count is estimated by scaling with the inverse
+// probability that all four edges of a butterfly survived together,
 //
 //	p₄ = Π_{i=0..3} (R − i) / (N − i)
 //
@@ -50,20 +51,13 @@ type slot struct {
 // are O(1). Memory is O(R) regardless of stream length. All methods
 // are safe for concurrent use.
 type Reservoir struct {
-	mu   sync.Mutex
-	m, n int
-	cap  int
-	seed int64
+	mu  sync.Mutex
+	cap int
 
 	seen  int64
 	slots []slot
-	held  int   // slots with dup == false (distinct edges in the subgraph)
-	count int64 // butterflies inside the reservoir subgraph
-
-	rng  *rand.Rand
-	adjU map[int32][]int32 // V1 vertex -> sorted V2 neighbors
-	adjV map[int32][]int32 // V2 vertex -> sorted V1 neighbors
-	free [][]int32         // recycled neighbor slices (zero-alloc steady state)
+	g     *dynamic.Counter // the distinct edges of the non-duplicate slots
+	rng   *rand.Rand
 
 	// Cached variance pass: valid while (seen, count) are unchanged.
 	varSeen   int64
@@ -97,11 +91,10 @@ func NewReservoir(m, n, capacity int, seed int64) (*Reservoir, error) {
 		return nil, fmt.Errorf("estimate: reservoir capacity %d < 4 cannot hold a butterfly", capacity)
 	}
 	return &Reservoir{
-		m: m, n: n, cap: capacity, seed: seed,
+		cap:   capacity,
 		slots: make([]slot, 0, capacity),
+		g:     dynamic.New(m, n),
 		rng:   rand.New(rand.NewSource(seed)),
-		adjU:  make(map[int32][]int32),
-		adjV:  make(map[int32][]int32),
 	}, nil
 }
 
@@ -115,8 +108,8 @@ func (r *Reservoir) Seen() int64 {
 // Add feeds the next stream edge. Out-of-range endpoints are an error
 // and leave the estimator unchanged.
 func (r *Reservoir) Add(u, v int) error {
-	if u < 0 || u >= r.m || v < 0 || v >= r.n {
-		return fmt.Errorf("estimate: stream edge (%d,%d) out of range %dx%d", u, v, r.m, r.n)
+	if err := r.check(u, v); err != nil {
+		return err
 	}
 	r.mu.Lock()
 	r.add(int32(u), int32(v))
@@ -129,8 +122,8 @@ func (r *Reservoir) Add(u, v int) error {
 // an error means the estimator state did not change.
 func (r *Reservoir) AddBatch(edges [][2]int) error {
 	for _, e := range edges {
-		if e[0] < 0 || e[0] >= r.m || e[1] < 0 || e[1] >= r.n {
-			return fmt.Errorf("estimate: stream edge (%d,%d) out of range %dx%d", e[0], e[1], r.m, r.n)
+		if err := r.check(e[0], e[1]); err != nil {
+			return err
 		}
 	}
 	r.mu.Lock()
@@ -138,6 +131,14 @@ func (r *Reservoir) AddBatch(edges [][2]int) error {
 		r.add(int32(e[0]), int32(e[1]))
 	}
 	r.mu.Unlock()
+	return nil
+}
+
+// check rejects an edge outside the vertex sets.
+func (r *Reservoir) check(u, v int) error {
+	if m, n := r.g.NumV1(), r.g.NumV2(); u < 0 || u >= m || v < 0 || v >= n {
+		return fmt.Errorf("estimate: stream edge (%d,%d) out of range %dx%d", u, v, m, n)
+	}
 	return nil
 }
 
@@ -157,133 +158,22 @@ func (r *Reservoir) add(u, v int32) {
 	r.place(int(j), u, v)
 }
 
-// place writes the new edge into slot i (which must already be vacated)
-// and applies its wedge delta. The delta is computed with the edge
-// absent from the adjacency — the same orientation evict uses — so
-// insert and delete are exact mirrors.
+// place writes the new edge into slot i (which must already be
+// vacated) and adds it to the sample, whose counter applies the
+// butterflies it closes. An edge already in the sample marks the slot
+// a duplicate instead.
 func (r *Reservoir) place(i int, u, v int32) {
-	s := r.slots[:cap(r.slots)]
-	if r.contains(u, v) {
-		s[i] = slot{u: u, v: v, dup: true}
-		return
-	}
-	r.count += r.wedgeDelta(u, v)
-	r.insertAdj(u, v)
-	r.held++
-	s[i] = slot{u: u, v: v}
+	added, _ := r.g.InsertEdge(int(u), int(v))
+	r.slots[:cap(r.slots)][i] = slot{u: u, v: v, dup: !added}
 }
 
-// evict removes slot i's edge from the subgraph, subtracting its wedge
-// delta. Duplicate slots vacate without touching adjacency.
+// evict removes slot i's edge from the sample, whose counter subtracts
+// the butterflies it closed. Duplicate slots vacate without touching
+// the sample.
 func (r *Reservoir) evict(i int) {
-	e := r.slots[i]
-	if e.dup {
-		return
+	if e := r.slots[i]; !e.dup {
+		r.g.DeleteEdge(int(e.u), int(e.v))
 	}
-	r.removeAdj(e.u, e.v)
-	r.count -= r.wedgeDelta(e.u, e.v)
-	r.held--
-}
-
-// wedgeDelta returns the number of butterflies the edge (u,v) closes
-// against the current adjacency, which must NOT contain (u,v): every
-// other V1 vertex w adjacent to v contributes |N(u) ∩ N(w)| butterflies
-// (each shared V2 partner besides v completes a 2×2 biclique).
-func (r *Reservoir) wedgeDelta(u, v int32) int64 {
-	nu := r.adjU[u]
-	if len(nu) == 0 {
-		return 0
-	}
-	var delta int64
-	for _, w := range r.adjV[v] {
-		if w == u {
-			continue
-		}
-		delta += intersectCount(nu, r.adjU[w])
-	}
-	return delta
-}
-
-func (r *Reservoir) contains(u, v int32) bool {
-	nu := r.adjU[u]
-	i := sort.Search(len(nu), func(i int) bool { return nu[i] >= v })
-	return i < len(nu) && nu[i] == v
-}
-
-func (r *Reservoir) insertAdj(u, v int32) {
-	r.adjU[u] = r.sortedInsert(r.adjU[u], v)
-	r.adjV[v] = r.sortedInsert(r.adjV[v], u)
-}
-
-func (r *Reservoir) removeAdj(u, v int32) {
-	r.adjU[u] = r.sortedRemove(r.adjU, u, v)
-	r.adjV[v] = r.sortedRemove(r.adjV, v, u)
-	if len(r.adjU[u]) == 0 {
-		delete(r.adjU, u)
-	}
-	if len(r.adjV[v]) == 0 {
-		delete(r.adjV, v)
-	}
-}
-
-// sortedInsert places x into sorted slice s, drawing backing arrays
-// from the free list so the saturated steady state (every insert paired
-// with an evict) allocates nothing.
-func (r *Reservoir) sortedInsert(s []int32, x int32) []int32 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	if len(s) == cap(s) {
-		grown := r.grab(len(s) + 1)
-		grown = append(grown, s[:i]...)
-		grown = append(grown, x)
-		grown = append(grown, s[i:]...)
-		if s != nil {
-			r.recycle(s)
-		}
-		return grown
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = x
-	return s
-}
-
-func (r *Reservoir) sortedRemove(adj map[int32][]int32, k, x int32) []int32 {
-	s := adj[k]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	if i >= len(s) || s[i] != x {
-		return s
-	}
-	copy(s[i:], s[i+1:])
-	s = s[:len(s)-1]
-	if len(s) == 0 {
-		r.recycle(s[:0])
-	}
-	return s
-}
-
-// grab returns a zero-length slice with capacity ≥ need, preferring the
-// recycle pool.
-func (r *Reservoir) grab(need int) []int32 {
-	for i := len(r.free) - 1; i >= 0; i-- {
-		if cap(r.free[i]) >= need {
-			s := r.free[i][:0]
-			r.free[i] = r.free[len(r.free)-1]
-			r.free = r.free[:len(r.free)-1]
-			return s
-		}
-	}
-	c := 4
-	for c < need {
-		c *= 2
-	}
-	return make([]int32, 0, c)
-}
-
-func (r *Reservoir) recycle(s []int32) {
-	if cap(s) == 0 || len(r.free) >= 64 {
-		return
-	}
-	r.free = append(r.free, s[:0])
 }
 
 // Snapshot returns a consistent view of the estimator: safe to call
@@ -291,22 +181,23 @@ func (r *Reservoir) recycle(s []int32) {
 func (r *Reservoir) Snapshot() ReservoirSnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	count := r.g.Count()
 	snap := ReservoirSnapshot{
 		EdgesSeen:     r.seen,
-		ReservoirSize: r.held,
+		ReservoirSize: int(r.g.NumEdges()),
 		Capacity:      r.cap,
-		Butterflies:   r.count,
+		Butterflies:   count,
 	}
 	if r.seen <= int64(r.cap) {
-		snap.Estimate = float64(r.count)
+		snap.Estimate = float64(count)
 		snap.Exact = true
 		return snap
 	}
 	p4 := r.survival(4)
-	snap.Estimate = float64(r.count) / p4
-	if r.varSeen != r.seen || r.varCount != r.count {
+	snap.Estimate = float64(count) / p4
+	if r.varSeen != r.seen || r.varCount != count {
 		r.varStdErr = r.stdErr(p4)
-		r.varSeen, r.varCount = r.seen, r.count
+		r.varSeen, r.varCount = r.seen, count
 	}
 	snap.StdErr = r.varStdErr
 	snap.CI95 = 1.96 * snap.StdErr
@@ -338,7 +229,7 @@ func (r *Reservoir) survival(k int64) float64 {
 // negative covariance of disjoint pairs (p₈ < p₄²) is ignored, making
 // the bars slightly conservative.
 func (r *Reservoir) stdErr(p4 float64) float64 {
-	c := float64(r.count)
+	c := float64(r.g.Count())
 	if c < 1 {
 		c = 1 // a zero observed count still has sampling uncertainty
 	}
@@ -364,8 +255,9 @@ func (r *Reservoir) stdErr(p4 float64) float64 {
 // the pair's β_uw wedges contribute β·C(β−1, 2); V1-centered wedges
 // symmetrically via γ_vx.
 func (r *Reservoir) pairStats() (q2, se float64) {
+	rowsU, rowsV := r.g.Rows()
 	beta := make(map[int64]int32) // V1-pair -> common V2 neighbors
-	for _, us := range r.adjV {
+	for _, us := range rowsV {
 		for i := 0; i < len(us); i++ {
 			for j := i + 1; j < len(us); j++ {
 				beta[pairKey(us[i], us[j])]++
@@ -376,7 +268,7 @@ func (r *Reservoir) pairStats() (q2, se float64) {
 		q2 += float64(b) * choose2(int64(b)-1)
 	}
 	gamma := make(map[int64]int32) // V2-pair -> common V1 neighbors
-	for _, vs := range r.adjU {
+	for _, vs := range rowsU {
 		for i := 0; i < len(vs); i++ {
 			for j := i + 1; j < len(vs); j++ {
 				gamma[pairKey(vs[i], vs[j])]++
@@ -386,10 +278,10 @@ func (r *Reservoir) pairStats() (q2, se float64) {
 	for _, g := range gamma {
 		q2 += float64(g) * choose2(int64(g)-1)
 	}
-	for u, vs := range r.adjU {
+	for u, vs := range rowsU {
 		for _, v := range vs {
 			var sup int64
-			for _, w := range r.adjV[v] {
+			for _, w := range rowsV[v] {
 				if w == u {
 					continue
 				}
@@ -413,23 +305,4 @@ func choose2(n int64) float64 {
 		return 0
 	}
 	return float64(n) * float64(n-1) / 2
-}
-
-// intersectCount returns |a ∩ b| for sorted slices.
-func intersectCount(a, b []int32) int64 {
-	var n int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
 }

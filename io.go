@@ -70,13 +70,19 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 
 // DegreeHistogram returns hist[d] = number of vertices of the side
 // with degree d.
-func (g *Graph) DegreeHistogram(side Side) []int64 {
-	return graph.DegreeHistogram(g.g, side == V1)
+func (g *Graph) DegreeHistogram(side Side) ([]int64, error) {
+	if err := checkSide(side); err != nil {
+		return nil, err
+	}
+	return graph.DegreeHistogram(g.g, side == V1), nil
 }
 
 // DegreeGini returns the Gini coefficient of the side's degree
 // distribution: 0 = uniform, → 1 = hub-dominated. High values predict
 // chunk-level load imbalance in the parallel counting loop.
-func (g *Graph) DegreeGini(side Side) float64 {
-	return graph.DegreeGini(g.g, side == V1)
+func (g *Graph) DegreeGini(side Side) (float64, error) {
+	if err := checkSide(side); err != nil {
+		return 0, err
+	}
+	return graph.DegreeGini(g.g, side == V1), nil
 }

@@ -257,7 +257,10 @@ func TestPreferentialAttachmentAndDegreeStats(t *testing.T) {
 	if g.NumEdges() == 0 {
 		t.Fatal("no edges generated")
 	}
-	hist := g.DegreeHistogram(V1)
+	hist, err := g.DegreeHistogram(V1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var total int64
 	for _, c := range hist {
 		total += c
@@ -265,7 +268,10 @@ func TestPreferentialAttachmentAndDegreeStats(t *testing.T) {
 	if total != 200 {
 		t.Fatalf("histogram covers %d vertices, want 200", total)
 	}
-	gini := g.DegreeGini(V1)
+	gini, err := g.DegreeGini(V1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if gini <= 0 || gini >= 1 {
 		t.Fatalf("preferential attachment Gini = %f, want in (0,1)", gini)
 	}
@@ -274,8 +280,15 @@ func TestPreferentialAttachmentAndDegreeStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.DegreeGini(V1) <= uni.DegreeGini(V1) {
-		t.Fatalf("PA Gini %f not above Gnm Gini %f", g.DegreeGini(V1), uni.DegreeGini(V1))
+	if uniGini, _ := uni.DegreeGini(V1); gini <= uniGini {
+		t.Fatalf("PA Gini %f not above Gnm Gini %f", gini, uniGini)
+	}
+	// An invalid side is an error, not an answer for V2.
+	if _, err := g.DegreeHistogram(Side(9)); err == nil {
+		t.Fatal("DegreeHistogram accepted Side(9)")
+	}
+	if _, err := g.DegreeGini(Side(9)); err == nil {
+		t.Fatal("DegreeGini accepted Side(9)")
 	}
 
 	if _, err := GeneratePreferentialAttachment(0, 5, 1, 1); err == nil {

@@ -10,10 +10,11 @@ import (
 // with a fixed-size uniform reservoir (the FLEET family, Sanei-Mehri
 // et al.): memory stays O(reservoir) regardless of stream length, and
 // the estimate is unbiased for duplicate-free streams (exact while the
-// reservoir still fits the whole stream). The butterfly count of the
-// reservoir subgraph is maintained incrementally, so snapshots are
-// cheap; the O(1)-memory companion to DynamicCounter, for streams too
-// large to keep. Safe for concurrent use.
+// reservoir still fits the whole stream). The reservoir subgraph is
+// held in the same incremental counter DynamicCounter uses, so its
+// butterfly count is maintained edge by edge and snapshots are cheap;
+// the O(1)-memory companion to DynamicCounter, for streams too large
+// to keep. Safe for concurrent use.
 type StreamEstimator struct {
 	r *estimate.Reservoir
 }
