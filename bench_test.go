@@ -10,7 +10,6 @@ package butterfly
 //	BenchmarkSparsitySweep        — claim C2 (sparser graphs are faster)
 //	BenchmarkLookAheadAblation    — claim C3 (look-ahead members win)
 //	BenchmarkBlockedAblation      — blocked vs unblocked variants
-//	BenchmarkDegreeOrderAblation  — future-work degree ordering
 //	BenchmarkBaselines            — family vs independent counters
 //	BenchmarkKTip / BenchmarkKWing / Benchmark*Decomposition — Section IV
 //
@@ -216,27 +215,6 @@ func BenchmarkBlockedAblation(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				v, err := g.CountWith(CountOptions{BlockSize: block})
-				if err != nil {
-					b.Fatal(err)
-				}
-				sink = v
-			}
-		})
-	}
-}
-
-// BenchmarkDegreeOrderAblation measures the future-work degree-order
-// optimization (counting only; relabeling excluded).
-func BenchmarkDegreeOrderAblation(b *testing.B) {
-	for _, o := range []struct {
-		label string
-		order Order
-	}{{"natural", OrderNatural}, {"degree-asc", OrderDegreeAsc}, {"degree-desc", OrderDegreeDesc}} {
-		b.Run(o.label, func(b *testing.B) {
-			g := benchDataset(b, "github")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v, err := g.CountWith(CountOptions{Order: o.order})
 				if err != nil {
 					b.Fatal(err)
 				}

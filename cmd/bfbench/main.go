@@ -10,7 +10,6 @@
 //	sparsity   claim C2: sparser graphs count faster
 //	lookahead  claim C3: look-ahead family members vs eager ones
 //	blocked    blocked-variant block-size sweep
-//	order      degree-ordering ablation (paper future work)
 //	baselines  family vs wedge-hash / vertex-priority / SpGEMM
 //	all        everything above
 //
@@ -41,7 +40,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bfbench", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		table   = fs.String("table", "all", "fig9|fig10|fig11|balance|partition|sparsity|lookahead|blocked|order|baselines|dynamic|dist|peeling|estimators|significance|all")
+		table   = fs.String("table", "all", "fig9|fig10|fig11|balance|partition|sparsity|lookahead|blocked|baselines|dynamic|dist|peeling|estimators|significance|all")
 		scale   = fs.Int("scale", 1, "dataset shrink factor (1 = paper-size)")
 		threads = fs.Int("threads", 6, "workers for fig11 (the paper used 6)")
 		dataDir = fs.String("data", "", "directory with real KONECT files (optional)")
@@ -146,15 +145,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		bench.PrintBlocked(out, bench.BlockedAblation(g, []int{1, 16, 64, 256, 1024, 4096}))
-	}
-	if want("order") {
-		ran = true
-		section(out, "Ablation: degree ordering (github stand-in)")
-		g, err := bench.LoadDataset("github", *dataDir, *scale)
-		if err != nil {
-			return err
-		}
-		bench.PrintOrder(out, bench.OrderAblation(g))
 	}
 	if want("dist") {
 		ran = true

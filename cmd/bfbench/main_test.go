@@ -49,7 +49,6 @@ func TestRunSweepsAndAblations(t *testing.T) {
 		"sparsity":  "density",
 		"lookahead": "speedup",
 		"blocked":   "unblocked",
-		"order":     "degree-desc",
 		"baselines": "vertex-priority",
 	} {
 		var sb strings.Builder

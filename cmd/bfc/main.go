@@ -2,12 +2,11 @@
 //
 // Input is either a KONECT-format edge list (-file), a MatrixMarket
 // file (-mm), or a named synthetic stand-in of the paper's datasets
-// (-dataset, optionally -scale to shrink it). The algorithm family
-// member, thread count, block size and vertex ordering are selectable;
-// -all runs the whole family and reports each member's time. The
-// hybrid intersection kernel's hub policy is selectable with
-// -hub auto|never|always, and -arena reuses counting workspaces across
-// runs (meaningful with -all, where it makes repeats allocation-free).
+// (-dataset, optionally -scale to shrink it). The algorithm, family
+// member, thread count, block size and wedge-aggregation mode are
+// selectable; -all runs the whole family and reports each member's
+// time, and -arena reuses counting workspaces across runs (meaningful
+// with -all, where it makes repeats allocation-free).
 //
 // Examples:
 //
@@ -51,8 +50,6 @@ func run(args []string, out io.Writer) error {
 		invariant = fs.Int("invariant", 0, "family member 1-8 (0 = auto; family algorithm only)")
 		threads   = fs.Int("threads", 1, "worker count (>1 = parallel algorithm)")
 		block     = fs.Int("block", 0, "block size (>1 = blocked variant)")
-		order     = fs.String("order", "natural", "vertex order: natural|degree-asc|degree-desc")
-		hub       = fs.String("hub", "auto", "hub kernel policy: auto|never|always (family algorithm only)")
 		agg       = fs.String("agg", "auto", "wedge aggregation mode: auto|sort|hash|hist|batch (family algorithm only)")
 		arena     = fs.Bool("arena", false, "reuse counting workspaces across runs (family algorithm only)")
 		all       = fs.Bool("all", false, "run all 8 invariants and report times")
@@ -106,10 +103,6 @@ func run(args []string, out io.Writer) error {
 		return runProject(out, g, *project, *minShared, *top)
 	}
 
-	hubPolicy, err := butterfly.ParseHubPolicy(*hub)
-	if err != nil {
-		return fmt.Errorf("unknown -hub %q (want auto|never|always)", *hub)
-	}
 	aggPolicy, err := butterfly.ParseAggPolicy(*agg)
 	if err != nil {
 		return fmt.Errorf("unknown -agg %q (want auto|sort|hash|hist|batch)", *agg)
@@ -122,7 +115,7 @@ func run(args []string, out io.Writer) error {
 	if *all {
 		for inv := butterfly.Invariant1; inv <= butterfly.Invariant8; inv++ {
 			start := time.Now()
-			c, err := g.CountWith(butterfly.CountOptions{Invariant: inv, Threads: *threads, BlockSize: *block, Hub: hubPolicy, Agg: aggPolicy, Arena: pool})
+			c, err := g.CountWith(butterfly.CountOptions{Invariant: inv, Threads: *threads, BlockSize: *block, Agg: aggPolicy, Arena: pool})
 			if err != nil {
 				return err
 			}
@@ -135,15 +128,11 @@ func run(args []string, out io.Writer) error {
 		Invariant: butterfly.Invariant(*invariant),
 		Threads:   *threads,
 		BlockSize: *block,
-		Hub:       hubPolicy,
 		Agg:       aggPolicy,
 		Arena:     pool,
 	}
 	if opts.Algorithm, err = butterfly.ParseAlgorithm(*algorithm); err != nil {
 		return fmt.Errorf("unknown -algorithm %q", *algorithm)
-	}
-	if opts.Order, err = butterfly.ParseOrder(*order); err != nil {
-		return fmt.Errorf("unknown -order %q", *order)
 	}
 
 	start := time.Now()

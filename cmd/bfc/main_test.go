@@ -60,7 +60,7 @@ func TestRunMatrixMarket(t *testing.T) {
 func TestRunDatasetAndOptions(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{"-dataset", "arxiv-cond-mat", "-scale", "100",
-		"-invariant", "7", "-threads", "2", "-order", "degree-desc"}, &sb)
+		"-invariant", "7", "-threads", "2"}, &sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,8 @@ func TestRunErrors(t *testing.T) {
 	cases := map[string][]string{
 		"noInput":      {},
 		"bothInputs":   {"-file", "x", "-dataset", "y"},
-		"badOrder":     {"-dataset", "github", "-scale", "500", "-order", "bogus"},
+		"removedOrder": {"-dataset", "github", "-scale", "500", "-order", "degree-desc"},
+		"removedHub":   {"-dataset", "github", "-scale", "500", "-hub", "never"},
 		"badEstimate":  {"-dataset", "github", "-scale", "500", "-estimate", "bogus"},
 		"badInvariant": {"-dataset", "github", "-scale", "500", "-invariant", "99"},
 		"missingFile":  {"-file", "/no/such/file"},
@@ -238,8 +239,7 @@ func TestRunProject(t *testing.T) {
 	}
 }
 
-// TestRunAggModes mirrors the hub-policy coverage for -agg: every mode
-// counts K33's 9 butterflies, and a bad mode is rejected.
+// TestRunAggModes: every -agg mode counts K33's 9 butterflies, and a bad mode is rejected.
 func TestRunAggModes(t *testing.T) {
 	path := writeTestGraph(t)
 	for _, agg := range []string{"auto", "sort", "hash", "hist", "batch"} {

@@ -10,7 +10,6 @@ import (
 	"butterfly/internal/baseline"
 	"butterfly/internal/core"
 	"butterfly/internal/estimate"
-	"butterfly/internal/graph"
 )
 
 // Invariant selects a member of the paper's algorithm family. The zero
@@ -38,22 +37,6 @@ const (
 
 // NumInvariants is the size of the family.
 const NumInvariants = core.NumInvariants
-
-// Order selects an optional vertex relabeling applied before counting
-// (the count itself is invariant under relabeling; degree orders are
-// the locality optimization the paper's future work points at). It is
-// the graph layer's own type; String gives "natural", "degree-asc" or
-// "degree-desc".
-type Order = graph.Order
-
-const (
-	// OrderNatural keeps input vertex ids.
-	OrderNatural = graph.OrderNatural
-	// OrderDegreeAsc relabels each side by ascending degree.
-	OrderDegreeAsc = graph.OrderDegreeAsc
-	// OrderDegreeDesc relabels each side by descending degree.
-	OrderDegreeDesc = graph.OrderDegreeDesc
-)
 
 // Algorithm selects the counting implementation. The default
 // (AlgorithmFamily) is the paper's loop-invariant family; the others
@@ -99,24 +82,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// HubPolicy selects how the hybrid intersection kernel treats dense
-// ("hub") exposed vertices during counting. Every policy returns the
-// exact count; the policy only trades the sparse wedge-accumulator
-// path against the bitset path. It is the counting core's own type;
-// String gives "auto", "never" or "always".
-type HubPolicy = core.HubPolicy
-
-const (
-	// HubAuto (the default) picks per vertex from the kernel's cost
-	// model.
-	HubAuto = core.HubAuto
-	// HubNever forces the sparse accumulator path everywhere.
-	HubNever = core.HubNever
-	// HubAlways forces the bitset path wherever a candidate range
-	// exists.
-	HubAlways = core.HubAlways
-)
-
 // AggPolicy selects the wedge-aggregation kernel of the counting core —
 // how one exposed vertex's wedge multiset is materialized before the
 // butterfly formula is applied. Every mode returns the exact count;
@@ -144,18 +109,6 @@ const (
 // accepts exactly the String spellings.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	return parseEnum(s, "algorithm", AlgorithmFamily, AlgorithmSpGEMM, Algorithm.String)
-}
-
-// ParseOrder converts an order name to its order; it accepts exactly
-// the String spellings.
-func ParseOrder(s string) (Order, error) {
-	return parseEnum(s, "order", OrderNatural, OrderDegreeDesc, Order.String)
-}
-
-// ParseHubPolicy converts a policy name to its policy; it accepts
-// exactly the String spellings.
-func ParseHubPolicy(s string) (HubPolicy, error) {
-	return parseEnum(s, "hub policy", HubAuto, HubAlways, HubPolicy.String)
 }
 
 // ParseAggPolicy converts a mode string to its policy; it accepts
@@ -203,13 +156,6 @@ type CountOptions struct {
 	// BlockSize > 1 runs the blocked variant exposing that many
 	// vertices per iteration (AlgorithmFamily only).
 	BlockSize int
-	// Order optionally relabels vertices first.
-	Order Order
-	// Hub selects the hybrid intersection kernel policy for dense
-	// exposed vertices (AlgorithmFamily only). The zero value HubAuto
-	// chooses per vertex from a cost model; HubNever and HubAlways pin
-	// one path. Every policy returns the exact count.
-	Hub HubPolicy
 	// Agg selects the wedge-aggregation kernel (AlgorithmFamily only).
 	// The zero value AggAuto chooses per graph from the degree profile;
 	// the fixed modes pin one kernel. Every mode returns the exact
@@ -219,13 +165,15 @@ type CountOptions struct {
 	// nil allocates fresh scratch per run (AlgorithmFamily only). See
 	// NewArena.
 	Arena *Arena
-	// Stage, when non-nil, receives coarse stage timings: "core.order"
-	// for the optional relabeling pass, "core.count" for a family
-	// count, and "core.<algorithm>" (e.g. "core.wedge-hash") for a
-	// baseline count. The hook fires at most twice per call — never
-	// inside the counting loops — so a nil hook is free and an
-	// installed hook costs two clock reads. The serving layer adapts
-	// this to trace spans.
+	// Stage, when non-nil, receives coarse stage timings. A family
+	// count reports "core.relayout" when it counts on the
+	// degree-ordered twin (the build on a graph's first count, a
+	// pointer load after), "core.count", and "core.agg.<mode>", the
+	// same duration attributed to the aggregation mode that ran. A
+	// baseline count reports "core.<algorithm>" (e.g.
+	// "core.wedge-hash"). The hook never fires inside the counting
+	// loops, so a nil hook is free and an installed hook costs a few
+	// clock reads. The serving layer adapts this to trace spans.
 	Stage func(stage string, d time.Duration)
 }
 
@@ -261,27 +209,11 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 	if opts.BlockSize < 0 {
 		return 0, fmt.Errorf("butterfly: negative block size %d", opts.BlockSize)
 	}
-	if !opts.Hub.Valid() {
-		return 0, fmt.Errorf("butterfly: invalid hub policy %v", opts.Hub)
-	}
 	if !opts.Agg.Valid() {
 		return 0, fmt.Errorf("butterfly: invalid aggregation mode %v", opts.Agg)
 	}
 	if opts.Agg != AggAuto && opts.Algorithm != AlgorithmFamily {
 		return 0, fmt.Errorf("butterfly: Agg is only meaningful with AlgorithmFamily, got %v with %v", opts.Agg, opts.Algorithm)
-	}
-	if opts.Order < OrderNatural || opts.Order > OrderDegreeDesc {
-		return 0, fmt.Errorf("butterfly: invalid order %d", int(opts.Order))
-	}
-	gg := g.g
-	if opts.Order != OrderNatural {
-		if opts.Stage != nil {
-			t0 := time.Now()
-			gg, _, _ = gg.Relabel(opts.Order)
-			opts.Stage("core.order", time.Since(t0))
-		} else {
-			gg, _, _ = gg.Relabel(opts.Order)
-		}
 	}
 	threads := opts.Threads
 	if threads < 0 {
@@ -289,11 +221,10 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 	}
 	switch opts.Algorithm {
 	case AlgorithmFamily:
-		return core.CountContext(ctx, gg, core.Options{
+		return core.CountContext(ctx, g.g, core.Options{
 			Invariant: opts.Invariant,
 			Threads:   threads,
 			BlockSize: opts.BlockSize,
-			Hub:       opts.Hub,
 			Agg:       opts.Agg,
 			Arena:     opts.Arena,
 			Stage:     opts.Stage,
@@ -310,13 +241,13 @@ func (g *Graph) CountWithContext(ctx context.Context, opts CountOptions) (int64,
 			var c int64
 			switch opts.Algorithm {
 			case AlgorithmWedgeHash:
-				c = baseline.CountWedgeHash(gg)
+				c = baseline.CountWedgeHash(g.g)
 			case AlgorithmVertexPriority:
-				c = core.CountVertexPriority(gg, threads, opts.Arena)
+				c = core.CountVertexPriority(g.g, threads, opts.Arena)
 			case AlgorithmSortAggregate:
-				c = baseline.CountSortAggregate(gg, threads)
+				c = baseline.CountSortAggregate(g.g, threads)
 			default:
-				c = core.CountSpGEMMParallel(gg, threads)
+				c = core.CountSpGEMMParallel(g.g, threads)
 			}
 			if opts.Stage != nil {
 				opts.Stage("core."+opts.Algorithm.String(), time.Since(t0))

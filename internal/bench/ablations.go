@@ -141,26 +141,6 @@ func BlockedAblation(g *graph.Bipartite, blockSizes []int) []BlockedPoint {
 	return out
 }
 
-// OrderPoint is one sample of the degree-ordering ablation (the
-// paper's future-work optimization).
-type OrderPoint struct {
-	Order   graph.Order
-	Seconds float64
-}
-
-// OrderAblation compares vertex orderings on one dataset. Relabeling
-// time is excluded — the claim concerns counting-loop locality.
-func OrderAblation(g *graph.Bipartite) []OrderPoint {
-	inv := core.AutoInvariant(g)
-	out := make([]OrderPoint, 0, 3)
-	for _, o := range []graph.Order{graph.OrderNatural, graph.OrderDegreeAsc, graph.OrderDegreeDesc} {
-		h, _, _ := g.Relabel(o)
-		d, _ := TimeIt(func() int64 { return core.Count(h, inv) })
-		out = append(out, OrderPoint{Order: o, Seconds: d.Seconds()})
-	}
-	return out
-}
-
 // BaselinePoint compares a baseline counter against the family's best.
 type BaselinePoint struct {
 	Name    string

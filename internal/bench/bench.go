@@ -4,7 +4,7 @@
 // (6-thread parallel runtimes), plus the ablation sweeps behind the
 // section's three qualitative claims (partition-side selection, edge
 // sparsity, look-ahead) and this implementation's own ablations
-// (blocked variants, degree ordering, baseline comparison).
+// (blocked variants, baseline comparison).
 package bench
 
 import (

@@ -137,7 +137,7 @@ func TestLookAheadAblation(t *testing.T) {
 	}
 }
 
-func TestBlockedAndOrderAblations(t *testing.T) {
+func TestBlockedAblation(t *testing.T) {
 	g := gen.PowerLawBipartite(200, 150, 1200, 0.7, 0.7, 6)
 	blocked := BlockedAblation(g, []int{1, 64, 512})
 	if len(blocked) != 3 || blocked[1].BlockSize != 64 {
@@ -147,16 +147,6 @@ func TestBlockedAndOrderAblations(t *testing.T) {
 	PrintBlocked(&sb, blocked)
 	if !strings.Contains(sb.String(), "unblocked") {
 		t.Fatal("blocked print missing unblocked label")
-	}
-
-	order := OrderAblation(g)
-	if len(order) != 3 {
-		t.Fatalf("order = %+v", order)
-	}
-	sb.Reset()
-	PrintOrder(&sb, order)
-	if !strings.Contains(sb.String(), "degree-asc") {
-		t.Fatal("order print missing label")
 	}
 }
 

@@ -92,16 +92,6 @@ func PrintBlocked(w io.Writer, pts []BlockedPoint) {
 	tw.Flush()
 }
 
-// PrintOrder renders the degree-ordering ablation.
-func PrintOrder(w io.Writer, pts []OrderPoint) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "vertex order\tseconds")
-	for _, p := range pts {
-		fmt.Fprintf(tw, "%v\t%.3f\n", p.Order, p.Seconds)
-	}
-	tw.Flush()
-}
-
 // PrintBaselines renders the baseline comparison.
 func PrintBaselines(w io.Writer, pts []BaselinePoint) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)

@@ -85,38 +85,10 @@ func (v *Vector) Count() int {
 	return c
 }
 
-// Clone returns a deep copy of v.
-func (v *Vector) Clone() *Vector {
-	w := New(v.n)
-	copy(w.words, v.words)
-	return w
-}
-
 func (v *Vector) mustMatch(o *Vector) {
 	if v.n != o.n {
 		panic(fmt.Sprintf("bitvec: length mismatch %d vs %d", v.n, o.n))
 	}
-}
-
-// Or stores v ∨ o into v.
-func (v *Vector) Or(o *Vector) {
-	v.mustMatch(o)
-	for i := range v.words {
-		v.words[i] |= o.words[i]
-	}
-}
-
-// Equal reports whether v and o have the same length and bits.
-func (v *Vector) Equal(o *Vector) bool {
-	if v.n != o.n {
-		return false
-	}
-	for i := range v.words {
-		if v.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // IntersectionCount returns |v ∧ o| without allocating.

@@ -226,3 +226,31 @@ func fillAll(v *Vector) {
 		v.Set(i)
 	}
 }
+
+// Clone returns a deep copy of v.
+func (v *Vector) Clone() *Vector {
+	w := New(v.n)
+	copy(w.words, v.words)
+	return w
+}
+
+// Or stores v ∨ o into v.
+func (v *Vector) Or(o *Vector) {
+	v.mustMatch(o)
+	for i := range v.words {
+		v.words[i] |= o.words[i]
+	}
+}
+
+// Equal reports whether v and o have the same length and bits.
+func (v *Vector) Equal(o *Vector) bool {
+	if v.n != o.n {
+		return false
+	}
+	for i := range v.words {
+		if v.words[i] != o.words[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -223,6 +223,8 @@ func TestRouterRejectsBodiesLikeSingleNode(t *testing.T) {
 		{"/v1/graphs/{G}/count", `{"priority":"batch"}`, http.StatusOK, false},
 		{"/v1/graphs/{G}/count", `{"priority":"urgent"}`, http.StatusBadRequest, false},
 		{"/v1/graphs/{G}/count", `{} x`, http.StatusBadRequest, false},
+		{"/v1/graphs/{G}/count", `{"hub":"always","order":"degree-asc"}`, http.StatusOK, false},
+		{"/v1/graphs/{G}/count", `{"hub":"sometimes"}`, http.StatusBadRequest, false},
 		{"/v1/graphs/{G}/estimate", `{"priority":"urgent"}`, http.StatusBadRequest, false},
 		{"/v1/graphs/{G}/mutate", `{"inserts":[[0,0]],"tenant":"t","priority":"batch"}`, http.StatusOK, false},
 		{"/v1/graphs/{G}/mutate", `{"priority":"urgent"}`, http.StatusBadRequest, false},

@@ -7,8 +7,8 @@ package core
 // ParButterfly (Shi & Shun, arXiv:1907.08607) shows that no single
 // aggregation strategy dominates: sort-, hash-, histogram- and
 // batch-based aggregation each win on different graph shapes. This file
-// implements all four behind Options.Agg, mirroring the Options.Hub
-// pattern — every mode computes the same integer wedge multiplicities
+// implements all four behind Options.Agg, mirroring the hybrid
+// kernel's hub paths — every mode computes the same integer wedge multiplicities
 // over the same restricted partner ranges, so totals are bit-identical
 // to the sequential reference regardless of mode, policy or thread
 // count (asserted by the cross-mode matrix in agg_test.go).

@@ -61,7 +61,7 @@ func adversarialGraphs() map[string]*graph.Bipartite {
 // shape. Run under -race in CI, which also exercises the parallel
 // kernels' sharing discipline.
 func TestAggCrossModeMatrix(t *testing.T) {
-	hubs := []HubPolicy{HubAuto, HubNever, HubAlways}
+	hubs := []hubPolicy{hubAuto, hubNever, hubAlways}
 	threads := []int{1, 4}
 	for name, g := range adversarialGraphs() {
 		want := CountSpGEMM(g)
@@ -70,7 +70,7 @@ func TestAggCrossModeMatrix(t *testing.T) {
 				for _, hub := range hubs {
 					for _, th := range threads {
 						got := CountWith(g, Options{
-							Invariant: inv, Threads: th, Hub: hub, Agg: agg,
+							Invariant: inv, Threads: th, hub: hub, Agg: agg,
 						})
 						if got != want {
 							t.Errorf("%s inv=%v agg=%v hub=%v threads=%d: got %d, want %d",
@@ -122,7 +122,7 @@ func TestQuickAggModesAgree(t *testing.T) {
 			if CountWith(g, Options{Invariant: inv, Agg: agg}) != want {
 				return false
 			}
-			if CountWith(g, Options{Invariant: inv, Agg: agg, Threads: 3, Hub: HubNever}) != want {
+			if CountWith(g, Options{Invariant: inv, Agg: agg, Threads: 3, hub: hubNever}) != want {
 				return false
 			}
 		}

@@ -134,14 +134,3 @@ func (a *Arena) put(ws *workspace) {
 	a.free = append(a.free, ws)
 	a.mu.Unlock()
 }
-
-// Size reports how many workspaces are currently checked in — useful in
-// tests asserting that parallel runs return everything they borrow.
-func (a *Arena) Size() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.free)
-}

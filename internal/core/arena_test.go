@@ -122,7 +122,7 @@ func TestWingRoundsArenaZeroAlloc(t *testing.T) {
 func TestCountWithArenaZeroAlloc(t *testing.T) {
 	g := gen.PowerLawBipartite(600, 500, 3000, 0.7, 0.7, 15)
 	arena := NewArena()
-	opts := Options{Invariant: Inv2, Hub: HubNever, Arena: arena}
+	opts := Options{Invariant: Inv2, hub: hubNever, Arena: arena}
 	want := CountWith(g, opts)
 
 	allocs := testing.AllocsPerRun(20, func() {
@@ -264,4 +264,15 @@ func TestArenaPartialsZeroAfterPeeling(t *testing.T) {
 	if used < 2 {
 		t.Fatalf("%d pooled workspaces carry a partial vector; want the parallel paths to have run", used)
 	}
+}
+
+// Size reports how many workspaces are currently checked in — useful in
+// tests asserting that parallel runs return everything they borrow.
+func (a *Arena) Size() int {
+	if a == nil {
+		return 0
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.free)
 }

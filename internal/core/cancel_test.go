@@ -33,8 +33,8 @@ func TestCountContextMatchesCountWith(t *testing.T) {
 		{},
 		{Threads: 4},
 		{BlockSize: 8},
-		{Hub: HubAlways},
-		{Hub: HubNever, Arena: NewArena()},
+		{hub: hubAlways},
+		{hub: hubNever, Arena: NewArena()},
 	} {
 		got, err := CountContext(context.Background(), g, opts)
 		if err != nil {
@@ -92,7 +92,7 @@ func TestCountContextCancelledLeavesArenaAtRest(t *testing.T) {
 		arena := NewArena()
 		opts := Options{Invariant: Inv2, Threads: threads, Arena: arena}
 		if threads == 1 {
-			opts.Hub = HubNever // the arena-only path that allocates nothing
+			opts.hub = hubNever // the arena-only path that allocates nothing
 		}
 		full := time.Duration(1 << 62)
 		for i := 0; i < 3; i++ {

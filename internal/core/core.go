@@ -140,11 +140,6 @@ type Options struct {
 	// BlockSize > 1 exposes BlockSize vertices per iteration (the
 	// blocked variants); 0 or 1 is the unblocked algorithm of Fig 6/7.
 	BlockSize int
-	// Hub selects the hybrid intersection kernel policy: HubAuto (the
-	// zero value) chooses per vertex from a cost model, HubNever forces
-	// the sparse path, HubAlways forces the bitset path. Every policy
-	// returns the exact count.
-	Hub HubPolicy
 	// Agg selects the wedge-aggregation kernel: AggAuto (the zero
 	// value) picks per graph from the degree profile; AggSort, AggHash,
 	// AggHist and AggBatch force one mode. Every mode returns the exact
@@ -163,6 +158,11 @@ type Options struct {
 	// CountContext; not exported because a bare partial count is a
 	// footgun without the error return that CountContext pairs it with.
 	stop *atomic.Bool
+	// hub pins the hybrid kernel's path for dense exposed vertices.
+	// Counts leave it at hubAuto, the per-vertex cost model; the kernel
+	// tests force hubNever (sparse) and hubAlways (bitset). Every policy
+	// returns the exact count.
+	hub hubPolicy
 
 	// Stage, when non-nil, receives coarse stage timings:
 	// "core.relayout" for the automatic degree-ordered relayout (first
@@ -237,7 +237,7 @@ func CountWith(g *graph.Bipartite, opts Options) int64 {
 	if threads <= 1 && opts.BlockSize > 1 {
 		c = countBlocked(g, inv, opts.BlockSize, opts.stop)
 	} else {
-		c = countKernel(g, inv, threads, opts.Hub, agg, opts.Arena, schedTuning{}, opts.stop)
+		c = countKernel(g, inv, threads, opts.hub, agg, opts.Arena, schedTuning{}, opts.stop)
 	}
 	if opts.Stage != nil {
 		d := time.Since(t0)

@@ -36,7 +36,7 @@ import (
 // reduction is skipped; the partial total returned after an abort is
 // unspecified — CountContext discards it. Workspaces are only handed
 // back at rest, so an aborted count leaves the arena clean.
-func countKernel(g *graph.Bipartite, inv Invariant, threads int, pol HubPolicy, agg AggPolicy, a *Arena, tun schedTuning, stop *atomic.Bool) int64 {
+func countKernel(g *graph.Bipartite, inv Invariant, threads int, pol hubPolicy, agg AggPolicy, a *Arena, tun schedTuning, stop *atomic.Bool) int64 {
 	desc, above := inv.geometry()
 	exposed, secondary := orient(g, inv)
 	if threads <= 1 {

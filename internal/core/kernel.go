@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -24,38 +23,23 @@ import (
 // threshold or thread count (asserted by TestHybridKernelExhaustive and
 // the quick-check suite in kernel_test.go).
 
-// HubPolicy selects how the hybrid kernel treats dense exposed vertices.
-type HubPolicy int
+// hubPolicy selects how the hybrid kernel treats dense exposed
+// vertices. Counts always run hubAuto; the forced policies let the
+// kernel tests pin each path.
+type hubPolicy int
 
 const (
-	// HubAuto (the default) picks per vertex from the cost model:
+	// hubAuto (the zero value) picks per vertex from the cost model:
 	// the bitset path is taken when the vertex's exact wedge work
 	// exceeds the modeled bitset cost (build + candidate scan).
-	HubAuto HubPolicy = iota
-	// HubNever forces the sparse accumulator path everywhere —
+	hubAuto hubPolicy = iota
+	// hubNever forces the sparse accumulator path everywhere —
 	// equivalent to an infinite density threshold.
-	HubNever
-	// HubAlways forces the bitset path wherever a candidate range
-	// exists — a zero threshold. Used by tests and benchmarks.
-	HubAlways
+	hubNever
+	// hubAlways forces the bitset path wherever a candidate range
+	// exists — a zero threshold.
+	hubAlways
 )
-
-// String names the policy: "auto", "never" or "always".
-func (p HubPolicy) String() string {
-	switch p {
-	case HubAuto:
-		return "auto"
-	case HubNever:
-		return "never"
-	case HubAlways:
-		return "always"
-	default:
-		return fmt.Sprintf("HubPolicy(%d)", int(p))
-	}
-}
-
-// Valid reports whether p is one of the three policies.
-func (p HubPolicy) Valid() bool { return p >= HubAuto && p <= HubAlways }
 
 // hubPair is one (partner, wedge-count) export of a split hub segment.
 type hubPair struct {
@@ -75,7 +59,7 @@ type kernShared struct {
 	agg AggPolicy
 
 	// work[k] is the exact restricted wedge work of exposed vertex k
-	// (nil when the policy is HubNever and no scheduler needs it).
+	// (nil when the policy is hubNever and no scheduler needs it).
 	work []int64
 	// useBits[k] reports whether k takes the bitset path (nil when no
 	// vertex does).
@@ -104,7 +88,7 @@ func hubBitsDegThreshold(nSec int) int {
 // in which case it is computed here when the policy needs it. The
 // state is returned by value so a sequential count keeps it off the
 // heap.
-func newKernShared(exposed, secondary *sparse.CSR, above bool, pol HubPolicy, agg AggPolicy, work []int64) kernShared {
+func newKernShared(exposed, secondary *sparse.CSR, above bool, pol hubPolicy, agg AggPolicy, work []int64) kernShared {
 	if agg == AggAuto {
 		// Callers resolve the policy up front (ResolveAgg); default to
 		// the classic path if one forgets.
@@ -112,7 +96,7 @@ func newKernShared(exposed, secondary *sparse.CSR, above bool, pol HubPolicy, ag
 	}
 	ks := kernShared{exposed: exposed, secondary: secondary, above: above, agg: agg, work: work}
 	nExp, nSec := exposed.R, secondary.R
-	if pol == HubNever || nExp == 0 || nSec == 0 {
+	if pol == hubNever || nExp == 0 || nSec == 0 {
 		return ks
 	}
 	if ks.work == nil {
@@ -124,7 +108,7 @@ func newKernShared(exposed, secondary *sparse.CSR, above bool, pol HubPolicy, ag
 	// while a dense candidate — one whose bitset will be materialized —
 	// costs only the word count of the AND + popcount.
 	var scanCost []int64
-	if pol == HubAuto {
+	if pol == hubAuto {
 		scanCost = make([]int64, nExp+1)
 		wordCost := int64((nSec + 63) / 64)
 		thresh := hubBitsDegThreshold(nSec)
@@ -146,7 +130,7 @@ func newKernShared(exposed, secondary *sparse.CSR, above bool, pol HubPolicy, ag
 		if hi <= lo {
 			continue
 		}
-		if pol == HubAlways {
+		if pol == hubAlways {
 			useBits[k] = true
 			ks.anyBits = true
 			continue

@@ -10,29 +10,11 @@ import (
 	"butterfly/internal/graph"
 )
 
-var allPolicies = []HubPolicy{HubAuto, HubNever, HubAlways}
-
-func TestHubPolicyString(t *testing.T) {
-	cases := map[HubPolicy]string{
-		HubAuto: "auto", HubNever: "never", HubAlways: "always",
-		HubPolicy(42): "HubPolicy(42)",
-	}
-	for p, want := range cases {
-		if p.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(p), p.String(), want)
-		}
-		if p.Valid() != (p != 42) {
-			t.Errorf("%d.Valid() = %v", int(p), p.Valid())
-		}
-	}
-	if HubPolicy(0) != HubAuto {
-		t.Fatal("HubAuto must be the zero value")
-	}
-}
+var allPolicies = []hubPolicy{hubAuto, hubNever, hubAlways}
 
 // The headline exactness claim of the hybrid kernel: the bitset path
 // agrees bit-for-bit with the sparse path for every invariant, across
-// thresholds forced to 0 (HubAlways) and ∞ (HubNever), and across
+// thresholds forced to 0 (hubAlways) and ∞ (hubNever), and across
 // Threads ∈ {1, 2, 4, 8}. Exhaustive over all 512 graphs on 3×3.
 func TestHybridKernelExhaustive3x3(t *testing.T) {
 	enumerateGraphs(3, 3, func(d *dense.Matrix, g *graph.Bipartite) {
@@ -40,7 +22,7 @@ func TestHybridKernelExhaustive3x3(t *testing.T) {
 		for _, inv := range Invariants() {
 			for _, pol := range allPolicies {
 				for _, threads := range []int{1, 2, 4, 8} {
-					got := CountWith(g, Options{Invariant: inv, Threads: threads, Hub: pol})
+					got := CountWith(g, Options{Invariant: inv, Threads: threads, hub: pol})
 					if got != want {
 						t.Fatalf("graph %v %v %v threads=%d: %d, want %d",
 							d.Data, inv, pol, threads, got, want)
@@ -62,7 +44,7 @@ func TestQuickHybridKernelMatchesSpec(t *testing.T) {
 		for _, inv := range Invariants() {
 			for _, pol := range allPolicies {
 				for _, threads := range []int{1, 2, 4, 8} {
-					if CountWith(g, Options{Invariant: inv, Threads: threads, Hub: pol}) != want {
+					if CountWith(g, Options{Invariant: inv, Threads: threads, hub: pol}) != want {
 						return false
 					}
 				}
@@ -97,10 +79,10 @@ func denseHubGraph(n1, n2, hubs, tailDeg int, seed int64) *graph.Bipartite {
 func TestHybridKernelDenseHubAllPolicies(t *testing.T) {
 	g := denseHubGraph(256, 256, 24, 4, 5)
 	for _, inv := range Invariants() {
-		want := CountWith(g, Options{Invariant: inv, Hub: HubNever})
+		want := CountWith(g, Options{Invariant: inv, hub: hubNever})
 		for _, pol := range allPolicies {
 			for _, threads := range []int{1, 2, 4, 8} {
-				got := CountWith(g, Options{Invariant: inv, Threads: threads, Hub: pol})
+				got := CountWith(g, Options{Invariant: inv, Threads: threads, hub: pol})
 				if got != want {
 					t.Fatalf("%v %v threads=%d: %d, want %d", inv, pol, threads, got, want)
 				}
@@ -110,7 +92,7 @@ func TestHybridKernelDenseHubAllPolicies(t *testing.T) {
 	// Sanity: the graph must actually trigger the auto bitset path.
 	exposed, secondary := orient(g, Inv2)
 	_, above := Inv2.geometry()
-	ks := newKernShared(exposed, secondary, above, HubAuto, AggHist, nil)
+	ks := newKernShared(exposed, secondary, above, hubAuto, AggHist, nil)
 	if !ks.anyBits {
 		t.Fatal("dense-hub graph did not trigger the auto bitset path")
 	}
@@ -264,12 +246,12 @@ func BenchmarkBitsetVsSparseKernel(b *testing.B) {
 	arena := NewArena()
 	for _, tc := range []struct {
 		name string
-		pol  HubPolicy
-	}{{"sparse", HubNever}, {"auto", HubAuto}, {"bitset", HubAlways}} {
+		pol  hubPolicy
+	}{{"sparse", hubNever}, {"auto", hubAuto}, {"bitset", hubAlways}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sinkBench = CountWith(g, Options{Invariant: inv, Hub: tc.pol, Arena: arena})
+				sinkBench = CountWith(g, Options{Invariant: inv, hub: tc.pol, Arena: arena})
 			}
 		})
 	}

@@ -2,11 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"butterfly/internal/gen"
-	"butterfly/internal/graph"
 )
 
 // Σ WorkPerVertex must equal the total number of restricted partner
@@ -83,7 +83,19 @@ func TestWorkBalanceIsBalanced(t *testing.T) {
 	// relabel (ascending: hubs last, one per tail chunk) models natural
 	// inputs; schedule should be within 25% of perfect on 6 workers.
 	g := gen.PowerLawBipartite(20000, 15000, 90000, 0.75, 0.75, 7)
-	shuffled, _, _ := g.Relabel(graph.OrderDegreeAsc)
+	ascending := func(n int, deg func(int) int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		sort.SliceStable(ids, func(a, b int) bool { return deg(ids[a]) < deg(ids[b]) })
+		newID := make([]int, n)
+		for k, id := range ids {
+			newID[id] = k
+		}
+		return newID
+	}
+	shuffled := relabeled(g, ascending(g.NumV1(), g.DegreeV1), ascending(g.NumV2(), g.DegreeV2))
 	f := ImbalanceFactor(WorkBalance(shuffled, AutoInvariant(shuffled), 6))
 	if f > 1.25 {
 		t.Fatalf("imbalance factor %.3f > 1.25", f)

@@ -470,9 +470,8 @@ func graphBuilder3Path(t *testing.T) *graph.Bipartite {
 // heavier (it materializes AAᵀ).
 func edgeSupportSpGEMM(g *graph.Bipartite) *sparse.CSR {
 	adj, adjT := g.Adj(), g.AdjT()
-	b := sparse.MxM(adj, adjT)            // AAᵀ
-	core := sparse.MxMMasked(b, adj, adj) // (AAᵀA) ∘ A
-	out := core.Clone()
+	b := sparse.MxM(adj, adjT)           // AAᵀ
+	out := sparse.MxMMasked(b, adj, adj) // (AAᵀA) ∘ A, a fresh matrix
 	for u := 0; u < out.R; u++ {
 		du := int64(g.DegreeV1(u))
 		row := out.Row(u)

@@ -77,25 +77,48 @@ func TestReservoirIncrementalMatchesRecount(t *testing.T) {
 		}
 		stream := streamOf(g)
 		rng := rand.New(rand.NewSource(9))
-		// Include duplicate stream elements to exercise the dup path.
+		// Include duplicate stream elements, so slots share edges.
 		for i := 0; i < 3000; i++ {
 			e := stream[rng.Intn(len(stream))]
 			if err := r.Add(e[0], e[1]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// Rebuild the reservoir subgraph from the non-duplicate slots.
+		// Rebuild the reservoir subgraph from the edges the slots hold.
 		b := graph.NewBuilder(120, 90)
 		for _, e := range r.slots {
-			if !e.dup {
-				b.AddEdge(int(e.u), int(e.v))
-			}
+			b.AddEdge(int(e.u), int(e.v))
 		}
-		want := core.CountAuto(b.Build())
+		h := b.Build()
+		want := core.CountAuto(h)
 		snap := r.Snapshot()
-		if snap.Butterflies != want {
-			t.Fatalf("cap=%d: incremental count %d, recount %d", capacity, snap.Butterflies, want)
+		if snap.Butterflies != want || snap.ReservoirSize != int(h.NumEdges()) {
+			t.Fatalf("cap=%d: incremental count %d over %d edges, recount %d over %d",
+				capacity, snap.Butterflies, snap.ReservoirSize, want, h.NumEdges())
 		}
+	}
+}
+
+// TestReservoirDuplicateOutlivesFirstSlot: an edge stays in the sample
+// while any slot holds it, even after the slot that first brought it
+// is evicted.
+func TestReservoirDuplicateOutlivesFirstSlot(t *testing.T) {
+	r, err := NewReservoir(3, 3, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddBatch([][2]int{{0, 0}, {0, 1}, {1, 0}, {0, 0}, {2, 2}, {1, 1}, {2, 1}, {1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	held := map[slot]bool{}
+	for _, e := range r.slots {
+		held[e] = true
+	}
+	if got := r.Snapshot().ReservoirSize; got != len(held) {
+		t.Fatalf("ReservoirSize = %d, but the slots %v hold %d distinct edges", got, r.slots, len(held))
+	}
+	if len(held) != 4 {
+		t.Fatalf("slots %v hold %d distinct edges; the stream no longer puts a duplicate's first slot out", r.slots, len(held))
 	}
 }
 

@@ -17,14 +17,10 @@ import (
 	"butterfly/internal/dynamic"
 )
 
-// slot is one reservoir cell. dup marks a stream element whose (u,v)
-// pair was already present in the reservoir when it entered: it holds a
-// cell (keeping the sample uniform over stream *elements*) but is not
-// inserted into the sample a second time.
-type slot struct {
-	u, v int32
-	dup  bool
-}
+// slot is one reservoir cell: the stream element that holds it. Two
+// slots may hold the same (u,v) pair, since the sample is uniform over
+// stream *elements*; the pair is then in the sample once.
+type slot struct{ u, v int32 }
 
 // Reservoir is a fixed-budget streaming butterfly estimator. It keeps a
 // uniform sample of at most Cap stream edges in a dynamic.Counter, so
@@ -56,7 +52,12 @@ type Reservoir struct {
 
 	seen  int64
 	slots []slot
-	g     *dynamic.Counter // the distinct edges of the non-duplicate slots
+	g     *dynamic.Counter // the distinct edges the slots hold
+	// extra counts, per edge key, the slots beyond the first that
+	// hold the edge. An edge enters g when its first slot fills and
+	// leaves when its last slot empties. Empty on duplicate-free
+	// streams.
+	extra map[int64]int32
 	rng   *rand.Rand
 
 	// Cached variance pass: valid while (seen, count) are unchanged.
@@ -94,6 +95,7 @@ func NewReservoir(m, n, capacity int, seed int64) (*Reservoir, error) {
 		cap:   capacity,
 		slots: make([]slot, 0, capacity),
 		g:     dynamic.New(m, n),
+		extra: map[int64]int32{},
 		rng:   rand.New(rand.NewSource(seed)),
 	}, nil
 }
@@ -160,21 +162,32 @@ func (r *Reservoir) add(u, v int32) {
 
 // place writes the new edge into slot i (which must already be
 // vacated) and adds it to the sample, whose counter applies the
-// butterflies it closes. An edge already in the sample marks the slot
-// a duplicate instead.
+// butterflies it closes. An edge already in the sample gains a slot
+// instead.
 func (r *Reservoir) place(i int, u, v int32) {
-	added, _ := r.g.InsertEdge(int(u), int(v))
-	r.slots[:cap(r.slots)][i] = slot{u: u, v: v, dup: !added}
+	if added, _ := r.g.InsertEdge(int(u), int(v)); !added {
+		r.extra[edgeKey(u, v)]++
+	}
+	r.slots[:cap(r.slots)][i] = slot{u: u, v: v}
 }
 
-// evict removes slot i's edge from the sample, whose counter subtracts
-// the butterflies it closed. Duplicate slots vacate without touching
-// the sample.
+// evict vacates slot i. Its edge leaves the sample, whose counter
+// subtracts the butterflies it closed, only if no other slot holds it.
 func (r *Reservoir) evict(i int) {
-	if e := r.slots[i]; !e.dup {
+	e := r.slots[i]
+	k := edgeKey(e.u, e.v)
+	switch n := r.extra[k]; n {
+	case 0:
 		r.g.DeleteEdge(int(e.u), int(e.v))
+	case 1:
+		delete(r.extra, k)
+	default:
+		r.extra[k] = n - 1
 	}
 }
+
+// edgeKey packs an edge into one map key.
+func edgeKey(u, v int32) int64 { return int64(u)<<32 | int64(uint32(v)) }
 
 // Snapshot returns a consistent view of the estimator: safe to call
 // concurrently with Add/AddBatch, O(1) work.

@@ -62,14 +62,6 @@ func (g *Group[T]) Do(key string, fn func() T) (val T, joined bool) {
 	return c.val, false
 }
 
-// InFlight reports the number of keys with a leader currently
-// running. Intended for metrics and tests.
-func (g *Group[T]) InFlight() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.m)
-}
-
 // Waiting reports how many callers (leader included) are currently in
 // the flight for key; 0 once the flight completes. Intended for tests
 // that need to observe a herd fully assembled before releasing it.

@@ -142,3 +142,11 @@ func TestZeroValueReady(t *testing.T) {
 		t.Fatalf("InFlight after completion = %d, want 0", g.InFlight())
 	}
 }
+
+// InFlight reports the number of keys with a leader currently
+// running. Intended for metrics and tests.
+func (g *Group[T]) InFlight() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.m)
+}

@@ -271,39 +271,6 @@ func (g *Bipartite) FilterEdges(keep func(u, v int32) bool) *Bipartite {
 	return &Bipartite{adj: a, adjT: sparse.Transpose(a)}
 }
 
-// Compact renumbers away isolated vertices on both sides, returning the
-// compacted graph plus the old→new vertex maps (−1 for dropped
-// vertices).
-func (g *Bipartite) Compact() (h *Bipartite, mapV1, mapV2 []int32) {
-	mapV1 = make([]int32, g.NumV1())
-	mapV2 = make([]int32, g.NumV2())
-	m := 0
-	for u := range mapV1 {
-		if g.DegreeV1(u) > 0 {
-			mapV1[u] = int32(m)
-			m++
-		} else {
-			mapV1[u] = -1
-		}
-	}
-	n := 0
-	for v := range mapV2 {
-		if g.DegreeV2(v) > 0 {
-			mapV2[v] = int32(n)
-			n++
-		} else {
-			mapV2[v] = -1
-		}
-	}
-	b := NewBuilder(m, n)
-	for u := 0; u < g.NumV1(); u++ {
-		for _, v := range g.adj.Row(u) {
-			b.AddEdge(int(mapV1[u]), int(mapV2[v]))
-		}
-	}
-	return b.Build(), mapV1, mapV2
-}
-
 // Validate checks internal consistency (adjacency valid, transpose in
 // sync); it is cheap insurance after hand-constructed graphs.
 func (g *Bipartite) Validate() error {

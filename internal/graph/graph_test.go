@@ -31,6 +31,17 @@ func randGraph(rng *rand.Rand, m, n int, density float64) *Bipartite {
 	return b.Build()
 }
 
+// shuffled returns g with both vertex sets renumbered by random
+// permutations.
+func shuffled(rng *rand.Rand, g *Bipartite) *Bipartite {
+	p1, p2 := rng.Perm(g.NumV1()), rng.Perm(g.NumV2())
+	b := NewBuilder(g.NumV1(), g.NumV2())
+	for _, e := range g.Edges() {
+		b.AddEdge(p1[e.U], p2[e.V])
+	}
+	return b.Build()
+}
+
 func TestBuilderBasics(t *testing.T) {
 	g := k22()
 	if g.NumV1() != 2 || g.NumV2() != 2 || g.NumEdges() != 4 {
@@ -177,26 +188,6 @@ func TestFilterEdges(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	b := NewBuilder(4, 4)
-	b.AddEdge(1, 2)
-	b.AddEdge(3, 2)
-	g := b.Build()
-	h, m1, m2 := g.Compact()
-	if h.NumV1() != 2 || h.NumV2() != 1 || h.NumEdges() != 2 {
-		t.Fatalf("compact shape: %s", h)
-	}
-	if m1[0] != -1 || m1[1] != 0 || m1[3] != 1 {
-		t.Fatalf("mapV1 = %v", m1)
-	}
-	if m2[2] != 0 || m2[0] != -1 {
-		t.Fatalf("mapV2 = %v", m2)
-	}
-	if !h.HasEdge(0, 0) || !h.HasEdge(1, 0) {
-		t.Fatal("compacted edges wrong")
-	}
-}
-
 func TestRelabelDegreeOrders(t *testing.T) {
 	b := NewBuilder(3, 3)
 	// degrees V1: 0→3, 1→1, 2→2
@@ -208,35 +199,13 @@ func TestRelabelDegreeOrders(t *testing.T) {
 	b.AddEdge(2, 1)
 	g := b.Build()
 
-	asc, p1, _ := g.Relabel(OrderDegreeAsc)
-	if g.DegreeV1(int(p1[0])) > g.DegreeV1(int(p1[1])) || g.DegreeV1(int(p1[1])) > g.DegreeV1(int(p1[2])) {
-		t.Fatal("asc permutation not sorted by degree")
+	desc, p1, _ := g.relabelByDegree()
+	if g.DegreeV1(int(p1[0])) < g.DegreeV1(int(p1[1])) || g.DegreeV1(int(p1[1])) < g.DegreeV1(int(p1[2])) {
+		t.Fatal("permutation not sorted by descending degree")
 	}
-	for newID := 0; newID < 2; newID++ {
-		if asc.DegreeV1(newID) > asc.DegreeV1(newID+1) {
-			t.Fatal("relabeled graph degrees not ascending")
-		}
-	}
-
-	desc, _, _ := g.Relabel(OrderDegreeDesc)
 	for newID := 0; newID < 2; newID++ {
 		if desc.DegreeV1(newID) < desc.DegreeV1(newID+1) {
 			t.Fatal("relabeled graph degrees not descending")
-		}
-	}
-
-	nat, p1n, p2n := g.Relabel(OrderNatural)
-	if !nat.Equal(g) {
-		t.Fatal("natural order changed the graph")
-	}
-	for i, v := range p1n {
-		if int(v) != i {
-			t.Fatal("natural permV1 not identity")
-		}
-	}
-	for i, v := range p2n {
-		if int(v) != i {
-			t.Fatal("natural permV2 not identity")
 		}
 	}
 }
@@ -247,16 +216,14 @@ func TestQuickRelabelIsIsomorphism(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randGraph(rng, rng.Intn(8)+1, rng.Intn(8)+1, 0.4)
-		for _, o := range []Order{OrderDegreeAsc, OrderDegreeDesc} {
-			h, p1, p2 := g.Relabel(o)
-			if h.NumEdges() != g.NumEdges() {
-				return false
-			}
-			for newU := 0; newU < h.NumV1(); newU++ {
-				for _, newV := range h.NeighborsOfV1(newU) {
-					if !g.HasEdge(int(p1[newU]), int(p2[newV])) {
-						return false
-					}
+		h, p1, p2 := g.relabelByDegree()
+		if h.NumEdges() != g.NumEdges() {
+			return false
+		}
+		for newU := 0; newU < h.NumV1(); newU++ {
+			for _, newV := range h.NeighborsOfV1(newU) {
+				if !g.HasEdge(int(p1[newU]), int(p2[newV])) {
+					return false
 				}
 			}
 		}
@@ -264,13 +231,6 @@ func TestQuickRelabelIsIsomorphism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOrderString(t *testing.T) {
-	if OrderNatural.String() != "natural" || OrderDegreeAsc.String() != "degree-asc" ||
-		OrderDegreeDesc.String() != "degree-desc" || Order(99).String() != "order(?)" {
-		t.Fatal("Order.String wrong")
 	}
 }
 
@@ -313,7 +273,7 @@ func TestQuickStatsRelabelInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randGraph(rng, rng.Intn(8)+1, rng.Intn(8)+1, 0.4)
-		h, _, _ := g.Relabel(OrderDegreeAsc)
+		h := shuffled(rng, g)
 		sg, sh := ComputeStats(g), ComputeStats(h)
 		return sg.WedgesV1 == sh.WedgesV1 && sg.WedgesV2 == sh.WedgesV2 &&
 			sg.NumEdges == sh.NumEdges && sg.MaxDegV1 == sh.MaxDegV1

@@ -2,92 +2,42 @@ package graph
 
 import "butterfly/internal/sparse"
 
-// Order selects a vertex relabeling strategy. Degree ordering is the
-// optimization the paper's future-work section points at ([3], [12]):
-// processing low-degree wedge points first shrinks the accumulator
-// working set of the counting loops.
-type Order int
-
-const (
-	// OrderNatural keeps the input labeling.
-	OrderNatural Order = iota
-	// OrderDegreeAsc relabels so vertex 0 has the smallest degree.
-	OrderDegreeAsc
-	// OrderDegreeDesc relabels so vertex 0 has the largest degree.
-	OrderDegreeDesc
-)
-
-func (o Order) String() string {
-	switch o {
-	case OrderNatural:
-		return "natural"
-	case OrderDegreeAsc:
-		return "degree-asc"
-	case OrderDegreeDesc:
-		return "degree-desc"
-	default:
-		return "order(?)"
-	}
-}
-
 // permutationByDegree returns a permutation perm where perm[newID] =
-// oldID, ordering the rows of a by degree. It is one counting sort over
-// the degrees, O(rows + max degree), and stable: ties keep ascending
-// original id, making the relabeling deterministic.
-func permutationByDegree(a *sparse.CSR, asc bool) []int32 {
+// oldID, ordering the rows of a by descending degree. It is one
+// counting sort over the degrees, O(rows + max degree), and stable:
+// ties keep ascending original id, making the relabeling deterministic.
+func permutationByDegree(a *sparse.CSR) []int32 {
 	maxDeg := 0
 	for i := 0; i < a.R; i++ {
 		maxDeg = max(maxDeg, a.RowDeg(i))
 	}
-	key := func(i int) int {
-		if asc {
-			return a.RowDeg(i)
-		}
-		return maxDeg - a.RowDeg(i)
-	}
-	// next[k] is the first unused new id of the vertices with key k.
+	// next[k] is the first unused new id of the vertices of degree
+	// maxDeg − k.
 	next := make([]int32, maxDeg+2)
 	for i := 0; i < a.R; i++ {
-		next[key(i)+1]++
+		next[maxDeg-a.RowDeg(i)+1]++
 	}
 	for k := 1; k < len(next); k++ {
 		next[k] += next[k-1]
 	}
 	perm := make([]int32, a.R)
 	for i := 0; i < a.R; i++ {
-		k := key(i)
+		k := maxDeg - a.RowDeg(i)
 		perm[next[k]] = int32(i)
 		next[k]++
 	}
 	return perm
 }
 
-// Relabel returns a new graph with both vertex sets renumbered
-// according to the order, plus the permutations used
-// (permV1[newID] = oldID, and likewise for V2). OrderNatural returns
-// the receiver unchanged with identity permutations. A degree order
-// costs O(|V1| + |V2| + |E|): counting sorts for the permutations, one
-// pass writing the permuted rows and FromRows to sort them.
-func (g *Bipartite) Relabel(o Order) (h *Bipartite, permV1, permV2 []int32) {
+// relabelByDegree returns a new graph with both vertex sets renumbered
+// by descending degree, plus the permutations used (permV1[newID] =
+// oldID, and likewise for V2). It costs O(|V1| + |V2| + |E|): counting
+// sorts for the permutations, one pass writing the permuted rows and
+// FromRows to sort them. DegreeOrdered caches its result.
+func (g *Bipartite) relabelByDegree() (h *Bipartite, permV1, permV2 []int32) {
 	m, n := g.NumV1(), g.NumV2()
-	switch o {
-	case OrderNatural:
-		permV1 = make([]int32, m)
-		permV2 = make([]int32, n)
-		for i := range permV1 {
-			permV1[i] = int32(i)
-		}
-		for j := range permV2 {
-			permV2[j] = int32(j)
-		}
-		return g, permV1, permV2
-	case OrderDegreeAsc, OrderDegreeDesc:
-		asc := o == OrderDegreeAsc
-		permV1 = permutationByDegree(g.adj, asc)
-		permV2 = permutationByDegree(g.adjT, asc)
-	default:
-		panic("graph: unknown order")
-	}
+	permV1 = permutationByDegree(g.adj)
+	permV2 = permutationByDegree(g.adjT)
 
 	// inv2[oldID] = newID.
 	inv2 := make([]int32, n)

@@ -14,9 +14,9 @@ import (
 
 // relabelReference is the comparison-sort relayout that the counting
 // sorts replaced, kept as the differential oracle: a stable sort of the
-// ids by degree with ties broken by id, then every relabeled edge fed
-// through Builder.
-func relabelReference(g *graph.Bipartite, o graph.Order) (h *graph.Bipartite, permV1, permV2 []int32) {
+// ids by descending degree with ties broken by id, then every relabeled
+// edge fed through Builder.
+func relabelReference(g *graph.Bipartite) (h *graph.Bipartite, permV1, permV2 []int32) {
 	byDegree := func(n int, deg func(int) int) []int32 {
 		perm := make([]int32, n)
 		for i := range perm {
@@ -25,9 +25,6 @@ func relabelReference(g *graph.Bipartite, o graph.Order) (h *graph.Bipartite, pe
 		sort.SliceStable(perm, func(x, y int) bool {
 			dx, dy := deg(int(perm[x])), deg(int(perm[y]))
 			if dx != dy {
-				if o == graph.OrderDegreeAsc {
-					return dx < dy
-				}
 				return dx > dy
 			}
 			return perm[x] < perm[y]
@@ -59,22 +56,19 @@ func identicalCSR(a, b *sparse.CSR) bool {
 		(a.Val == nil) == (b.Val == nil) && slices.Equal(a.Val, b.Val)
 }
 
-// relabelMatchesReference reports whether Relabel returns the same
-// permutations and the same adj/adjT arrays as the reference, for both
-// degree orders.
+// relabelMatchesReference reports whether the degree relabel returns
+// the same permutations and the same adj/adjT arrays as the reference.
 func relabelMatchesReference(t *testing.T, g *graph.Bipartite) bool {
 	t.Helper()
-	for _, o := range []graph.Order{graph.OrderDegreeAsc, graph.OrderDegreeDesc} {
-		h, p1, p2 := g.Relabel(o)
-		rh, rp1, rp2 := relabelReference(g, o)
-		if !slices.Equal(p1, rp1) || !slices.Equal(p2, rp2) {
-			t.Errorf("%v on %v: permutations differ from the reference", o, g)
-			return false
-		}
-		if !identicalCSR(h.Adj(), rh.Adj()) || !identicalCSR(h.AdjT(), rh.AdjT()) {
-			t.Errorf("%v on %v: adjacency arrays differ from the reference", o, g)
-			return false
-		}
+	h, p1, p2 := graph.RelabelByDegree(g)
+	rh, rp1, rp2 := relabelReference(g)
+	if !slices.Equal(p1, rp1) || !slices.Equal(p2, rp2) {
+		t.Errorf("%v: permutations differ from the reference", g)
+		return false
+	}
+	if !identicalCSR(h.Adj(), rh.Adj()) || !identicalCSR(h.AdjT(), rh.AdjT()) {
+		t.Errorf("%v: adjacency arrays differ from the reference", g)
+		return false
 	}
 	return true
 }
@@ -113,16 +107,14 @@ func TestRelabelEqualDegreesKeepIDOrder(t *testing.T) {
 		if !relabelMatchesReference(t, g) {
 			continue
 		}
-		for _, o := range []graph.Order{graph.OrderDegreeAsc, graph.OrderDegreeDesc} {
-			h, p1, p2 := g.Relabel(o)
-			for i := range p1 {
-				if p1[i] != int32(i) || p2[i] != int32(i) {
-					t.Fatalf("n=%d k=%d %v: tie not broken by id at %d", tc.n, tc.k, o, i)
-				}
+		h, p1, p2 := graph.RelabelByDegree(g)
+		for i := range p1 {
+			if p1[i] != int32(i) || p2[i] != int32(i) {
+				t.Fatalf("n=%d k=%d: tie not broken by id at %d", tc.n, tc.k, i)
 			}
-			if !h.Equal(g) {
-				t.Fatalf("n=%d k=%d %v: identity relabel changed the graph", tc.n, tc.k, o)
-			}
+		}
+		if !h.Equal(g) {
+			t.Fatalf("n=%d k=%d: identity relabel changed the graph", tc.n, tc.k)
 		}
 	}
 }
@@ -146,7 +138,7 @@ func BenchmarkRelabelDegreeDesc(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g.Relabel(graph.OrderDegreeDesc)
+				graph.RelabelByDegree(g)
 			}
 		})
 	}

@@ -90,7 +90,7 @@ func (g *Bipartite) Profile() DegreeProfile {
 // that translate between the public and relayouted id spaces.
 type relayout struct {
 	g *Bipartite
-	// permV1[newID] = oldID, and likewise permV2; see Relabel.
+	// permV1[newID] = oldID, and likewise permV2.
 	permV1, permV2 []int32
 }
 
@@ -101,8 +101,8 @@ type relayout struct {
 // counts — serving traffic, -all sweeps, peeling oracles — pay only a
 // pointer load. The build is O(|V1| + |V2| + |E|) with no comparison
 // sort: counting sorts over the degrees, one pass writing the permuted
-// rows and two counting-sort transposes (see Relabel). The permutations translate ids:
-// permV1[newID] = oldID (and likewise permV2), matching Relabel.
+// rows and two counting-sort transposes. The permutations translate
+// ids: permV1[newID] = oldID (and likewise permV2).
 //
 // The relayout concentrates two access patterns:
 //
@@ -124,7 +124,7 @@ func (g *Bipartite) DegreeOrdered() (h *Bipartite, permV1, permV2 []int32) {
 	if rl := g.degOrd.Load(); rl != nil {
 		return rl.g, rl.permV1, rl.permV2
 	}
-	h, p1, p2 := g.Relabel(OrderDegreeDesc)
+	h, p1, p2 := g.relabelByDegree()
 	g.degOrd.CompareAndSwap(nil, &relayout{g: h, permV1: p1, permV2: p2})
 	rl := g.degOrd.Load()
 	return rl.g, rl.permV1, rl.permV2

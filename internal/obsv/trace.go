@@ -60,10 +60,6 @@ func (t *Trace) Root() *Span {
 	return &Span{t: t, s: &t.root}
 }
 
-// Stage records a completed stage of duration d as a child of the root
-// span, ending now.
-func (t *Trace) Stage(name string, d time.Duration) { t.Root().Stage(name, d) }
-
 // Child opens a new child span named name under sp. End it with End;
 // a child left open is rendered with its live duration at snapshot
 // time.

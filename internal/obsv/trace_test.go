@@ -158,3 +158,7 @@ func TestSubStages(t *testing.T) {
 		t.Fatal("nil trace has sub-stages")
 	}
 }
+
+// Stage records a completed stage of duration d as a child of the root
+// span, ending now.
+func (t *Trace) Stage(name string, d time.Duration) { t.Root().Stage(name, d) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -53,10 +54,14 @@ func countOptions(req *serveapi.CountRequest) (butterfly.CountOptions, error) {
 	if opts.Algorithm != butterfly.AlgorithmFamily && opts.Invariant != butterfly.InvariantAuto {
 		return opts, badReqf("invariant is only meaningful with the family algorithm")
 	}
-	if req.Hub != "" {
-		if opts.Hub, err = butterfly.ParseHubPolicy(req.Hub); err != nil {
-			return opts, badReqf("unknown hub policy %q (want auto|never|always)", req.Hub)
-		}
+	// hub and order name choices the count makes for itself: the
+	// hybrid kernel's cost model and the degree-ordered relayout. Their
+	// spellings are checked, so a typo answers 400, and then ignored.
+	if req.Hub != "" && !slices.Contains([]string{"auto", "never", "always"}, req.Hub) {
+		return opts, badReqf("unknown hub policy %q (want auto|never|always)", req.Hub)
+	}
+	if req.Order != "" && !slices.Contains([]string{"natural", "degree-asc", "degree-desc"}, req.Order) {
+		return opts, badReqf("unknown order %q (want natural|degree-asc|degree-desc)", req.Order)
 	}
 	if req.Agg != "" {
 		if opts.Agg, err = butterfly.ParseAggPolicy(req.Agg); err != nil {
@@ -64,11 +69,6 @@ func countOptions(req *serveapi.CountRequest) (butterfly.CountOptions, error) {
 		}
 		if opts.Agg != butterfly.AggAuto && opts.Algorithm != butterfly.AlgorithmFamily {
 			return opts, badReqf("agg is only meaningful with the family algorithm")
-		}
-	}
-	if req.Order != "" {
-		if opts.Order, err = butterfly.ParseOrder(req.Order); err != nil {
-			return opts, badReqf("unknown order %q", req.Order)
 		}
 	}
 	if req.BlockSize < 0 {
@@ -82,9 +82,9 @@ func countOptions(req *serveapi.CountRequest) (butterfly.CountOptions, error) {
 // Cache keys. A key captures everything that can change the response
 // body and nothing else, and it is built from parsed values, so that
 // equivalent spellings of one request share one entry. The exact count
-// is invariant across all algorithms, invariants, hub policies, orders
-// and thread counts — that equivalence is the paper's core result and
-// is what makes the shared count key sound: a count served from cache
+// is invariant across all algorithms, invariants and thread counts —
+// that equivalence is the paper's core result and is what makes the
+// shared count key sound: a count served from cache
 // is identical to a count computed by any family member. Performance
 // knobs therefore never fragment the cache — with one exception: the
 // response reports the wedge-aggregation mode that ran
@@ -296,7 +296,7 @@ func parsePeel(body io.Reader, _ url.Values) (Query, error) {
 // execCount runs an exact count on the snapshot with true cooperative
 // cancellation (the ctx is threaded into the core counting loops).
 // The kernel span, when present, receives the counting core's named
-// sub-stages ("core.order", "core.count", …) as children.
+// sub-stages ("core.relayout", "core.count", …) as children.
 func (s *Server) execCount(ctx context.Context, snap *Snapshot, opts butterfly.CountOptions, ksp *obsv.Span) (*serveapi.CountResponse, error) {
 	opts.Arena = s.arena
 	opts.Stage = ksp.Hook()

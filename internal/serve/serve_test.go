@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -65,8 +66,7 @@ func TestRegisterAndCount(t *testing.T) {
 		{Invariant: 7, Threads: 2},
 		{Algorithm: "wedge-hash"},
 		{Algorithm: "spgemm", Threads: 2},
-		{Hub: "always"},
-		{Order: "degree-desc", BlockSize: 2},
+		{BlockSize: 2},
 	} {
 		resp, err := c.Count(ctx, "k44", req)
 		if err != nil {
@@ -74,6 +74,25 @@ func TestRegisterAndCount(t *testing.T) {
 		}
 		if resp.Butterflies != 36 || resp.Version != 1 || resp.Graph != "k44" {
 			t.Fatalf("count %+v = %+v, want 36 @ v1", req, resp)
+		}
+	}
+
+	// The hub and order fields are accepted and ignored: every old
+	// spelling answers the default count's body from its warm entry.
+	url := urlOf(t, c) + "/v1/graphs/k44/count"
+	rawDo(t, "POST", url, `{}`)
+	_, want := rawDo(t, "POST", url, `{}`)
+	for _, body := range []string{
+		`{"hub":"auto"}`, `{"hub":"never"}`, `{"hub":"always"}`,
+		`{"order":"natural"}`, `{"order":"degree-asc"}`, `{"order":"degree-desc"}`,
+		`{"hub":"always","order":"degree-asc"}`,
+	} {
+		resp, got := rawDo(t, "POST", url, body)
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("%s = %d %s, want 200 %s", body, resp.StatusCode, got, want)
+		}
+		if x := resp.Header.Get("X-Cache"); x != "hit" {
+			t.Errorf("%s: X-Cache = %q, want hit", body, x)
 		}
 	}
 
@@ -169,6 +188,9 @@ func TestBadInputs(t *testing.T) {
 		if apiErr.Status != want {
 			t.Fatalf("%s: status = %d (%s), want %d", what, apiErr.Status, apiErr.Message, want)
 		}
+		if want == http.StatusBadRequest && apiErr.Code != serveapi.CodeInvalidArgument {
+			t.Fatalf("%s: code = %q, want %s", what, apiErr.Code, serveapi.CodeInvalidArgument)
+		}
 	}
 
 	_, err := c.Count(ctx, "nope", serveapi.CountRequest{})
@@ -185,6 +207,8 @@ func TestBadInputs(t *testing.T) {
 	wantStatus(err, http.StatusBadRequest, "invariant with non-family")
 	_, err = c.Count(ctx, "k44", serveapi.CountRequest{Hub: "sometimes"})
 	wantStatus(err, http.StatusBadRequest, "bad hub")
+	_, err = c.Count(ctx, "k44", serveapi.CountRequest{Order: "degree"})
+	wantStatus(err, http.StatusBadRequest, "bad order")
 	_, err = c.VertexCounts(ctx, "k44", serveapi.VertexCountsRequest{Side: "v3"})
 	wantStatus(err, http.StatusBadRequest, "bad side")
 	_, err = c.Estimate(ctx, "k44", serveapi.EstimateRequest{Strategy: "edges", Samples: -1})

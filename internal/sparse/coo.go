@@ -51,9 +51,6 @@ func (b *COO) AddVal(i, j int, v int64) {
 	}
 }
 
-// Len returns the number of appended entries (before dedup).
-func (b *COO) Len() int { return len(b.I) }
-
 // ToCSR buckets, sorts, deduplicates and compresses the builder into
 // CSR form. A counting pass over the row indices sizes the rows and a
 // scatter pass fills them in append order, O(R + nnz); each row is then

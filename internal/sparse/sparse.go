@@ -108,18 +108,6 @@ func (a *CSR) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy of a.
-func (a *CSR) Clone() *CSR {
-	b := &CSR{R: a.R, C: a.C,
-		Ptr: append([]int64(nil), a.Ptr...),
-		Col: append([]int32(nil), a.Col...),
-	}
-	if a.Val != nil {
-		b.Val = append([]int64(nil), a.Val...)
-	}
-	return b
-}
-
 // Equal reports whether a and b have identical shape, pattern and values
 // (a pattern matrix equals a value matrix whose stored values are all 1).
 func (a *CSR) Equal(b *CSR) bool {

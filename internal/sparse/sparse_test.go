@@ -320,3 +320,18 @@ func FuzzCOOBuild(f *testing.F) {
 		}
 	})
 }
+
+// Clone returns a deep copy of a.
+func (a *CSR) Clone() *CSR {
+	b := &CSR{R: a.R, C: a.C,
+		Ptr: append([]int64(nil), a.Ptr...),
+		Col: append([]int32(nil), a.Col...),
+	}
+	if a.Val != nil {
+		b.Val = append([]int64(nil), a.Val...)
+	}
+	return b
+}
+
+// Len returns the number of appended entries (before dedup).
+func (b *COO) Len() int { return len(b.I) }

@@ -116,9 +116,6 @@ func Open(dir string, opts Options) (*Store, []Recovered, error) {
 	return &Store{dir: dir, opts: opts, wal: wal}, recovered, nil
 }
 
-// Dir returns the store's data directory.
-func (s *Store) Dir() string { return s.dir }
-
 // WALSize returns the current WAL length in bytes.
 func (s *Store) WALSize() int64 { return s.wal.Size() }
 
@@ -127,9 +124,6 @@ func (s *Store) WALSyncs() uint64 { return s.wal.Syncs() }
 
 // Checkpoints returns the number of completed checkpoints.
 func (s *Store) Checkpoints() uint64 { return s.checkpoints.Load() }
-
-// FsyncPolicy returns the configured flush policy.
-func (s *Store) FsyncPolicy() FsyncPolicy { return s.opts.Fsync }
 
 // ShouldCheckpoint reports whether the WAL has outgrown the
 // configured threshold.

@@ -114,11 +114,16 @@ type ResultMeta struct {
 // optional — the zero value runs the automatically selected family
 // member sequentially. Algorithm is one of "family" (default),
 // "wedge-hash", "vertex-priority", "sort-aggregate", "spgemm";
-// Invariant picks the family member (0 = auto, 1–8); Hub is "auto",
-// "never" or "always"; Agg is the wedge-aggregation mode "auto"
-// (default), "sort", "hash", "hist" or "batch" (family algorithm
-// only); Order is "natural", "degree-asc" or "degree-desc". Threads
-// ≤ 0 means one worker per CPU.
+// Invariant picks the family member (0 = auto, 1–8); Agg is the
+// wedge-aggregation mode "auto" (default), "sort", "hash", "hist" or
+// "batch" (family algorithm only). Threads 0 or 1 counts
+// sequentially, more runs that many workers, and a negative value
+// runs one worker per CPU.
+//
+// Order ("natural", "degree-asc" or "degree-desc") and Hub ("auto",
+// "never" or "always") are accepted and ignored: the count chooses
+// its own vertex layout and hub path. Any other spelling is still
+// rejected.
 //
 // Tenant and Priority identify the caller to the admission
 // controller (see docs/QOS.md): Tenant selects the token bucket and
